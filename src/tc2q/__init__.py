@@ -2,111 +2,26 @@
 
 Quick tour::
 
-    from tc2q import ModelParams, Thermal, concurrence_thermal
+    import math
+    from tc2q import ModelParams, Thermal, coherence_integral
     params = ModelParams(omega=1.0, lambda_=0.1)
-    concurrence_thermal(2.0, 3.14159, params)
+    abs(coherence_integral(Thermal(2.0), math.pi, params))   # concurrence
 
-Closed forms live in :mod:`tc2q.analytic`, the truncated-Fock-space
-cross-check in :mod:`tc2q.oracle`, the classical-oscillator comparison in
-:mod:`tc2q.classical`, and the CLI in :mod:`tc2q.cli`.
+Oscillator preparations and their closed forms live in :mod:`tc2q.model`,
+the overlap integral and the Fourier route in :mod:`tc2q.analytic`, the
+truncated-Fock-space cross-check in :mod:`tc2q.oracle`, the
+classical-oscillator comparison in :mod:`tc2q.classical`, and the CLI in
+:mod:`tc2q.cli`.
 """
 
 __version__ = "0.1.0"
 
-from .model import (
-    BASES,
-    BELL_KINDS,
-    Coherent,
-    ExplicitDensity,
-    Fock,
-    ModelParams,
-    NondegenerateParamsWarning,
-    OscillatorSpec,
-    QubitDensity,
-    Thermal,
-    basis_transform,
-    bell_state,
-    bell_vector,
-    change_basis,
-    clamp_unit,
-    spec_label,
-)
-from .analytic import (
-    CoherentBranch,
-    coherence_integral,
-    coherence_integral_fock_sum,
-    concurrence_coherent,
-    concurrence_fock,
-    concurrence_general,
-    concurrence_thermal,
-    evolve_product_state,
-    f_phase,
-    fourier_arguments,
-    half_period_concurrence,
-    laguerre,
-    p_tilde_coherent,
-    p_tilde_fock,
-    p_tilde_thermal,
-    reduced_qubit_density_psi_plus,
-)
-from .oracle import (
-    CompositeState,
-    SpectralPropagator,
-    TruncationError,
-    build_hamiltonian,
-    choose_dim,
-    composite_initial_state,
-    displaced_number_state,
-    evolve_density,
-    oracle_concurrence_series,
-    oracle_reduced_density,
-    oscillator_initial_state,
-    partial_trace_oscillator,
-    predicted_spectrum,
-    wootters_concurrence,
-)
-from .classical import (
-    ClassicalThermal,
-    DeltaDist,
-    GaussianDist,
-    PhaseSpaceDist,
-    classical_concurrence,
-    classical_concurrence_thermal,
-    classical_thermal_dist,
-    classical_trajectory,
-    minimum_uncertainty_widths,
-    monte_carlo_classical_concurrence,
-    s_plus_correlator,
-    thermal_widths,
-)
-from .series import BetaSweep, ConcurrenceSeries, read_series, write_table
+from .model import Coherent, ExplicitDensity, Fock, ModelParams, Thermal
+from .analytic import coherence_integral
+from .oracle import oracle_concurrence_series
 
 __all__ = [
     "__version__",
-    # model
-    "BASES", "BELL_KINDS", "Coherent", "ExplicitDensity", "Fock",
-    "ModelParams", "NondegenerateParamsWarning", "OscillatorSpec",
-    "QubitDensity", "Thermal", "basis_transform", "bell_state",
-    "bell_vector", "change_basis", "clamp_unit", "spec_label",
-    # analytic
-    "CoherentBranch", "coherence_integral", "coherence_integral_fock_sum",
-    "concurrence_coherent", "concurrence_fock", "concurrence_general",
-    "concurrence_thermal", "evolve_product_state", "f_phase",
-    "fourier_arguments", "half_period_concurrence", "laguerre",
-    "p_tilde_coherent", "p_tilde_fock", "p_tilde_thermal",
-    "reduced_qubit_density_psi_plus",
-    # oracle
-    "CompositeState", "SpectralPropagator", "TruncationError",
-    "build_hamiltonian", "choose_dim", "composite_initial_state",
-    "displaced_number_state", "evolve_density", "oracle_concurrence_series",
-    "oracle_reduced_density", "oscillator_initial_state",
-    "partial_trace_oscillator", "predicted_spectrum", "wootters_concurrence",
-    # classical
-    "ClassicalThermal", "DeltaDist", "GaussianDist", "PhaseSpaceDist",
-    "classical_concurrence", "classical_concurrence_thermal",
-    "classical_thermal_dist", "classical_trajectory",
-    "minimum_uncertainty_widths", "monte_carlo_classical_concurrence",
-    "s_plus_correlator", "thermal_widths",
-    # series
-    "BetaSweep", "ConcurrenceSeries", "read_series", "write_table",
+    "Coherent", "ExplicitDensity", "Fock", "ModelParams", "Thermal",
+    "coherence_integral", "oracle_concurrence_series",
 ]

@@ -15,13 +15,15 @@ where P is the Glauber-Sudarshan function of the initial oscillator state and
 f(omega t, alpha) = sin(omega t/2) (alpha* e^{i omega t/2} + alpha e^{-i omega t/2}).
 The concurrence is |I(t)|, which reduces to the modulus of the Fourier
 transform of P evaluated on a circle of radius 16 beta sin(omega t / 2).
+The closed forms of I for thermal, coherent and number states live on the
+preparations in :mod:`tc2q.model`; the Fourier route below (``p_tilde_*``,
+:func:`concurrence_general`) is kept as an independent reference.
 
 Scalar ``t`` arguments may also be 1-d arrays; results broadcast.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -32,17 +34,15 @@ import numpy as np
 
 from .model import (
     Coherent,
-    ExplicitDensity,
     Fock,
     ModelParams,
     NondegenerateParamsWarning,
     OscillatorSpec,
     QubitDensity,
-    Thermal,
     clamp_unit,
+    f_phase,
+    laguerre,
 )
-
-logger = logging.getLogger(__name__)
 
 _JM_LEVELS = ((1, 1), (1, 0), (0, 0), (1, -1))
 
@@ -55,17 +55,6 @@ def _require_degenerate(params: ModelParams) -> None:
             NondegenerateParamsWarning,
             stacklevel=3,
         )
-
-
-def f_phase(omega_t, alpha: complex):
-    """The real phase kernel sin(wt/2) * (alpha* e^{i wt/2} + alpha e^{-i wt/2}).
-
-    ``omega_t`` is the dimensionless product omega * t.
-    """
-    omega_t = np.asarray(omega_t, dtype=float)
-    alpha = complex(alpha)
-    out = np.sin(omega_t / 2.0) * 2.0 * (alpha * np.exp(-0.5j * omega_t)).real
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -97,49 +86,19 @@ def evolve_product_state(jm: tuple, alpha: complex, t: float,
     return CoherentBranch(tuple(jm), complex(alpha_t), complex(phase))
 
 
-def _envelope(t, params: ModelParams):
-    """Gaussian overlap of the two counter-displaced branches, exp(-32 b^2 sin^2(wt/2))."""
-    s = np.sin(params.omega * np.asarray(t, dtype=float) / 2.0)
-    return np.exp(-32.0 * params.beta ** 2 * s * s)
-
-
-def laguerre(n: int, x):
-    """Laguerre polynomial L_n(x) by the stable three-term recurrence."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if n == 0:
-        return float(prev) if prev.ndim == 0 else prev
-    cur = 1.0 - x
-    for k in range(1, n):
-        prev, cur = cur, ((2.0 * k + 1.0 - x) * cur - k * prev) / (k + 1.0)
-    return float(cur) if cur.ndim == 0 else cur
-
-
 def coherence_integral(spec: OscillatorSpec, t, params: ModelParams):
     """The overlap integral I(t) controlling the off-diagonal qubit coherence.
 
-    Closed forms exist for thermal, coherent and number-state preparations;
-    an :class:`~tc2q.model.ExplicitDensity` has no closed form here and must
-    go through the Fock-space oracle.
+    Each preparation supplies its closed form as ``spec.coherence``; an
+    :class:`~tc2q.model.ExplicitDensity` has none and must go through the
+    Fock-space oracle.  The concurrence of psi_plus and phi_plus is |I(t)|.
     """
+    try:
+        closed_form = spec.coherence
+    except AttributeError:
+        raise TypeError(f"not an oscillator spec: {spec!r}") from None
     _require_degenerate(params)
-    beta = params.beta
-    wt = params.omega * np.asarray(t, dtype=float)
-    s = np.sin(wt / 2.0)
-    env = np.exp(-32.0 * beta ** 2 * s * s)
-    if isinstance(spec, Thermal):
-        out = env * np.exp(-64.0 * beta ** 2 * spec.mean_n * s * s) + 0j
-    elif isinstance(spec, Coherent):
-        out = env * np.exp(-8j * beta * f_phase(wt, spec.alpha0))
-    elif isinstance(spec, Fock):
-        out = laguerre(spec.n_index, (8.0 * beta * s) ** 2) * env + 0j
-    elif isinstance(spec, ExplicitDensity):
-        raise TypeError("no closed form for an explicit oscillator density; "
-                        "use the oracle engine")
-    else:
-        raise TypeError(f"not an oscillator spec: {spec!r}")
+    out = closed_form(params.omega * np.asarray(t, dtype=float), params.beta)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -192,41 +151,14 @@ def concurrence_general(p_tilde: Callable, t, params: ModelParams):
     val = np.asarray(p_tilde(k1, k2), dtype=complex)
     if not (np.all(np.isfinite(val.real)) and np.all(np.isfinite(val.imag))):
         raise ValueError(f"p_tilde returned a non-finite value at k1={k1!r}, k2={k2!r}")
-    return clamp_unit(np.abs(val) * _envelope(t, params))
-
-
-def concurrence_thermal(mean_n: float, t, params: ModelParams):
-    """C(t) = exp(-32 beta^2 sin^2(omega t/2) (1 + 2 mean_n))."""
-    if not math.isfinite(mean_n) or mean_n < 0:
-        raise ValueError(f"mean_n must be finite and >= 0, got {mean_n!r}")
-    _require_degenerate(params)
     s = np.sin(params.omega * np.asarray(t, dtype=float) / 2.0)
-    return clamp_unit(np.exp(-32.0 * params.beta ** 2 * s * s * (1.0 + 2.0 * mean_n)))
-
-
-def concurrence_coherent(alpha0: complex, t, params: ModelParams):
-    """C(t) = exp(-32 beta^2 sin^2(omega t/2)), independent of alpha0.
-
-    The coherent amplitude only rotates the phase of I(t); ``alpha0`` is
-    accepted (and validated) purely to document that independence.
-    """
-    Coherent(alpha0)
-    _require_degenerate(params)
-    return clamp_unit(_envelope(t, params))
-
-
-def concurrence_fock(n_index: int, t, params: ModelParams):
-    """C(t) = |L_n((8 beta sin(wt/2))^2)| exp(-32 beta^2 sin^2(wt/2)) for |n>."""
-    _require_degenerate(params)
-    s = np.sin(params.omega * np.asarray(t, dtype=float) / 2.0)
-    return clamp_unit(np.abs(laguerre(int(n_index), (8.0 * params.beta * s) ** 2))
-                      * np.exp(-32.0 * params.beta ** 2 * s * s))
+    return clamp_unit(np.abs(val) * np.exp(-32.0 * params.beta ** 2 * s * s))
 
 
 def coherence_integral_fock_sum(n_index: int, t: float, params: ModelParams) -> complex:
     """Brute-force binomial sum for I(t) of a number state, summed exactly.
 
-    Cross-check for :func:`concurrence_fock`: the same quantity written as
+    Cross-check for ``Fock(n).coherence``: the same quantity written as
 
         sum_m C(n, m) / (n-m)! * (8i beta sin(wt/2))^{2(n-m)} * envelope.
 
@@ -250,23 +182,6 @@ def coherence_integral_fock_sum(n_index: int, t: float, params: ModelParams) -> 
     if not math.isfinite(poly):
         raise OverflowError(f"binomial sum overflows float range at n_index={n}")
     return complex(poly * math.exp(-32.0 * params.beta ** 2 * math.sin(wt / 2.0) ** 2))
-
-
-def half_period_concurrence(spec: OscillatorSpec, beta: float) -> float:
-    """Concurrence at the revival midpoint omega t = pi, as a function of beta."""
-    if not math.isfinite(beta) or beta < 0:
-        raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
-    params = ModelParams(omega=1.0, lambda_=beta)
-    if isinstance(spec, Thermal):
-        return concurrence_thermal(spec.mean_n, math.pi, params)
-    if isinstance(spec, Coherent):
-        return concurrence_coherent(spec.alpha0, math.pi, params)
-    if isinstance(spec, Fock):
-        return concurrence_fock(spec.n_index, math.pi, params)
-    if isinstance(spec, ExplicitDensity):
-        raise TypeError("no closed form for an explicit oscillator density; "
-                        "use the oracle engine")
-    raise TypeError(f"not an oscillator spec: {spec!r}")
 
 
 # --- transformed P functions for the three standard preparations ------------

@@ -17,21 +17,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import __version__, analytic, classical, oracle
-from .model import (
-    BELL_KINDS,
-    Coherent,
-    Fock,
-    ModelParams,
-    Thermal,
-    clamp_unit,
-    spec_label,
-)
-from .series import BetaSweep, ConcurrenceSeries, write_table
+from .model import BELL_KINDS, Coherent, Fock, ModelParams, Thermal, clamp_unit
+from .series import BetaSweep, ConcurrenceSeries, write_csv, write_report, write_table
 
 _ENGINES = ("analytic", "oracle", "classical", "validate")
 _QUANTUM_KINDS = ("thermal", "coherent", "fock")
@@ -46,30 +39,22 @@ class ConfigError(Exception):
     """Invalid configuration; maps to exit code 2."""
 
 
-class NumericalFailure(Exception):
-    """A tolerance or truncation check failed; maps to exit code 3."""
-
-
-def _fail(msg: str) -> ConfigError:
-    return ConfigError(msg)
-
-
 def _check_keys(obj: dict, allowed: set, context: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
-        raise _fail(f"unknown key(s) {sorted(unknown)} in {context}; "
-                    f"allowed: {sorted(allowed)}")
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {context}; "
+                          f"allowed: {sorted(allowed)}")
 
 
 def _get_number(obj: dict, key: str, context: str, required: bool = True,
                 default=None):
     if key not in obj:
         if required:
-            raise _fail(f"missing key {key!r} in {context}")
+            raise ConfigError(f"missing key {key!r} in {context}")
         return default
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(f"{context}.{key} must be a number, got {value!r}")
+        raise ConfigError(f"{context}.{key} must be a number, got {value!r}")
     return float(value)
 
 
@@ -77,13 +62,13 @@ def _get_int(obj: dict, key: str, context: str, required: bool = True,
              default=None, minimum: int | None = None):
     if key not in obj:
         if required:
-            raise _fail(f"missing key {key!r} in {context}")
+            raise ConfigError(f"missing key {key!r} in {context}")
         return default
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail(f"{context}.{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{context}.{key} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
-        raise _fail(f"{context}.{key} must be >= {minimum}, got {value}")
+        raise ConfigError(f"{context}.{key} must be >= {minimum}, got {value}")
     return value
 
 
@@ -92,22 +77,22 @@ def load_config(path: str) -> dict:
         with open(path) as handle:
             cfg = json.load(handle)
     except OSError as exc:
-        raise _fail(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _fail(f"config {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise _fail("config root must be a JSON object")
+        raise ConfigError("config root must be a JSON object")
     _check_keys(cfg, _TOP_KEYS, "config")
     version = cfg.get("version")
     if version != 1:
-        raise _fail(f"config version must be 1, got {version!r}")
+        raise ConfigError(f"config version must be 1, got {version!r}")
     return cfg
 
 
 def _parse_params(cfg: dict) -> ModelParams:
     obj = cfg.get("params")
     if not isinstance(obj, dict):
-        raise _fail("config.params must be an object with omega and lambda")
+        raise ConfigError("config.params must be an object with omega and lambda")
     _check_keys(obj, {"omega", "lambda", "omega0"}, "params")
     try:
         return ModelParams(
@@ -116,7 +101,7 @@ def _parse_params(cfg: dict) -> ModelParams:
             omega0=_get_number(obj, "omega0", "params", required=False, default=0.0),
         )
     except ValueError as exc:
-        raise _fail(f"invalid params: {exc}") from exc
+        raise ConfigError(f"invalid params: {exc}") from exc
 
 
 def _parse_quantum_spec(obj: dict, context: str):
@@ -133,15 +118,16 @@ def _parse_quantum_spec(obj: dict, context: str):
             elif isinstance(raw, (int, float)) and not isinstance(raw, bool):
                 alpha0 = complex(raw)
             else:
-                raise _fail(f"{context}.alpha0 must be a number or [re, im], got {raw!r}")
+                raise ConfigError(
+                    f"{context}.alpha0 must be a number or [re, im], got {raw!r}")
             return Coherent(alpha0)
         if kind == "fock":
             _check_keys(obj, {"kind", "n"}, context)
             return Fock(_get_int(obj, "n", context, minimum=0))
     except ValueError as exc:
-        raise _fail(f"invalid {context}: {exc}") from exc
-    raise _fail(f"{context}.kind must be one of {_QUANTUM_KINDS} for this engine, "
-                f"got {kind!r}")
+        raise ConfigError(f"invalid {context}: {exc}") from exc
+    raise ConfigError(f"{context}.kind must be one of {_QUANTUM_KINDS} for this engine, "
+                      f"got {kind!r}")
 
 
 def _parse_classical_dist(obj: dict, context: str):
@@ -162,15 +148,15 @@ def _parse_classical_dist(obj: dict, context: str):
             _check_keys(obj, {"kind", "k_T"}, context)
             return classical.ClassicalThermal(_get_number(obj, "k_T", context))
     except ValueError as exc:
-        raise _fail(f"invalid {context}: {exc}") from exc
-    raise _fail(f"{context}.kind must be one of {_CLASSICAL_KINDS} for the classical "
-                f"engine, got {kind!r}")
+        raise ConfigError(f"invalid {context}: {exc}") from exc
+    raise ConfigError(f"{context}.kind must be one of {_CLASSICAL_KINDS} for the "
+                      f"classical engine, got {kind!r}")
 
 
 def _parse_oscillator(cfg: dict, engine: str):
     obj = cfg.get("oscillator")
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise _fail("config.oscillator must be an object with a 'kind' field")
+        raise ConfigError("config.oscillator must be an object with a 'kind' field")
     if engine == "classical":
         return _parse_classical_dist(obj, "oscillator")
     return _parse_quantum_spec(obj, "oscillator")
@@ -179,37 +165,38 @@ def _parse_oscillator(cfg: dict, engine: str):
 def _parse_time_grid(cfg: dict) -> np.ndarray:
     obj = cfg.get("time_grid")
     if not isinstance(obj, dict):
-        raise _fail("config.time_grid must be an object with t_start, t_end, n_points")
+        raise ConfigError(
+            "config.time_grid must be an object with t_start, t_end, n_points")
     _check_keys(obj, {"t_start", "t_end", "n_points"}, "time_grid")
     t_start = _get_number(obj, "t_start", "time_grid")
     t_end = _get_number(obj, "t_end", "time_grid")
     n_points = _get_int(obj, "n_points", "time_grid", minimum=2)
     if not t_end > t_start:
-        raise _fail(f"time_grid.t_end ({t_end}) must exceed t_start ({t_start})")
+        raise ConfigError(f"time_grid.t_end ({t_end}) must exceed t_start ({t_start})")
     return np.linspace(t_start, t_end, n_points)
 
 
 def _parse_qubit_init(cfg: dict, engine: str) -> str:
     kind = cfg.get("qubit_init")
     if kind not in BELL_KINDS:
-        raise _fail(f"config.qubit_init must be one of {BELL_KINDS}, got {kind!r}")
+        raise ConfigError(f"config.qubit_init must be one of {BELL_KINDS}, got {kind!r}")
     if engine == "classical" and kind not in ("psi_plus", "phi_plus"):
-        raise _fail("the classical engine models the (|eg>+|ge>)/sqrt(2) correlator; "
-                    "qubit_init must be psi_plus or phi_plus")
+        raise ConfigError("the classical engine models the (|eg>+|ge>)/sqrt(2) "
+                          "correlator; qubit_init must be psi_plus or phi_plus")
     return kind
 
 
 def _parse_engine(cfg: dict) -> str:
     engine = cfg.get("engine")
     if engine not in _ENGINES:
-        raise _fail(f"config.engine must be one of {_ENGINES}, got {engine!r}")
+        raise ConfigError(f"config.engine must be one of {_ENGINES}, got {engine!r}")
     return engine
 
 
 def _parse_dim(cfg: dict, args, spec, params) -> int:
     obj = cfg.get("oracle", {})
     if not isinstance(obj, dict):
-        raise _fail("config.oracle must be an object")
+        raise ConfigError("config.oracle must be an object")
     _check_keys(obj, {"dim"}, "oracle")
     dim = _get_int(obj, "dim", "oracle", required=False, minimum=2)
     if getattr(args, "dim", None) is not None:
@@ -222,16 +209,16 @@ def _parse_dim(cfg: dict, args, spec, params) -> int:
 def _resolve_output(cfg: dict, args, default_format: str = "csv"):
     obj = cfg.get("output", {})
     if not isinstance(obj, dict):
-        raise _fail("config.output must be an object")
+        raise ConfigError("config.output must be an object")
     _check_keys(obj, {"path", "format"}, "output")
     path = args.out or obj.get("path")
     fmt = args.format or obj.get("format") or default_format
     if path is None:
-        raise _fail("no output path: set config.output.path or pass --out")
+        raise ConfigError("no output path: set config.output.path or pass --out")
     if not isinstance(path, str):
-        raise _fail(f"output.path must be a string, got {path!r}")
+        raise ConfigError(f"output.path must be a string, got {path!r}")
     if fmt not in ("csv", "json"):
-        raise _fail(f"output format must be 'csv' or 'json', got {fmt!r}")
+        raise ConfigError(f"output format must be 'csv' or 'json', got {fmt!r}")
     return path, fmt
 
 
@@ -254,7 +241,7 @@ def _analytic_series(qubit_init: str, spec, times: np.ndarray,
     return ConcurrenceSeries(
         engine="analytic", t=times, omega_t=params.omega * times,
         concurrence=conc, u=u, v=v,
-        meta=_echo_meta(cfg, engine="analytic", oscillator=spec_label(spec),
+        meta=_echo_meta(cfg, engine="analytic", oscillator=spec.label,
                         artifact_version=__version__))
 
 
@@ -270,11 +257,11 @@ def _cmd_run(cfg: dict, args) -> int:
 
     if engine == "analytic":
         if args.dim is not None or args.seed is not None:
-            raise _fail("--dim/--seed do not apply to the analytic engine")
+            raise ConfigError("--dim/--seed do not apply to the analytic engine")
         series = _analytic_series(qubit_init, spec, times, params, cfg)
     elif engine == "oracle":
         if args.seed is not None:
-            raise _fail("--seed does not apply to the oracle engine")
+            raise ConfigError("--seed does not apply to the oracle engine")
         dim = _parse_dim(cfg, args, spec, params)
         series = oracle.oracle_concurrence_series(qubit_init, spec, times,
                                                   params, dim=dim)
@@ -290,7 +277,7 @@ def _cmd_run(cfg: dict, args) -> int:
 def _classical_series(cfg: dict, args, qubit_init: str, dist,
                       times: np.ndarray, params: ModelParams) -> ConcurrenceSeries:
     if args.dim is not None:
-        raise _fail("--dim does not apply to the classical engine")
+        raise ConfigError("--dim does not apply to the classical engine")
     mc = cfg.get("monte_carlo")
     if isinstance(dist, classical.ClassicalThermal):
         closed = classical.classical_concurrence_thermal(dist.k_T, times, params)
@@ -302,14 +289,14 @@ def _classical_series(cfg: dict, args, qubit_init: str, dist,
         label = type(dist).__name__.lower()
     if mc is None:
         if args.seed is not None:
-            raise _fail("--seed requires a monte_carlo section in the config")
+            raise ConfigError("--seed requires a monte_carlo section in the config")
         return ConcurrenceSeries(
             engine="classical", t=times, omega_t=params.omega * times,
             concurrence=np.asarray(closed, dtype=float),
             meta=_echo_meta(cfg, engine="classical", oscillator=label,
                             artifact_version=__version__))
     if not isinstance(mc, dict):
-        raise _fail("config.monte_carlo must be an object")
+        raise ConfigError("config.monte_carlo must be an object")
     _check_keys(mc, {"samples", "seed"}, "monte_carlo")
     samples = _get_int(mc, "samples", "monte_carlo", minimum=2)
     seed = _get_int(mc, "seed", "monte_carlo", required=False, default=0, minimum=0)
@@ -333,24 +320,24 @@ def _classical_series(cfg: dict, args, qubit_init: str, dist,
 def _cmd_validate(cfg: dict, args) -> int:
     engine = _parse_engine(cfg)
     if engine != "validate":
-        raise _fail(f"the validate command needs engine='validate', got {engine!r}")
+        raise ConfigError(f"the validate command needs engine='validate', got {engine!r}")
     params = _parse_params(cfg)
     qubit_init = _parse_qubit_init(cfg, engine)
     spec = _parse_oscillator(cfg, "validate")
     times = _parse_time_grid(cfg)
     vcfg = cfg.get("validate", {})
     if not isinstance(vcfg, dict):
-        raise _fail("config.validate must be an object")
+        raise ConfigError("config.validate must be an object")
     _check_keys(vcfg, {"tolerance"}, "validate")
     tolerance = _get_number(vcfg, "tolerance", "validate", required=False,
                             default=1e-6)
     if tolerance <= 0:
-        raise _fail(f"validate.tolerance must be positive, got {tolerance}")
+        raise ConfigError(f"validate.tolerance must be positive, got {tolerance}")
     path, fmt = _resolve_output(cfg, args, default_format="json")
     if fmt != "json":
-        raise _fail("validate writes a JSON report; use --format json")
+        raise ConfigError("validate writes a JSON report; use --format json")
     if args.seed is not None:
-        raise _fail("--seed does not apply to the validate engine")
+        raise ConfigError("--seed does not apply to the validate engine")
 
     dim = _parse_dim(cfg, args, spec, params)
     analytic_series = _analytic_series(qubit_init, spec, times, params, cfg)
@@ -376,8 +363,7 @@ def _cmd_validate(cfg: dict, args) -> int:
             "abs_diff": diff.tolist(),
         },
     }
-    from .series import _atomic_write_text
-    _atomic_write_text(path, json.dumps(report, indent=2) + "\n")
+    write_report(path, report)
     status = "PASS" if passed else "FAIL"
     print(f"max |C_analytic - C_oracle| = {max_diff:.6g} vs tolerance "
           f"{tolerance:g}: {status} ({path})")
@@ -387,41 +373,37 @@ def _cmd_validate(cfg: dict, args) -> int:
 def _cmd_sweep(cfg: dict, args) -> int:
     engine = _parse_engine(cfg)
     if engine != "analytic":
-        raise _fail("sweep-beta uses the closed forms; set engine='analytic'")
+        raise ConfigError("sweep-beta uses the closed forms; set engine='analytic'")
     if args.dim is not None or args.seed is not None:
-        raise _fail("--dim/--seed do not apply to sweep-beta")
+        raise ConfigError("--dim/--seed do not apply to sweep-beta")
     obj = cfg.get("beta_grid")
     if not isinstance(obj, dict):
-        raise _fail("config.beta_grid must be an object with start, stop, n_points")
+        raise ConfigError("config.beta_grid must be an object with start, stop, n_points")
     _check_keys(obj, {"start", "stop", "n_points"}, "beta_grid")
     start = _get_number(obj, "start", "beta_grid")
     stop = _get_number(obj, "stop", "beta_grid")
     n_points = _get_int(obj, "n_points", "beta_grid", minimum=2)
     if not (0.0 <= start < stop <= 0.5):
-        raise _fail(f"beta_grid must satisfy 0 <= start < stop <= 0.5, "
-                    f"got [{start}, {stop}]")
+        raise ConfigError(f"beta_grid must satisfy 0 <= start < stop <= 0.5, "
+                          f"got [{start}, {stop}]")
     raw_specs = cfg.get("oscillators")
     if raw_specs is None:
         raw_specs = [cfg.get("oscillator")]
     if not isinstance(raw_specs, list) or not raw_specs:
-        raise _fail("config.oscillators must be a non-empty list")
+        raise ConfigError("config.oscillators must be a non-empty list")
     specs = []
     for i, entry in enumerate(raw_specs):
         if not isinstance(entry, dict):
-            raise _fail(f"oscillators[{i}] must be an object")
+            raise ConfigError(f"oscillators[{i}] must be an object")
         specs.append(_parse_quantum_spec(entry, f"oscillators[{i}]"))
     path, fmt = _resolve_output(cfg, args)
 
+    # the half-period point omega t = pi depends on beta alone
     betas = np.linspace(start, stop, n_points)
-    labels, beta_col, conc = [], [], []
-    for spec in specs:
-        tag = spec_label(spec)
-        for beta in betas:
-            labels.append(tag)
-            beta_col.append(beta)
-            conc.append(analytic.half_period_concurrence(spec, float(beta)))
-    sweep = BetaSweep(labels=labels, beta=np.array(beta_col),
-                      concurrence=np.array(conc),
+    labels = [spec.label for spec in specs for _ in betas]
+    conc = [clamp_unit(np.abs(spec.coherence(math.pi, betas))) for spec in specs]
+    sweep = BetaSweep(labels=labels, beta=np.tile(betas, len(specs)),
+                      concurrence=np.concatenate(conc),
                       meta=_echo_meta(cfg, engine="analytic",
                                       artifact_version=__version__))
     write_table(sweep, path, fmt)
@@ -432,15 +414,16 @@ def _cmd_sweep(cfg: dict, args) -> int:
 def _cmd_spectrum(cfg: dict, args) -> int:
     engine = _parse_engine(cfg)
     if engine != "oracle":
-        raise _fail("spectrum diagonalizes the oracle Hamiltonian; set engine='oracle'")
+        raise ConfigError(
+            "spectrum diagonalizes the oracle Hamiltonian; set engine='oracle'")
     if args.seed is not None:
-        raise _fail("--seed does not apply to spectrum")
+        raise ConfigError("--seed does not apply to spectrum")
     params = _parse_params(cfg)
     if params.omega0 != 0.0:
-        raise _fail("the closed-form level structure needs omega0 = 0")
+        raise ConfigError("the closed-form level structure needs omega0 = 0")
     obj = cfg.get("oracle", {})
     if not isinstance(obj, dict):
-        raise _fail("config.oracle must be an object")
+        raise ConfigError("config.oracle must be an object")
     _check_keys(obj, {"dim"}, "oracle")
     dim = _get_int(obj, "dim", "oracle", required=False, default=None, minimum=2)
     if args.dim is not None:
@@ -455,14 +438,15 @@ def _cmd_spectrum(cfg: dict, args) -> int:
     max_diff = float(np.abs(computed[:checked] - predicted[:checked]).max())
     passed = bool(max_diff <= 1e-8)
     if fmt == "csv":
-        table = _SpectrumTable(computed, predicted,
-                               meta=_echo_meta(cfg, dim=dim, checked_levels=checked,
-                                               max_abs_diff_checked=max_diff,
-                                               passed=passed,
-                                               artifact_version=__version__))
-        write_table(table, path, fmt)
+        write_csv(path, {"index": np.arange(computed.size, dtype=float),
+                         "computed": computed,
+                         "predicted": predicted,
+                         "abs_diff": np.abs(computed - predicted)},
+                  "oracle", _echo_meta(cfg, dim=dim, checked_levels=checked,
+                                       max_abs_diff_checked=max_diff, passed=passed,
+                                       artifact_version=__version__))
     else:
-        report = {
+        write_report(path, {
             "artifact_version": __version__,
             "engine": "oracle",
             "dim": dim,
@@ -475,30 +459,11 @@ def _cmd_spectrum(cfg: dict, args) -> int:
                 "computed": computed.tolist(),
                 "predicted": predicted.tolist(),
             },
-        }
-        from .series import _atomic_write_text
-        _atomic_write_text(path, json.dumps(report, indent=2) + "\n")
+        })
     status = "PASS" if passed else "FAIL"
     print(f"lowest {checked} levels: max |E - E_pred| = {max_diff:.6g} vs 1e-08: "
           f"{status} ({path})")
     return 0 if passed else 3
-
-
-class _SpectrumTable:
-    engine = "oracle"
-
-    def __init__(self, computed, predicted, meta):
-        self.computed = computed
-        self.predicted = predicted
-        self.meta = meta
-
-    def columns(self) -> dict:
-        return {
-            "index": np.arange(self.computed.size, dtype=float),
-            "computed": self.computed,
-            "predicted": self.predicted,
-            "abs_diff": np.abs(self.computed - self.predicted),
-        }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -530,14 +495,13 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None and args.seed < 0:
-            raise _fail(f"--seed must be >= 0, got {args.seed}")
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         if args.dim is not None and args.dim < 2:
-            raise _fail(f"--dim must be >= 2, got {args.dim}")
+            raise ConfigError(f"--dim must be >= 2, got {args.dim}")
         return args.handler(cfg, args)
     except ConfigError as exc:
         print(json.dumps({"error": str(exc), "exit_code": 2}), file=sys.stderr)
         return 2
-    except (oracle.TruncationError, NumericalFailure, OverflowError,
-            ValueError) as exc:
+    except (oracle.TruncationError, MemoryError, OverflowError, ValueError) as exc:
         print(json.dumps({"error": str(exc), "exit_code": 3}), file=sys.stderr)
         return 3

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from scipy.special import gammaln
 
 BASES = ("eg", "xx", "jm")
 BELL_KINDS = ("psi_plus", "psi_minus", "phi_plus", "phi_minus")
@@ -203,6 +204,61 @@ def bell_state(kind: str, basis: str = "eg") -> QubitDensity:
 
 
 # --- oscillator preparations ------------------------------------------------
+#
+# Each preparation carries everything the engines need to know about it:
+#
+# * ``label``: short tag used in sweep tables, logs and artifact metadata;
+# * ``reach``: (phase-space radius, highest occupied Fock level), which sizes
+#   the oracle's truncation rule;
+# * ``fock_columns(dim)``: weights w_k and orthonormal Fock-basis columns c_k
+#   with F = sum_k w_k c_k c_k^dagger, the pure states the oracle evolves;
+# * ``coherence(omega_t, beta)``: the closed-form overlap integral I, which
+#   broadcasts over both arguments (see :mod:`tc2q.analytic`).
+
+
+class TruncationError(RuntimeError):
+    """The chosen Fock-space dimension cannot support the requested state."""
+
+
+def f_phase(omega_t, alpha: complex):
+    """The real phase kernel sin(wt/2) * (alpha* e^{i wt/2} + alpha e^{-i wt/2}).
+
+    ``omega_t`` is the dimensionless product omega * t.
+    """
+    omega_t = np.asarray(omega_t, dtype=float)
+    alpha = complex(alpha)
+    out = np.sin(omega_t / 2.0) * 2.0 * (alpha * np.exp(-0.5j * omega_t)).real
+    return float(out) if out.ndim == 0 else out
+
+
+def laguerre(n: int, x):
+    """Laguerre polynomial L_n(x) by the stable three-term recurrence."""
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    x = np.asarray(x, dtype=float)
+    prev = np.ones_like(x)
+    if n == 0:
+        return float(prev) if prev.ndim == 0 else prev
+    cur = 1.0 - x
+    for k in range(1, n):
+        prev, cur = cur, ((2.0 * k + 1.0 - x) * cur - k * prev) / (k + 1.0)
+    return float(cur) if cur.ndim == 0 else cur
+
+
+def _half_sine(omega_t):
+    return np.sin(np.asarray(omega_t, dtype=float) / 2.0)
+
+
+def _envelope(s, beta):
+    """Overlap of the two counter-displaced branches, exp(-32 beta^2 s^2)."""
+    return np.exp(-32.0 * beta ** 2 * s * s)
+
+
+def _fock_vector(n: int, dim: int) -> np.ndarray:
+    if n >= dim:
+        raise TruncationError(f"number state n={n} needs dim > {n}")
+    return np.eye(dim, dtype=complex)[:, [n]]
+
 
 @dataclass(frozen=True)
 class Thermal:
@@ -213,6 +269,34 @@ class Thermal:
     def __post_init__(self) -> None:
         if not math.isfinite(self.mean_n) or self.mean_n < 0:
             raise ValueError(f"mean_n must be finite and >= 0, got {self.mean_n!r}")
+
+    @property
+    def label(self) -> str:
+        return f"thermal(mean_n={self.mean_n:g})"
+
+    @property
+    def reach(self) -> tuple:
+        return 4.0 * math.sqrt(self.mean_n), 0
+
+    def fock_columns(self, dim: int):
+        """Geometric occupations on the number states, tail population < 1e-12."""
+        if self.mean_n == 0.0:
+            return np.array([1.0]), _fock_vector(0, dim)
+        ratio = self.mean_n / (1.0 + self.mean_n)
+        tail = ratio ** dim
+        if tail > 1e-12:
+            raise TruncationError(
+                f"thermal mean_n={self.mean_n:g} leaves tail population "
+                f"{tail:.3e} > 1e-12 at dim={dim}")
+        weights = (1.0 - ratio) * ratio ** np.arange(dim)
+        weights /= weights.sum()
+        keep = weights > 0.0
+        return weights[keep], np.eye(dim, dtype=complex)[:, keep]
+
+    def coherence(self, omega_t, beta):
+        """I = exp(-32 beta^2 sin^2(wt/2) (1 + 2 mean_n)), real."""
+        s = _half_sine(omega_t)
+        return _envelope(s, beta) * np.exp(-64.0 * beta ** 2 * self.mean_n * s * s) + 0j
 
 
 @dataclass(frozen=True)
@@ -227,6 +311,38 @@ class Coherent:
             raise ValueError(f"alpha0 must be finite, got {self.alpha0!r}")
         object.__setattr__(self, "alpha0", a)
 
+    @property
+    def label(self) -> str:
+        a = self.alpha0
+        return f"coherent(alpha0={a.real:g}{a.imag:+g}j)"
+
+    @property
+    def reach(self) -> tuple:
+        return abs(self.alpha0), 0
+
+    def fock_columns(self, dim: int):
+        """The single Poissonian column, tail population < 1e-12."""
+        a = self.alpha0
+        if a == 0:
+            return np.array([1.0]), _fock_vector(0, dim)
+        n = np.arange(dim)
+        log_mag = n * math.log(abs(a)) - 0.5 * gammaln(n + 1.0) - 0.5 * abs(a) ** 2
+        vec = np.exp(log_mag) * np.exp(1j * np.angle(a) * n)
+        tail = 1.0 - float(np.sum(np.abs(vec) ** 2))
+        if tail > 1e-12:
+            raise TruncationError(
+                f"coherent |alpha0|={abs(a):g} leaves tail population "
+                f"{tail:.3e} > 1e-12 at dim={dim}")
+        return np.array([1.0]), (vec / np.linalg.norm(vec))[:, None]
+
+    def coherence(self, omega_t, beta):
+        """I = exp(-32 beta^2 sin^2(wt/2)) exp(-8i beta f(wt, alpha0)).
+
+        The amplitude only rotates the phase, so |I| does not depend on it.
+        """
+        s = _half_sine(omega_t)
+        return _envelope(s, beta) * np.exp(-8j * beta * f_phase(omega_t, self.alpha0))
+
 
 @dataclass(frozen=True)
 class Fock:
@@ -237,6 +353,22 @@ class Fock:
     def __post_init__(self) -> None:
         if not isinstance(self.n_index, (int, np.integer)) or self.n_index < 0:
             raise ValueError(f"n_index must be a non-negative integer, got {self.n_index!r}")
+
+    @property
+    def label(self) -> str:
+        return f"fock(n={self.n_index})"
+
+    @property
+    def reach(self) -> tuple:
+        return 0.0, self.n_index
+
+    def fock_columns(self, dim: int):
+        return np.array([1.0]), _fock_vector(self.n_index, dim)
+
+    def coherence(self, omega_t, beta):
+        """I = L_n((8 beta sin(wt/2))^2) exp(-32 beta^2 sin^2(wt/2)), real."""
+        s = _half_sine(omega_t)
+        return laguerre(self.n_index, (8.0 * beta * s) ** 2) * _envelope(s, beta) + 0j
 
 
 @dataclass(frozen=True)
@@ -258,19 +390,33 @@ class ExplicitDensity:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
+    @property
+    def label(self) -> str:
+        return f"explicit(dim={self.matrix.shape[0]})"
+
+    @property
+    def reach(self) -> tuple:
+        return 0.0, self.matrix.shape[0]
+
+    def fock_columns(self, dim: int):
+        """Eigen-decomposition of the matrix embedded in the first Fock levels."""
+        d = self.matrix.shape[0]
+        if d > dim:
+            raise TruncationError(f"explicit density of dim {d} does not fit in dim={dim}")
+        rho = np.zeros((dim, dim), dtype=complex)
+        rho[:d, :d] = self.matrix
+        w, vecs = np.linalg.eigh(rho)
+        keep = w > 1e-15
+        return w[keep], vecs[:, keep]
+
+    def coherence(self, omega_t, beta):
+        raise TypeError("no closed form for an explicit oscillator density; "
+                        "use the oracle engine")
+
 
 OscillatorSpec = Union[Thermal, Coherent, Fock, ExplicitDensity]
 
 
 def spec_label(spec: OscillatorSpec) -> str:
     """Short human-readable tag used in sweep tables and logs."""
-    if isinstance(spec, Thermal):
-        return f"thermal(mean_n={spec.mean_n:g})"
-    if isinstance(spec, Coherent):
-        a = spec.alpha0
-        return f"coherent(alpha0={a.real:g}{a.imag:+g}j)"
-    if isinstance(spec, Fock):
-        return f"fock(n={spec.n_index})"
-    if isinstance(spec, ExplicitDensity):
-        return f"explicit(dim={spec.matrix.shape[0]})"
-    raise TypeError(f"not an oscillator spec: {spec!r}")
+    return spec.label

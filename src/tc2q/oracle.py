@@ -1,8 +1,9 @@
 """Brute-force cross-check engine on a truncated Fock space.
 
-Nothing here knows about the closed forms: the full Hamiltonian (including
-omega0) is built as a dense matrix on C^4 (x) C^dim, diagonalized once, and
-states are propagated exactly in the eigenbasis.  Reduced qubit states then
+Nothing here calls the closed forms: of each oscillator preparation only its
+truncation reach and its Fock-basis columns are used.  The full Hamiltonian
+(including omega0) is built as a dense matrix on C^4 (x) C^dim, diagonalized
+once, and states are propagated exactly in the eigenbasis.  Reduced qubit states then
 go through the Wootters spin-flip construction.  Agreement with
 :mod:`tc2q.analytic` is therefore a genuine two-route test.
 
@@ -17,23 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import gammaln
 
 from . import series as _series
 from .model import (
     BELL_KINDS,
-    Coherent,
-    ExplicitDensity,
-    Fock,
     ModelParams,
     OscillatorSpec,
     QubitDensity,
-    Thermal,
+    TruncationError,
     basis_transform,
     bell_vector,
     change_basis,
     clamp_unit,
-    spec_label,
 )
 
 #: leakage (population of the top two Fock levels) above which a series row
@@ -54,10 +50,6 @@ _SIGMA_YY = np.array([
 ])  # sigma_y (x) sigma_y is real in the eg ordering
 
 
-class TruncationError(RuntimeError):
-    """The chosen Fock-space dimension cannot support the requested state."""
-
-
 def _destroy(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
 
@@ -72,25 +64,14 @@ def choose_dim(spec: OscillatorSpec, params: ModelParams) -> int:
     """Truncation rule sized from the displacement reach of the initial state.
 
     dim = max(20, ceil(s^2) + 10 ceil(s) + N + 10) with
-    s = |alpha0| + 4 beta + q_th, q_th = 4 sqrt(mean_n) for thermal states,
-    and N the number-state index.  Convergence tests, not estimates, are the
-    actual guarantee; this just has to land above the knee.
+    s = r + 4 beta and (r, N) = ``spec.reach``: r is |alpha0| for coherent
+    states and 4 sqrt(mean_n) for thermal ones, N the highest occupied level.
+    Convergence tests, not estimates, are the actual guarantee; this just has
+    to land above the knee.
     """
-    alpha_mag = 0.0
-    q_th = 0.0
-    n_fock = 0
-    if isinstance(spec, Thermal):
-        q_th = 4.0 * math.sqrt(spec.mean_n)
-    elif isinstance(spec, Coherent):
-        alpha_mag = abs(spec.alpha0)
-    elif isinstance(spec, Fock):
-        n_fock = spec.n_index
-    elif isinstance(spec, ExplicitDensity):
-        n_fock = spec.matrix.shape[0]
-    else:
-        raise TypeError(f"not an oscillator spec: {spec!r}")
-    s = alpha_mag + 4.0 * params.beta + q_th
-    return max(20, math.ceil(s * s) + 10 * math.ceil(s) + n_fock + 10)
+    radius, top_level = spec.reach
+    s = radius + 4.0 * params.beta
+    return max(20, math.ceil(s * s) + 10 * math.ceil(s) + top_level + 10)
 
 
 def build_hamiltonian(params: ModelParams, dim: int) -> np.ndarray:
@@ -237,56 +218,10 @@ def wootters_concurrence(rho) -> float:
     return clamp_unit(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def _coherent_vector(alpha0: complex, dim: int) -> np.ndarray:
-    n = np.arange(dim)
-    if alpha0 == 0:
-        vec = np.zeros(dim, dtype=complex)
-        vec[0] = 1.0
-        return vec
-    log_mag = n * math.log(abs(alpha0)) - 0.5 * gammaln(n + 1.0) - 0.5 * abs(alpha0) ** 2
-    vec = np.exp(log_mag) * np.exp(1j * np.angle(alpha0) * n)
-    tail = 1.0 - float(np.sum(np.abs(vec) ** 2))
-    if tail > 1e-12:
-        raise TruncationError(
-            f"coherent |alpha0|={abs(alpha0):g} leaves tail population "
-            f"{tail:.3e} > 1e-12 at dim={dim}")
-    return vec / np.linalg.norm(vec)
-
-
 def oscillator_initial_state(spec: OscillatorSpec, dim: int) -> np.ndarray:
     """Initial oscillator density matrix, truncated with tail population < 1e-12."""
-    dim = _check_dim(dim)
-    if isinstance(spec, Thermal):
-        if spec.mean_n == 0.0:
-            weights = np.zeros(dim)
-            weights[0] = 1.0
-        else:
-            ratio = spec.mean_n / (1.0 + spec.mean_n)
-            tail = ratio ** dim
-            if tail > 1e-12:
-                raise TruncationError(
-                    f"thermal mean_n={spec.mean_n:g} leaves tail population "
-                    f"{tail:.3e} > 1e-12 at dim={dim}")
-            weights = (1.0 - ratio) * ratio ** np.arange(dim)
-            weights /= weights.sum()
-        return np.diag(weights).astype(complex)
-    if isinstance(spec, Coherent):
-        vec = _coherent_vector(spec.alpha0, dim)
-        return np.outer(vec, vec.conj())
-    if isinstance(spec, Fock):
-        if spec.n_index >= dim:
-            raise TruncationError(f"number state n={spec.n_index} needs dim > {spec.n_index}")
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[spec.n_index, spec.n_index] = 1.0
-        return rho
-    if isinstance(spec, ExplicitDensity):
-        d = spec.matrix.shape[0]
-        if d > dim:
-            raise TruncationError(f"explicit density of dim {d} does not fit in dim={dim}")
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[:d, :d] = spec.matrix
-        return rho
-    raise TypeError(f"not an oscillator spec: {spec!r}")
+    weights, columns = spec.fock_columns(_check_dim(dim))
+    return (columns * weights) @ columns.conj().T
 
 
 def composite_initial_state(qubit_init: str, spec: OscillatorSpec,
@@ -297,25 +232,33 @@ def composite_initial_state(qubit_init: str, spec: OscillatorSpec,
                                   oscillator_initial_state(spec, dim)), dim)
 
 
-def _initial_pure_block(qubit_init: str, spec: OscillatorSpec, dim: int):
-    """Decompose bell (x) F into weighted pure columns for fast propagation."""
-    bell = bell_vector(qubit_init)
-    if isinstance(spec, (Thermal, Fock)):
-        rho_osc = oscillator_initial_state(spec, dim)
-        weights = np.diag(rho_osc).real
-        keep = weights > 0.0
-        block = np.kron(bell[:, None], np.eye(dim, dtype=complex)[:, keep])
-        return weights[keep], block
-    if isinstance(spec, Coherent):
-        vec = _coherent_vector(spec.alpha0, dim)
-        return np.array([1.0]), np.kron(bell, vec)[:, None]
-    if isinstance(spec, ExplicitDensity):
-        rho_osc = oscillator_initial_state(spec, dim)
-        w, vecs = np.linalg.eigh(rho_osc)
-        keep = w > 1e-15
-        cols = np.kron(bell[:, None], vecs[:, keep])
-        return w[keep], cols
-    raise TypeError(f"not an oscillator spec: {spec!r}")
+def _initial_coefficients(prop: SpectralPropagator, qubit_init: str,
+                          spec: OscillatorSpec, dim: int):
+    """Weights and eigenbasis coefficients of the pure columns of bell (x) F.
+
+    The t = 0 state is checked on its factors: the Bell vector is a fixed
+    unit vector, so the oscillator weights must be >= 0 and sum to 1 and
+    its Fock columns must be orthonormal.
+    """
+    weights, columns = spec.fock_columns(dim)
+    if weights.min() < 0.0 or abs(weights.sum() - 1.0) > _COMPOSITE_TOL:
+        raise ValueError(f"oscillator weights must be >= 0 and sum to 1 within "
+                         f"1e-9, got range [{weights.min():.3e}, {weights.max():.3e}] "
+                         f"and sum {weights.sum():.12g}")
+    gram = columns.conj().T @ columns
+    if np.abs(gram - np.eye(weights.size)).max() > _COMPOSITE_TOL:
+        raise ValueError("oscillator columns are not orthonormal within 1e-9")
+    block = np.kron(bell_vector(qubit_init)[:, None], columns)
+    return weights, prop.modes.conj().T @ block
+
+
+def _reduced_at(prop: SpectralPropagator, coeff: np.ndarray, weights: np.ndarray,
+                dim: int, t: float):
+    """Pure columns at time t, shaped (4, dim, k), and their reduced qubit state."""
+    psi_t = prop.modes @ (np.exp(-1j * prop.energies * t)[:, None] * coeff)
+    psi_t = psi_t.reshape(4, dim, -1)
+    rho_q = np.einsum("ank,bnk,k->ab", psi_t, psi_t.conj(), weights)
+    return psi_t, (rho_q + rho_q.conj().T) / 2.0
 
 
 def _coherence_from_reduced(rho_eg: np.ndarray, qubit_init: str) -> complex:
@@ -331,10 +274,8 @@ def oracle_reduced_density(qubit_init: str, spec: OscillatorSpec, t: float,
     if dim is None:
         dim = choose_dim(spec, params)
     prop = SpectralPropagator(build_hamiltonian(params, _check_dim(dim)))
-    weights, block = _initial_pure_block(qubit_init, spec, dim)
-    psi_t = prop.state(block, float(t)).reshape(4, dim, -1)
-    rho_q = np.einsum("ank,bnk,k->ab", psi_t, psi_t.conj(), weights)
-    return QubitDensity((rho_q + rho_q.conj().T) / 2.0, "eg")
+    weights, coeff = _initial_coefficients(prop, qubit_init, spec, dim)
+    return QubitDensity(_reduced_at(prop, coeff, weights, dim, float(t))[1], "eg")
 
 
 def oracle_concurrence_series(qubit_init: str, spec: OscillatorSpec,
@@ -357,10 +298,8 @@ def oracle_concurrence_series(qubit_init: str, spec: OscillatorSpec,
         dim = choose_dim(spec, params)
     dim = _check_dim(dim)
 
-    composite_initial_state(qubit_init, spec, dim)  # validates the t=0 density
     prop = SpectralPropagator(build_hamiltonian(params, dim))
-    weights, block = _initial_pure_block(qubit_init, spec, dim)
-    coeff = prop.modes.conj().T @ block
+    weights, coeff = _initial_coefficients(prop, qubit_init, spec, dim)
 
     with_uv = qubit_init in ("psi_plus", "phi_plus")
     conc = np.empty(times.size)
@@ -368,15 +307,12 @@ def oracle_concurrence_series(qubit_init: str, spec: OscillatorSpec,
     u = np.empty(times.size) if with_uv else None
     v = np.empty(times.size) if with_uv else None
     for idx, t in enumerate(times):
-        psi_t = (prop.modes @ (np.exp(-1j * prop.energies * t)[:, None] * coeff))
-        psi_t = psi_t.reshape(4, dim, -1)
+        psi_t, rho_q = _reduced_at(prop, coeff, weights, dim, t)
         leak[idx] = float(np.einsum("ank,k->", np.abs(psi_t[:, -2:, :]) ** 2, weights))
         if leak[idx] > LEAK_ERROR:
             raise TruncationError(
                 f"leakage {leak[idx]:.3e} > {LEAK_ERROR:g} at t={t:g} with dim={dim}; "
                 "increase dim")
-        rho_q = np.einsum("ank,bnk,k->ab", psi_t, psi_t.conj(), weights)
-        rho_q = (rho_q + rho_q.conj().T) / 2.0
         conc[idx] = wootters_concurrence(rho_q)
         if with_uv:
             i_t = _coherence_from_reduced(rho_q, qubit_init)
@@ -391,7 +327,7 @@ def oracle_concurrence_series(qubit_init: str, spec: OscillatorSpec,
         leakage=leak,
         meta={
             "qubit_init": qubit_init,
-            "oscillator": spec_label(spec),
+            "oscillator": spec.label,
             "dim": dim,
             "params": {"omega": params.omega, "lambda": params.lambda_,
                        "omega0": params.omega0},

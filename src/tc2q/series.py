@@ -125,6 +125,18 @@ def _csv_text(columns: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_report(path: str, report: dict) -> None:
+    """Write ``report`` to ``path`` as indent-2 JSON plus a newline, atomically."""
+    _atomic_write_text(path, json.dumps(report, indent=2) + "\n")
+
+
+def write_csv(path: str, columns: dict, engine: str, meta: dict) -> None:
+    """Write a name -> column mapping as CSV, with its ``.meta.json`` sidecar."""
+    _atomic_write_text(path, _csv_text(columns))
+    write_report(path + ".meta.json",
+                 {"artifact_version": __version__, "engine": engine, "meta": meta})
+
+
 def write_table(table, path: str, fmt: str = "csv") -> None:
     """Emit a series or sweep to ``path`` as ``csv`` or ``json``, atomically."""
     if fmt not in ("csv", "json"):
@@ -133,18 +145,15 @@ def write_table(table, path: str, fmt: str = "csv") -> None:
     meta = dict(getattr(table, "meta", {}) or {})
     engine = getattr(table, "engine", meta.get("engine"))
     if fmt == "csv":
-        _atomic_write_text(path, _csv_text(columns))
-        sidecar = {"artifact_version": __version__, "engine": engine, "meta": meta}
-        _atomic_write_text(path + ".meta.json", json.dumps(sidecar, indent=2) + "\n")
+        write_csv(path, columns, engine, meta)
         return
-    payload = {
+    write_report(path, {
         "artifact_version": __version__,
         "engine": engine,
         "meta": meta,
         "columns": {name: (list(vals) if isinstance(vals, list) else vals.tolist())
                     for name, vals in columns.items()},
-    }
-    _atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    })
 
 
 def read_series(path: str) -> ConcurrenceSeries:

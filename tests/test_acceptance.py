@@ -16,10 +16,6 @@ from tc2q import cli
 from tc2q.analytic import (
     coherence_integral,
     coherence_integral_fock_sum,
-    concurrence_coherent,
-    concurrence_fock,
-    concurrence_thermal,
-    half_period_concurrence,
     laguerre,
 )
 from tc2q.classical import (
@@ -43,6 +39,11 @@ from tc2q.oracle import (
 SPEC_SET = (Thermal(0.5), Thermal(1.0), Thermal(2.0),
             Coherent(0.0), Coherent(1.0), Coherent(2j),
             Fock(0), Fock(1), Fock(2), Fock(5))
+
+
+def concurrence(spec, t, params):
+    """The psi_plus concurrence |I(t)|."""
+    return np.abs(coherence_integral(spec, t, params))
 
 
 def report(capsys, num: int, ok: bool, detail: str) -> None:
@@ -76,13 +77,13 @@ def test_criterion_02_thermal_minimum_and_period(capsys):
     target = math.exp(-32.0 * beta ** 2 * (1.0 + 2.0 * mean_n))  # 0.201897
     # the half-period point is the curve minimum
     grid = np.linspace(0.0, 2.0 * math.pi, 201)  # contains pi exactly
-    curve = concurrence_thermal(mean_n, grid, params)
-    analytic_err = abs(concurrence_thermal(mean_n, math.pi, params) - target)
+    curve = concurrence(Thermal(mean_n), grid, params)
+    analytic_err = abs(concurrence(Thermal(mean_n), math.pi, params) - target)
     min_err = abs(curve.min() - target)
     series = oracle_concurrence_series("psi_plus", Thermal(mean_n),
                                        np.array([math.pi]), params)
     oracle_err = abs(series.concurrence[0] - target)
-    shift = np.abs(concurrence_thermal(mean_n, grid + 2.0 * math.pi, params)
+    shift = np.abs(concurrence(Thermal(mean_n), grid + 2.0 * math.pi, params)
                    - curve).max()
     ok = (analytic_err <= 1e-12 and min_err <= 1e-12
           and oracle_err <= 1e-6 and shift <= 1e-12)
@@ -101,7 +102,7 @@ def test_criterion_03_coherent_curves_and_amplitude_independence(capsys):
         params = ModelParams(omega=1.0, lambda_=beta)
         formula = np.exp(-32.0 * beta ** 2 * np.sin(t / 2.0) ** 2)
         worst_formula = max(worst_formula, float(np.abs(
-            concurrence_coherent(0.0, t, params) - formula).max()))
+            concurrence(Coherent(0.0), t, params) - formula).max()))
         curves = [oracle_concurrence_series("psi_plus", Coherent(a), t,
                                             params).concurrence
                   for a in amplitudes]
@@ -117,13 +118,12 @@ def test_criterion_03_coherent_curves_and_amplitude_independence(capsys):
 
 def test_criterion_04_number_state_zero_crossing(capsys):
     # node where 64 beta^2 sin^2(wt/2) = 1, reachable only for beta >= 1/8
-    at_eighth = concurrence_fock(1, math.pi, ModelParams(omega=1.0, lambda_=0.125))
+    at_eighth = concurrence(Fock(1), math.pi, ModelParams(omega=1.0, lambda_=0.125))
     beta = 0.2
     node_t = 2.0 * math.asin(1.0 / (8.0 * beta))
-    at_node = concurrence_fock(1, node_t, ModelParams(omega=1.0, lambda_=beta))
-    below = concurrence_fock(
-        1, np.linspace(0.0, 2.0 * math.pi, 301),
-        ModelParams(omega=1.0, lambda_=0.1))
+    at_node = concurrence(Fock(1), node_t, ModelParams(omega=1.0, lambda_=beta))
+    below = concurrence(Fock(1), np.linspace(0.0, 2.0 * math.pi, 301),
+                        ModelParams(omega=1.0, lambda_=0.1))
     ok = at_eighth <= 1e-10 and at_node <= 1e-10 and below.min() > 0.0
     report(capsys, 4, ok,
            f"one-photon node: C(pi)|beta=1/8 = {at_eighth:.1e}, "
@@ -146,7 +146,7 @@ def test_criterion_05_half_period_sweep(capsys):
         ]
         for spec, expected in cases:
             worst = max(worst,
-                        abs(half_period_concurrence(spec, float(beta)) - expected))
+                        abs(abs(spec.coherence(math.pi, float(beta))) - expected))
     ok = worst <= 1e-12
     report(capsys, 5, ok,
            f"half-period sweep over 61 couplings: max err {worst:.1e} (<= 1e-12)")
@@ -227,7 +227,7 @@ def test_criterion_10_classical_quantum_identities(capsys):
     dq, dp = minimum_uncertainty_widths(params)
     gap_min = float(np.abs(
         classical_concurrence(GaussianDist(0.0, 0.0, dq, dp), t, params)
-        - concurrence_coherent(0.0, t, params)).max())
+        - concurrence(Coherent(0.0), t, params)).max())
 
     # thermal correspondence on the decay-exponent scale, where the gap is
     # 1/(1 + 2 kT / (hbar omega)) independent of coupling and time
@@ -235,7 +235,7 @@ def test_criterion_10_classical_quantum_identities(capsys):
     gaps = []
     for k_T in (5.0, 50.0, 500.0):
         log_cl = math.log(classical_concurrence_thermal(k_T, probe, params))
-        log_q = math.log(concurrence_thermal(k_T, probe, params))
+        log_q = math.log(concurrence(Thermal(k_T), probe, params))
         gaps.append(abs(log_cl - log_q) / abs(log_q))
     thermal_ok = gaps[1] <= 0.01 and gaps[0] > gaps[1] > gaps[2]
 

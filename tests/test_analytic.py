@@ -15,14 +15,10 @@ from scipy.special import eval_laguerre
 from tc2q.analytic import (
     coherence_integral,
     coherence_integral_fock_sum,
-    concurrence_coherent,
-    concurrence_fock,
     concurrence_general,
-    concurrence_thermal,
     evolve_product_state,
     f_phase,
     fourier_arguments,
-    half_period_concurrence,
     laguerre,
     p_tilde_coherent,
     p_tilde_fock,
@@ -40,6 +36,18 @@ from tc2q.model import (
 )
 
 P = ModelParams(omega=1.0, lambda_=0.1)
+
+
+def concurrence(spec, t, params):
+    """The psi_plus concurrence |I(t)|."""
+    return np.abs(coherence_integral(spec, t, params))
+
+
+def half_period(spec, beta):
+    """|I| at omega t = pi, a function of beta alone."""
+    return abs(spec.coherence(math.pi, beta))
+
+
 RNG = np.random.default_rng(7041)
 
 # frozen reference values (20+ digit evaluation of the closed forms)
@@ -144,6 +152,8 @@ class TestCoherenceIntegral:
     def test_coherent_modulus_is_amplitude_independent(self):
         t = np.linspace(0.0, 12.0, 50)
         base = np.abs(coherence_integral(Coherent(0.0), t, P))
+        np.testing.assert_allclose(
+            base, np.exp(-32.0 * P.beta ** 2 * np.sin(t / 2.0) ** 2), atol=1e-15)
         for alpha0 in (1.0, 2j, -0.5 + 1.5j):
             np.testing.assert_allclose(
                 np.abs(coherence_integral(Coherent(alpha0), t, P)), base,
@@ -221,13 +231,13 @@ class TestGeneralConcurrence:
         t = np.linspace(0.0, 4.0 * math.pi, 64)
         np.testing.assert_allclose(
             concurrence_general(p_tilde_thermal(1.7), t, P),
-            concurrence_thermal(1.7, t, P), atol=1e-13)
+            concurrence(Thermal(1.7), t, P), atol=1e-13)
         np.testing.assert_allclose(
             concurrence_general(p_tilde_coherent(1.0 + 2j), t, P),
-            concurrence_coherent(1.0 + 2j, t, P), atol=1e-13)
+            concurrence(Coherent(1.0 + 2j), t, P), atol=1e-13)
         np.testing.assert_allclose(
             concurrence_general(p_tilde_fock(4), t, P),
-            concurrence_fock(4, t, P), atol=1e-13)
+            concurrence(Fock(4), t, P), atol=1e-13)
 
     def test_non_finite_transform_is_an_error(self):
         with pytest.raises(ValueError, match="finite"):
@@ -242,37 +252,29 @@ class TestGeneralConcurrence:
 class TestConcurrenceLaws:
     def test_thermal_minimum_and_periodicity(self):
         p = ModelParams(omega=1.0, lambda_=0.1)
-        assert concurrence_thermal(2.0, math.pi, p) == pytest.approx(
+        assert concurrence(Thermal(2.0), math.pi, p) == pytest.approx(
             EXP_M16, abs=1e-12)
         t = np.linspace(0.0, 2.0 * math.pi, 40)
         np.testing.assert_allclose(
-            concurrence_thermal(2.0, t, p),
-            concurrence_thermal(2.0, t + 2.0 * math.pi, p), atol=1e-12)
+            concurrence(Thermal(2.0), t, p),
+            concurrence(Thermal(2.0), t + 2.0 * math.pi, p), atol=1e-12)
 
     def test_revivals_at_full_periods(self):
         for k in (1, 2, 5):
-            assert concurrence_thermal(3.0, 2.0 * math.pi * k, P) == pytest.approx(
+            assert concurrence(Thermal(3.0), 2.0 * math.pi * k, P) == pytest.approx(
                 1.0, abs=1e-12)
-            assert concurrence_fock(4, 2.0 * math.pi * k, P) == pytest.approx(
+            assert concurrence(Fock(4), 2.0 * math.pi * k, P) == pytest.approx(
                 1.0, abs=1e-12)
-
-    def test_coherent_law_ignores_amplitude_but_validates_it(self):
-        t = np.linspace(0.0, 10.0, 33)
-        a = concurrence_coherent(0.0, t, P)
-        b = concurrence_coherent(2j, t, P)
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_allclose(
-            a, np.exp(-32.0 * P.beta ** 2 * np.sin(t / 2.0) ** 2), atol=1e-15)
 
     def test_number_state_node(self):
         p = ModelParams(omega=1.0, lambda_=0.125)
-        assert concurrence_fock(1, math.pi, p) == 0.0
+        assert concurrence(Fock(1), math.pi, p) == 0.0
 
     def test_thermal_never_exceeds_coherent(self):
         t = np.linspace(0.0, 15.0, 80)
         for mean_n in (0.2, 1.0, 3.0):
-            assert np.all(concurrence_thermal(mean_n, t, P)
-                          <= concurrence_coherent(0.0, t, P) + 1e-15)
+            assert np.all(concurrence(Thermal(mean_n), t, P)
+                          <= concurrence(Coherent(0.0), t, P) + 1e-15)
 
 
 class TestExactSumCrossCheck:
@@ -297,20 +299,20 @@ class TestHalfPeriod:
     def test_matches_time_domain_laws(self):
         beta = 0.1
         p = ModelParams(omega=1.0, lambda_=beta)
-        assert half_period_concurrence(Thermal(1.0), beta) == pytest.approx(
+        assert half_period(Thermal(1.0), beta) == pytest.approx(
             EXP_M096, abs=1e-15)
-        assert half_period_concurrence(Coherent(0.7), beta) == pytest.approx(
+        assert half_period(Coherent(0.7), beta) == pytest.approx(
             EXP_M032, abs=1e-15)
-        assert half_period_concurrence(Fock(2), beta) == pytest.approx(
-            concurrence_fock(2, math.pi, p), abs=1e-15)
+        assert half_period(Fock(2), beta) == pytest.approx(
+            concurrence(Fock(2), math.pi, p), abs=1e-15)
 
     def test_frequency_drops_out(self):
         # only the product omega * t enters, so the half-period value is a
         # function of beta alone
         for omega in (0.5, 1.0, 4.0):
             p = ModelParams(omega=omega, lambda_=0.1 * omega)
-            assert concurrence_thermal(1.0, math.pi / omega, p) == pytest.approx(
-                half_period_concurrence(Thermal(1.0), 0.1), abs=1e-14)
+            assert concurrence(Thermal(1.0), math.pi / omega, p) == pytest.approx(
+                half_period(Thermal(1.0), 0.1), abs=1e-14)
 
 
 class TestRandomizedProperties:

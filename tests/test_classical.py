@@ -24,10 +24,15 @@ from tc2q.classical import (
     s_plus_correlator,
     thermal_widths,
 )
-from tc2q.analytic import concurrence_coherent, concurrence_thermal
-from tc2q.model import ModelParams
+from tc2q.analytic import coherence_integral
+from tc2q.model import Coherent, ModelParams, Thermal
 
 P = ModelParams(omega=1.0, lambda_=0.1)
+
+
+def concurrence(spec, t, params):
+    """The quantum psi_plus concurrence |I(t)|."""
+    return np.abs(coherence_integral(spec, t, params))
 EXP_M064 = 0.5272924240430485   # exp(-0.64)
 
 
@@ -150,7 +155,7 @@ class TestClosedFormAverages:
             p = ModelParams(omega=omega, lambda_=0.1 * omega)
             dq, dp = minimum_uncertainty_widths(p)
             c_cl = classical_concurrence(GaussianDist(0.0, 0.0, dq, dp), t, p)
-            np.testing.assert_allclose(c_cl, concurrence_coherent(0.0, t, p),
+            np.testing.assert_allclose(c_cl, concurrence(Coherent(0.0), t, p),
                                        atol=1e-12)
 
     def test_minimum_uncertainty_identity_is_hbar_independent(self):
@@ -159,7 +164,7 @@ class TestClosedFormAverages:
             dq, dp = minimum_uncertainty_widths(P, hbar=hbar)
             c_cl = classical_concurrence(GaussianDist(0.0, 0.0, dq, dp), t, P,
                                          hbar=hbar)
-            np.testing.assert_allclose(c_cl, concurrence_coherent(0.0, t, P),
+            np.testing.assert_allclose(c_cl, concurrence(Coherent(0.0), t, P),
                                        atol=1e-12)
 
 
@@ -180,7 +185,7 @@ class TestThermalLaw:
         prev_gap = None
         for n in (5.0, 50.0, 500.0):
             log_cl = math.log(classical_concurrence_thermal(n, t, P))
-            log_q = math.log(concurrence_thermal(n, t, P))
+            log_q = math.log(concurrence(Thermal(n), t, P))
             gap = abs(log_cl - log_q) / abs(log_q)
             assert gap == pytest.approx(1.0 / (1.0 + 2.0 * n), rel=1e-10)
             if prev_gap is not None:

@@ -249,3 +249,37 @@ class TestOscillatorSpecs:
         assert "coherent" in spec_label(Coherent(2j))
         assert spec_label(Fock(5)) == "fock(n=5)"
         assert "explicit" in spec_label(ExplicitDensity(np.eye(3) / 3.0))
+
+    def test_reach_feeds_the_truncation_rule(self):
+        assert Thermal(4.0).reach == (8.0, 0)
+        assert Coherent(3.0 - 4.0j).reach == (5.0, 0)
+        assert Fock(7).reach == (0.0, 7)
+        assert ExplicitDensity(np.eye(3) / 3.0).reach == (0.0, 3)
+
+    def test_fock_columns_decompose_the_density(self):
+        inner = np.array([[0.6, 0.2j], [-0.2j, 0.4]])
+        for spec in (Thermal(0.0), Thermal(1.5), Coherent(0.0), Coherent(1.0 - 0.5j),
+                     Fock(4), ExplicitDensity(inner)):
+            weights, cols = spec.fock_columns(80)
+            assert cols.shape == (80, weights.size)
+            assert weights.min() > 0.0
+            assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(cols.conj().T @ cols, np.eye(weights.size),
+                                       atol=1e-12)
+        weights, cols = ExplicitDensity(inner).fock_columns(5)
+        np.testing.assert_allclose(((cols * weights) @ cols.conj().T)[:2, :2], inner,
+                                   atol=1e-14)
+
+    def test_closed_form_broadcasts_over_time_and_coupling(self):
+        wt = np.linspace(0.0, 2.0 * math.pi, 7)[:, None]
+        beta = np.array([0.0, 0.1, 0.3])
+        for spec in (Thermal(1.2), Coherent(0.4 + 0.9j), Fock(3)):
+            grid = spec.coherence(wt, beta)
+            assert grid.shape == (7, 3) and np.iscomplexobj(grid)
+            for j, b in enumerate(beta):
+                np.testing.assert_array_equal(grid[:, j], spec.coherence(wt[:, 0], b))
+            np.testing.assert_array_equal(grid[:, 0], 1.0)  # beta = 0: no decoherence
+
+    def test_explicit_density_has_no_closed_form(self):
+        with pytest.raises(TypeError, match="oracle"):
+            ExplicitDensity(np.eye(2) / 2.0).coherence(1.0, 0.1)

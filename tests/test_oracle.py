@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from tc2q.analytic import coherence_integral, concurrence_thermal
+from tc2q.analytic import coherence_integral
 from tc2q.model import (
     Coherent,
     ExplicitDensity,
@@ -232,6 +232,28 @@ class TestInitialStates:
         with pytest.raises(TruncationError):
             oscillator_initial_state(ExplicitDensity(np.eye(12) / 12.0), 10)
 
+    def test_invalid_decomposition_is_rejected_before_propagation(self):
+        class Decomposed:
+            label, reach = "decomposed", (0.0, 2)
+
+            def __init__(self, weights, columns):
+                self.weights, self.columns = np.array(weights), np.array(columns)
+
+            def fock_columns(self, dim):
+                return self.weights, self.columns
+
+        e0, e1 = np.eye(20, dtype=complex)[:, :2].T
+        t = np.array([0.0, 1.0])
+        ok = Decomposed([0.25, 0.75], np.stack([e0, e1], axis=1))
+        mixed = oracle_concurrence_series("psi_plus", ok, t, P, dim=20)
+        assert mixed.concurrence[0] == pytest.approx(1.0, abs=1e-12)
+        for bad in (Decomposed([0.5, 0.6], ok.columns),
+                    Decomposed([1.5, -0.5], ok.columns),
+                    Decomposed([0.5, 0.5], np.stack([e0, (e0 + e1) / math.sqrt(2.0)],
+                                                    axis=1))):
+            with pytest.raises(ValueError):
+                oracle_concurrence_series("psi_plus", bad, t, P, dim=20)
+
     def test_composite_is_a_valid_state(self):
         state = composite_initial_state("psi_plus", Thermal(0.5), 61)
         assert isinstance(state, CompositeState)
@@ -280,7 +302,8 @@ class TestConcurrenceSeries:
         t = np.linspace(0.0, 4.0 * math.pi, 60)
         series = oracle_concurrence_series("psi_plus", Thermal(1.0), t, P)
         np.testing.assert_allclose(series.concurrence,
-                                   concurrence_thermal(1.0, t, P), atol=1e-6)
+                                   np.abs(coherence_integral(Thermal(1.0), t, P)),
+                                   atol=1e-6)
 
     def test_coherence_columns_track_the_overlap_integral(self):
         t = np.linspace(0.0, 2.0 * math.pi, 20)
@@ -363,7 +386,7 @@ class TestConvergence:
         # omega0 -> 0 at fixed coupling: the oracle must converge onto the
         # degenerate closed form quadratically, not jump
         t = np.linspace(0.0, 2.0 * math.pi, 12)
-        target = concurrence_thermal(0.5, t, P)
+        target = np.abs(coherence_integral(Thermal(0.5), t, P))
         gaps = []
         for eps in (0.1, 0.01, 0.001):
             params = ModelParams(omega=1.0, lambda_=0.1, omega0=eps * 0.1)

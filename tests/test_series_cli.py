@@ -7,13 +7,14 @@ import os
 import numpy as np
 import pytest
 
-from tc2q import cli
-from tc2q.analytic import concurrence_thermal, half_period_concurrence
-from tc2q.model import Fock, ModelParams
+from tc2q import cli, oracle
+from tc2q.analytic import coherence_integral
+from tc2q.model import Fock, ModelParams, Thermal
 from tc2q.series import (
     BetaSweep,
     ConcurrenceSeries,
     read_series,
+    write_report,
     write_table,
 )
 
@@ -126,6 +127,14 @@ class TestFileRoundTrips:
             write_table(make_series(), str(tmp_path / "missing" / "x.json"),
                         "json")
 
+    def test_report_is_indented_json_with_trailing_newline(self, tmp_path):
+        path = str(tmp_path / "report.json")
+        report = {"passed": True, "columns": {"x": [1.0, 2.5]}}
+        write_report(path, report)
+        text = open(path).read()
+        assert text == json.dumps(report, indent=2) + "\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_table(make_series(), str(tmp_path / "x.xml"), "xml")
@@ -155,8 +164,8 @@ class TestCliRun:
         series = read_series(cfg["output"]["path"])
         t = np.linspace(0.0, 4.0 * math.pi, 20)
         np.testing.assert_allclose(series.concurrence,
-                                   concurrence_thermal(1.0, t, P), rtol=1e-10,
-                                   atol=1e-12)
+                                   np.abs(coherence_integral(Thermal(1.0), t, P)),
+                                   rtol=1e-10, atol=1e-12)
 
     def test_stationary_preparation_emits_constant_series(self, tmp_path):
         cfg_path, cfg = write_config(tmp_path, qubit_init="psi_minus")
@@ -271,7 +280,7 @@ class TestCliSweep:
         # beta = 1/8 is the node of the one-photon preparation
         node = [ln for ln in lines if ln.startswith("fock(n=1),0.125")]
         assert node and node[0].endswith(",0")
-        value = half_period_concurrence(Fock(1), 0.125)
+        value = abs(Fock(1).coherence(math.pi, 0.125))
         assert value == 0.0
 
     def test_single_oscillator_key_is_accepted(self, tmp_path):
@@ -383,6 +392,19 @@ class TestCliErrors:
         assert cli.main(["run", "--config", cfg_path, "--dim", "10"]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["exit_code"] == 3
+
+    def test_allocation_failure_exits_three(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(params, dim):
+            raise MemoryError(f"cannot allocate the dim={dim} Hamiltonian")
+
+        monkeypatch.setattr(oracle, "build_hamiltonian", out_of_memory)
+        cfg_path, cfg = write_config(tmp_path, engine="oracle")
+        assert cli.main(["run", "--config", cfg_path]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["exit_code"] == 3 and "allocate" in err["error"]
+        assert not os.path.exists(cfg["output"]["path"])
 
     def test_missing_output_path(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, output=None)
