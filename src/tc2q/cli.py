@@ -16,6 +16,7 @@ enough to re-run the job bit-identically.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -26,9 +27,7 @@ from . import __version__, analytic, classical, oracle
 from .model import BELL_KINDS, Coherent, Fock, ModelParams, Thermal, clamp_unit
 from .series import BetaSweep, ConcurrenceSeries, write_csv, write_report, write_table
 
-_ENGINES = ("analytic", "oracle", "classical", "validate")
-_QUANTUM_KINDS = ("thermal", "coherent", "fock")
-_CLASSICAL_KINDS = ("delta", "gaussian", "classical_thermal")
+_SPECTRUM_DIM = 60
 
 _TOP_KEYS = {"version", "engine", "qubit_init", "params", "oscillator",
              "oscillators", "time_grid", "beta_grid", "oracle", "monte_carlo",
@@ -46,30 +45,63 @@ def _check_keys(obj: dict, allowed: set, context: str) -> None:
                           f"allowed: {sorted(allowed)}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _get_number(obj: dict, key: str, context: str, required: bool = True,
-                default=None):
+                default=None, integer: bool = False, minimum: int | None = None):
+    """``obj[key]`` as a float, or as an int if ``integer``; booleans are neither."""
     if key not in obj:
         if required:
             raise ConfigError(f"missing key {key!r} in {context}")
         return default
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{context}.{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _get_int(obj: dict, key: str, context: str, required: bool = True,
-             default=None, minimum: int | None = None):
-    if key not in obj:
-        if required:
-            raise ConfigError(f"missing key {key!r} in {context}")
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{context}.{key} must be an integer, got {value!r}")
+    if not _is_number(value) or (integer and not isinstance(value, int)):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{context}.{key} must be {kind}, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{context}.{key} must be >= {minimum}, got {value}")
-    return value
+    return value if integer else float(value)
+
+
+_get_int = functools.partial(_get_number, integer=True)
+_get_count = functools.partial(_get_number, integer=True, minimum=0)
+
+
+def _get_amplitude(obj: dict, key: str, context: str) -> complex:
+    """A complex number written as a real number or as [re, im]."""
+    raw = obj.get(key)
+    parts = raw if isinstance(raw, list) and len(raw) == 2 else [raw]
+    if not all(_is_number(part) for part in parts):
+        raise ConfigError(f"{context}.{key} must be a number or [re, im], got {raw!r}")
+    return complex(*parts)
+
+
+# Every oscillator kind: the engine family that takes it, its constructor,
+# and the config fields it reads, in argument order, each with its reader.
+_KINDS = {
+    "thermal": ("quantum", Thermal, {"mean_n": _get_number}),
+    "coherent": ("quantum", Coherent, {"alpha0": _get_amplitude}),
+    "fock": ("quantum", Fock, {"n": _get_count}),
+    "delta": ("classical", classical.DeltaDist, {"q0": _get_number, "p0": _get_number}),
+    "gaussian": ("classical", classical.GaussianDist,
+                 dict.fromkeys(("q_bar", "p_bar", "delta_q", "delta_p"), _get_number)),
+    "classical_thermal": ("classical", classical.ClassicalThermal, {"k_T": _get_number}),
+}
+
+# Every job, as (command, config.engine), with the command-line overrides it
+# reads (--seed only with a monte_carlo section); any other pair or override
+# is a config error.
+_JOBS = {
+    ("run", "analytic"): (),
+    ("run", "oracle"): ("dim",),
+    ("run", "classical"): ("seed",),
+    ("run", "validate"): ("dim",),
+    ("validate", "validate"): ("dim",),
+    ("sweep-beta", "analytic"): (),
+    ("spectrum", "oracle"): ("dim",),
+}
 
 
 def load_config(path: str) -> dict:
@@ -89,11 +121,19 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _parse_params(cfg: dict) -> ModelParams:
-    obj = cfg.get("params")
+def _section(cfg: dict, name: str, keys: set, required: bool = False) -> dict:
+    """``cfg[name]``: an object with no key outside ``keys`` ({} if optional and absent)."""
+    if name not in cfg and not required:
+        return {}
+    obj = cfg.get(name)
     if not isinstance(obj, dict):
-        raise ConfigError("config.params must be an object with omega and lambda")
-    _check_keys(obj, {"omega", "lambda", "omega0"}, "params")
+        raise ConfigError(f"config.{name} must be an object with keys {sorted(keys)}")
+    _check_keys(obj, keys, name)
+    return obj
+
+
+def _parse_params(cfg: dict) -> ModelParams:
+    obj = _section(cfg, "params", {"omega", "lambda", "omega0"}, required=True)
     try:
         return ModelParams(
             omega=_get_number(obj, "omega", "params"),
@@ -104,76 +144,32 @@ def _parse_params(cfg: dict) -> ModelParams:
         raise ConfigError(f"invalid params: {exc}") from exc
 
 
-def _parse_quantum_spec(obj: dict, context: str):
-    kind = obj.get("kind")
-    try:
-        if kind == "thermal":
-            _check_keys(obj, {"kind", "mean_n"}, context)
-            return Thermal(_get_number(obj, "mean_n", context))
-        if kind == "coherent":
-            _check_keys(obj, {"kind", "alpha0"}, context)
-            raw = obj.get("alpha0")
-            if isinstance(raw, (list, tuple)) and len(raw) == 2:
-                alpha0 = complex(float(raw[0]), float(raw[1]))
-            elif isinstance(raw, (int, float)) and not isinstance(raw, bool):
-                alpha0 = complex(raw)
-            else:
-                raise ConfigError(
-                    f"{context}.alpha0 must be a number or [re, im], got {raw!r}")
-            return Coherent(alpha0)
-        if kind == "fock":
-            _check_keys(obj, {"kind", "n"}, context)
-            return Fock(_get_int(obj, "n", context, minimum=0))
-    except ValueError as exc:
-        raise ConfigError(f"invalid {context}: {exc}") from exc
-    raise ConfigError(f"{context}.kind must be one of {_QUANTUM_KINDS} for this engine, "
-                      f"got {kind!r}")
-
-
-def _parse_classical_dist(obj: dict, context: str):
-    kind = obj.get("kind")
-    try:
-        if kind == "delta":
-            _check_keys(obj, {"kind", "q0", "p0"}, context)
-            return classical.DeltaDist(_get_number(obj, "q0", context),
-                                       _get_number(obj, "p0", context))
-        if kind == "gaussian":
-            _check_keys(obj, {"kind", "q_bar", "p_bar", "delta_q", "delta_p"}, context)
-            return classical.GaussianDist(
-                _get_number(obj, "q_bar", context),
-                _get_number(obj, "p_bar", context),
-                _get_number(obj, "delta_q", context),
-                _get_number(obj, "delta_p", context))
-        if kind == "classical_thermal":
-            _check_keys(obj, {"kind", "k_T"}, context)
-            return classical.ClassicalThermal(_get_number(obj, "k_T", context))
-    except ValueError as exc:
-        raise ConfigError(f"invalid {context}: {exc}") from exc
-    raise ConfigError(f"{context}.kind must be one of {_CLASSICAL_KINDS} for the "
-                      f"classical engine, got {kind!r}")
-
-
-def _parse_oscillator(cfg: dict, engine: str):
-    obj = cfg.get("oscillator")
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError("config.oscillator must be an object with a 'kind' field")
-    if engine == "classical":
-        return _parse_classical_dist(obj, "oscillator")
-    return _parse_quantum_spec(obj, "oscillator")
-
-
-def _parse_time_grid(cfg: dict) -> np.ndarray:
-    obj = cfg.get("time_grid")
+def _parse_preparation(obj, context: str, family: str):
+    """The oscillator preparation that ``{"kind": ..., <fields>}`` names."""
     if not isinstance(obj, dict):
-        raise ConfigError(
-            "config.time_grid must be an object with t_start, t_end, n_points")
-    _check_keys(obj, {"t_start", "t_end", "n_points"}, "time_grid")
-    t_start = _get_number(obj, "t_start", "time_grid")
-    t_end = _get_number(obj, "t_end", "time_grid")
-    n_points = _get_int(obj, "n_points", "time_grid", minimum=2)
-    if not t_end > t_start:
-        raise ConfigError(f"time_grid.t_end ({t_end}) must exceed t_start ({t_start})")
-    return np.linspace(t_start, t_end, n_points)
+        raise ConfigError(f"{context} must be an object with a 'kind' field")
+    kinds = tuple(kind for kind, entry in _KINDS.items() if entry[0] == family)
+    kind = obj.get("kind")
+    if kind not in kinds:
+        raise ConfigError(f"{context}.kind must be one of {kinds} for this engine, "
+                          f"got {kind!r}")
+    _, make, fields = _KINDS[kind]
+    _check_keys(obj, {"kind", *fields}, context)
+    try:
+        return make(*(read(obj, key, context) for key, read in fields.items()))
+    except ValueError as exc:
+        raise ConfigError(f"invalid {context}: {exc}") from exc
+
+
+def _parse_grid(cfg: dict, name: str, start: str, stop: str) -> np.ndarray:
+    """np.linspace over the ``name`` section {start, stop, n_points}."""
+    obj = _section(cfg, name, {start, stop, "n_points"}, required=True)
+    first = _get_number(obj, start, name)
+    last = _get_number(obj, stop, name)
+    n_points = _get_int(obj, "n_points", name, minimum=2)
+    if not last > first:
+        raise ConfigError(f"{name}.{stop} ({last}) must exceed {start} ({first})")
+    return np.linspace(first, last, n_points)
 
 
 def _parse_qubit_init(cfg: dict, engine: str) -> str:
@@ -186,31 +182,29 @@ def _parse_qubit_init(cfg: dict, engine: str) -> str:
     return kind
 
 
-def _parse_engine(cfg: dict) -> str:
+def _parse_job(cfg: dict, args, command: str) -> str:
+    """config.engine, checked together with --dim/--seed against ``_JOBS``."""
     engine = cfg.get("engine")
-    if engine not in _ENGINES:
-        raise ConfigError(f"config.engine must be one of {_ENGINES}, got {engine!r}")
+    if not isinstance(engine, str) or (command, engine) not in _JOBS:
+        engines = tuple(name for job, name in _JOBS if job == command)
+        raise ConfigError(f"{command} needs config.engine in {engines}, got {engine!r}")
+    for flag in ("dim", "seed"):
+        if getattr(args, flag) is not None and flag not in _JOBS[command, engine]:
+            raise ConfigError(f"--{flag} does not apply to {command} with engine={engine}")
     return engine
 
 
-def _parse_dim(cfg: dict, args, spec, params) -> int:
-    obj = cfg.get("oracle", {})
-    if not isinstance(obj, dict):
-        raise ConfigError("config.oracle must be an object")
-    _check_keys(obj, {"dim"}, "oracle")
+def _resolve_dim(cfg: dict, args, default: int) -> int:
+    """The Fock truncation: --dim, else oracle.dim, else ``default``."""
+    obj = _section(cfg, "oracle", {"dim"})
     dim = _get_int(obj, "dim", "oracle", required=False, minimum=2)
-    if getattr(args, "dim", None) is not None:
+    if args.dim is not None:
         dim = args.dim
-    if dim is None:
-        dim = oracle.choose_dim(spec, params)
-    return dim
+    return default if dim is None else dim
 
 
 def _resolve_output(cfg: dict, args, default_format: str = "csv"):
-    obj = cfg.get("output", {})
-    if not isinstance(obj, dict):
-        raise ConfigError("config.output must be an object")
-    _check_keys(obj, {"path", "format"}, "output")
+    obj = _section(cfg, "output", {"path", "format"})
     path = args.out or obj.get("path")
     fmt = args.format or obj.get("format") or default_format
     if path is None:
@@ -246,100 +240,70 @@ def _analytic_series(qubit_init: str, spec, times: np.ndarray,
 
 
 def _cmd_run(cfg: dict, args) -> int:
-    engine = _parse_engine(cfg)
+    engine = _parse_job(cfg, args, "run")
     if engine == "validate":
         return _cmd_validate(cfg, args)
     params = _parse_params(cfg)
     qubit_init = _parse_qubit_init(cfg, engine)
-    spec = _parse_oscillator(cfg, engine)
-    times = _parse_time_grid(cfg)
+    spec = _parse_preparation(cfg.get("oscillator"), "oscillator",
+                              "classical" if engine == "classical" else "quantum")
+    times = _parse_grid(cfg, "time_grid", "t_start", "t_end")
     path, fmt = _resolve_output(cfg, args)
 
     if engine == "analytic":
-        if args.dim is not None or args.seed is not None:
-            raise ConfigError("--dim/--seed do not apply to the analytic engine")
         series = _analytic_series(qubit_init, spec, times, params, cfg)
     elif engine == "oracle":
-        if args.seed is not None:
-            raise ConfigError("--seed does not apply to the oracle engine")
-        dim = _parse_dim(cfg, args, spec, params)
+        dim = _resolve_dim(cfg, args, oracle.choose_dim(spec, params))
         series = oracle.oracle_concurrence_series(qubit_init, spec, times,
                                                   params, dim=dim)
         series.meta = _echo_meta(cfg, **series.meta, artifact_version=__version__)
     else:
-        series = _classical_series(cfg, args, qubit_init, spec, times, params)
+        series = _classical_series(cfg, args, spec, times, params)
 
     write_table(series, path, fmt)
     print(f"wrote {times.size} rows to {path} (engine={engine})")
     return 0
 
 
-def _classical_series(cfg: dict, args, qubit_init: str, dist,
-                      times: np.ndarray, params: ModelParams) -> ConcurrenceSeries:
-    if args.dim is not None:
-        raise ConfigError("--dim does not apply to the classical engine")
-    mc = cfg.get("monte_carlo")
-    if isinstance(dist, classical.ClassicalThermal):
-        closed = classical.classical_concurrence_thermal(dist.k_T, times, params)
-        sample_dist = classical.classical_thermal_dist(dist.k_T, params)
-        label = f"classical_thermal(k_T={dist.k_T:g})"
-    else:
-        closed = classical.classical_concurrence(dist, times, params)
-        sample_dist = dist
-        label = type(dist).__name__.lower()
-    if mc is None:
+def _classical_series(cfg: dict, args, dist, times: np.ndarray,
+                      params: ModelParams) -> ConcurrenceSeries:
+    meta = {"engine": "classical", "oscillator": dist.label}
+    if cfg.get("monte_carlo") is None:
         if args.seed is not None:
             raise ConfigError("--seed requires a monte_carlo section in the config")
-        return ConcurrenceSeries(
-            engine="classical", t=times, omega_t=params.omega * times,
-            concurrence=np.asarray(closed, dtype=float),
-            meta=_echo_meta(cfg, engine="classical", oscillator=label,
-                            artifact_version=__version__))
-    if not isinstance(mc, dict):
-        raise ConfigError("config.monte_carlo must be an object")
-    _check_keys(mc, {"samples", "seed"}, "monte_carlo")
-    samples = _get_int(mc, "samples", "monte_carlo", minimum=2)
-    seed = _get_int(mc, "seed", "monte_carlo", required=False, default=0, minimum=0)
-    if args.seed is not None:
-        seed = args.seed
-    conc = np.empty(times.size)
-    err = np.empty(times.size)
-    for idx, t in enumerate(times):
-        # same seed at every grid point: common random numbers keep the
+        conc, err = dist.concurrence(times, params), None
+    else:
+        mc = _section(cfg, "monte_carlo", {"samples", "seed"}, required=True)
+        samples = _get_int(mc, "samples", "monte_carlo", minimum=2)
+        seed = _get_int(mc, "seed", "monte_carlo", required=False, default=0, minimum=0)
+        if args.seed is not None:
+            seed = args.seed
+        # one sample set for the whole grid: common random numbers keep the
         # curve smooth and the file reproducible
-        conc[idx], err[idx] = classical.monte_carlo_classical_concurrence(
-            sample_dist, float(t), params, samples, seed)
+        conc, err = classical.monte_carlo_classical_concurrence(
+            dist, times, params, samples, seed)
+        meta["monte_carlo"] = {"samples": samples, "seed": seed}
     return ConcurrenceSeries(
         engine="classical", t=times, omega_t=params.omega * times,
         concurrence=conc, std_error=err,
-        meta=_echo_meta(cfg, engine="classical", oscillator=label,
-                        monte_carlo={"samples": samples, "seed": seed},
-                        artifact_version=__version__))
+        meta=_echo_meta(cfg, **meta, artifact_version=__version__))
 
 
 def _cmd_validate(cfg: dict, args) -> int:
-    engine = _parse_engine(cfg)
-    if engine != "validate":
-        raise ConfigError(f"the validate command needs engine='validate', got {engine!r}")
+    engine = _parse_job(cfg, args, "validate")
     params = _parse_params(cfg)
     qubit_init = _parse_qubit_init(cfg, engine)
-    spec = _parse_oscillator(cfg, "validate")
-    times = _parse_time_grid(cfg)
-    vcfg = cfg.get("validate", {})
-    if not isinstance(vcfg, dict):
-        raise ConfigError("config.validate must be an object")
-    _check_keys(vcfg, {"tolerance"}, "validate")
-    tolerance = _get_number(vcfg, "tolerance", "validate", required=False,
-                            default=1e-6)
+    spec = _parse_preparation(cfg.get("oscillator"), "oscillator", "quantum")
+    times = _parse_grid(cfg, "time_grid", "t_start", "t_end")
+    tolerance = _get_number(_section(cfg, "validate", {"tolerance"}), "tolerance",
+                            "validate", required=False, default=1e-6)
     if tolerance <= 0:
         raise ConfigError(f"validate.tolerance must be positive, got {tolerance}")
     path, fmt = _resolve_output(cfg, args, default_format="json")
     if fmt != "json":
         raise ConfigError("validate writes a JSON report; use --format json")
-    if args.seed is not None:
-        raise ConfigError("--seed does not apply to the validate engine")
 
-    dim = _parse_dim(cfg, args, spec, params)
+    dim = _resolve_dim(cfg, args, oracle.choose_dim(spec, params))
     analytic_series = _analytic_series(qubit_init, spec, times, params, cfg)
     oracle_series = oracle.oracle_concurrence_series(qubit_init, spec, times,
                                                      params, dim=dim)
@@ -371,35 +335,25 @@ def _cmd_validate(cfg: dict, args) -> int:
 
 
 def _cmd_sweep(cfg: dict, args) -> int:
-    engine = _parse_engine(cfg)
-    if engine != "analytic":
-        raise ConfigError("sweep-beta uses the closed forms; set engine='analytic'")
-    if args.dim is not None or args.seed is not None:
-        raise ConfigError("--dim/--seed do not apply to sweep-beta")
-    obj = cfg.get("beta_grid")
-    if not isinstance(obj, dict):
-        raise ConfigError("config.beta_grid must be an object with start, stop, n_points")
-    _check_keys(obj, {"start", "stop", "n_points"}, "beta_grid")
-    start = _get_number(obj, "start", "beta_grid")
-    stop = _get_number(obj, "stop", "beta_grid")
-    n_points = _get_int(obj, "n_points", "beta_grid", minimum=2)
-    if not (0.0 <= start < stop <= 0.5):
-        raise ConfigError(f"beta_grid must satisfy 0 <= start < stop <= 0.5, "
-                          f"got [{start}, {stop}]")
+    _parse_job(cfg, args, "sweep-beta")
+    # optional: beta comes from the grid, but params given are checked
+    if "params" in cfg and _parse_params(cfg).omega0 != 0.0:
+        raise ConfigError("sweep-beta evaluates the omega0 = 0 closed form; "
+                          "params.omega0 must be 0")
+    betas = _parse_grid(cfg, "beta_grid", "start", "stop")
+    if not 0.0 <= betas[0] < betas[-1] <= 0.5:
+        raise ConfigError(f"beta_grid must lie within [0, 0.5], "
+                          f"got [{betas[0]}, {betas[-1]}]")
     raw_specs = cfg.get("oscillators")
     if raw_specs is None:
         raw_specs = [cfg.get("oscillator")]
     if not isinstance(raw_specs, list) or not raw_specs:
         raise ConfigError("config.oscillators must be a non-empty list")
-    specs = []
-    for i, entry in enumerate(raw_specs):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"oscillators[{i}] must be an object")
-        specs.append(_parse_quantum_spec(entry, f"oscillators[{i}]"))
+    specs = [_parse_preparation(entry, f"oscillators[{i}]", "quantum")
+             for i, entry in enumerate(raw_specs)]
     path, fmt = _resolve_output(cfg, args)
 
     # the half-period point omega t = pi depends on beta alone
-    betas = np.linspace(start, stop, n_points)
     labels = [spec.label for spec in specs for _ in betas]
     conc = [clamp_unit(np.abs(spec.coherence(math.pi, betas))) for spec in specs]
     sweep = BetaSweep(labels=labels, beta=np.tile(betas, len(specs)),
@@ -412,24 +366,11 @@ def _cmd_sweep(cfg: dict, args) -> int:
 
 
 def _cmd_spectrum(cfg: dict, args) -> int:
-    engine = _parse_engine(cfg)
-    if engine != "oracle":
-        raise ConfigError(
-            "spectrum diagonalizes the oracle Hamiltonian; set engine='oracle'")
-    if args.seed is not None:
-        raise ConfigError("--seed does not apply to spectrum")
+    _parse_job(cfg, args, "spectrum")
     params = _parse_params(cfg)
     if params.omega0 != 0.0:
         raise ConfigError("the closed-form level structure needs omega0 = 0")
-    obj = cfg.get("oracle", {})
-    if not isinstance(obj, dict):
-        raise ConfigError("config.oracle must be an object")
-    _check_keys(obj, {"dim"}, "oracle")
-    dim = _get_int(obj, "dim", "oracle", required=False, default=None, minimum=2)
-    if args.dim is not None:
-        dim = args.dim
-    if dim is None:
-        dim = 60
+    dim = _resolve_dim(cfg, args, _SPECTRUM_DIM)
     path, fmt = _resolve_output(cfg, args, default_format="json")
 
     computed = np.sort(np.linalg.eigvalsh(oracle.build_hamiltonian(params, dim)))
@@ -483,9 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default=None, choices=("csv", "json"),
                        help="output format (overrides config)")
         p.add_argument("--seed", type=int, default=None,
-                       help="Monte Carlo seed (overrides config)")
+                       help="Monte Carlo seed, overrides monte_carlo.seed (classical run)")
         p.add_argument("--dim", type=int, default=None,
-                       help="Fock-space dimension (overrides config/rule)")
+                       help="Fock-space dimension, overrides oracle.dim and the default "
+                            "(oracle run, validate, spectrum)")
         p.set_defaults(handler=handler)
     return parser
 

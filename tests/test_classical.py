@@ -77,6 +77,11 @@ class TestDistributions:
         assert dp == pytest.approx(2.0)
         assert dq * dp == pytest.approx(1.0)  # hbar = 1
 
+    def test_labels_are_the_artifact_tags(self):
+        assert DeltaDist(0.0, 1.0).label == "deltadist"
+        assert GaussianDist(0.0, 0.0, 1.0, 1.0).label == "gaussiandist"
+        assert ClassicalThermal(2.5).label == "classical_thermal(k_T=2.5)"
+
     def test_thermal_dist_is_a_centered_gaussian(self):
         dist = classical_thermal_dist(2.0, P)
         assert isinstance(dist, GaussianDist)
@@ -174,6 +179,8 @@ class TestThermalLaw:
         direct = classical_concurrence_thermal(2.5, t, P)
         via_widths = classical_concurrence(classical_thermal_dist(2.5, P), t, P)
         np.testing.assert_allclose(direct, via_widths, atol=1e-14)
+        np.testing.assert_array_equal(classical_concurrence(ClassicalThermal(2.5), t, P),
+                                      direct)
 
     def test_half_period_reference_value(self):
         assert classical_concurrence_thermal(1.0, math.pi, P) == pytest.approx(
@@ -199,11 +206,35 @@ class TestMonteCarlo:
         a = monte_carlo_classical_concurrence(dist, 2.0, P, 5000, seed=42)
         b = monte_carlo_classical_concurrence(dist, 2.0, P, 5000, seed=42)
         assert a == b
+        assert all(type(x) is float for x in a)  # a scalar t gives two floats
+
+    @pytest.mark.parametrize("dist", [GaussianDist(0.4, -0.2, 0.9, 1.3),
+                                      ClassicalThermal(1.7)])
+    def test_time_array_equals_per_point_calls(self, dist):
+        t = np.linspace(0.0, 12.0, 25)
+        value, err = monte_carlo_classical_concurrence(dist, t, P, 3000, seed=5)
+        points = [monte_carlo_classical_concurrence(dist, float(x), P, 3000, seed=5)
+                  for x in t]
+        assert np.array_equal(value, [p[0] for p in points])
+        assert np.array_equal(err, [p[1] for p in points])
+
+    def test_thermal_ensemble_samples_its_equipartition_gaussian(self):
+        t = np.linspace(0.0, 9.0, 15)
+        direct = monte_carlo_classical_concurrence(ClassicalThermal(2.5), t, P, 2000, seed=7)
+        via_widths = monte_carlo_classical_concurrence(
+            classical_thermal_dist(2.5, P), t, P, 2000, seed=7)
+        assert np.array_equal(direct[0], via_widths[0])
+        assert np.array_equal(direct[1], via_widths[1])
 
     def test_point_distribution_is_exact(self):
         value, err = monte_carlo_classical_concurrence(
             DeltaDist(1.0, 2.0), 1.5, P, 100, seed=0)
         assert (value, err) == (1.0, 0.0)
+        value, err = monte_carlo_classical_concurrence(
+            DeltaDist(1.0, 2.0), np.linspace(0.0, 5.0, 6), P, 100, seed=0)
+        assert value.shape == err.shape == (6,)
+        np.testing.assert_array_equal(value, np.ones(6))
+        np.testing.assert_array_equal(err, np.zeros(6))
 
     def test_matches_closed_form_within_errorbars(self):
         dist = classical_thermal_dist(1.0, P)

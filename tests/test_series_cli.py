@@ -308,6 +308,20 @@ class TestCliSweep:
             beta_grid={"start": 0.0, "stop": 0.7, "n_points": 3})
         assert cli.main(["sweep-beta", "--config", cfg_path]) == 2
 
+    @pytest.mark.parametrize("params", [
+        "nonsense",
+        {"omega": -1, "bogus": 3},
+        {"omega": 1.0, "lambda": 0.1, "omega0": 0.5},  # the sweep is the omega0 = 0 law
+    ], ids=["not-an-object", "unknown-key", "nonzero-omega0"])
+    def test_params_are_checked(self, tmp_path, params):
+        out = str(tmp_path / "sweep.csv")
+        cfg_path, _ = write_config(
+            tmp_path, engine="analytic", qubit_init=None, time_grid=None,
+            params=params, beta_grid={"start": 0.0, "stop": 0.2, "n_points": 3},
+            output={"path": out, "format": "csv"})
+        assert cli.main(["sweep-beta", "--config", cfg_path]) == 2
+        assert not os.path.exists(out)
+
 
 class TestCliSpectrum:
     def test_passes_and_reports(self, tmp_path):
@@ -333,6 +347,23 @@ class TestCliSpectrum:
         assert lines[0] == "index,computed,predicted,abs_diff"
         assert len(lines) == 121
 
+    def test_default_dim_is_sixty(self, tmp_path):
+        out = str(tmp_path / "spec.json")
+        cfg_path, _ = write_config(
+            tmp_path, engine="oracle", qubit_init=None, oscillator=None,
+            time_grid=None, output={"path": out, "format": "json"})
+        assert cli.main(["spectrum", "--config", cfg_path]) == 0
+        report = json.load(open(out))
+        assert report["dim"] == 60
+        assert len(report["columns"]["computed"]) == 240
+
+    def test_unknown_oracle_key_is_a_config_error(self, tmp_path, capsys):
+        cfg_path, _ = write_config(
+            tmp_path, engine="oracle", qubit_init=None, oscillator=None,
+            time_grid=None, oracle={"dim": 40, "dimm": 50})
+        assert cli.main(["spectrum", "--config", cfg_path, "--dim", "30"]) == 2
+        assert "dimm" in json.loads(capsys.readouterr().err)["error"]
+
     def test_needs_degenerate_point(self, tmp_path):
         cfg_path, _ = write_config(
             tmp_path, engine="oracle", qubit_init=None, oscillator=None,
@@ -347,6 +378,11 @@ class TestCliErrors:
         err = json.loads(capsys.readouterr().err)
         assert "typo_key" in err["error"]
         assert err["exit_code"] == 2
+
+    @pytest.mark.parametrize("engine", ["bogus", ["oracle"], None])
+    def test_unknown_engine_is_a_config_error(self, tmp_path, engine):
+        cfg_path, _ = write_config(tmp_path, engine=engine)
+        assert cli.main(["run", "--config", cfg_path]) == 2
 
     def test_wrong_schema_version(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, version=2)
@@ -380,6 +416,47 @@ class TestCliErrors:
             tmp_path, engine="classical",
             oscillator={"kind": "delta", "q0": 1.0, "p0": 0.0})
         assert cli.main(["run", "--config", cfg_path, "--seed", "5"]) == 2
+
+    @pytest.mark.parametrize("alpha0", [[True, "2"], ["1", "2"], [None, 1]],
+                             ids=["bool-and-string", "numeric-strings", "null"])
+    def test_amplitude_pair_must_hold_numbers(self, tmp_path, capsys, alpha0):
+        cfg_path, cfg = write_config(
+            tmp_path, oscillator={"kind": "coherent", "alpha0": alpha0})
+        assert cli.main(["run", "--config", cfg_path]) == 2
+        assert "alpha0" in json.loads(capsys.readouterr().err)["error"]
+        assert not os.path.exists(cfg["output"]["path"])
+
+    def test_amplitude_pair_matches_the_complex_value(self, tmp_path):
+        outs = []
+        for name, alpha0 in (("pair", [1, -0.5]), ("scalar", 1)):
+            out = str(tmp_path / f"{name}.json")
+            cfg_path, _ = write_config(
+                tmp_path, name=f"{name}.cfg.json",
+                oscillator={"kind": "coherent", "alpha0": alpha0},
+                output={"path": out, "format": "json"})
+            assert cli.main(["run", "--config", cfg_path]) == 0
+            outs.append(json.load(open(out))["meta"]["oscillator"])
+        assert outs == ["coherent(alpha0=1-0.5j)", "coherent(alpha0=1+0j)"]
+
+    @pytest.mark.parametrize("command, overrides, flag", [
+        ("run", {}, "--seed"),
+        ("run", {"engine": "oracle"}, "--seed"),
+        ("run", {"engine": "classical", "monte_carlo": {"samples": 10},
+                 "oscillator": {"kind": "delta", "q0": 0.0, "p0": 1.0}}, "--dim"),
+        ("validate", {"engine": "validate"}, "--seed"),
+        ("sweep-beta", {}, "--dim"),
+        ("sweep-beta", {}, "--seed"),
+        ("spectrum", {"engine": "oracle"}, "--seed"),
+    ])
+    def test_overrides_apply_only_to_their_jobs(self, tmp_path, command, overrides, flag):
+        fmt = "json" if command in ("validate", "spectrum") else "csv"
+        cfg_path, cfg = write_config(
+            tmp_path, beta_grid={"start": 0.0, "stop": 0.2, "n_points": 3},
+            output={"path": str(tmp_path / f"out.{fmt}"), "format": fmt}, **overrides)
+        assert cli.main([command, "--config", cfg_path]) == 0
+        os.remove(cfg["output"]["path"])
+        assert cli.main([command, "--config", cfg_path, flag, "30"]) == 2
+        assert not os.path.exists(cfg["output"]["path"])
 
     def test_dim_override_on_analytic_engine(self, tmp_path):
         cfg_path, _ = write_config(tmp_path)
