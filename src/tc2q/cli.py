@@ -8,9 +8,9 @@ Four subcommands, all driven by a JSON config (schema version 1):
 * ``spectrum``   oracle eigenvalues against the closed-form levels
 
 Exit codes: 0 success, 2 configuration error, 3 numerical or validation
-failure.  Unknown config keys are rejected rather than ignored, and every
-JSON artifact echoes the config it was produced from, so a result file is
-enough to re-run the job bit-identically.
+failure.  Unknown config keys, and sections the job does not read, are
+rejected rather than ignored, and every JSON artifact echoes the config it
+was produced from, so a result file is enough to re-run the job bit-identically.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -28,10 +29,6 @@ from .model import BELL_KINDS, Coherent, Fock, ModelParams, Thermal, clamp_unit
 from .series import BetaSweep, ConcurrenceSeries, write_csv, write_report, write_table
 
 _SPECTRUM_DIM = 60
-
-_TOP_KEYS = {"version", "engine", "qubit_init", "params", "oscillator",
-             "oscillators", "time_grid", "beta_grid", "oracle", "monte_carlo",
-             "validate", "output"}
 
 
 class ConfigError(Exception):
@@ -90,17 +87,18 @@ _KINDS = {
     "classical_thermal": ("classical", classical.ClassicalThermal, {"k_T": _get_number}),
 }
 
-# Every job, as (command, config.engine), with the command-line overrides it
-# reads (--seed only with a monte_carlo section); any other pair or override
-# is a config error.
+# Every job, as (command, config.engine): the command-line overrides it reads
+# (--seed only with a monte_carlo section) and its config sections besides
+# version, engine and output; any other pair, override or section is an error.
+_SCENARIO = ("qubit_init", "params", "oscillator", "time_grid")
 _JOBS = {
-    ("run", "analytic"): (),
-    ("run", "oracle"): ("dim",),
-    ("run", "classical"): ("seed",),
-    ("run", "validate"): ("dim",),
-    ("validate", "validate"): ("dim",),
-    ("sweep-beta", "analytic"): (),
-    ("spectrum", "oracle"): ("dim",),
+    ("run", "analytic"): ((), _SCENARIO),
+    ("run", "oracle"): (("dim",), (*_SCENARIO, "oracle")),
+    ("run", "classical"): (("seed",), (*_SCENARIO, "monte_carlo")),
+    ("run", "validate"): (("dim",), (*_SCENARIO, "oracle", "validate")),
+    ("validate", "validate"): (("dim",), (*_SCENARIO, "oracle", "validate")),
+    ("sweep-beta", "analytic"): ((), ("params", "oscillator", "oscillators", "beta_grid")),
+    ("spectrum", "oracle"): (("dim",), ("params", "oracle")),
 }
 
 
@@ -114,7 +112,6 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(cfg, _TOP_KEYS, "config")
     version = cfg.get("version")
     if version != 1:
         raise ConfigError(f"config version must be 1, got {version!r}")
@@ -183,14 +180,16 @@ def _parse_qubit_init(cfg: dict, engine: str) -> str:
 
 
 def _parse_job(cfg: dict, args, command: str) -> str:
-    """config.engine, checked together with --dim/--seed against ``_JOBS``."""
+    """config.engine, checked with --dim/--seed and the sections against ``_JOBS``."""
     engine = cfg.get("engine")
     if not isinstance(engine, str) or (command, engine) not in _JOBS:
         engines = tuple(name for job, name in _JOBS if job == command)
         raise ConfigError(f"{command} needs config.engine in {engines}, got {engine!r}")
+    flags, sections = _JOBS[command, engine]
     for flag in ("dim", "seed"):
-        if getattr(args, flag) is not None and flag not in _JOBS[command, engine]:
+        if getattr(args, flag) is not None and flag not in flags:
             raise ConfigError(f"--{flag} does not apply to {command} with engine={engine}")
+    _check_keys(cfg, {"version", "engine", "output", *sections}, f"config of {command}")
     return engine
 
 
@@ -204,13 +203,17 @@ def _resolve_dim(cfg: dict, args, default: int) -> int:
 
 
 def _resolve_output(cfg: dict, args, default_format: str = "csv"):
+    """Output path and format: --format, else output.format, else the path's
+    .csv or .json suffix, else ``default_format``."""
     obj = _section(cfg, "output", {"path", "format"})
     path = args.out or obj.get("path")
-    fmt = args.format or obj.get("format") or default_format
     if path is None:
         raise ConfigError("no output path: set config.output.path or pass --out")
     if not isinstance(path, str):
         raise ConfigError(f"output.path must be a string, got {path!r}")
+    suffix = os.path.splitext(path)[1].lower()
+    fmt = (args.format or obj.get("format")
+           or {".csv": "csv", ".json": "json"}.get(suffix, default_format))
     if fmt not in ("csv", "json"):
         raise ConfigError(f"output format must be 'csv' or 'json', got {fmt!r}")
     return path, fmt
@@ -309,12 +312,20 @@ def _cmd_validate(cfg: dict, args) -> int:
                                                      params, dim=dim)
     diff = np.abs(analytic_series.concurrence - oracle_series.concurrence)
     max_diff = float(diff.max())
-    passed = bool(max_diff <= tolerance)
+    # I = u + iv carries the phase that C = |I| cannot show; the stationary
+    # Bell kinds have no I column
+    coherence_diff = None
+    if analytic_series.u is not None:
+        coherence_diff = float(np.hypot(analytic_series.u - oracle_series.u,
+                                        analytic_series.v - oracle_series.v).max())
+    passed = bool(max_diff <= tolerance
+                  and (coherence_diff is None or coherence_diff <= tolerance))
     report = {
         "artifact_version": __version__,
         "engine": "validate",
         "tolerance": tolerance,
         "max_abs_diff": max_diff,
+        "max_abs_diff_coherence": coherence_diff,
         "passed": passed,
         "n_points": int(times.size),
         "dim": dim,
@@ -329,8 +340,8 @@ def _cmd_validate(cfg: dict, args) -> int:
     }
     write_report(path, report)
     status = "PASS" if passed else "FAIL"
-    print(f"max |C_analytic - C_oracle| = {max_diff:.6g} vs tolerance "
-          f"{tolerance:g}: {status} ({path})")
+    print(f"max |C_analytic - C_oracle| = {max_diff:.6g}, max |I_analytic - I_oracle| "
+          f"= {coherence_diff} vs tolerance {tolerance:g}: {status} ({path})")
     return 0 if passed else 3
 
 
@@ -345,6 +356,8 @@ def _cmd_sweep(cfg: dict, args) -> int:
         raise ConfigError(f"beta_grid must lie within [0, 0.5], "
                           f"got [{betas[0]}, {betas[-1]}]")
     raw_specs = cfg.get("oscillators")
+    if raw_specs is not None and "oscillator" in cfg:
+        raise ConfigError("give config.oscillator or config.oscillators, not both")
     if raw_specs is None:
         raw_specs = [cfg.get("oscillator")]
     if not isinstance(raw_specs, list) or not raw_specs:
@@ -447,3 +460,7 @@ def main(argv=None) -> int:
     except (oracle.TruncationError, MemoryError, OverflowError, ValueError) as exc:
         print(json.dumps({"error": str(exc), "exit_code": 3}), file=sys.stderr)
         return 3
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,7 +14,6 @@ with q running over the eg ordering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -129,7 +128,7 @@ def displaced_number_state(n_index: int, m: int, params: ModelParams,
 
 
 class SpectralPropagator:
-    """Diagonalize a Hermitian H once, then evolve states or densities to any t."""
+    """Diagonalize a Hermitian H once, then evolve pure states to any t."""
 
     def __init__(self, hamiltonian: np.ndarray) -> None:
         h = np.asarray(hamiltonian, dtype=complex)
@@ -139,22 +138,9 @@ class SpectralPropagator:
             raise ValueError("hamiltonian is not Hermitian within 1e-10")
         self.energies, self.modes = np.linalg.eigh(h)
 
-    def state(self, psi0: np.ndarray, t: float) -> np.ndarray:
-        """Evolve one state vector (or a column block of them)."""
-        coeff = self.modes.conj().T @ psi0
-        phase = np.exp(-1j * self.energies * t)
-        return self.modes @ (phase[:, None] * coeff if coeff.ndim == 2 else phase * coeff)
-
-    def density(self, rho0: np.ndarray, t: float) -> np.ndarray:
-        """Unitary conjugation exp(-iHt) rho0 exp(+iHt)."""
-        rho_e = self.modes.conj().T @ np.asarray(rho0, dtype=complex) @ self.modes
-        phase = np.exp(-1j * self.energies * t)
-        return self.modes @ (np.outer(phase, phase.conj()) * rho_e) @ self.modes.conj().T
-
-
-def evolve_density(rho0: np.ndarray, t: float, hamiltonian: np.ndarray) -> np.ndarray:
-    """One-shot exp(-iHt) rho0 exp(+iHt); build a SpectralPropagator for grids."""
-    return SpectralPropagator(hamiltonian).density(rho0, t)
+    def evolve(self, coeff: np.ndarray, t: float) -> np.ndarray:
+        """States at time t from their eigenbasis coefficients, one column each."""
+        return self.modes @ (np.exp(-1j * self.energies * t)[:, None] * coeff)
 
 
 def partial_trace_oscillator(rho: np.ndarray, dim: int) -> np.ndarray:
@@ -164,34 +150,6 @@ def partial_trace_oscillator(rho: np.ndarray, dim: int) -> np.ndarray:
     if rho.shape != (4 * dim, 4 * dim):
         raise ValueError(f"expected shape {(4 * dim, 4 * dim)}, got {rho.shape}")
     return np.trace(rho.reshape(4, dim, 4, dim), axis1=1, axis2=3)
-
-
-@dataclass(frozen=True)
-class CompositeState:
-    """Validated qubit (x) oscillator density matrix with qubit-major indexing."""
-
-    rho: np.ndarray
-    dim: int
-    qubit_basis: str = "eg"
-
-    def __post_init__(self) -> None:
-        dim = _check_dim(self.dim)
-        m = np.array(self.rho, dtype=complex)
-        if m.shape != (4 * dim, 4 * dim):
-            raise ValueError(f"expected shape {(4 * dim, 4 * dim)}, got {m.shape}")
-        if np.abs(m - m.conj().T).max() > _COMPOSITE_TOL:
-            raise ValueError("composite density is not Hermitian within 1e-9")
-        if abs(np.trace(m) - 1.0) > _COMPOSITE_TOL:
-            raise ValueError(f"composite density trace {np.trace(m)} is not 1 within 1e-9")
-        if np.linalg.eigvalsh((m + m.conj().T) / 2.0).min() < -_COMPOSITE_TOL:
-            raise ValueError("composite density has an eigenvalue below -1e-9")
-        m.flags.writeable = False
-        object.__setattr__(self, "rho", m)
-
-    def leakage(self) -> float:
-        """Total population in the top two Fock levels."""
-        pops = np.diag(self.rho).real.reshape(4, self.dim)
-        return float(pops[:, -2:].sum())
 
 
 def wootters_concurrence(rho) -> float:
@@ -218,28 +176,19 @@ def wootters_concurrence(rho) -> float:
     return clamp_unit(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def oscillator_initial_state(spec: OscillatorSpec, dim: int) -> np.ndarray:
-    """Initial oscillator density matrix, truncated with tail population < 1e-12."""
-    weights, columns = spec.fock_columns(_check_dim(dim))
-    return (columns * weights) @ columns.conj().T
-
-
-def composite_initial_state(qubit_init: str, spec: OscillatorSpec,
-                            dim: int) -> CompositeState:
-    """Bell state (x) oscillator preparation as a validated composite density."""
-    v = bell_vector(qubit_init)
-    return CompositeState(np.kron(np.outer(v, v.conj()),
-                                  oscillator_initial_state(spec, dim)), dim)
-
-
-def _initial_coefficients(prop: SpectralPropagator, qubit_init: str,
-                          spec: OscillatorSpec, dim: int):
-    """Weights and eigenbasis coefficients of the pure columns of bell (x) F.
+def _initial_columns(qubit_init: str, spec: OscillatorSpec, params: ModelParams,
+                     dim: int | None):
+    """dim (by default :func:`choose_dim`), the propagator, and the weights
+    and eigenbasis coefficients of the pure columns of bell (x) F.
 
     The t = 0 state is checked on its factors: the Bell vector is a fixed
     unit vector, so the oscillator weights must be >= 0 and sum to 1 and
     its Fock columns must be orthonormal.
     """
+    if dim is None:
+        dim = choose_dim(spec, params)
+    dim = _check_dim(dim)
+    prop = SpectralPropagator(build_hamiltonian(params, dim))
     weights, columns = spec.fock_columns(dim)
     if weights.min() < 0.0 or abs(weights.sum() - 1.0) > _COMPOSITE_TOL:
         raise ValueError(f"oscillator weights must be >= 0 and sum to 1 within "
@@ -249,14 +198,13 @@ def _initial_coefficients(prop: SpectralPropagator, qubit_init: str,
     if np.abs(gram - np.eye(weights.size)).max() > _COMPOSITE_TOL:
         raise ValueError("oscillator columns are not orthonormal within 1e-9")
     block = np.kron(bell_vector(qubit_init)[:, None], columns)
-    return weights, prop.modes.conj().T @ block
+    return dim, prop, weights, prop.modes.conj().T @ block
 
 
 def _reduced_at(prop: SpectralPropagator, coeff: np.ndarray, weights: np.ndarray,
                 dim: int, t: float):
     """Pure columns at time t, shaped (4, dim, k), and their reduced qubit state."""
-    psi_t = prop.modes @ (np.exp(-1j * prop.energies * t)[:, None] * coeff)
-    psi_t = psi_t.reshape(4, dim, -1)
+    psi_t = prop.evolve(coeff, t).reshape(4, dim, -1)
     rho_q = np.einsum("ank,bnk,k->ab", psi_t, psi_t.conj(), weights)
     return psi_t, (rho_q + rho_q.conj().T) / 2.0
 
@@ -271,10 +219,7 @@ def _coherence_from_reduced(rho_eg: np.ndarray, qubit_init: str) -> complex:
 def oracle_reduced_density(qubit_init: str, spec: OscillatorSpec, t: float,
                            params: ModelParams, dim: int | None = None) -> QubitDensity:
     """Reduced qubit state at a single time, straight through the full model."""
-    if dim is None:
-        dim = choose_dim(spec, params)
-    prop = SpectralPropagator(build_hamiltonian(params, _check_dim(dim)))
-    weights, coeff = _initial_coefficients(prop, qubit_init, spec, dim)
+    dim, prop, weights, coeff = _initial_columns(qubit_init, spec, params, dim)
     return QubitDensity(_reduced_at(prop, coeff, weights, dim, float(t))[1], "eg")
 
 
@@ -294,12 +239,7 @@ def oracle_concurrence_series(qubit_init: str, spec: OscillatorSpec,
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("times must be a non-empty 1-d array")
-    if dim is None:
-        dim = choose_dim(spec, params)
-    dim = _check_dim(dim)
-
-    prop = SpectralPropagator(build_hamiltonian(params, dim))
-    weights, coeff = _initial_coefficients(prop, qubit_init, spec, dim)
+    dim, prop, weights, coeff = _initial_columns(qubit_init, spec, params, dim)
 
     with_uv = qubit_init in ("psi_plus", "phi_plus")
     conc = np.empty(times.size)

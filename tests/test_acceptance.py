@@ -26,12 +26,11 @@ from tc2q.classical import (
     minimum_uncertainty_widths,
     monte_carlo_classical_concurrence,
 )
-from tc2q.model import Coherent, Fock, ModelParams, Thermal
+from tc2q.model import Coherent, Fock, ModelParams, Thermal, bell_vector
 from tc2q.oracle import (
     SpectralPropagator,
     build_hamiltonian,
     choose_dim,
-    composite_initial_state,
     oracle_concurrence_series,
     oracle_reduced_density,
 )
@@ -287,12 +286,16 @@ def test_criterion_11_property_suite(capsys):
         density_ok &= bool(abs(np.trace(rho.matrix).real - 1.0) <= 1e-10
                            and eig.min() >= -1e-10)
 
+        # energy sum_k w_k <psi_k(t)|H|psi_k(t)> over the weighted pure columns
         h = build_hamiltonian(params, dim)
-        state = composite_initial_state("psi_plus", spec, dim)
-        e0 = float(np.trace(h @ state.rho).real)
+        weights, columns = spec.fock_columns(dim)
+        psi0 = np.kron(bell_vector("psi_plus")[:, None], columns)
+        e0 = float(np.einsum("ik,ik,k->", psi0.conj(), h @ psi0, weights).real)
         prop = SpectralPropagator(h)
+        coeff = prop.modes.conj().T @ psi0
         for ti in t[:4]:
-            e_t = float(np.trace(h @ prop.density(state.rho, float(ti))).real)
+            psi = prop.evolve(coeff, float(ti))
+            e_t = float(np.einsum("ik,ik,k->", psi.conj(), h @ psi, weights).real)
             energy_ok &= bool(abs(e_t - e0) <= 1e-10 * max(1.0, abs(e0)))
 
         if draw < 3:

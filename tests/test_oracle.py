@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from tc2q.analytic import coherence_integral
 from tc2q.model import (
@@ -23,17 +24,13 @@ from tc2q.model import (
 )
 from tc2q.oracle import (
     LEAK_ERROR,
-    CompositeState,
     SpectralPropagator,
     TruncationError,
     build_hamiltonian,
     choose_dim,
-    composite_initial_state,
     displaced_number_state,
-    evolve_density,
     oracle_concurrence_series,
     oracle_reduced_density,
-    oscillator_initial_state,
     partial_trace_oscillator,
     predicted_spectrum,
     wootters_concurrence,
@@ -41,6 +38,12 @@ from tc2q.oracle import (
 
 P = ModelParams(omega=1.0, lambda_=0.1)
 EXP_M008 = 0.9231163463866358   # exp(-0.08)
+
+
+def oscillator_density(spec, dim):
+    """The truncated oscillator density matrix sum_k w_k |c_k><c_k|."""
+    w, c = spec.fock_columns(dim)
+    return (c * w) @ c.conj().T
 
 
 class TestHamiltonian:
@@ -112,31 +115,12 @@ class TestPropagation:
         psi0 = rng.normal(size=80) + 1j * rng.normal(size=80)
         psi0 /= np.linalg.norm(psi0)
         e0 = np.vdot(psi0, h @ psi0).real
+        coeff = prop.modes.conj().T @ psi0[:, None]
         for t in (0.3, 2.0, 17.0):
-            psi = prop.state(psi0, t)
+            psi = prop.evolve(coeff, t)[:, 0]
             assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
             e_t = np.vdot(psi, h @ psi).real
             assert e_t == pytest.approx(e0, rel=1e-10)
-
-    def test_density_route_matches_state_route(self):
-        h = build_hamiltonian(P, 10)
-        prop = SpectralPropagator(h)
-        rng = np.random.default_rng(6)
-        psi0 = rng.normal(size=40) + 1j * rng.normal(size=40)
-        psi0 /= np.linalg.norm(psi0)
-        rho0 = np.outer(psi0, psi0.conj())
-        t = 1.9
-        psi = prop.state(psi0, t)
-        np.testing.assert_allclose(prop.density(rho0, t),
-                                   np.outer(psi, psi.conj()), atol=1e-12)
-
-    def test_one_shot_wrapper_agrees(self):
-        h = build_hamiltonian(P, 8)
-        rho0 = np.zeros((32, 32), dtype=complex)
-        rho0[5, 5] = 1.0
-        np.testing.assert_allclose(evolve_density(rho0, 0.8, h),
-                                   SpectralPropagator(h).density(rho0, 0.8),
-                                   atol=1e-13)
 
 
 class TestPartialTrace:
@@ -197,7 +181,7 @@ class TestWootters:
 
 class TestInitialStates:
     def test_thermal_occupation_is_geometric(self):
-        rho = oscillator_initial_state(Thermal(1.0), 40)
+        rho = oscillator_density(Thermal(1.0), 40)
         pops = np.diag(rho).real
         assert pops[0] == pytest.approx(0.5, abs=1e-10)
         ratios = pops[1:6] / pops[:5]
@@ -205,32 +189,32 @@ class TestInitialStates:
         assert pops.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_coherent_populations_are_poissonian(self):
-        rho = oscillator_initial_state(Coherent(1.0), 30)
+        rho = oscillator_density(Coherent(1.0), 30)
         pops = np.diag(rho).real
         assert pops[0] == pytest.approx(math.exp(-1.0), abs=1e-10)
         assert pops[2] == pytest.approx(math.exp(-1.0) / 2.0, abs=1e-10)
 
     def test_number_state_is_a_single_level(self):
-        rho = oscillator_initial_state(Fock(3), 10)
+        rho = oscillator_density(Fock(3), 10)
         expected = np.zeros((10, 10))
         expected[3, 3] = 1.0
         np.testing.assert_allclose(rho, expected, atol=0)
 
     def test_explicit_matrix_is_embedded(self):
         inner = np.diag([0.25, 0.75]).astype(complex)
-        rho = oscillator_initial_state(ExplicitDensity(inner), 8)
+        rho = oscillator_density(ExplicitDensity(inner), 8)
         np.testing.assert_allclose(rho[:2, :2], inner, atol=0)
         assert np.abs(rho[2:, :]).max() == 0.0
 
     def test_oversized_preparations_raise(self):
         with pytest.raises(TruncationError):
-            oscillator_initial_state(Coherent(4.0), 10)
+            oscillator_density(Coherent(4.0), 10)
         with pytest.raises(TruncationError):
-            oscillator_initial_state(Thermal(5.0), 10)
+            oscillator_density(Thermal(5.0), 10)
         with pytest.raises(TruncationError):
-            oscillator_initial_state(Fock(12), 10)
+            oscillator_density(Fock(12), 10)
         with pytest.raises(TruncationError):
-            oscillator_initial_state(ExplicitDensity(np.eye(12) / 12.0), 10)
+            oscillator_density(ExplicitDensity(np.eye(12) / 12.0), 10)
 
     def test_invalid_decomposition_is_rejected_before_propagation(self):
         class Decomposed:
@@ -253,13 +237,6 @@ class TestInitialStates:
                                                     axis=1))):
             with pytest.raises(ValueError):
                 oracle_concurrence_series("psi_plus", bad, t, P, dim=20)
-
-    def test_composite_is_a_valid_state(self):
-        state = composite_initial_state("psi_plus", Thermal(0.5), 61)
-        assert isinstance(state, CompositeState)
-        assert state.rho.shape == (244, 244)
-        assert np.trace(state.rho).real == pytest.approx(1.0, abs=1e-9)
-        assert state.leakage() < 1e-12
 
 
 class TestTruncationRule:
@@ -312,15 +289,15 @@ class TestConcurrenceSeries:
         np.testing.assert_allclose(series.u + 1j * series.v, i_t, atol=1e-8)
 
     def test_agrees_with_full_density_conjugation(self):
-        # cross-route: the batched pure-state path against one-shot
-        # evolution of the complete composite density matrix
+        # cross-route: the batched pure-state path against expm(-iHt)
+        # conjugation of the complete composite density, sharing no eigh
         spec, t = Thermal(0.5), 2.6
         dim = choose_dim(spec, P)
         series = oracle_concurrence_series("psi_plus", spec, np.array([t]), P)
-        state0 = composite_initial_state("psi_plus", spec, dim)
-        h = build_hamiltonian(P, dim)
-        rho_t = evolve_density(state0.rho, t, h)
-        rho_q = partial_trace_oscillator(rho_t, dim)
+        v = bell_vector("psi_plus")
+        rho0 = np.kron(np.outer(v, v.conj()), oscillator_density(spec, dim))
+        u = expm(-1j * build_hamiltonian(P, dim) * t)
+        rho_q = partial_trace_oscillator(u @ rho0 @ u.conj().T, dim)
         assert series.concurrence[0] == pytest.approx(
             wootters_concurrence(rho_q), abs=1e-11)
 

@@ -3,11 +3,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from tc2q import cli, oracle
+import tc2q
+from tc2q import analytic, cli, oracle
 from tc2q.analytic import coherence_integral
 from tc2q.model import Fock, ModelParams, Thermal
 from tc2q.series import (
@@ -224,6 +227,25 @@ class TestCliRun:
         assert a[0] == "t,omega_t,C,std_error"
         assert a[1:] == b[1:]  # same samples, therefore identical numbers
 
+    def test_format_follows_the_path_suffix(self, tmp_path):
+        out = str(tmp_path / "out.json")
+        cfg_path, _ = write_config(tmp_path, output={"path": out})
+        assert cli.main(["run", "--config", cfg_path]) == 0
+        assert read_series(out).t.size == 20
+        assert cli.main(["run", "--config", cfg_path, "--format", "csv"]) == 0
+        assert open(out).readline().startswith("t,omega_t,C")
+
+    def test_module_entry_point(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            os.path.dirname(os.path.dirname(tc2q.__file__)), os.environ.get("PYTHONPATH")])))
+        good, cfg = write_config(tmp_path)
+        bad, _ = write_config(tmp_path, name="bad.json", engine="bogus")
+        codes = [subprocess.run([sys.executable, "-m", "tc2q.cli", "run", "--config", path],
+                                capture_output=True, env=env, timeout=120).returncode
+                 for path in (good, bad)]
+        assert codes == [0, 2]
+        assert read_series(cfg["output"]["path"]).t.size == 20
+
 
 class TestCliValidate:
     def test_passes_at_default_tolerance(self, tmp_path):
@@ -237,6 +259,7 @@ class TestCliValidate:
         report = json.load(open(out))
         assert report["passed"] is True
         assert report["max_abs_diff"] <= 1e-6
+        assert report["max_abs_diff_coherence"] <= 1e-6
         assert len(report["columns"]["abs_diff"]) == 25
 
     def test_unattainable_tolerance_exits_three(self, tmp_path):
@@ -261,6 +284,28 @@ class TestCliValidate:
         cfg_path, _ = write_config(tmp_path, engine="validate")
         assert cli.main(["validate", "--config", cfg_path,
                          "--format", "csv"]) == 2
+        out = str(tmp_path / "v.csv")  # a .csv suffix asks for CSV too
+        cfg_path, _ = write_config(tmp_path, engine="validate", output={"path": out})
+        assert cli.main(["validate", "--config", cfg_path]) == 2
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("qubit_init, code", [
+        ("psi_plus", 3), ("phi_plus", 3), ("psi_minus", 0)])
+    def test_conjugated_coherence_fails(self, tmp_path, monkeypatch, qubit_init, code):
+        # |I| is unchanged, so only the comparison of I = u + iv can see it;
+        # the stationary kinds have no I to compare
+        exact = analytic.coherence_integral
+        monkeypatch.setattr(analytic, "coherence_integral",
+                            lambda *args: np.conj(exact(*args)))
+        out = str(tmp_path / "report.json")
+        cfg_path, _ = write_config(
+            tmp_path, engine="validate", qubit_init=qubit_init, output={"path": out},
+            oscillator={"kind": "coherent", "alpha0": [1.2, -0.7]})
+        assert cli.main(["validate", "--config", cfg_path]) == code
+        report = json.load(open(out))
+        assert report["max_abs_diff"] <= 1e-6
+        diff = report["max_abs_diff_coherence"]
+        assert diff > 1e-6 if code else diff is None
 
 
 class TestCliSweep:
@@ -285,7 +330,7 @@ class TestCliSweep:
 
     def test_single_oscillator_key_is_accepted(self, tmp_path):
         out = str(tmp_path / "sweep.csv")
-        cfg_path, _ = write_config(
+        cfg_path, cfg = write_config(
             tmp_path, engine="analytic", qubit_init=None, params=None,
             time_grid=None,
             oscillator={"kind": "coherent", "alpha0": 0.0},
@@ -293,6 +338,9 @@ class TestCliSweep:
             output={"path": out, "format": "csv"})
         assert cli.main(["sweep-beta", "--config", cfg_path]) == 0
         assert len(open(out).read().strip().splitlines()) == 7
+        with open(cfg_path, "w") as handle:  # but not both forms at once
+            json.dump({**cfg, "oscillators": [{"kind": "fock", "n": 1}]}, handle)
+        assert cli.main(["sweep-beta", "--config", cfg_path]) == 2
 
     def test_requires_analytic_engine(self, tmp_path):
         cfg_path, _ = write_config(
@@ -438,25 +486,38 @@ class TestCliErrors:
             outs.append(json.load(open(out))["meta"]["oscillator"])
         assert outs == ["coherent(alpha0=1-0.5j)", "coherent(alpha0=1+0j)"]
 
+    SWEEP = {"qubit_init": None, "time_grid": None,
+             "beta_grid": {"start": 0.0, "stop": 0.2, "n_points": 3}}
+
     @pytest.mark.parametrize("command, overrides, flag", [
         ("run", {}, "--seed"),
         ("run", {"engine": "oracle"}, "--seed"),
         ("run", {"engine": "classical", "monte_carlo": {"samples": 10},
                  "oscillator": {"kind": "delta", "q0": 0.0, "p0": 1.0}}, "--dim"),
         ("validate", {"engine": "validate"}, "--seed"),
-        ("sweep-beta", {}, "--dim"),
-        ("sweep-beta", {}, "--seed"),
-        ("spectrum", {"engine": "oracle"}, "--seed"),
+        ("sweep-beta", SWEEP, "--dim"),
+        ("sweep-beta", SWEEP, "--seed"),
+        ("spectrum", {"engine": "oracle", "qubit_init": None, "oscillator": None,
+                      "time_grid": None}, "--seed"),
     ])
     def test_overrides_apply_only_to_their_jobs(self, tmp_path, command, overrides, flag):
         fmt = "json" if command in ("validate", "spectrum") else "csv"
         cfg_path, cfg = write_config(
-            tmp_path, beta_grid={"start": 0.0, "stop": 0.2, "n_points": 3},
-            output={"path": str(tmp_path / f"out.{fmt}"), "format": fmt}, **overrides)
+            tmp_path, output={"path": str(tmp_path / f"out.{fmt}"), "format": fmt},
+            **overrides)
         assert cli.main([command, "--config", cfg_path]) == 0
         os.remove(cfg["output"]["path"])
         assert cli.main([command, "--config", cfg_path, flag, "30"]) == 2
         assert not os.path.exists(cfg["output"]["path"])
+
+    def test_sections_the_job_never_reads_are_config_errors(self, tmp_path, capsys):
+        sections = {"monte_carlo": {"samples": 10}, "oracle": {"dim": 40},
+                    "validate": {"tolerance": 1e-6},
+                    "beta_grid": {"start": 0.0, "stop": 0.2, "n_points": 3}}
+        cfg_path, _ = write_config(tmp_path, **sections)
+        assert cli.main(["run", "--config", cfg_path]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert all(f"'{name}'" in error for name in sections)
 
     def test_dim_override_on_analytic_engine(self, tmp_path):
         cfg_path, _ = write_config(tmp_path)
