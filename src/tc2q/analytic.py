@@ -123,7 +123,7 @@ def reduced_qubit_density_psi_plus(spec: OscillatorSpec, t: float,
         [-1j * v, mid, mid, -1j * v],
         [top, 1j * v, 1j * v, top],
     ]) / 4.0
-    return QubitDensity(m, "eg")
+    return QubitDensity(m)
 
 
 def fourier_arguments(t, params: ModelParams):

@@ -189,12 +189,6 @@ def classical_concurrence(dist: PhaseSpaceDist, t, params: ModelParams,
     return dist.concurrence(t, params, hbar)
 
 
-def classical_concurrence_thermal(k_T: float, t, params: ModelParams,
-                                  hbar: float = DEFAULT_HBAR):
-    """The closed form of ``ClassicalThermal(k_T)``."""
-    return ClassicalThermal(k_T).concurrence(t, params, hbar)
-
-
 def monte_carlo_classical_concurrence(dist: PhaseSpaceDist, t, params: ModelParams,
                                       n_samples: int, seed: int,
                                       hbar: float = DEFAULT_HBAR) -> tuple:

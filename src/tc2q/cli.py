@@ -158,6 +158,15 @@ def _parse_preparation(obj, context: str, family: str):
         raise ConfigError(f"invalid {context}: {exc}") from exc
 
 
+def _check_fits(nbytes: int, what: str) -> None:
+    """Reject, before allocating, a job whose arrays alone would exceed the
+    physical memory."""
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > physical:
+        raise ConfigError(f"{what} needs {nbytes:.3g} bytes of arrays, more than the "
+                          f"{physical:.3g} bytes of physical memory")
+
+
 def _parse_grid(cfg: dict, name: str, start: str, stop: str) -> np.ndarray:
     """np.linspace over the ``name`` section {start, stop, n_points}."""
     obj = _section(cfg, name, {start, stop, "n_points"}, required=True)
@@ -166,6 +175,8 @@ def _parse_grid(cfg: dict, name: str, start: str, stop: str) -> np.ndarray:
     n_points = _get_int(obj, "n_points", name, minimum=2)
     if not last > first:
         raise ConfigError(f"{name}.{stop} ({last}) must exceed {start} ({first})")
+    # per point: one 4x4 complex reduced state and up to seven float columns
+    _check_fits((16 * 4 * 4 + 8 * 7) * n_points, f"{name}.n_points = {n_points}")
     return np.linspace(first, last, n_points)
 
 
@@ -199,7 +210,11 @@ def _resolve_dim(cfg: dict, args, default: int) -> int:
     dim = _get_int(obj, "dim", "oracle", required=False, minimum=2)
     if args.dim is not None:
         dim = args.dim
-    return default if dim is None else dim
+    dim = default if dim is None else dim
+    # about four dense (4 dim)^2 complex matrices at once: the Hamiltonian,
+    # its eigenvectors and eigh's workspace
+    _check_fits(4 * 16 * (4 * dim) ** 2, f"dim = {dim}")
+    return dim
 
 
 def _resolve_output(cfg: dict, args, default_format: str = "csv"):

@@ -1,4 +1,4 @@
-"""Parameters, bases and state containers for two qubits coupled to one cavity mode.
+"""Parameters and state containers for two qubits coupled to one cavity mode.
 
 The model is a pair of two-level systems coupled to a single harmonic
 oscillator through sigma_x, without the rotating-wave approximation:
@@ -13,17 +13,10 @@ Conventions
 -----------
 * sigma_z |e> = +|e>, sigma_z |g> = -|g>.
 * |+-> = (|e> +- |g>) / sqrt(2), so sigma_x |+-> = +-|+->.
-* Three orderings are used for 4x4 two-qubit matrices, and every matrix
-  handed across module boundaries carries a basis tag:
-
-  - ``"eg"``: product basis |e,e>, |e,g>, |g,e>, |g,g>
-  - ``"xx"``: product basis |+,+>, |+,->, |-,+>, |-,->
-  - ``"jm"``: eigenbasis of sx1 + sx2 with eigenvalue 2m, ordered
-    |1,1>, |1,0>, |0,0>, |1,-1>
-
-Mixing these orderings silently is the dominant failure mode of the whole
-package, which is why plain arrays are wrapped in :class:`QubitDensity`
-as soon as they leave a computation.
+* Every 4x4 two-qubit matrix and 4-vector is in one ordering, the product
+  basis |e,e>, |e,g>, |g,e>, |g,g>.  :data:`JM_FROM_EG` maps its components
+  onto the eigenbasis of sx1 + sx2 with eigenvalue 2m, ordered
+  |1,1>, |1,0>, |0,0>, |1,-1>.
 """
 
 from __future__ import annotations
@@ -35,7 +28,6 @@ from typing import Union
 import numpy as np
 from scipy.special import gammaln
 
-BASES = ("eg", "xx", "jm")
 BELL_KINDS = ("psi_plus", "psi_minus", "phi_plus", "phi_minus")
 
 HERMITICITY_TOL = 1e-12
@@ -111,7 +103,7 @@ def clamp_unit(value, slack: float = CLAMP_SLACK, label: str = "concurrence"):
     return float(out) if np.isscalar(value) or arr.ndim == 0 else out
 
 
-# --- basis bookkeeping -----------------------------------------------------
+# --- the collective basis --------------------------------------------------
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 _S = 1.0 / math.sqrt(2.0)
@@ -124,32 +116,19 @@ _JM_FROM_XX = np.array([
     [0.0, 0.0, 0.0, 1.0],
 ])
 
-# component maps onto the xx ordering; both are symmetric orthogonal, hence
-# involutive, which keeps round trips exact
-_TO_XX = {
-    "xx": np.eye(4),
-    "eg": np.kron(_HADAMARD, _HADAMARD),
-    "jm": _JM_FROM_XX,
-}
-
-
-def basis_transform(source: str, target: str) -> np.ndarray:
-    """Real orthogonal matrix taking state components from one basis to another."""
-    if source not in BASES or target not in BASES:
-        raise ValueError(f"basis must be one of {BASES}, got {source!r} -> {target!r}")
-    return _TO_XX[target].T @ _TO_XX[source]
+#: real orthogonal map from eg components to jm components; built as a
+#: product (per qubit, eg -> +- is the Hadamard) rather than typed out, since
+#: its round-off entries reach the last bits of I(t)
+JM_FROM_EG = _JM_FROM_XX @ np.kron(_HADAMARD, _HADAMARD)
 
 
 @dataclass(frozen=True)
 class QubitDensity:
-    """A validated two-qubit density matrix with an explicit basis tag."""
+    """A validated two-qubit density matrix in the eg ordering."""
 
     matrix: np.ndarray
-    basis: str = "eg"
 
     def __post_init__(self) -> None:
-        if self.basis not in BASES:
-            raise ValueError(f"basis must be one of {BASES}, got {self.basis!r}")
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"density matrix must be 4x4, got shape {m.shape}")
@@ -165,17 +144,6 @@ class QubitDensity:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    def in_basis(self, target: str) -> "QubitDensity":
-        return change_basis(self, target)
-
-
-def change_basis(rho: QubitDensity, target: str) -> QubitDensity:
-    """Re-express a tagged density matrix in another ordering."""
-    if target == rho.basis:
-        return rho
-    T = basis_transform(rho.basis, target)
-    return QubitDensity(T @ rho.matrix @ T.T, target)
-
 
 # --- Bell states ------------------------------------------------------------
 
@@ -187,20 +155,17 @@ _BELL_EG = {
 }
 
 
-def bell_vector(kind: str, basis: str = "eg") -> np.ndarray:
-    """State vector of a Bell state in the requested basis."""
+def bell_vector(kind: str) -> np.ndarray:
+    """State vector of a Bell state."""
     if kind not in BELL_KINDS:
         raise ValueError(f"kind must be one of {BELL_KINDS}, got {kind!r}")
-    v = _BELL_EG[kind].astype(complex)
-    if basis != "eg":
-        v = basis_transform("eg", basis) @ v
-    return v
+    return _BELL_EG[kind].astype(complex)
 
 
-def bell_state(kind: str, basis: str = "eg") -> QubitDensity:
-    """Density matrix of a Bell state in the requested basis."""
-    v = bell_vector(kind, basis)
-    return QubitDensity(np.outer(v, v.conj()), basis)
+def bell_state(kind: str) -> QubitDensity:
+    """Density matrix of a Bell state."""
+    v = bell_vector(kind)
+    return QubitDensity(np.outer(v, v.conj()))
 
 
 # --- oscillator preparations ------------------------------------------------

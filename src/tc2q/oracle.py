@@ -21,13 +21,12 @@ from scipy.linalg import expm
 from . import series as _series
 from .model import (
     BELL_KINDS,
+    JM_FROM_EG,
     ModelParams,
     OscillatorSpec,
     QubitDensity,
     TruncationError,
-    basis_transform,
     bell_vector,
-    change_basis,
     clamp_unit,
 )
 
@@ -152,38 +151,43 @@ def partial_trace_oscillator(rho: np.ndarray, dim: int) -> np.ndarray:
     return np.trace(rho.reshape(4, dim, 4, dim), axis1=1, axis2=3)
 
 
-def wootters_concurrence(rho) -> float:
+def wootters_concurrence(rho):
     """Wootters concurrence of a two-qubit density matrix in the eg ordering.
 
-    The spin-flip eigenvalues are computed as singular values of
-    sqrt(rho) (sy (x) sy) sqrt(rho)*, which keeps the near-zero ones at
-    machine precision where the textbook eigvals(rho rho~) route floors
-    near 1e-8.
+    ``rho`` is one 4x4 matrix, giving a float, or a stack of shape
+    (..., 4, 4), giving an array of shape (...).  The spin-flip eigenvalues
+    are computed as singular values of sqrt(rho) (sy (x) sy) sqrt(rho)*,
+    which keeps the near-zero ones at machine precision where the textbook
+    eigvals(rho rho~) route floors near 1e-8.
     """
     if isinstance(rho, QubitDensity):
-        rho = change_basis(rho, "eg").matrix
+        rho = rho.matrix
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > _COMPOSITE_TOL:
+    if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 density matrix or a stack of them, "
+                         f"got shape {rho.shape}")
+    adjoint = rho.conj().swapaxes(-1, -2)
+    if np.abs(rho - adjoint).max() > _COMPOSITE_TOL:
         raise ValueError("density matrix is not Hermitian within 1e-9")
-    herm = (rho + rho.conj().T) / 2.0
-    w, vecs = np.linalg.eigh(herm)
+    w, vecs = np.linalg.eigh((rho + adjoint) / 2.0)
     if w.min() < -_COMPOSITE_TOL:
         raise ValueError(f"density matrix has eigenvalue {w.min():.3e} below -1e-9")
-    root = (vecs * np.sqrt(np.clip(w, 0.0, None))) @ vecs.conj().T
+    root = (vecs * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
     lam = np.linalg.svd(root @ _SIGMA_YY @ root.conj(), compute_uv=False)
-    return clamp_unit(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    conc = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    return clamp_unit(np.where(conc > 0.0, conc, 0.0))
 
 
-def _initial_columns(qubit_init: str, spec: OscillatorSpec, params: ModelParams,
-                     dim: int | None):
-    """dim (by default :func:`choose_dim`), the propagator, and the weights
-    and eigenbasis coefficients of the pure columns of bell (x) F.
+def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
+                    params: ModelParams, dim: int | None):
+    """dim (by default :func:`choose_dim`), the reduced qubit states on the
+    time grid, shaped (T, 4, 4), and the leakage (the population of the top
+    two Fock levels) at each time.
 
-    The t = 0 state is checked on its factors: the Bell vector is a fixed
-    unit vector, so the oscillator weights must be >= 0 and sum to 1 and
-    its Fock columns must be orthonormal.
+    bell (x) F is split into weighted pure columns, each evolved in the
+    eigenbasis.  The t = 0 state is checked on its factors: the Bell vector
+    is a fixed unit vector, so the oscillator weights must be >= 0 and sum
+    to 1 and its Fock columns must be orthonormal.
     """
     if dim is None:
         dim = choose_dim(spec, params)
@@ -197,30 +201,23 @@ def _initial_columns(qubit_init: str, spec: OscillatorSpec, params: ModelParams,
     gram = columns.conj().T @ columns
     if np.abs(gram - np.eye(weights.size)).max() > _COMPOSITE_TOL:
         raise ValueError("oscillator columns are not orthonormal within 1e-9")
-    block = np.kron(bell_vector(qubit_init)[:, None], columns)
-    return dim, prop, weights, prop.modes.conj().T @ block
+    coeff = prop.modes.conj().T @ np.kron(bell_vector(qubit_init)[:, None], columns)
 
-
-def _reduced_at(prop: SpectralPropagator, coeff: np.ndarray, weights: np.ndarray,
-                dim: int, t: float):
-    """Pure columns at time t, shaped (4, dim, k), and their reduced qubit state."""
-    psi_t = prop.evolve(coeff, t).reshape(4, dim, -1)
-    rho_q = np.einsum("ank,bnk,k->ab", psi_t, psi_t.conj(), weights)
-    return psi_t, (rho_q + rho_q.conj().T) / 2.0
-
-
-def _coherence_from_reduced(rho_eg: np.ndarray, qubit_init: str) -> complex:
-    """Recover the overlap integral I(t) from the (1,1)-(1,-1) jm coherence."""
-    t_jm = basis_transform("eg", "jm")
-    entry = (t_jm @ rho_eg @ t_jm.T)[0, 3]
-    return complex(-2.0 * entry if qubit_init == "psi_plus" else 2.0 * entry)
+    rho = np.empty((times.size, 4, 4), dtype=complex)
+    leak = np.empty(times.size)
+    for idx, t in enumerate(times):
+        psi_t = prop.evolve(coeff, t).reshape(4, dim, -1)
+        rho_q = np.einsum("ank,bnk,k->ab", psi_t, psi_t.conj(), weights)
+        rho[idx] = (rho_q + rho_q.conj().T) / 2.0
+        leak[idx] = np.einsum("ank,k->", np.abs(psi_t[:, -2:, :]) ** 2, weights)
+    return dim, rho, leak
 
 
 def oracle_reduced_density(qubit_init: str, spec: OscillatorSpec, t: float,
                            params: ModelParams, dim: int | None = None) -> QubitDensity:
     """Reduced qubit state at a single time, straight through the full model."""
-    dim, prop, weights, coeff = _initial_columns(qubit_init, spec, params, dim)
-    return QubitDensity(_reduced_at(prop, coeff, weights, dim, float(t))[1], "eg")
+    _, rho, _ = _reduced_states(qubit_init, spec, np.array([float(t)]), params, dim)
+    return QubitDensity(rho[0])
 
 
 def oracle_concurrence_series(qubit_init: str, spec: OscillatorSpec,
@@ -231,37 +228,33 @@ def oracle_concurrence_series(qubit_init: str, spec: OscillatorSpec,
     The initial mixture is split into weighted pure states (exactly: thermal
     and number preparations are Fock-diagonal, coherent ones are pure) and
     each column is evolved in the eigenbasis, which is far cheaper than
-    conjugating the full composite density at every grid point.  Leakage into
-    the top two Fock levels is recorded per point; beyond 1e-6 it aborts.
+    conjugating the full composite density at every grid point.  C, I and
+    the leakage into the top two Fock levels are read off the stack of
+    reduced states; leakage beyond 1e-6 anywhere aborts the run.
     """
     if qubit_init not in BELL_KINDS:
         raise ValueError(f"qubit_init must be one of {BELL_KINDS}, got {qubit_init!r}")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("times must be a non-empty 1-d array")
-    dim, prop, weights, coeff = _initial_columns(qubit_init, spec, params, dim)
-
-    with_uv = qubit_init in ("psi_plus", "phi_plus")
-    conc = np.empty(times.size)
-    leak = np.empty(times.size)
-    u = np.empty(times.size) if with_uv else None
-    v = np.empty(times.size) if with_uv else None
-    for idx, t in enumerate(times):
-        psi_t, rho_q = _reduced_at(prop, coeff, weights, dim, t)
-        leak[idx] = float(np.einsum("ank,k->", np.abs(psi_t[:, -2:, :]) ** 2, weights))
-        if leak[idx] > LEAK_ERROR:
-            raise TruncationError(
-                f"leakage {leak[idx]:.3e} > {LEAK_ERROR:g} at t={t:g} with dim={dim}; "
-                "increase dim")
-        conc[idx] = wootters_concurrence(rho_q)
-        if with_uv:
-            i_t = _coherence_from_reduced(rho_q, qubit_init)
-            u[idx], v[idx] = i_t.real, i_t.imag
+    dim, rho, leak = _reduced_states(qubit_init, spec, times, params, dim)
+    over = np.flatnonzero(leak > LEAK_ERROR)
+    if over.size:
+        first = over[0]
+        raise TruncationError(
+            f"leakage {leak[first]:.3e} > {LEAK_ERROR:g} at t={times[first]:g} with "
+            f"dim={dim}; increase dim")
+    u = v = None
+    if qubit_init in ("psi_plus", "phi_plus"):
+        # I(t) is twice the (1,1)-(1,-1) coherence in the jm ordering
+        sign = -1.0 if qubit_init == "psi_plus" else 1.0
+        i_t = sign * 2.0 * (JM_FROM_EG @ rho @ JM_FROM_EG.T)[:, 0, 3]
+        u, v = i_t.real, i_t.imag
     return _series.ConcurrenceSeries(
         engine="oracle",
         t=times,
         omega_t=params.omega * times,
-        concurrence=conc,
+        concurrence=wootters_concurrence(rho),
         u=u,
         v=v,
         leakage=leak,

@@ -157,17 +157,21 @@ def write_table(table, path: str, fmt: str = "csv") -> None:
 
 
 def read_series(path: str) -> ConcurrenceSeries:
-    """Read back a concurrence series written by :func:`write_table`."""
-    if path.endswith(".json"):
-        with open(path) as handle:
-            payload = json.load(handle)
+    """Read back a concurrence series written by :func:`write_table`.
+
+    The format is told by the content, not the file name: a JSON artifact
+    starts with ``{``, a CSV one with its header.
+    """
+    with open(path) as handle:
+        text = handle.read()
+    if text.lstrip().startswith("{"):
+        payload = json.loads(text)
         cols = {name: np.asarray(vals, dtype=float)
                 for name, vals in payload["columns"].items()}
         engine = payload.get("engine") or "unknown"
         meta = payload.get("meta", {})
     else:
-        with open(path) as handle:
-            lines = [line for line in handle.read().splitlines() if line]
+        lines = [line for line in text.splitlines() if line]
         names = lines[0].split(",")
         data = np.array([[float(cell) for cell in line.split(",")]
                          for line in lines[1:]])

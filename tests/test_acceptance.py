@@ -19,9 +19,9 @@ from tc2q.analytic import (
     laguerre,
 )
 from tc2q.classical import (
+    ClassicalThermal,
     GaussianDist,
     classical_concurrence,
-    classical_concurrence_thermal,
     classical_thermal_dist,
     minimum_uncertainty_widths,
     monte_carlo_classical_concurrence,
@@ -233,13 +233,13 @@ def test_criterion_10_classical_quantum_identities(capsys):
     probe = 2.3
     gaps = []
     for k_T in (5.0, 50.0, 500.0):
-        log_cl = math.log(classical_concurrence_thermal(k_T, probe, params))
+        log_cl = math.log(ClassicalThermal(k_T).concurrence(probe, params))
         log_q = math.log(concurrence(Thermal(k_T), probe, params))
         gaps.append(abs(log_cl - log_q) / abs(log_q))
     thermal_ok = gaps[1] <= 0.01 and gaps[0] > gaps[1] > gaps[2]
 
     dist = classical_thermal_dist(1.0, params)
-    target = classical_concurrence_thermal(1.0, math.pi, params)
+    target = ClassicalThermal(1.0).concurrence(math.pi, params)
     hits = 0
     for seed in range(30):
         value, err = monte_carlo_classical_concurrence(

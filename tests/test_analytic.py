@@ -26,6 +26,7 @@ from tc2q.analytic import (
     reduced_qubit_density_psi_plus,
 )
 from tc2q.model import (
+    JM_FROM_EG,
     Coherent,
     ExplicitDensity,
     Fock,
@@ -184,10 +185,11 @@ class TestReducedDensity:
         spec = Coherent(2j)
         t = 2.0
         i_t = coherence_integral(spec, t, P)
-        rho = reduced_qubit_density_psi_plus(spec, t, P).in_basis("jm")
-        assert rho.matrix[0, 3] == pytest.approx(-i_t / 2.0, abs=1e-14)
-        assert rho.matrix[0, 0] == pytest.approx(0.5, abs=1e-14)
-        assert rho.matrix[3, 3] == pytest.approx(0.5, abs=1e-14)
+        m = reduced_qubit_density_psi_plus(spec, t, P).matrix
+        rho = JM_FROM_EG @ m @ JM_FROM_EG.T
+        assert rho[0, 3] == pytest.approx(-i_t / 2.0, abs=1e-14)
+        assert rho[0, 0] == pytest.approx(0.5, abs=1e-14)
+        assert rho[3, 3] == pytest.approx(0.5, abs=1e-14)
 
     def test_valid_density_across_preparations(self):
         for spec in (Thermal(2.0), Coherent(1.0 + 1j), Fock(3)):

@@ -16,7 +16,6 @@ from tc2q.classical import (
     DeltaDist,
     GaussianDist,
     classical_concurrence,
-    classical_concurrence_thermal,
     classical_thermal_dist,
     classical_trajectory,
     minimum_uncertainty_widths,
@@ -176,14 +175,14 @@ class TestClosedFormAverages:
 class TestThermalLaw:
     def test_factory_identity(self):
         t = np.linspace(0.0, 14.0, 55)
-        direct = classical_concurrence_thermal(2.5, t, P)
+        direct = ClassicalThermal(2.5).concurrence(t, P)
         via_widths = classical_concurrence(classical_thermal_dist(2.5, P), t, P)
         np.testing.assert_allclose(direct, via_widths, atol=1e-14)
         np.testing.assert_array_equal(classical_concurrence(ClassicalThermal(2.5), t, P),
                                       direct)
 
     def test_half_period_reference_value(self):
-        assert classical_concurrence_thermal(1.0, math.pi, P) == pytest.approx(
+        assert ClassicalThermal(1.0).concurrence(math.pi, P) == pytest.approx(
             EXP_M064, abs=1e-15)
 
     def test_decay_exponent_approaches_the_quantum_one_at_high_temperature(self):
@@ -191,7 +190,7 @@ class TestThermalLaw:
         t = 2.3
         prev_gap = None
         for n in (5.0, 50.0, 500.0):
-            log_cl = math.log(classical_concurrence_thermal(n, t, P))
+            log_cl = math.log(ClassicalThermal(n).concurrence(t, P))
             log_q = math.log(concurrence(Thermal(n), t, P))
             gap = abs(log_cl - log_q) / abs(log_q)
             assert gap == pytest.approx(1.0 / (1.0 + 2.0 * n), rel=1e-10)
@@ -238,7 +237,7 @@ class TestMonteCarlo:
 
     def test_matches_closed_form_within_errorbars(self):
         dist = classical_thermal_dist(1.0, P)
-        target = classical_concurrence_thermal(1.0, math.pi, P)
+        target = ClassicalThermal(1.0).concurrence(math.pi, P)
         value, err = monte_carlo_classical_concurrence(
             dist, math.pi, P, 100000, seed=3)
         assert err > 0.0

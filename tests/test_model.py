@@ -1,4 +1,4 @@
-"""Parameter containers, basis changes and state validation."""
+"""Parameter containers, the collective basis and state validation."""
 
 import math
 
@@ -6,23 +6,19 @@ import numpy as np
 import pytest
 
 from tc2q.model import (
-    BASES,
     BELL_KINDS,
+    JM_FROM_EG,
     Coherent,
     ExplicitDensity,
     Fock,
     ModelParams,
     QubitDensity,
     Thermal,
-    basis_transform,
     bell_state,
     bell_vector,
-    change_basis,
     clamp_unit,
     spec_label,
 )
-
-RNG = np.random.default_rng(20260816)
 
 
 class TestModelParams:
@@ -85,52 +81,42 @@ class TestClampUnit:
             clamp_unit(np.array([0.5, 2.0]))
 
 
+# the component maps between the two orderings, keyed (source, target)
+_MAPS = {("eg", "jm"): JM_FROM_EG, ("jm", "eg"): JM_FROM_EG.T}
+
+
 class TestBasisTransforms:
-    @pytest.mark.parametrize("source", BASES)
-    @pytest.mark.parametrize("target", BASES)
+    @pytest.mark.parametrize("source, target", list(_MAPS))
     def test_transforms_are_orthogonal(self, source, target):
-        m = basis_transform(source, target)
+        m = _MAPS[source, target]
         np.testing.assert_allclose(m.T @ m, np.eye(4), atol=1e-15)
 
-    @pytest.mark.parametrize("source", BASES)
-    @pytest.mark.parametrize("target", BASES)
+    @pytest.mark.parametrize("source, target", list(_MAPS))
     def test_round_trip_is_identity(self, source, target):
-        fwd = basis_transform(source, target)
-        back = basis_transform(target, source)
+        fwd = _MAPS[source, target]
+        back = _MAPS[target, source]
         np.testing.assert_allclose(back @ fwd, np.eye(4), atol=1e-15)
-
-    def test_same_basis_is_identity(self):
-        np.testing.assert_allclose(basis_transform("eg", "eg"), np.eye(4),
-                                   atol=1e-15)
-
-    def test_unknown_basis_rejected(self):
-        with pytest.raises(ValueError):
-            basis_transform("eg", "bell")
-
-    def test_eg_to_xx_is_single_qubit_hadamard_on_each_factor(self):
-        # |+/-> = (|e> +/- |g>)/sqrt(2), so per qubit the component map is
-        # the 2x2 Hadamard; two qubits give its Kronecker square
-        h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-        np.testing.assert_allclose(basis_transform("eg", "xx"),
-                                   np.kron(h1, h1), atol=1e-15)
-
-    def test_composition_through_intermediate_basis(self):
-        direct = basis_transform("eg", "jm")
-        via_xx = basis_transform("xx", "jm") @ basis_transform("eg", "xx")
-        np.testing.assert_allclose(direct, via_xx, atol=1e-15)
 
     def test_collective_levels_from_local_pluses(self):
         s = 1.0 / math.sqrt(2.0)
-        to_jm = basis_transform("xx", "jm")
-        # xx ordering: ++, +-, -+, --; jm ordering: (1,1), (1,0), (0,0), (1,-1)
-        np.testing.assert_allclose(to_jm @ np.array([1.0, 0, 0, 0]),
+        # eg components of |+/-> = (|e> +/- |g>)/sqrt(2); jm ordering:
+        # (1,1), (1,0), (0,0), (1,-1)
+        plus, minus = np.array([s, s]), np.array([s, -s])
+        np.testing.assert_allclose(JM_FROM_EG @ np.kron(plus, plus),
                                    [1.0, 0, 0, 0], atol=1e-15)
-        np.testing.assert_allclose(to_jm @ np.array([0, s, s, 0]),
-                                   [0, 1.0, 0, 0], atol=1e-15)
-        np.testing.assert_allclose(to_jm @ np.array([0, s, -s, 0]),
-                                   [0, 0, 1.0, 0], atol=1e-15)
-        np.testing.assert_allclose(to_jm @ np.array([0, 0, 0, 1.0]),
+        np.testing.assert_allclose(
+            JM_FROM_EG @ (s * np.kron(plus, minus) + s * np.kron(minus, plus)),
+            [0, 1.0, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(
+            JM_FROM_EG @ (s * np.kron(plus, minus) - s * np.kron(minus, plus)),
+            [0, 0, 1.0, 0], atol=1e-15)
+        np.testing.assert_allclose(JM_FROM_EG @ np.kron(minus, minus),
                                    [0, 0, 0, 1.0], atol=1e-15)
+        # the jm levels diagonalize sx1 + sx2 with eigenvalues 2m
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+        sx_sum = np.kron(sx, np.eye(2)) + np.kron(np.eye(2), sx)
+        np.testing.assert_allclose(JM_FROM_EG @ sx_sum @ JM_FROM_EG.T,
+                                   np.diag([2.0, 0.0, 0.0, -2.0]), atol=1e-15)
 
 
 class TestQubitDensity:
@@ -138,44 +124,24 @@ class TestQubitDensity:
         m = np.eye(4, dtype=complex) / 4.0
         m[0, 1] = 0.1
         with pytest.raises(ValueError, match="[Hh]ermitian"):
-            QubitDensity(m, "eg")
+            QubitDensity(m)
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="race"):
-            QubitDensity(np.eye(4) / 2.0, "eg")
+            QubitDensity(np.eye(4) / 2.0)
 
     def test_rejects_negative_eigenvalue(self):
         m = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="eigenvalue"):
-            QubitDensity(m, "eg")
+            QubitDensity(m)
 
     def test_matrix_is_copied_and_read_only(self):
         src = np.eye(4, dtype=complex) / 4.0
-        rho = QubitDensity(src, "eg")
+        rho = QubitDensity(src)
         src[0, 0] = 99.0
         assert rho.matrix[0, 0] == 0.25
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 0.5
-
-    def test_basis_change_preserves_spectrum_and_round_trips(self):
-        # random valid density from a random pure-state mixture
-        vecs = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
-        w = RNG.random(4)
-        w /= w.sum()
-        m = sum(wi * np.outer(v, v.conj()) / (np.abs(v) ** 2).sum()
-                for wi, v in zip(w, vecs.T))
-        rho = QubitDensity(m, "eg")
-        in_jm = rho.in_basis("jm")
-        np.testing.assert_allclose(np.linalg.eigvalsh(in_jm.matrix),
-                                   np.linalg.eigvalsh(rho.matrix), atol=1e-12)
-        back = change_basis(in_jm, "eg")
-        np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-12)
-
-    def test_same_basis_request_returns_equivalent_state(self):
-        rho = QubitDensity(np.eye(4) / 4.0, "xx")
-        again = rho.in_basis("xx")
-        assert again.basis == "xx"
-        np.testing.assert_array_equal(again.matrix, rho.matrix)
 
 
 class TestBellStates:
@@ -194,13 +160,13 @@ class TestBellStates:
         s = 1.0 / math.sqrt(2.0)
         # psi_plus and phi_plus live on the m = +/-1 pair; psi_minus is the
         # singlet (up to sign), phi_minus the m = 0 triplet level
-        np.testing.assert_allclose(bell_vector("psi_plus", "jm"),
+        np.testing.assert_allclose(JM_FROM_EG @ bell_vector("psi_plus"),
                                    [s, 0, 0, -s], atol=1e-15)
-        np.testing.assert_allclose(bell_vector("phi_plus", "jm"),
+        np.testing.assert_allclose(JM_FROM_EG @ bell_vector("phi_plus"),
                                    [s, 0, 0, s], atol=1e-15)
-        np.testing.assert_allclose(np.abs(bell_vector("psi_minus", "jm")),
+        np.testing.assert_allclose(np.abs(JM_FROM_EG @ bell_vector("psi_minus")),
                                    [0, 0, 1, 0], atol=1e-15)
-        np.testing.assert_allclose(np.abs(bell_vector("phi_minus", "jm")),
+        np.testing.assert_allclose(np.abs(JM_FROM_EG @ bell_vector("phi_minus")),
                                    [0, 1, 0, 0], atol=1e-15)
 
     def test_states_are_pure_projectors(self):

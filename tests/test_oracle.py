@@ -7,9 +7,13 @@ under truncation refinement.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
 from tc2q.analytic import coherence_integral
@@ -44,6 +48,22 @@ def oscillator_density(spec, dim):
     """The truncated oscillator density matrix sum_k w_k |c_k><c_k|."""
     w, c = spec.fock_columns(dim)
     return (c * w) @ c.conj().T
+
+
+@st.composite
+def density_stacks(draw):
+    """Stacks of two-qubit densities, each a mixture of 1 to 4 random pure
+    states, so rank-deficient members are common."""
+    size = draw(st.integers(1, 5))
+    rank = draw(st.integers(1, 4))
+    parts = draw(hnp.arrays(np.float64, (2, size, 4, rank), elements=st.floats(-1.0, 1.0)))
+    weights = draw(hnp.arrays(np.float64, (size, rank), elements=st.floats(0.01, 1.0)))
+    vecs = parts[0] + 1j * parts[1]
+    norms = np.linalg.norm(vecs, axis=1, keepdims=True)
+    assume(np.all(norms > 1e-3))
+    vecs /= norms
+    weights /= weights.sum(axis=1, keepdims=True)
+    return np.einsum("sak,sk,sbk->sab", vecs, weights, vecs.conj())
 
 
 class TestHamiltonian:
@@ -174,9 +194,16 @@ class TestWootters:
             ], dtype=complex) / 4.0
             assert wootters_concurrence(m) == pytest.approx(u, abs=1e-12)
 
-    def test_accepts_wrapped_density_in_any_basis(self):
-        rho = bell_state("phi_plus", basis="jm")
-        assert wootters_concurrence(rho) == pytest.approx(1.0, abs=1e-12)
+    @settings(max_examples=60, deadline=None)
+    @given(stack=density_stacks(), data=st.data())
+    def test_stack_matches_per_matrix_calls(self, stack, data):
+        conc = wootters_concurrence(stack)
+        assert conc.shape == (stack.shape[0],)
+        assert np.array_equal(conc, [wootters_concurrence(m) for m in stack])
+        bad = stack.copy()
+        bad[data.draw(st.integers(0, stack.shape[0] - 1)), 0, 1] += 0.1
+        with pytest.raises(ValueError, match="Hermitian"):
+            wootters_concurrence(bad)
 
 
 class TestInitialStates:
@@ -319,6 +346,20 @@ class TestConcurrenceSeries:
         with pytest.raises(TruncationError):
             oracle_concurrence_series("psi_plus", Coherent(2.0), t, strong,
                                       dim=12)
+        # dim 12 already fails the preparation's tail check; at dim 26 the
+        # state fits and only leaks into the top rungs later, and the abort
+        # names the first grid time at which a one-point run also aborts
+        offending = []
+        for t_k in t:
+            try:
+                oracle_concurrence_series("psi_plus", Coherent(2.0), np.array([t_k]),
+                                          strong, dim=26)
+            except TruncationError:
+                offending.append(t_k)
+        assert offending and offending[0] > t[0]
+        with pytest.raises(TruncationError,
+                           match=re.escape(f"at t={offending[0]:g} with dim=26")):
+            oracle_concurrence_series("psi_plus", Coherent(2.0), t, strong, dim=26)
 
     def test_leakage_is_recorded_and_bounded(self):
         t = np.linspace(0.0, 4.0 * math.pi, 30)

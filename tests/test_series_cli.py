@@ -108,13 +108,15 @@ class TestFileRoundTrips:
         assert "artifact_version" in sidecar
 
     def test_json_round_trip_is_lossless(self, tmp_path):
-        path = str(tmp_path / "out.json")
         src = make_series(5)
-        write_table(src, path, "json")
-        back = read_series(path)
-        np.testing.assert_array_equal(back.concurrence, src.concurrence)
-        assert back.engine == "analytic"
-        assert back.meta["note"] == "fixture"
+        # the content, not the suffix, marks a file as JSON
+        for name in ("out.json", "out.dat"):
+            path = str(tmp_path / name)
+            write_table(src, path, "json")
+            back = read_series(path)
+            np.testing.assert_array_equal(back.concurrence, src.concurrence)
+            assert back.engine == "analytic"
+            assert back.meta["note"] == "fixture"
 
     def test_writes_are_deterministic(self, tmp_path):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -508,6 +510,47 @@ class TestCliErrors:
         assert cli.main([command, "--config", cfg_path]) == 0
         os.remove(cfg["output"]["path"])
         assert cli.main([command, "--config", cfg_path, flag, "30"]) == 2
+        assert not os.path.exists(cfg["output"]["path"])
+
+    @staticmethod
+    def refuse_allocation(*args, **kwargs):
+        raise AssertionError("an oversized job got past the memory check")
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("run", {"engine": "oracle"}),
+        ("validate", {"engine": "validate"}),
+        ("spectrum", {"engine": "oracle", "qubit_init": None, "oscillator": None,
+                      "time_grid": None}),
+    ], ids=["run", "validate", "spectrum"])
+    def test_oversized_dim_exits_two_before_allocating(self, tmp_path, capsys, monkeypatch,
+                                                       command, overrides):
+        monkeypatch.setattr(oracle, "build_hamiltonian", self.refuse_allocation)
+        out = str(tmp_path / "out.json")
+        cfg_path, _ = write_config(tmp_path, output={"path": out, "format": "json"},
+                                   **overrides)
+        assert cli.main([command, "--config", cfg_path, "--dim", "1000000"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["exit_code"] == 2 and "physical memory" in err["error"]
+        assert "dim = 1000000" in err["error"]
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("run", {"time_grid": {"t_start": 0.0, "t_end": 1.0, "n_points": 10 ** 15}}),
+        ("sweep-beta", {**SWEEP, "beta_grid": {"start": 0.0, "stop": 0.2,
+                                               "n_points": 10 ** 15}}),
+    ], ids=["time_grid", "beta_grid"])
+    def test_oversized_grid_exits_two_before_allocating(self, tmp_path, capsys, monkeypatch,
+                                                        command, overrides):
+        monkeypatch.setattr(np, "linspace", self.refuse_allocation)
+        cfg_path, cfg = write_config(tmp_path, **overrides)
+        assert cli.main([command, "--config", cfg_path]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["exit_code"] == 2 and "physical memory" in err["error"]
+        assert "n_points = 1000000000000000" in err["error"]
         assert not os.path.exists(cfg["output"]["path"])
 
     def test_sections_the_job_never_reads_are_config_errors(self, tmp_path, capsys):
