@@ -8,10 +8,9 @@ Quick tour::
     abs(coherence_integral(Thermal(2.0), math.pi, params))   # concurrence
 
 Oscillator preparations and their closed forms live in :mod:`tc2q.model`,
-the overlap integral and the Fourier route in :mod:`tc2q.analytic`, the
-truncated-Fock-space cross-check in :mod:`tc2q.oracle`, the
-classical-oscillator comparison in :mod:`tc2q.classical`, and the CLI in
-:mod:`tc2q.cli`.
+the overlap integral I(t) in :mod:`tc2q.analytic`, the truncated-Fock-space
+cross-check in :mod:`tc2q.oracle`, the classical-oscillator comparison in
+:mod:`tc2q.classical`, and the CLI in :mod:`tc2q.cli`.
 """
 
 __version__ = "0.1.0"

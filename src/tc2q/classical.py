@@ -129,38 +129,20 @@ class ClassicalThermal:
                                  / (hbar * params.omega)))
 
     def monte_carlo(self, times, params, n_samples, seed, hbar) -> tuple:
-        return classical_thermal_dist(self.k_T, params).monte_carlo(
+        # the Boltzmann weight exp(-(p^2 + omega^2 q^2) / (2 k_T)) is the
+        # centred Gaussian with equipartition widths (sqrt(2 k_T)/omega, sqrt(2 k_T))
+        width = math.sqrt(2.0 * self.k_T)
+        return GaussianDist(0.0, 0.0, width / params.omega, width).monte_carlo(
             times, params, n_samples, seed, hbar)
 
 
 PhaseSpaceDist = Union[DeltaDist, GaussianDist, ClassicalThermal]
 
 
-def thermal_widths(k_T: float, params: ModelParams) -> tuple:
-    """Equipartition widths (dq, dp) = (sqrt(2 k_T)/omega, sqrt(2 k_T))."""
-    k_T = ClassicalThermal(k_T).k_T
-    return math.sqrt(2.0 * k_T) / params.omega, math.sqrt(2.0 * k_T)
-
-
 def minimum_uncertainty_widths(params: ModelParams,
                                hbar: float = DEFAULT_HBAR) -> tuple:
     """Widths (sqrt(hbar/omega), sqrt(hbar omega)) mimicking a coherent state."""
     return math.sqrt(hbar / params.omega), math.sqrt(hbar * params.omega)
-
-
-def classical_thermal_dist(k_T: float, params: ModelParams) -> GaussianDist:
-    dq, dp = thermal_widths(k_T, params)
-    return GaussianDist(0.0, 0.0, dq, dp)
-
-
-def classical_trajectory(q0: float, p0: float, t, params: ModelParams):
-    """Free evolution (q, p) of the undriven unit-mass oscillator."""
-    wt = params.omega * np.asarray(t, dtype=float)
-    q = q0 * np.cos(wt) + (p0 / params.omega) * np.sin(wt)
-    p = p0 * np.cos(wt) - params.omega * q0 * np.sin(wt)
-    if wt.ndim == 0:
-        return float(q), float(p)
-    return q, p
 
 
 def _phase_coefficients(t, params: ModelParams, hbar: float):

@@ -175,8 +175,10 @@ def _parse_grid(cfg: dict, name: str, start: str, stop: str) -> np.ndarray:
     n_points = _get_int(obj, "n_points", name, minimum=2)
     if not last > first:
         raise ConfigError(f"{name}.{stop} ({last}) must exceed {start} ({first})")
-    # per point: one 4x4 complex reduced state and up to seven float columns
-    _check_fits((16 * 4 * 4 + 8 * 7) * n_points, f"{name}.n_points = {n_points}")
+    # per point the oracle series peaks at three 4x4 complex matrices (the
+    # reduced state and two temporaries while I(t) is read off the stack)
+    # and its float columns, about 780 bytes under tracemalloc; count 1 kB
+    _check_fits(1024 * n_points, f"{name}.n_points = {n_points}")
     return np.linspace(first, last, n_points)
 
 

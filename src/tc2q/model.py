@@ -79,12 +79,6 @@ class ModelParams:
         """Dimensionless coupling lambda/omega."""
         return self.lambda_ / self.omega
 
-    def beta_m(self, m: int) -> float:
-        """m * beta for a collective sigma_x quantum number m in {-1, 0, +1}."""
-        if m not in (-1, 0, 1):
-            raise ValueError(f"m must be -1, 0 or +1, got {m}")
-        return m * self.beta
-
 
 def clamp_unit(value, slack: float = CLAMP_SLACK, label: str = "concurrence"):
     """Clamp values in [-slack, 0) or (1, 1+slack] onto [0, 1].
@@ -160,12 +154,6 @@ def bell_vector(kind: str) -> np.ndarray:
     if kind not in BELL_KINDS:
         raise ValueError(f"kind must be one of {BELL_KINDS}, got {kind!r}")
     return _BELL_EG[kind].astype(complex)
-
-
-def bell_state(kind: str) -> QubitDensity:
-    """Density matrix of a Bell state."""
-    v = bell_vector(kind)
-    return QubitDensity(np.outer(v, v.conj()))
 
 
 # --- oscillator preparations ------------------------------------------------
@@ -346,6 +334,8 @@ class ExplicitDensity:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"oscillator density must be square, got shape {m.shape}")
+        if not np.all(np.isfinite(m.view(float))):
+            raise ValueError("oscillator density has non-finite entries")
         if np.abs(m - m.conj().T).max() > 1e-9:
             raise ValueError("oscillator density is not Hermitian within 1e-9")
         if abs(np.trace(m) - 1.0) > 1e-9:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import series as _series
 from .model import (
@@ -36,6 +35,9 @@ LEAK_FLAG = 1e-8
 LEAK_ERROR = 1e-6
 
 _COMPOSITE_TOL = 1e-9
+
+#: matrices per batched LAPACK pass in :func:`wootters_concurrence`
+_WOOTTERS_CHUNK = 256
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -87,7 +89,7 @@ def build_hamiltonian(params: ModelParams, dim: int) -> np.ndarray:
 
 
 def predicted_spectrum(params: ModelParams, dim: int) -> np.ndarray:
-    """Sorted degenerate-model eigenvalues {omega (N - 4 beta_m^2)}.
+    """Sorted degenerate-model eigenvalues {omega (N - 4 m^2 beta^2)}.
 
     Each oscillator level N contributes the pair m = +-1 at
     omega (N - 4 beta^2) and the two m = 0 states at omega N.
@@ -99,56 +101,6 @@ def predicted_spectrum(params: ModelParams, dim: int) -> np.ndarray:
     shifted = params.omega * (n - 4.0 * params.beta ** 2)
     flat = params.omega * n
     return np.sort(np.concatenate([shifted, shifted, flat, flat]))
-
-
-def displaced_number_state(n_index: int, m: int, params: ModelParams,
-                           dim: int) -> np.ndarray:
-    """|N_m> = D(-2 beta_m) |N> via the exact matrix exponential.
-
-    The truncated generator is still anti-Hermitian, so the exponential is
-    exactly unitary and norm is useless as a truncation diagnostic; instead
-    the population stuck in the top two ladder rungs is checked.
-    """
-    dim = _check_dim(dim)
-    if not isinstance(n_index, (int, np.integer)) or not (0 <= n_index < dim):
-        raise ValueError(f"n_index must lie in [0, {dim}), got {n_index!r}")
-    bm = params.beta_m(m)
-    a = _destroy(dim)
-    vec = np.zeros(dim, dtype=complex)
-    vec[int(n_index)] = 1.0
-    if bm != 0.0:
-        vec = expm(-2.0 * bm * (a.conj().T - a)) @ vec
-    tail = float((np.abs(vec[-2:]) ** 2).sum())
-    if tail > 1e-10:
-        raise TruncationError(
-            f"displaced |{int(n_index)}_{m:+d}> puts population {tail:.3e} in the "
-            f"top rungs at dim={dim}; increase dim")
-    return vec
-
-
-class SpectralPropagator:
-    """Diagonalize a Hermitian H once, then evolve pure states to any t."""
-
-    def __init__(self, hamiltonian: np.ndarray) -> None:
-        h = np.asarray(hamiltonian, dtype=complex)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValueError(f"hamiltonian must be square, got shape {h.shape}")
-        if np.abs(h - h.conj().T).max() > 1e-10:
-            raise ValueError("hamiltonian is not Hermitian within 1e-10")
-        self.energies, self.modes = np.linalg.eigh(h)
-
-    def evolve(self, coeff: np.ndarray, t: float) -> np.ndarray:
-        """States at time t from their eigenbasis coefficients, one column each."""
-        return self.modes @ (np.exp(-1j * self.energies * t)[:, None] * coeff)
-
-
-def partial_trace_oscillator(rho: np.ndarray, dim: int) -> np.ndarray:
-    """Trace out the oscillator factor of a (4 dim) x (4 dim) composite matrix."""
-    dim = _check_dim(dim)
-    rho = np.asarray(rho)
-    if rho.shape != (4 * dim, 4 * dim):
-        raise ValueError(f"expected shape {(4 * dim, 4 * dim)}, got {rho.shape}")
-    return np.trace(rho.reshape(4, dim, 4, dim), axis1=1, axis2=3)
 
 
 def wootters_concurrence(rho):
@@ -166,15 +118,23 @@ def wootters_concurrence(rho):
     if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix or a stack of them, "
                          f"got shape {rho.shape}")
-    adjoint = rho.conj().swapaxes(-1, -2)
-    if np.abs(rho - adjoint).max() > _COMPOSITE_TOL:
-        raise ValueError("density matrix is not Hermitian within 1e-9")
-    w, vecs = np.linalg.eigh((rho + adjoint) / 2.0)
-    if w.min() < -_COMPOSITE_TOL:
-        raise ValueError(f"density matrix has eigenvalue {w.min():.3e} below -1e-9")
-    root = (vecs * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    lam = np.linalg.svd(root @ _SIGMA_YY @ root.conj(), compute_uv=False)
-    conc = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    flat = rho.reshape(-1, 4, 4)
+    conc = np.empty(flat.shape[0])
+    # a chunk at a time, so the workspace stays a fixed size however long
+    # the stack; each matrix still gets its own LAPACK call
+    for start in range(0, flat.shape[0], _WOOTTERS_CHUNK):
+        chunk = flat[start:start + _WOOTTERS_CHUNK]
+        adjoint = chunk.conj().swapaxes(-1, -2)
+        if np.abs(chunk - adjoint).max() > _COMPOSITE_TOL:
+            raise ValueError("density matrix is not Hermitian within 1e-9")
+        w, vecs = np.linalg.eigh((chunk + adjoint) / 2.0)
+        if w.min() < -_COMPOSITE_TOL:
+            raise ValueError(f"density matrix has eigenvalue {w.min():.3e} below -1e-9")
+        root = ((vecs * np.sqrt(np.clip(w, 0.0, None))[..., None, :])
+                @ vecs.conj().swapaxes(-1, -2))
+        lam = np.linalg.svd(root @ _SIGMA_YY @ root.conj(), compute_uv=False)
+        conc[start:start + _WOOTTERS_CHUNK] = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
+    conc = conc.reshape(rho.shape[:-2])
     return clamp_unit(np.where(conc > 0.0, conc, 0.0))
 
 
@@ -182,7 +142,8 @@ def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
                     params: ModelParams, dim: int | None):
     """dim (by default :func:`choose_dim`), the reduced qubit states on the
     time grid, shaped (T, 4, 4), and the leakage (the population of the top
-    two Fock levels) at each time.
+    two Fock levels) at each time; leakage beyond 1e-6 raises
+    :class:`TruncationError`.
 
     bell (x) F is split into weighted pure columns, each evolved in the
     eigenbasis.  The t = 0 state is checked on its factors: the Bell vector
@@ -192,7 +153,7 @@ def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
     if dim is None:
         dim = choose_dim(spec, params)
     dim = _check_dim(dim)
-    prop = SpectralPropagator(build_hamiltonian(params, dim))
+    energies, modes = np.linalg.eigh(build_hamiltonian(params, dim))
     weights, columns = spec.fock_columns(dim)
     if weights.min() < 0.0 or abs(weights.sum() - 1.0) > _COMPOSITE_TOL:
         raise ValueError(f"oscillator weights must be >= 0 and sum to 1 within "
@@ -201,15 +162,21 @@ def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
     gram = columns.conj().T @ columns
     if np.abs(gram - np.eye(weights.size)).max() > _COMPOSITE_TOL:
         raise ValueError("oscillator columns are not orthonormal within 1e-9")
-    coeff = prop.modes.conj().T @ np.kron(bell_vector(qubit_init)[:, None], columns)
+    coeff = modes.conj().T @ np.kron(bell_vector(qubit_init)[:, None], columns)
 
     rho = np.empty((times.size, 4, 4), dtype=complex)
     leak = np.empty(times.size)
     for idx, t in enumerate(times):
-        psi_t = prop.evolve(coeff, t).reshape(4, dim, -1)
+        psi_t = (modes @ (np.exp(-1j * energies * t)[:, None] * coeff)).reshape(4, dim, -1)
         rho_q = np.einsum("ank,bnk,k->ab", psi_t, psi_t.conj(), weights)
         rho[idx] = (rho_q + rho_q.conj().T) / 2.0
         leak[idx] = np.einsum("ank,k->", np.abs(psi_t[:, -2:, :]) ** 2, weights)
+    over = np.flatnonzero(leak > LEAK_ERROR)
+    if over.size:
+        first = over[0]
+        raise TruncationError(
+            f"leakage {leak[first]:.3e} > {LEAK_ERROR:g} at t={times[first]:g} with "
+            f"dim={dim}; increase dim")
     return dim, rho, leak
 
 
@@ -238,12 +205,6 @@ def oracle_concurrence_series(qubit_init: str, spec: OscillatorSpec,
     if times.ndim != 1 or times.size < 1:
         raise ValueError("times must be a non-empty 1-d array")
     dim, rho, leak = _reduced_states(qubit_init, spec, times, params, dim)
-    over = np.flatnonzero(leak > LEAK_ERROR)
-    if over.size:
-        first = over[0]
-        raise TruncationError(
-            f"leakage {leak[first]:.3e} > {LEAK_ERROR:g} at t={times[first]:g} with "
-            f"dim={dim}; increase dim")
     u = v = None
     if qubit_init in ("psi_plus", "phi_plus"):
         # I(t) is twice the (1,1)-(1,-1) coherence in the jm ordering

@@ -1,8 +1,9 @@
-"""Closed-form engine: branch evolution, overlap integral, concurrence laws.
+"""Closed-form engine: overlap integral and concurrence laws.
 
 Derived quantities are checked against independent routes: scipy's Laguerre
-evaluator, direct 2-d quadrature of the phase-space average, and an exact
-rational-arithmetic evaluation of the finite binomial sum.
+evaluator, direct 2-d quadrature of the phase-space average, and the branch
+evolution, Fourier route and exact rational-arithmetic binomial sum of
+``reference``.
 """
 
 import math
@@ -12,19 +13,18 @@ import pytest
 from scipy.integrate import dblquad
 from scipy.special import eval_laguerre
 
-from tc2q.analytic import (
-    coherence_integral,
+from reference import (
+    bell_state,
     coherence_integral_fock_sum,
     concurrence_general,
     evolve_product_state,
-    f_phase,
     fourier_arguments,
-    laguerre,
     p_tilde_coherent,
     p_tilde_fock,
     p_tilde_thermal,
     reduced_qubit_density_psi_plus,
 )
+from tc2q.analytic import coherence_integral
 from tc2q.model import (
     JM_FROM_EG,
     Coherent,
@@ -33,7 +33,8 @@ from tc2q.model import (
     ModelParams,
     NondegenerateParamsWarning,
     Thermal,
-    bell_state,
+    f_phase,
+    laguerre,
 )
 
 P = ModelParams(omega=1.0, lambda_=0.1)
@@ -93,7 +94,7 @@ class TestBranchEvolution:
             assert abs(branch.phase) == pytest.approx(1.0, abs=1e-12)
 
     def test_displacement_direction_depends_on_sign_of_m(self):
-        # from vacuum, half a period swings the packet to -4 beta_m
+        # from vacuum, half a period swings the packet to -4 m beta
         up = evolve_product_state((1, 1), 0.0, math.pi, P)
         down = evolve_product_state((1, -1), 0.0, math.pi, P)
         assert up.alpha_t == pytest.approx(-0.4 + 0j, abs=1e-14)

@@ -11,19 +11,17 @@ import math
 import numpy as np
 import pytest
 
+from reference import classical_trajectory
+from tc2q.analytic import coherence_integral
 from tc2q.classical import (
     ClassicalThermal,
     DeltaDist,
     GaussianDist,
     classical_concurrence,
-    classical_thermal_dist,
-    classical_trajectory,
     minimum_uncertainty_widths,
     monte_carlo_classical_concurrence,
     s_plus_correlator,
-    thermal_widths,
 )
-from tc2q.analytic import coherence_integral
 from tc2q.model import Coherent, ModelParams, Thermal
 
 P = ModelParams(omega=1.0, lambda_=0.1)
@@ -32,6 +30,14 @@ P = ModelParams(omega=1.0, lambda_=0.1)
 def concurrence(spec, t, params):
     """The quantum psi_plus concurrence |I(t)|."""
     return np.abs(coherence_integral(spec, t, params))
+
+
+def equipartition_gaussian(k_T, params):
+    """The centred Gaussian with the equipartition widths of temperature k_T."""
+    return GaussianDist(0.0, 0.0, math.sqrt(2.0 * k_T) / params.omega,
+                        math.sqrt(2.0 * k_T))
+
+
 EXP_M064 = 0.5272924240430485   # exp(-0.64)
 
 
@@ -64,10 +70,16 @@ class TestDistributions:
             ClassicalThermal(0.0)
 
     def test_thermal_widths_closed_form(self):
+        # at omega = 2 the widths (sqrt(6)/2, sqrt(6)) differ, so a swap shows
         p = ModelParams(omega=2.0, lambda_=0.1)
-        dq, dp = thermal_widths(3.0, p)
-        assert dq == pytest.approx(math.sqrt(6.0) / 2.0)
-        assert dp == pytest.approx(math.sqrt(6.0))
+        gaussian = GaussianDist(0.0, 0.0, math.sqrt(6.0) / 2.0, math.sqrt(6.0))
+        t = np.linspace(0.0, 9.0, 15)
+        np.testing.assert_allclose(ClassicalThermal(3.0).concurrence(t, p),
+                                   gaussian.concurrence(t, p), atol=1e-14)
+        direct = monte_carlo_classical_concurrence(ClassicalThermal(3.0), t, p, 500, seed=2)
+        via_widths = monte_carlo_classical_concurrence(gaussian, t, p, 500, seed=2)
+        assert np.array_equal(direct[0], via_widths[0])
+        assert np.array_equal(direct[1], via_widths[1])
 
     def test_minimum_uncertainty_widths_closed_form(self):
         p = ModelParams(omega=4.0, lambda_=0.1)
@@ -80,12 +92,6 @@ class TestDistributions:
         assert DeltaDist(0.0, 1.0).label == "deltadist"
         assert GaussianDist(0.0, 0.0, 1.0, 1.0).label == "gaussiandist"
         assert ClassicalThermal(2.5).label == "classical_thermal(k_T=2.5)"
-
-    def test_thermal_dist_is_a_centered_gaussian(self):
-        dist = classical_thermal_dist(2.0, P)
-        assert isinstance(dist, GaussianDist)
-        assert dist.q_bar == 0.0 and dist.p_bar == 0.0
-        assert (dist.delta_q, dist.delta_p) == thermal_widths(2.0, P)
 
 
 class TestTrajectory:
@@ -176,7 +182,7 @@ class TestThermalLaw:
     def test_factory_identity(self):
         t = np.linspace(0.0, 14.0, 55)
         direct = ClassicalThermal(2.5).concurrence(t, P)
-        via_widths = classical_concurrence(classical_thermal_dist(2.5, P), t, P)
+        via_widths = classical_concurrence(equipartition_gaussian(2.5, P), t, P)
         np.testing.assert_allclose(direct, via_widths, atol=1e-14)
         np.testing.assert_array_equal(classical_concurrence(ClassicalThermal(2.5), t, P),
                                       direct)
@@ -201,7 +207,7 @@ class TestThermalLaw:
 
 class TestMonteCarlo:
     def test_deterministic_for_fixed_seed(self):
-        dist = classical_thermal_dist(1.0, P)
+        dist = ClassicalThermal(1.0)
         a = monte_carlo_classical_concurrence(dist, 2.0, P, 5000, seed=42)
         b = monte_carlo_classical_concurrence(dist, 2.0, P, 5000, seed=42)
         assert a == b
@@ -221,7 +227,7 @@ class TestMonteCarlo:
         t = np.linspace(0.0, 9.0, 15)
         direct = monte_carlo_classical_concurrence(ClassicalThermal(2.5), t, P, 2000, seed=7)
         via_widths = monte_carlo_classical_concurrence(
-            classical_thermal_dist(2.5, P), t, P, 2000, seed=7)
+            equipartition_gaussian(2.5, P), t, P, 2000, seed=7)
         assert np.array_equal(direct[0], via_widths[0])
         assert np.array_equal(direct[1], via_widths[1])
 
@@ -236,7 +242,7 @@ class TestMonteCarlo:
         np.testing.assert_array_equal(err, np.zeros(6))
 
     def test_matches_closed_form_within_errorbars(self):
-        dist = classical_thermal_dist(1.0, P)
+        dist = ClassicalThermal(1.0)
         target = ClassicalThermal(1.0).concurrence(math.pi, P)
         value, err = monte_carlo_classical_concurrence(
             dist, math.pi, P, 100000, seed=3)
@@ -244,7 +250,7 @@ class TestMonteCarlo:
         assert abs(value - target) <= 3.0 * err
 
     def test_error_shrinks_with_sample_size(self):
-        dist = classical_thermal_dist(1.0, P)
+        dist = ClassicalThermal(1.0)
         _, err_small = monte_carlo_classical_concurrence(dist, 2.0, P, 200,
                                                          seed=1)
         _, err_big = monte_carlo_classical_concurrence(dist, 2.0, P, 80000,

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from reference import bell_state
 from tc2q.model import (
     BELL_KINDS,
     JM_FROM_EG,
@@ -14,7 +15,6 @@ from tc2q.model import (
     ModelParams,
     QubitDensity,
     Thermal,
-    bell_state,
     bell_vector,
     clamp_unit,
     spec_label,
@@ -26,17 +26,6 @@ class TestModelParams:
         p = ModelParams(omega=2.0, lambda_=0.1)
         assert p.beta == pytest.approx(0.05)
         assert p.omega0 == 0.0
-
-    def test_beta_m_scales_with_collective_quantum_number(self):
-        p = ModelParams(omega=1.0, lambda_=0.1)
-        assert p.beta_m(1) == pytest.approx(0.1)
-        assert p.beta_m(0) == 0.0
-        assert p.beta_m(-1) == pytest.approx(-0.1)
-
-    def test_beta_m_rejects_out_of_range_m(self):
-        p = ModelParams(omega=1.0, lambda_=0.1)
-        with pytest.raises(ValueError):
-            p.beta_m(2)
 
     @pytest.mark.parametrize("kwargs", [
         {"omega": 0.0, "lambda_": 0.1},
@@ -209,6 +198,10 @@ class TestOscillatorSpecs:
             ExplicitDensity(bad)
         with pytest.raises(ValueError):
             ExplicitDensity(np.diag([1.2, -0.2]))
+        with pytest.raises(ValueError, match="non-finite"):
+            ExplicitDensity(np.diag([0.5, 0.5, np.nan]))
+        with pytest.raises(ValueError, match="non-finite"):
+            ExplicitDensity(np.full((2, 2), np.nan))
 
     def test_labels_identify_the_preparation(self):
         assert spec_label(Thermal(2.0)) == "thermal(mean_n=2)"

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
+from reference import bell_state, displaced_number_state, partial_trace_oscillator
 from tc2q.analytic import coherence_integral
 from tc2q.model import (
     Coherent,
@@ -23,19 +24,16 @@ from tc2q.model import (
     Fock,
     ModelParams,
     Thermal,
-    bell_state,
     bell_vector,
 )
 from tc2q.oracle import (
+    _WOOTTERS_CHUNK,
     LEAK_ERROR,
-    SpectralPropagator,
     TruncationError,
     build_hamiltonian,
     choose_dim,
-    displaced_number_state,
     oracle_concurrence_series,
     oracle_reduced_density,
-    partial_trace_oscillator,
     predicted_spectrum,
     wootters_concurrence,
 )
@@ -53,8 +51,10 @@ def oscillator_density(spec, dim):
 @st.composite
 def density_stacks(draw):
     """Stacks of two-qubit densities, each a mixture of 1 to 4 random pure
-    states, so rank-deficient members are common."""
+    states, so rank-deficient members are common.  Some are tiled past one
+    chunk of :func:`wootters_concurrence`."""
     size = draw(st.integers(1, 5))
+    repeat = draw(st.sampled_from([1, _WOOTTERS_CHUNK // size + 1]))
     rank = draw(st.integers(1, 4))
     parts = draw(hnp.arrays(np.float64, (2, size, 4, rank), elements=st.floats(-1.0, 1.0)))
     weights = draw(hnp.arrays(np.float64, (size, rank), elements=st.floats(0.01, 1.0)))
@@ -63,7 +63,8 @@ def density_stacks(draw):
     assume(np.all(norms > 1e-3))
     vecs /= norms
     weights /= weights.sum(axis=1, keepdims=True)
-    return np.einsum("sak,sk,sbk->sab", vecs, weights, vecs.conj())
+    stack = np.einsum("sak,sk,sbk->sab", vecs, weights, vecs.conj())
+    return np.tile(stack, (repeat, 1, 1))
 
 
 class TestHamiltonian:
@@ -125,22 +126,6 @@ class TestDisplacedStates:
         big = ModelParams(omega=1.0, lambda_=2.0)
         with pytest.raises(TruncationError):
             displaced_number_state(0, 1, big, 6)
-
-
-class TestPropagation:
-    def test_norm_and_energy_are_conserved(self):
-        h = build_hamiltonian(P, 20)
-        prop = SpectralPropagator(h)
-        rng = np.random.default_rng(5)
-        psi0 = rng.normal(size=80) + 1j * rng.normal(size=80)
-        psi0 /= np.linalg.norm(psi0)
-        e0 = np.vdot(psi0, h @ psi0).real
-        coeff = prop.modes.conj().T @ psi0[:, None]
-        for t in (0.3, 2.0, 17.0):
-            psi = prop.evolve(coeff, t)[:, 0]
-            assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
-            e_t = np.vdot(psi, h @ psi).real
-            assert e_t == pytest.approx(e0, rel=1e-10)
 
 
 class TestPartialTrace:
@@ -334,6 +319,12 @@ class TestConcurrenceSeries:
         series = oracle_concurrence_series("psi_plus", spec, np.array([t]), P)
         assert wootters_concurrence(rho) == pytest.approx(
             series.concurrence[0], abs=1e-12)
+
+    def test_single_time_density_aborts_on_leakage(self):
+        # the same point aborts a one-point series with leakage 7.4e-06
+        strong = ModelParams(omega=1.0, lambda_=0.3)
+        with pytest.raises(TruncationError, match="leakage"):
+            oracle_reduced_density("psi_plus", Coherent(2.0), 2.0944, strong, dim=26)
 
     def test_initial_point_is_maximally_entangled(self):
         series = oracle_concurrence_series("phi_plus", Fock(2),

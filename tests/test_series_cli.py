@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,7 +87,7 @@ class TestFileRoundTrips:
     def test_csv_is_header_plus_rows(self, tmp_path):
         path = str(tmp_path / "out.csv")
         write_table(make_series(3), path, "csv")
-        lines = open(path).read().split("\n")
+        lines = Path(path).read_text().split("\n")
         assert lines[0] == "t,omega_t,C"
         assert len(lines) == 5 and lines[4] == ""  # 3 rows + trailing newline
 
@@ -102,7 +104,7 @@ class TestFileRoundTrips:
     def test_csv_sidecar_carries_the_echo(self, tmp_path):
         path = str(tmp_path / "out.csv")
         write_table(make_series(), path, "csv")
-        sidecar = json.load(open(path + ".meta.json"))
+        sidecar = json.loads(Path(path + ".meta.json").read_text())
         assert sidecar["engine"] == "analytic"
         assert sidecar["meta"]["note"] == "fixture"
         assert "artifact_version" in sidecar
@@ -122,7 +124,7 @@ class TestFileRoundTrips:
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         write_table(make_series(), a, "csv")
         write_table(make_series(), b, "csv")
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_no_temp_residue_and_missing_dir_raises(self, tmp_path):
         path = str(tmp_path / "out.json")
@@ -136,7 +138,7 @@ class TestFileRoundTrips:
         path = str(tmp_path / "report.json")
         report = {"passed": True, "columns": {"x": [1.0, 2.5]}}
         write_report(path, report)
-        text = open(path).read()
+        text = Path(path).read_text()
         assert text == json.dumps(report, indent=2) + "\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
@@ -186,7 +188,7 @@ class TestCliRun:
             time_grid={"t_start": 0.0, "t_end": 3.0, "n_points": 4},
             output={"path": out, "format": "json"})
         assert cli.main(["run", "--config", cfg_path, "--dim", "85"]) == 0
-        payload = json.load(open(out))
+        payload = json.loads(Path(out).read_text())
         assert payload["meta"]["dim"] == 85
         assert payload["meta"]["config"]["engine"] == "oracle"
 
@@ -194,9 +196,9 @@ class TestCliRun:
         cfg_path, cfg = write_config(tmp_path)
         out = cfg["output"]["path"]
         assert cli.main(["run", "--config", cfg_path]) == 0
-        first = open(out, "rb").read()
+        first = Path(out).read_bytes()
         assert cli.main(["run", "--config", cfg_path]) == 0
-        assert open(out, "rb").read() == first
+        assert Path(out).read_bytes() == first
 
     def test_classical_closed_form_run(self, tmp_path):
         cfg_path, cfg = write_config(
@@ -224,8 +226,8 @@ class TestCliRun:
                                 **common)
         assert cli.main(["run", "--config", cfg_a, "--seed", "42"]) == 0
         assert cli.main(["run", "--config", cfg_b]) == 0
-        a = open(out_a).read().splitlines()
-        b = open(out_b).read().splitlines()
+        a = Path(out_a).read_text().splitlines()
+        b = Path(out_b).read_text().splitlines()
         assert a[0] == "t,omega_t,C,std_error"
         assert a[1:] == b[1:]  # same samples, therefore identical numbers
 
@@ -235,7 +237,7 @@ class TestCliRun:
         assert cli.main(["run", "--config", cfg_path]) == 0
         assert read_series(out).t.size == 20
         assert cli.main(["run", "--config", cfg_path, "--format", "csv"]) == 0
-        assert open(out).readline().startswith("t,omega_t,C")
+        assert Path(out).read_text().startswith("t,omega_t,C")
 
     def test_module_entry_point(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
@@ -258,7 +260,7 @@ class TestCliValidate:
             validate={"tolerance": 1e-6},
             output={"path": out, "format": "json"})
         assert cli.main(["validate", "--config", cfg_path]) == 0
-        report = json.load(open(out))
+        report = json.loads(Path(out).read_text())
         assert report["passed"] is True
         assert report["max_abs_diff"] <= 1e-6
         assert report["max_abs_diff_coherence"] <= 1e-6
@@ -272,7 +274,7 @@ class TestCliValidate:
             validate={"tolerance": 1e-18},
             output={"path": out, "format": "json"})
         assert cli.main(["validate", "--config", cfg_path]) == 3
-        assert json.load(open(out))["passed"] is False
+        assert json.loads(Path(out).read_text())["passed"] is False
 
     def test_run_command_accepts_validate_engine(self, tmp_path):
         out = str(tmp_path / "report.json")
@@ -304,7 +306,7 @@ class TestCliValidate:
             tmp_path, engine="validate", qubit_init=qubit_init, output={"path": out},
             oscillator={"kind": "coherent", "alpha0": [1.2, -0.7]})
         assert cli.main(["validate", "--config", cfg_path]) == code
-        report = json.load(open(out))
+        report = json.loads(Path(out).read_text())
         assert report["max_abs_diff"] <= 1e-6
         diff = report["max_abs_diff_coherence"]
         assert diff > 1e-6 if code else diff is None
@@ -321,7 +323,7 @@ class TestCliSweep:
             beta_grid={"start": 0.0, "stop": 0.25, "n_points": 5},
             output={"path": out, "format": "csv"})
         assert cli.main(["sweep-beta", "--config", cfg_path]) == 0
-        lines = open(out).read().strip().splitlines()
+        lines = Path(out).read_text().strip().splitlines()
         assert lines[0] == "spec,beta,C"
         assert len(lines) == 11
         # beta = 1/8 is the node of the one-photon preparation
@@ -339,7 +341,7 @@ class TestCliSweep:
             beta_grid={"start": 0.05, "stop": 0.3, "n_points": 6},
             output={"path": out, "format": "csv"})
         assert cli.main(["sweep-beta", "--config", cfg_path]) == 0
-        assert len(open(out).read().strip().splitlines()) == 7
+        assert len(Path(out).read_text().strip().splitlines()) == 7
         with open(cfg_path, "w") as handle:  # but not both forms at once
             json.dump({**cfg, "oscillators": [{"kind": "fock", "n": 1}]}, handle)
         assert cli.main(["sweep-beta", "--config", cfg_path]) == 2
@@ -381,7 +383,7 @@ class TestCliSpectrum:
             time_grid=None, oracle={"dim": 40},
             output={"path": out, "format": "json"})
         assert cli.main(["spectrum", "--config", cfg_path]) == 0
-        report = json.load(open(out))
+        report = json.loads(Path(out).read_text())
         assert report["passed"] is True
         assert report["checked_levels"] == 26
         assert len(report["columns"]["computed"]) == 160
@@ -393,7 +395,7 @@ class TestCliSpectrum:
             time_grid=None,
             output={"path": out, "format": "csv"})
         assert cli.main(["spectrum", "--config", cfg_path, "--dim", "30"]) == 0
-        lines = open(out).read().strip().splitlines()
+        lines = Path(out).read_text().strip().splitlines()
         assert lines[0] == "index,computed,predicted,abs_diff"
         assert len(lines) == 121
 
@@ -403,7 +405,7 @@ class TestCliSpectrum:
             tmp_path, engine="oracle", qubit_init=None, oscillator=None,
             time_grid=None, output={"path": out, "format": "json"})
         assert cli.main(["spectrum", "--config", cfg_path]) == 0
-        report = json.load(open(out))
+        report = json.loads(Path(out).read_text())
         assert report["dim"] == 60
         assert len(report["columns"]["computed"]) == 240
 
@@ -485,7 +487,7 @@ class TestCliErrors:
                 oscillator={"kind": "coherent", "alpha0": alpha0},
                 output={"path": out, "format": "json"})
             assert cli.main(["run", "--config", cfg_path]) == 0
-            outs.append(json.load(open(out))["meta"]["oscillator"])
+            outs.append(json.loads(Path(out).read_text())["meta"]["oscillator"])
         assert outs == ["coherent(alpha0=1-0.5j)", "coherent(alpha0=1+0j)"]
 
     SWEEP = {"qubit_init": None, "time_grid": None,
@@ -552,6 +554,21 @@ class TestCliErrors:
         assert err["exit_code"] == 2 and "physical memory" in err["error"]
         assert "n_points = 1000000000000000" in err["error"]
         assert not os.path.exists(cfg["output"]["path"])
+
+    def test_grid_guard_counts_the_oracle_series_peak(self, monkeypatch):
+        # a long grid at a small dim, so the per-point arrays set the peak
+        counted = []
+        monkeypatch.setattr(cli, "_check_fits", lambda nbytes, what: counted.append(nbytes))
+        cfg = {"time_grid": {"t_start": 0.0, "t_end": 10.0, "n_points": 4000}}
+        times = cli._parse_grid(cfg, "time_grid", "t_start", "t_end")
+        tracemalloc.start()
+        try:
+            oracle.oracle_concurrence_series("psi_plus", Fock(0), times,
+                                             ModelParams(omega=1.0, lambda_=0.01), dim=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= counted[0]
 
     def test_sections_the_job_never_reads_are_config_errors(self, tmp_path, capsys):
         sections = {"monte_carlo": {"samples": 10}, "oracle": {"dim": 40},
