@@ -26,9 +26,10 @@ import numpy as np
 
 from . import __version__, analytic, classical, oracle
 from .model import BELL_KINDS, Coherent, Fock, ModelParams, Thermal, clamp_unit
-from .series import BetaSweep, ConcurrenceSeries, write_csv, write_report, write_table
+from .series import ConcurrenceSeries, write_table
 
 _SPECTRUM_DIM = 60
+_SPECTRUM_TOL = 1e-8
 
 
 class ConfigError(Exception):
@@ -57,6 +58,8 @@ def _get_number(obj: dict, key: str, context: str, required: bool = True,
     if not _is_number(value) or (integer and not isinstance(value, int)):
         kind = "an integer" if integer else "a number"
         raise ConfigError(f"{context}.{key} must be {kind}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{context}.{key} must be finite, got {value}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{context}.{key} must be >= {minimum}, got {value}")
     return value if integer else float(value)
@@ -236,14 +239,8 @@ def _resolve_output(cfg: dict, args, default_format: str = "csv"):
     return path, fmt
 
 
-def _echo_meta(cfg: dict, **extra) -> dict:
-    meta = {"config": cfg}
-    meta.update(extra)
-    return meta
-
-
 def _analytic_series(qubit_init: str, spec, times: np.ndarray,
-                     params: ModelParams, cfg: dict) -> ConcurrenceSeries:
+                     params: ModelParams) -> ConcurrenceSeries:
     if qubit_init in ("psi_plus", "phi_plus"):
         i_t = analytic.coherence_integral(spec, times, params)
         conc = clamp_unit(np.abs(i_t))
@@ -255,8 +252,7 @@ def _analytic_series(qubit_init: str, spec, times: np.ndarray,
     return ConcurrenceSeries(
         engine="analytic", t=times, omega_t=params.omega * times,
         concurrence=conc, u=u, v=v,
-        meta=_echo_meta(cfg, engine="analytic", oscillator=spec.label,
-                        artifact_version=__version__))
+        meta={"engine": "analytic", "oscillator": spec.label})
 
 
 def _cmd_run(cfg: dict, args) -> int:
@@ -271,16 +267,16 @@ def _cmd_run(cfg: dict, args) -> int:
     path, fmt = _resolve_output(cfg, args)
 
     if engine == "analytic":
-        series = _analytic_series(qubit_init, spec, times, params, cfg)
+        series = _analytic_series(qubit_init, spec, times, params)
     elif engine == "oracle":
         dim = _resolve_dim(cfg, args, oracle.choose_dim(spec, params))
         series = oracle.oracle_concurrence_series(qubit_init, spec, times,
                                                   params, dim=dim)
-        series.meta = _echo_meta(cfg, **series.meta, artifact_version=__version__)
     else:
         series = _classical_series(cfg, args, spec, times, params)
 
-    write_table(series, path, fmt)
+    write_table(path, fmt, series.engine, series.columns(),
+                {"config": cfg, **series.meta, "artifact_version": __version__})
     print(f"wrote {times.size} rows to {path} (engine={engine})")
     return 0
 
@@ -298,6 +294,9 @@ def _classical_series(cfg: dict, args, dist, times: np.ndarray,
         seed = _get_int(mc, "seed", "monte_carlo", required=False, default=0, minimum=0)
         if args.seed is not None:
             seed = args.seed
+        # the sampled (q0, p0) and the per-time correlator and jackknife
+        # temporaries peak at about 72 bytes per sample under tracemalloc
+        _check_fits(128 * samples, f"monte_carlo.samples = {samples}")
         # one sample set for the whole grid: common random numbers keep the
         # curve smooth and the file reproducible
         conc, err = classical.monte_carlo_classical_concurrence(
@@ -305,8 +304,7 @@ def _classical_series(cfg: dict, args, dist, times: np.ndarray,
         meta["monte_carlo"] = {"samples": samples, "seed": seed}
     return ConcurrenceSeries(
         engine="classical", t=times, omega_t=params.omega * times,
-        concurrence=conc, std_error=err,
-        meta=_echo_meta(cfg, **meta, artifact_version=__version__))
+        concurrence=conc, std_error=err, meta=meta)
 
 
 def _cmd_validate(cfg: dict, args) -> int:
@@ -324,7 +322,7 @@ def _cmd_validate(cfg: dict, args) -> int:
         raise ConfigError("validate writes a JSON report; use --format json")
 
     dim = _resolve_dim(cfg, args, oracle.choose_dim(spec, params))
-    analytic_series = _analytic_series(qubit_init, spec, times, params, cfg)
+    analytic_series = _analytic_series(qubit_init, spec, times, params)
     oracle_series = oracle.oracle_concurrence_series(qubit_init, spec, times,
                                                      params, dim=dim)
     diff = np.abs(analytic_series.concurrence - oracle_series.concurrence)
@@ -337,25 +335,14 @@ def _cmd_validate(cfg: dict, args) -> int:
                                         analytic_series.v - oracle_series.v).max())
     passed = bool(max_diff <= tolerance
                   and (coherence_diff is None or coherence_diff <= tolerance))
-    report = {
-        "artifact_version": __version__,
-        "engine": "validate",
-        "tolerance": tolerance,
-        "max_abs_diff": max_diff,
-        "max_abs_diff_coherence": coherence_diff,
-        "passed": passed,
-        "n_points": int(times.size),
-        "dim": dim,
-        "meta": _echo_meta(cfg),
-        "columns": {
-            "t": times.tolist(),
-            "omega_t": (params.omega * times).tolist(),
-            "C_analytic": analytic_series.concurrence.tolist(),
-            "C_oracle": oracle_series.concurrence.tolist(),
-            "abs_diff": diff.tolist(),
-        },
-    }
-    write_report(path, report)
+    write_table(path, fmt, "validate",
+                {"t": times, "omega_t": analytic_series.omega_t,
+                 "C_analytic": analytic_series.concurrence,
+                 "C_oracle": oracle_series.concurrence, "abs_diff": diff},
+                {"config": cfg},
+                {"tolerance": tolerance, "max_abs_diff": max_diff,
+                 "max_abs_diff_coherence": coherence_diff, "passed": passed,
+                 "n_points": int(times.size), "dim": dim})
     status = "PASS" if passed else "FAIL"
     print(f"max |C_analytic - C_oracle| = {max_diff:.6g}, max |I_analytic - I_oracle| "
           f"= {coherence_diff} vs tolerance {tolerance:g}: {status} ({path})")
@@ -382,15 +369,18 @@ def _cmd_sweep(cfg: dict, args) -> int:
     specs = [_parse_preparation(entry, f"oscillators[{i}]", "quantum")
              for i, entry in enumerate(raw_specs)]
     path, fmt = _resolve_output(cfg, args)
+    # one row per (oscillator, beta): writing the table peaks at about 500
+    # bytes per row under tracemalloc (JSON; CSV about 310); count 1 kB
+    _check_fits(1024 * len(specs) * betas.size,
+                f"{len(specs)} oscillator(s) x {betas.size} betas")
 
     # the half-period point omega t = pi depends on beta alone
     labels = [spec.label for spec in specs for _ in betas]
     conc = [clamp_unit(np.abs(spec.coherence(math.pi, betas))) for spec in specs]
-    sweep = BetaSweep(labels=labels, beta=np.tile(betas, len(specs)),
-                      concurrence=np.concatenate(conc),
-                      meta=_echo_meta(cfg, engine="analytic",
-                                      artifact_version=__version__))
-    write_table(sweep, path, fmt)
+    write_table(path, fmt, "analytic",
+                {"spec": labels, "beta": np.tile(betas, len(specs)),
+                 "C": np.concatenate(conc)},
+                {"config": cfg, "engine": "analytic", "artifact_version": __version__})
     print(f"wrote {len(labels)} rows to {path} ({len(specs)} oscillator spec(s))")
     return 0
 
@@ -405,35 +395,19 @@ def _cmd_spectrum(cfg: dict, args) -> int:
 
     computed = np.sort(np.linalg.eigvalsh(oracle.build_hamiltonian(params, dim)))
     predicted = oracle.predicted_spectrum(params, dim)
+    abs_diff = np.abs(computed - predicted)
     checked = (2 * dim) // 3
-    max_diff = float(np.abs(computed[:checked] - predicted[:checked]).max())
-    passed = bool(max_diff <= 1e-8)
-    if fmt == "csv":
-        write_csv(path, {"index": np.arange(computed.size, dtype=float),
-                         "computed": computed,
-                         "predicted": predicted,
-                         "abs_diff": np.abs(computed - predicted)},
-                  "oracle", _echo_meta(cfg, dim=dim, checked_levels=checked,
-                                       max_abs_diff_checked=max_diff, passed=passed,
-                                       artifact_version=__version__))
-    else:
-        write_report(path, {
-            "artifact_version": __version__,
-            "engine": "oracle",
-            "dim": dim,
-            "checked_levels": checked,
-            "max_abs_diff_checked": max_diff,
-            "tolerance": 1e-8,
-            "passed": passed,
-            "meta": _echo_meta(cfg),
-            "columns": {
-                "computed": computed.tolist(),
-                "predicted": predicted.tolist(),
-            },
-        })
+    max_diff = float(abs_diff[:checked].max())
+    passed = bool(max_diff <= _SPECTRUM_TOL)
+    write_table(path, fmt, "oracle",
+                {"index": np.arange(computed.size), "computed": computed,
+                 "predicted": predicted, "abs_diff": abs_diff},
+                {"config": cfg},
+                {"dim": dim, "checked_levels": checked, "max_abs_diff_checked": max_diff,
+                 "tolerance": _SPECTRUM_TOL, "passed": passed})
     status = "PASS" if passed else "FAIL"
-    print(f"lowest {checked} levels: max |E - E_pred| = {max_diff:.6g} vs 1e-08: "
-          f"{status} ({path})")
+    print(f"lowest {checked} levels: max |E - E_pred| = {max_diff:.6g} vs "
+          f"{_SPECTRUM_TOL:g}: {status} ({path})")
     return 0 if passed else 3
 
 

@@ -1,15 +1,15 @@
-"""Result containers and file output.
+"""The concurrence-series container and the one artifact writer.
 
-Two table shapes exist: a concurrence-versus-time series (``t, omega_t, C``
-plus optional ``u, v, std_error, leakage`` columns, in that order) and a
-half-period sweep over the coupling (``spec, beta, C``).  Both write CSV with
-12 significant digits or JSON with full doubles plus a config echo; files are
-written atomically (temp file + rename) so a failed run never leaves a
-partial artifact.
+A concurrence-versus-time series has ``t, omega_t, C`` plus optional
+``u, v, std_error, leakage`` columns, in that order.  Every artifact, series
+or not, goes through :func:`write_table`: CSV with 12 significant digits or
+JSON with full doubles, under one envelope (artifact version, engine,
+summary fields, config echo).  Files are written atomically (temp file +
+rename) so a failed run never leaves a partial artifact.
 
 CSV files are exactly header + rows.  Because that leaves no room for
-provenance, a CSV emit also drops ``<path>.meta.json`` alongside with the
-same echo a JSON emit embeds.
+provenance, a CSV emit also drops ``<path>.meta.json`` alongside, holding
+the envelope a JSON emit embeds, without the columns.
 """
 
 from __future__ import annotations
@@ -75,27 +75,6 @@ class ConcurrenceSeries:
         return cols
 
 
-@dataclass
-class BetaSweep:
-    """Half-period concurrence versus beta, one row per (oscillator, beta)."""
-
-    labels: list
-    beta: np.ndarray
-    concurrence: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.beta = _finite_1d("beta", self.beta)
-        self.concurrence = _finite_1d("C", self.concurrence, self.beta.size)
-        if len(self.labels) != self.beta.size:
-            raise ValueError("labels and beta must have the same length")
-        if self.concurrence.min() < 0.0 or self.concurrence.max() > 1.0:
-            raise ValueError("concurrence values must lie in [0, 1]")
-
-    def columns(self) -> dict:
-        return {"spec": list(self.labels), "beta": self.beta, "C": self.concurrence}
-
-
 def _atomic_write_text(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see partials."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -125,35 +104,26 @@ def _csv_text(columns: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(path: str, report: dict) -> None:
-    """Write ``report`` to ``path`` as indent-2 JSON plus a newline, atomically."""
-    _atomic_write_text(path, json.dumps(report, indent=2) + "\n")
+def write_table(path: str, fmt: str, engine: str, columns: dict, meta: dict,
+                summary: dict | None = None) -> None:
+    """Write one artifact to ``path`` as ``csv`` or ``json``, atomically.
 
-
-def write_csv(path: str, columns: dict, engine: str, meta: dict) -> None:
-    """Write a name -> column mapping as CSV, with its ``.meta.json`` sidecar."""
-    _atomic_write_text(path, _csv_text(columns))
-    write_report(path + ".meta.json",
-                 {"artifact_version": __version__, "engine": engine, "meta": meta})
-
-
-def write_table(table, path: str, fmt: str = "csv") -> None:
-    """Emit a series or sweep to ``path`` as ``csv`` or ``json``, atomically."""
+    The envelope is ``{"artifact_version", "engine", **summary, "meta"}``.
+    JSON appends ``"columns"`` to it; CSV writes header + rows and puts the
+    envelope in the ``<path>.meta.json`` sidecar.  ``columns`` maps names to
+    arrays, or to lists of strings.
+    """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    columns = table.columns()
-    meta = dict(getattr(table, "meta", {}) or {})
-    engine = getattr(table, "engine", meta.get("engine"))
+    envelope = {"artifact_version": __version__, "engine": engine, **(summary or {}),
+                "meta": meta}
     if fmt == "csv":
-        write_csv(path, columns, engine, meta)
-        return
-    write_report(path, {
-        "artifact_version": __version__,
-        "engine": engine,
-        "meta": meta,
-        "columns": {name: (list(vals) if isinstance(vals, list) else vals.tolist())
-                    for name, vals in columns.items()},
-    })
+        _atomic_write_text(path, _csv_text(columns))
+        path += ".meta.json"
+    else:
+        envelope["columns"] = {name: vals if isinstance(vals, list) else vals.tolist()
+                               for name, vals in columns.items()}
+    _atomic_write_text(path, json.dumps(envelope, indent=2) + "\n")
 
 
 def read_series(path: str) -> ConcurrenceSeries:

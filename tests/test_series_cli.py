@@ -15,13 +15,7 @@ import tc2q
 from tc2q import analytic, cli, oracle
 from tc2q.analytic import coherence_integral
 from tc2q.model import Fock, ModelParams, Thermal
-from tc2q.series import (
-    BetaSweep,
-    ConcurrenceSeries,
-    read_series,
-    write_report,
-    write_table,
-)
+from tc2q.series import ConcurrenceSeries, read_series, write_table
 
 P = ModelParams(omega=1.0, lambda_=0.1)
 
@@ -31,6 +25,10 @@ def make_series(n=3):
     return ConcurrenceSeries(engine="analytic", t=t, omega_t=t,
                              concurrence=np.linspace(1.0, 0.5, n),
                              meta={"note": "fixture"})
+
+
+def write_series(series, path, fmt):
+    write_table(path, fmt, series.engine, series.columns(), series.meta)
 
 
 class TestSeriesValidation:
@@ -77,16 +75,11 @@ class TestSeriesValidation:
             ConcurrenceSeries(engine="x", t=empty, omega_t=empty,
                               concurrence=empty)
 
-    def test_sweep_validation(self):
-        with pytest.raises(ValueError):
-            BetaSweep(labels=["a"], beta=np.array([0.1, 0.2]),
-                      concurrence=np.array([0.5, 0.6]))
-
 
 class TestFileRoundTrips:
     def test_csv_is_header_plus_rows(self, tmp_path):
         path = str(tmp_path / "out.csv")
-        write_table(make_series(3), path, "csv")
+        write_series(make_series(3), path, "csv")
         lines = Path(path).read_text().split("\n")
         assert lines[0] == "t,omega_t,C"
         assert len(lines) == 5 and lines[4] == ""  # 3 rows + trailing newline
@@ -94,7 +87,7 @@ class TestFileRoundTrips:
     def test_csv_round_trip_keeps_twelve_digits(self, tmp_path):
         path = str(tmp_path / "out.csv")
         src = make_series(7)
-        write_table(src, path, "csv")
+        write_series(src, path, "csv")
         back = read_series(path)
         np.testing.assert_allclose(back.concurrence, src.concurrence,
                                    rtol=1e-11)
@@ -103,7 +96,7 @@ class TestFileRoundTrips:
 
     def test_csv_sidecar_carries_the_echo(self, tmp_path):
         path = str(tmp_path / "out.csv")
-        write_table(make_series(), path, "csv")
+        write_series(make_series(), path, "csv")
         sidecar = json.loads(Path(path + ".meta.json").read_text())
         assert sidecar["engine"] == "analytic"
         assert sidecar["meta"]["note"] == "fixture"
@@ -114,7 +107,7 @@ class TestFileRoundTrips:
         # the content, not the suffix, marks a file as JSON
         for name in ("out.json", "out.dat"):
             path = str(tmp_path / name)
-            write_table(src, path, "json")
+            write_series(src, path, "json")
             back = read_series(path)
             np.testing.assert_array_equal(back.concurrence, src.concurrence)
             assert back.engine == "analytic"
@@ -122,29 +115,30 @@ class TestFileRoundTrips:
 
     def test_writes_are_deterministic(self, tmp_path):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        write_table(make_series(), a, "csv")
-        write_table(make_series(), b, "csv")
+        write_series(make_series(), a, "csv")
+        write_series(make_series(), b, "csv")
         assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_no_temp_residue_and_missing_dir_raises(self, tmp_path):
         path = str(tmp_path / "out.json")
-        write_table(make_series(), path, "json")
+        write_series(make_series(), path, "json")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
         with pytest.raises(OSError):
-            write_table(make_series(), str(tmp_path / "missing" / "x.json"),
-                        "json")
+            write_series(make_series(), str(tmp_path / "missing" / "x.json"), "json")
 
     def test_report_is_indented_json_with_trailing_newline(self, tmp_path):
         path = str(tmp_path / "report.json")
-        report = {"passed": True, "columns": {"x": [1.0, 2.5]}}
-        write_report(path, report)
+        write_table(path, "json", "x", {"x": np.array([1.0, 2.5])}, {"note": "fixture"},
+                    summary={"passed": True})
+        report = {"artifact_version": tc2q.__version__, "engine": "x", "passed": True,
+                  "meta": {"note": "fixture"}, "columns": {"x": [1.0, 2.5]}}
         text = Path(path).read_text()
         assert text == json.dumps(report, indent=2) + "\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            write_table(make_series(), str(tmp_path / "x.xml"), "xml")
+            write_series(make_series(), str(tmp_path / "x.xml"), "xml")
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -423,6 +417,44 @@ class TestCliSpectrum:
         assert cli.main(["spectrum", "--config", cfg_path]) == 2
 
 
+class TestEnvelope:
+    SCENARIO = {"time_grid": {"t_start": 0.0, "t_end": 3.0, "n_points": 6}}
+    NO_SCENARIO = {"qubit_init": None, "oscillator": None, "time_grid": None}
+
+    @pytest.mark.parametrize("command, overrides, formats", [
+        ("run", SCENARIO, ("csv", "json")),
+        ("run", {**SCENARIO, "engine": "oracle"}, ("csv", "json")),
+        ("run", {**SCENARIO, "engine": "classical",
+                 "oscillator": {"kind": "classical_thermal", "k_T": 1.0},
+                 "monte_carlo": {"samples": 50}}, ("csv", "json")),
+        ("sweep-beta", {**NO_SCENARIO, "oscillators": [{"kind": "fock", "n": 1}],
+                        "beta_grid": {"start": 0.0, "stop": 0.2, "n_points": 3}},
+         ("csv", "json")),
+        ("spectrum", {**NO_SCENARIO, "engine": "oracle", "oracle": {"dim": 12}},
+         ("csv", "json")),
+        ("run", {**SCENARIO, "engine": "validate"}, ("json",)),
+        ("validate", {**SCENARIO, "engine": "validate"}, ("json",)),
+    ], ids=["run-analytic", "run-oracle", "run-classical", "sweep-beta", "spectrum",
+            "run-validate", "validate"])
+    def test_every_command_writes_one_envelope(self, tmp_path, command, overrides,
+                                               formats):
+        # no output section, so both formats echo the same config
+        cfg_path, _ = write_config(tmp_path, output=None, **overrides)
+        for fmt in formats:
+            assert cli.main([command, "--config", cfg_path,
+                             "--out", str(tmp_path / f"out.{fmt}")]) == 0
+        payload = json.loads((tmp_path / "out.json").read_text())
+        assert list(payload)[:2] == ["artifact_version", "engine"]
+        assert list(payload)[-2:] == ["meta", "columns"]
+        assert payload["meta"]["config"]["version"] == 1
+        if "csv" in formats:
+            columns = payload.pop("columns")
+            sidecar = json.loads((tmp_path / "out.csv.meta.json").read_text())
+            assert list(sidecar.items()) == list(payload.items())
+            header = (tmp_path / "out.csv").read_text().splitlines()[0]
+            assert header.split(",") == list(columns)
+
+
 class TestCliErrors:
     def test_unknown_key_is_a_config_error(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path, typo_key=1)
@@ -569,6 +601,83 @@ class TestCliErrors:
         finally:
             tracemalloc.stop()
         assert peak <= counted[0]
+
+    @pytest.mark.parametrize("oscillator", [
+        {"kind": "gaussian", "q_bar": 0.0, "p_bar": 0.0, "delta_q": 1.0, "delta_p": 1.0},
+        {"kind": "classical_thermal", "k_T": 1.0},
+    ], ids=["gaussian", "classical_thermal"])
+    def test_oversized_monte_carlo_exits_two_before_sampling(self, tmp_path, capsys,
+                                                             monkeypatch, oscillator):
+        monkeypatch.setattr(np.random, "default_rng", self.refuse_allocation)
+        cfg_path, cfg = write_config(tmp_path, engine="classical", oscillator=oscillator,
+                                     monte_carlo={"samples": 10 ** 13})
+        assert cli.main(["run", "--config", cfg_path]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["exit_code"] == 2 and "physical memory" in err["error"]
+        assert "monte_carlo.samples = 10000000000000" in err["error"]
+        assert not os.path.exists(cfg["output"]["path"])
+
+    @staticmethod
+    def traced_peak(monkeypatch, argv):
+        """(peak traced bytes of ``cli.main(argv)``, the byte counts it checked)."""
+        counted = []
+        monkeypatch.setattr(cli, "_check_fits", lambda nbytes, what: counted.append(nbytes))
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, counted
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sample_guard_counts_the_monte_carlo_peak(self, tmp_path, monkeypatch, fmt):
+        # many samples on a short grid, so the sampled ensemble sets the peak
+        cfg_path, _ = write_config(
+            tmp_path, engine="classical", oscillator={"kind": "classical_thermal", "k_T": 1.0},
+            time_grid={"t_start": 0.0, "t_end": 3.0, "n_points": 4},
+            monte_carlo={"samples": 20_000},
+            output={"path": str(tmp_path / f"out.{fmt}"), "format": fmt})
+        peak, counted = self.traced_peak(monkeypatch, ["run", "--config", cfg_path])
+        assert peak <= sum(counted)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_guard_counts_the_written_rows(self, tmp_path, monkeypatch, fmt):
+        oscillators = [{"kind": "thermal", "mean_n": 1.0}, {"kind": "fock", "n": 10},
+                       {"kind": "coherent", "alpha0": [1.2, -0.7]},
+                       {"kind": "thermal", "mean_n": 3.5}]
+        cfg_path, _ = write_config(
+            tmp_path, **{**self.SWEEP, "oscillator": None, "oscillators": oscillators,
+                         "beta_grid": {"start": 0.0, "stop": 0.5, "n_points": 2000}},
+            output={"path": str(tmp_path / f"sweep.{fmt}"), "format": fmt})
+        peak, counted = self.traced_peak(monkeypatch, ["sweep-beta", "--config", cfg_path])
+        assert peak <= max(counted)
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("validate", {"engine": "validate", "validate": {"tolerance": math.inf}}),
+        ("validate", {"engine": "validate", "validate": {"tolerance": math.nan}}),
+        ("run", {"time_grid": {"t_start": 0.0, "t_end": math.inf, "n_points": 5}}),
+        ("run", {"time_grid": {"t_start": 0.0, "t_end": "1e999", "n_points": 5}}),
+        ("sweep-beta", {**SWEEP, "beta_grid": {"start": 0.0, "stop": math.nan,
+                                               "n_points": 3}}),
+    ], ids=["tolerance-Infinity", "tolerance-NaN", "t_end-Infinity", "t_end-1e999",
+            "stop-NaN"])
+    def test_non_finite_numbers_are_config_errors(self, tmp_path, capsys, command,
+                                                  overrides):
+        out = tmp_path / "out.json"
+        cfg_path, _ = write_config(tmp_path, output={"path": str(out), "format": "json"},
+                                   **overrides)
+        # json.load reads NaN, Infinity and the overflowing literal 1e999 as floats
+        cfg_file = Path(cfg_path)
+        cfg_file.write_text(cfg_file.read_text().replace('"1e999"', "1e999"))
+        assert cli.main([command, "--config", cfg_path]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["exit_code"] == 2 and "must be finite" in err["error"]
+        assert not out.exists()
 
     def test_sections_the_job_never_reads_are_config_errors(self, tmp_path, capsys):
         sections = {"monte_carlo": {"samples": 10}, "oracle": {"dim": 40},
