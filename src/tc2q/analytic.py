@@ -22,21 +22,9 @@ Scalar ``t`` arguments may also be 1-d arrays; results broadcast.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from .model import ModelParams, NondegenerateParamsWarning, OscillatorSpec
-
-
-def _require_degenerate(params: ModelParams) -> None:
-    if params.omega0 != 0.0:
-        warnings.warn(
-            f"omega0 = {params.omega0:g} ignored: the closed-form engine models the "
-            "degenerate point omega0 = 0 (use the oracle engine for omega0 > 0)",
-            NondegenerateParamsWarning,
-            stacklevel=3,
-        )
+from .model import ModelParams, OscillatorSpec
 
 
 def coherence_integral(spec: OscillatorSpec, t, params: ModelParams):
@@ -45,11 +33,12 @@ def coherence_integral(spec: OscillatorSpec, t, params: ModelParams):
     Each preparation supplies its closed form as ``spec.coherence``; an
     :class:`~tc2q.model.ExplicitDensity` has none and must go through the
     Fock-space oracle.  The concurrence of psi_plus and phi_plus is |I(t)|.
+    Raises ``ValueError`` unless ``params.omega0`` is 0.
     """
     try:
         closed_form = spec.coherence
     except AttributeError:
         raise TypeError(f"not an oscillator spec: {spec!r}") from None
-    _require_degenerate(params)
+    params.require_degenerate()
     out = closed_form(params.omega * np.asarray(t, dtype=float), params.beta)
     return complex(out) if out.ndim == 0 else out

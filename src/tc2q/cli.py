@@ -98,7 +98,6 @@ _JOBS = {
     ("run", "analytic"): ((), _SCENARIO),
     ("run", "oracle"): (("dim",), (*_SCENARIO, "oracle")),
     ("run", "classical"): (("seed",), (*_SCENARIO, "monte_carlo")),
-    ("run", "validate"): (("dim",), (*_SCENARIO, "oracle", "validate")),
     ("validate", "validate"): (("dim",), (*_SCENARIO, "oracle", "validate")),
     ("sweep-beta", "analytic"): ((), ("params", "oscillator", "oscillators", "beta_grid")),
     ("spectrum", "oracle"): (("dim",), ("params", "oracle")),
@@ -132,14 +131,19 @@ def _section(cfg: dict, name: str, keys: set, required: bool = False) -> dict:
     return obj
 
 
-def _parse_params(cfg: dict) -> ModelParams:
+def _parse_params(cfg: dict, command: str, engine: str) -> ModelParams:
+    """config.params; every job but an oracle run evaluates a closed form, so
+    it needs omega0 = 0."""
     obj = _section(cfg, "params", {"omega", "lambda", "omega0"}, required=True)
     try:
-        return ModelParams(
+        params = ModelParams(
             omega=_get_number(obj, "omega", "params"),
             lambda_=_get_number(obj, "lambda", "params"),
             omega0=_get_number(obj, "omega0", "params", required=False, default=0.0),
         )
+        if (command, engine) != ("run", "oracle"):
+            params.require_degenerate()
+        return params
     except ValueError as exc:
         raise ConfigError(f"invalid params: {exc}") from exc
 
@@ -257,9 +261,7 @@ def _analytic_series(qubit_init: str, spec, times: np.ndarray,
 
 def _cmd_run(cfg: dict, args) -> int:
     engine = _parse_job(cfg, args, "run")
-    if engine == "validate":
-        return _cmd_validate(cfg, args)
-    params = _parse_params(cfg)
+    params = _parse_params(cfg, "run", engine)
     qubit_init = _parse_qubit_init(cfg, engine)
     spec = _parse_preparation(cfg.get("oscillator"), "oscillator",
                               "classical" if engine == "classical" else "quantum")
@@ -309,7 +311,7 @@ def _classical_series(cfg: dict, args, dist, times: np.ndarray,
 
 def _cmd_validate(cfg: dict, args) -> int:
     engine = _parse_job(cfg, args, "validate")
-    params = _parse_params(cfg)
+    params = _parse_params(cfg, "validate", engine)
     qubit_init = _parse_qubit_init(cfg, engine)
     spec = _parse_preparation(cfg.get("oscillator"), "oscillator", "quantum")
     times = _parse_grid(cfg, "time_grid", "t_start", "t_end")
@@ -350,11 +352,10 @@ def _cmd_validate(cfg: dict, args) -> int:
 
 
 def _cmd_sweep(cfg: dict, args) -> int:
-    _parse_job(cfg, args, "sweep-beta")
+    engine = _parse_job(cfg, args, "sweep-beta")
     # optional: beta comes from the grid, but params given are checked
-    if "params" in cfg and _parse_params(cfg).omega0 != 0.0:
-        raise ConfigError("sweep-beta evaluates the omega0 = 0 closed form; "
-                          "params.omega0 must be 0")
+    if "params" in cfg:
+        _parse_params(cfg, "sweep-beta", engine)
     betas = _parse_grid(cfg, "beta_grid", "start", "stop")
     if not 0.0 <= betas[0] < betas[-1] <= 0.5:
         raise ConfigError(f"beta_grid must lie within [0, 0.5], "
@@ -386,10 +387,8 @@ def _cmd_sweep(cfg: dict, args) -> int:
 
 
 def _cmd_spectrum(cfg: dict, args) -> int:
-    _parse_job(cfg, args, "spectrum")
-    params = _parse_params(cfg)
-    if params.omega0 != 0.0:
-        raise ConfigError("the closed-form level structure needs omega0 = 0")
+    engine = _parse_job(cfg, args, "spectrum")
+    params = _parse_params(cfg, "spectrum", engine)
     dim = _resolve_dim(cfg, args, _SPECTRUM_DIM)
     path, fmt = _resolve_output(cfg, args, default_format="json")
 

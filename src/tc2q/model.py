@@ -38,10 +38,6 @@ EIGENVALUE_FLOOR = -1e-10
 CLAMP_SLACK = 1e-9
 
 
-class NondegenerateParamsWarning(UserWarning):
-    """Raised when omega0 > 0 reaches an engine that only models omega0 = 0."""
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameters of the coupled system.
@@ -53,8 +49,9 @@ class ModelParams:
     lambda_ : float
         Qubit-cavity coupling, real and >= 0.
     omega0 : float
-        Qubit splitting.  The closed-form engines require the degenerate
-        point omega0 = 0 and warn when handed anything else; the
+        Qubit splitting.  The closed forms, quantum and classical, hold
+        only at the degenerate point omega0 = 0 and raise ``ValueError``
+        through :meth:`require_degenerate` for anything else; the
         Fock-space oracle honours omega0 exactly.
     """
 
@@ -79,19 +76,25 @@ class ModelParams:
         """Dimensionless coupling lambda/omega."""
         return self.lambda_ / self.omega
 
+    def require_degenerate(self) -> None:
+        """Raise ``ValueError`` unless omega0 = 0, where the closed forms hold."""
+        if self.omega0 != 0.0:
+            raise ValueError(f"omega0 must be 0 for the closed forms, got {self.omega0}; "
+                             "only the oracle engine models omega0 > 0")
 
-def clamp_unit(value, slack: float = CLAMP_SLACK, label: str = "concurrence"):
-    """Clamp values in [-slack, 0) or (1, 1+slack] onto [0, 1].
+
+def clamp_unit(value):
+    """Clamp concurrences in [-CLAMP_SLACK, 0) or (1, 1+CLAMP_SLACK] onto [0, 1].
 
     Larger excursions and non-finite values raise ``ValueError``; round-off
     is silently repaired.  Accepts scalars or arrays.
     """
     arr = np.asarray(value, dtype=float)
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"non-finite {label}: {value!r}")
-    if np.any(arr < -slack) or np.any(arr > 1.0 + slack):
+        raise ValueError(f"non-finite concurrence: {value!r}")
+    if np.any(arr < -CLAMP_SLACK) or np.any(arr > 1.0 + CLAMP_SLACK):
         raise ValueError(
-            f"{label} outside [0, 1] beyond the {slack:g} clamp slack: "
+            f"concurrence outside [0, 1] beyond the {CLAMP_SLACK:g} clamp slack: "
             f"range [{arr.min():.6g}, {arr.max():.6g}]")
     out = np.clip(arr, 0.0, 1.0)
     return float(out) if np.isscalar(value) or arr.ndim == 0 else out

@@ -95,8 +95,7 @@ def predicted_spectrum(params: ModelParams, dim: int) -> np.ndarray:
     omega (N - 4 beta^2) and the two m = 0 states at omega N.
     """
     dim = _check_dim(dim)
-    if params.omega0 != 0.0:
-        raise ValueError("the closed-form spectrum is only known at omega0 = 0")
+    params.require_degenerate()
     n = np.arange(dim, dtype=float)
     shifted = params.omega * (n - 4.0 * params.beta ** 2)
     flat = params.omega * n

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import expm
 
-from tc2q.analytic import _require_degenerate, coherence_integral
+from tc2q.analytic import coherence_integral
 from tc2q.model import (
     Coherent,
     Fock,
@@ -64,7 +64,7 @@ def evolve_product_state(jm: tuple, alpha: complex, t: float,
     """
     if tuple(jm) not in _JM_LEVELS:
         raise ValueError(f"jm must be one of {_JM_LEVELS}, got {jm!r}")
-    _require_degenerate(params)
+    params.require_degenerate()
     alpha = complex(alpha)
     m = jm[1]
     bm = m * params.beta
@@ -120,7 +120,7 @@ def concurrence_general(p_tilde: Callable, t, params: ModelParams):
     ``p_tilde(k1, k2)`` must implement
     integral dx dy P(x, y) exp(-i (k1 x + k2 y)) with alpha = x + i y.
     """
-    _require_degenerate(params)
+    params.require_degenerate()
     k1, k2 = fourier_arguments(t, params)
     val = np.asarray(p_tilde(k1, k2), dtype=complex)
     if not (np.all(np.isfinite(val.real)) and np.all(np.isfinite(val.imag))):
@@ -175,7 +175,7 @@ def coherence_integral_fock_sum(n_index: int, t: float, params: ModelParams) -> 
     """
     if not isinstance(n_index, (int, np.integer)) or n_index < 0:
         raise ValueError(f"n_index must be a non-negative integer, got {n_index!r}")
-    _require_degenerate(params)
+    params.require_degenerate()
     n = int(n_index)
     wt = params.omega * float(t)
     base = 8.0 * params.beta * math.sin(wt / 2.0)

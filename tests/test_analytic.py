@@ -31,7 +31,6 @@ from tc2q.model import (
     ExplicitDensity,
     Fock,
     ModelParams,
-    NondegenerateParamsWarning,
     Thermal,
     f_phase,
     laguerre,
@@ -111,10 +110,12 @@ class TestBranchEvolution:
         with pytest.raises(ValueError):
             evolve_product_state((2, 0), 0.0, 1.0, P)
 
-    def test_warns_when_qubit_splitting_nonzero(self):
+    def test_rejects_nonzero_qubit_splitting(self):
         nondeg = ModelParams(omega=1.0, lambda_=0.1, omega0=0.05)
-        with pytest.warns(NondegenerateParamsWarning):
+        with pytest.raises(ValueError, match="omega0 must be 0"):
             evolve_product_state((1, 1), 0.0, 1.0, nondeg)
+        with pytest.raises(ValueError, match="omega0 must be 0"):
+            coherence_integral(Thermal(1.0), 1.0, nondeg)
 
 
 class TestLaguerre:

@@ -168,14 +168,15 @@ class TestClosedFormAverages:
             np.testing.assert_allclose(c_cl, concurrence(Coherent(0.0), t, p),
                                        atol=1e-12)
 
-    def test_minimum_uncertainty_identity_is_hbar_independent(self):
-        t = np.linspace(0.0, 10.0, 40)
-        for hbar in (0.5, 1.0, 3.0):
-            dq, dp = minimum_uncertainty_widths(P, hbar=hbar)
-            c_cl = classical_concurrence(GaussianDist(0.0, 0.0, dq, dp), t, P,
-                                         hbar=hbar)
-            np.testing.assert_allclose(c_cl, concurrence(Coherent(0.0), t, P),
-                                       atol=1e-12)
+    @pytest.mark.parametrize("dist", [
+        DeltaDist(0.5, -1.0), GaussianDist(0.0, 0.0, 1.0, 1.0), ClassicalThermal(1.0),
+    ], ids=["delta", "gaussian", "thermal"])
+    def test_entry_points_reject_nonzero_qubit_splitting(self, dist):
+        nondeg = ModelParams(omega=1.0, lambda_=0.1, omega0=0.3)
+        with pytest.raises(ValueError, match="omega0 must be 0"):
+            classical_concurrence(dist, 1.0, nondeg)
+        with pytest.raises(ValueError, match="omega0 must be 0"):
+            monte_carlo_classical_concurrence(dist, 1.0, nondeg, 10, 0)
 
 
 class TestThermalLaw:

@@ -39,6 +39,11 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
 
+    def test_closed_forms_require_the_degenerate_point(self):
+        ModelParams(omega=1.0, lambda_=0.1).require_degenerate()
+        with pytest.raises(ValueError, match="omega0 must be 0 .* got 0.3"):
+            ModelParams(omega=1.0, lambda_=0.1, omega0=0.3).require_degenerate()
+
     def test_frozen(self):
         p = ModelParams(omega=1.0, lambda_=0.1)
         with pytest.raises(AttributeError):
@@ -56,8 +61,8 @@ class TestClampUnit:
         assert clamp_unit(1.0 + 1e-12) == 1.0
 
     def test_large_violation_raises_with_label(self):
-        with pytest.raises(ValueError, match="visibility"):
-            clamp_unit(1.5, label="visibility")
+        with pytest.raises(ValueError, match="concurrence outside"):
+            clamp_unit(1.5)
         with pytest.raises(ValueError):
             clamp_unit(-0.01)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import tc2q
-from tc2q import analytic, cli, oracle
+from tc2q import analytic, classical, cli, oracle
 from tc2q.analytic import coherence_integral
 from tc2q.model import Fock, ModelParams, Thermal
 from tc2q.series import ConcurrenceSeries, read_series, write_table
@@ -186,6 +186,21 @@ class TestCliRun:
         assert payload["meta"]["dim"] == 85
         assert payload["meta"]["config"]["engine"] == "oracle"
 
+    def test_oracle_engine_models_nonzero_qubit_splitting(self, tmp_path):
+        out = str(tmp_path / "o.json")
+        params = {"omega": 1.0, "lambda": 0.1, "omega0": 0.3}
+        cfg_path, _ = write_config(
+            tmp_path, engine="oracle", params=params,
+            time_grid={"t_start": 0.0, "t_end": 3.0, "n_points": 4},
+            output={"path": out, "format": "json"})
+        assert cli.main(["run", "--config", cfg_path, "--dim", "40"]) == 0
+        payload = json.loads(Path(out).read_text())
+        assert payload["meta"]["params"]["omega0"] == 0.3
+        direct = oracle.oracle_concurrence_series(
+            "psi_plus", Thermal(1.0), np.linspace(0.0, 3.0, 4),
+            ModelParams(omega=1.0, lambda_=0.1, omega0=0.3), dim=40)
+        assert payload["columns"]["C"] == direct.concurrence.tolist()
+
     def test_runs_are_byte_identical(self, tmp_path):
         cfg_path, cfg = write_config(tmp_path)
         out = cfg["output"]["path"]
@@ -270,14 +285,6 @@ class TestCliValidate:
         assert cli.main(["validate", "--config", cfg_path]) == 3
         assert json.loads(Path(out).read_text())["passed"] is False
 
-    def test_run_command_accepts_validate_engine(self, tmp_path):
-        out = str(tmp_path / "report.json")
-        cfg_path, _ = write_config(
-            tmp_path, engine="validate",
-            time_grid={"t_start": 0.0, "t_end": 3.0, "n_points": 10},
-            output={"path": out, "format": "json"})
-        assert cli.main(["run", "--config", cfg_path]) == 0
-
     def test_csv_report_is_a_config_error(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, engine="validate")
         assert cli.main(["validate", "--config", cfg_path,
@@ -357,8 +364,7 @@ class TestCliSweep:
     @pytest.mark.parametrize("params", [
         "nonsense",
         {"omega": -1, "bogus": 3},
-        {"omega": 1.0, "lambda": 0.1, "omega0": 0.5},  # the sweep is the omega0 = 0 law
-    ], ids=["not-an-object", "unknown-key", "nonzero-omega0"])
+    ], ids=["not-an-object", "unknown-key"])
     def test_params_are_checked(self, tmp_path, params):
         out = str(tmp_path / "sweep.csv")
         cfg_path, _ = write_config(
@@ -410,12 +416,6 @@ class TestCliSpectrum:
         assert cli.main(["spectrum", "--config", cfg_path, "--dim", "30"]) == 2
         assert "dimm" in json.loads(capsys.readouterr().err)["error"]
 
-    def test_needs_degenerate_point(self, tmp_path):
-        cfg_path, _ = write_config(
-            tmp_path, engine="oracle", qubit_init=None, oscillator=None,
-            time_grid=None, params={"omega": 1.0, "lambda": 0.1, "omega0": 0.5})
-        assert cli.main(["spectrum", "--config", cfg_path]) == 2
-
 
 class TestEnvelope:
     SCENARIO = {"time_grid": {"t_start": 0.0, "t_end": 3.0, "n_points": 6}}
@@ -432,10 +432,9 @@ class TestEnvelope:
          ("csv", "json")),
         ("spectrum", {**NO_SCENARIO, "engine": "oracle", "oracle": {"dim": 12}},
          ("csv", "json")),
-        ("run", {**SCENARIO, "engine": "validate"}, ("json",)),
         ("validate", {**SCENARIO, "engine": "validate"}, ("json",)),
     ], ids=["run-analytic", "run-oracle", "run-classical", "sweep-beta", "spectrum",
-            "run-validate", "validate"])
+            "validate"])
     def test_every_command_writes_one_envelope(self, tmp_path, command, overrides,
                                                formats):
         # no output section, so both formats echo the same config
@@ -463,7 +462,7 @@ class TestCliErrors:
         assert "typo_key" in err["error"]
         assert err["exit_code"] == 2
 
-    @pytest.mark.parametrize("engine", ["bogus", ["oracle"], None])
+    @pytest.mark.parametrize("engine", ["bogus", ["oracle"], None, "validate"])
     def test_unknown_engine_is_a_config_error(self, tmp_path, engine):
         cfg_path, _ = write_config(tmp_path, engine=engine)
         assert cli.main(["run", "--config", cfg_path]) == 2
@@ -569,6 +568,39 @@ class TestCliErrors:
         assert err["exit_code"] == 2 and "physical memory" in err["error"]
         assert "dim = 1000000" in err["error"]
         assert not os.path.exists(out)
+
+    @staticmethod
+    def refuse_engine(*args, **kwargs):
+        raise AssertionError("a job at omega0 != 0 got past the params check")
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("run", {}),
+        ("run", {"engine": "classical", "monte_carlo": {"samples": 50},
+                 "oscillator": {"kind": "classical_thermal", "k_T": 1.0}}),
+        ("validate", {"engine": "validate"}),
+        ("sweep-beta", SWEEP),
+        ("spectrum", {"engine": "oracle", "qubit_init": None, "oscillator": None,
+                      "time_grid": None}),
+    ], ids=["run-analytic", "run-classical", "validate", "sweep-beta", "spectrum"])
+    def test_closed_form_jobs_need_the_degenerate_point(self, tmp_path, capsys,
+                                                        monkeypatch, command, overrides):
+        for module, name in ((oracle, "build_hamiltonian"),
+                             (oracle, "oracle_concurrence_series"),
+                             (analytic, "coherence_integral"),
+                             (classical, "monte_carlo_classical_concurrence")):
+            monkeypatch.setattr(module, name, self.refuse_engine)
+        fmt = "json" if command in ("validate", "spectrum") else "csv"
+        cfg_path, _ = write_config(
+            tmp_path, params={"omega": 1.0, "lambda": 0.1, "omega0": 0.3},
+            output={"path": str(tmp_path / f"out.{fmt}"), "format": fmt}, **overrides)
+        assert cli.main([command, "--config", cfg_path]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "invalid params: omega0 must be 0 for the closed forms, got 0.3; "
+                     "only the oracle engine models omega0 > 0",
+            "exit_code": 2}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize("command, overrides", [
         ("run", {"time_grid": {"t_start": 0.0, "t_end": 1.0, "n_points": 10 ** 15}}),
