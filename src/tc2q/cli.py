@@ -183,8 +183,9 @@ def _parse_grid(cfg: dict, name: str, start: str, stop: str) -> np.ndarray:
     if not last > first:
         raise ConfigError(f"{name}.{stop} ({last}) must exceed {start} ({first})")
     # per point the oracle series peaks at three 4x4 complex matrices (the
-    # reduced state and two temporaries while I(t) is read off the stack)
-    # and its float columns, about 780 bytes under tracemalloc; count 1 kB
+    # reduced state and two temporaries while the stack is rotated back or
+    # I(t) is read off it) and its float columns, about 780 bytes under
+    # tracemalloc; count 1 kB
     _check_fits(1024 * n_points, f"{name}.n_points = {n_points}")
     return np.linspace(first, last, n_points)
 
@@ -220,9 +221,17 @@ def _resolve_dim(cfg: dict, args, default: int) -> int:
     if args.dim is not None:
         dim = args.dim
     dim = default if dim is None else dim
-    # about four dense (4 dim)^2 complex matrices at once: the Hamiltonian,
-    # its eigenvectors and eigh's workspace
-    _check_fits(4 * 16 * (4 * dim) ** 2, f"dim = {dim}")
+    # the blocked oracle at its largest (omega0 > 0, a triplet Bell state, a
+    # thermal mixture of dim columns): a parity block of 3 dim / 2 with its
+    # eigenvectors and eigh's workspace; the 3 dim modes it reads out, as
+    # real eigenvector columns, initial columns and their coefficients, M
+    # and seven complex bilinear forms (six qubit pairs and the leakage);
+    # and three copies of a chunk of phases.  That counts about
+    # 1,410 dim^2 bytes, against a tracemalloc peak of about 1,370 dim^2.
+    block, modes = (3 * dim + 1) // 2, 3 * dim
+    _check_fits(3 * 8 * block ** 2 + 8 * 4 * dim * modes + 16 * (4 * dim + modes) * dim
+                + 8 * 16 * modes ** 2 + 3 * 16 * oracle._PHASE_CHUNK * modes,
+                f"dim = {dim}")
     return dim
 
 
@@ -341,7 +350,8 @@ def _cmd_validate(cfg: dict, args) -> int:
                 {"t": times, "omega_t": analytic_series.omega_t,
                  "C_analytic": analytic_series.concurrence,
                  "C_oracle": oracle_series.concurrence, "abs_diff": diff},
-                {"config": cfg},
+                {"config": cfg, "blocks": oracle_series.meta["blocks"],
+                 "eigen_residual": oracle_series.meta["eigen_residual"]},
                 {"tolerance": tolerance, "max_abs_diff": max_diff,
                  "max_abs_diff_coherence": coherence_diff, "passed": passed,
                  "n_points": int(times.size), "dim": dim})
@@ -392,7 +402,7 @@ def _cmd_spectrum(cfg: dict, args) -> int:
     dim = _resolve_dim(cfg, args, _SPECTRUM_DIM)
     path, fmt = _resolve_output(cfg, args, default_format="json")
 
-    computed = np.sort(np.linalg.eigvalsh(oracle.build_hamiltonian(params, dim)))
+    computed = oracle.spectrum(params, dim)
     predicted = oracle.predicted_spectrum(params, dim)
     abs_diff = np.abs(computed - predicted)
     checked = (2 * dim) // 3

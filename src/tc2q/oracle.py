@@ -2,13 +2,29 @@
 
 Nothing here calls the closed forms: of each oscillator preparation only its
 truncation reach and its Fock-basis columns are used.  The full Hamiltonian
-(including omega0) is built as a dense matrix on C^4 (x) C^dim, diagonalized
-once, and states are propagated exactly in the eigenbasis.  Reduced qubit states then
-go through the Wootters spin-flip construction.  Agreement with
+(including omega0) is written as a list of its nonzero entries on
+C^4 (x) C^dim, after a fixed rotation of the qubit factor: the collective
+jm basis at omega0 = 0, where sx1 + sx2 (so m) is conserved, and otherwise
+the exchange basis |ee>, (|eg>+|ge>)/sqrt(2), (|eg>-|ge>)/sqrt(2), |gg>,
+in which the parity (-1)^n sz1 sz2 is diagonal.  Neither symmetry is
+imposed: the blocks are found as the connected components of the sparsity
+graph, and only those the initial state populates are diagonalised, each by
+a dense eigh.
+
+The initial state bell (x) F is split into weighted pure columns.  With V
+the real eigenvectors, E the energies and C = V^T psi0, the reduced qubit
+state is a bilinear form in the phases phi(t) = exp(-iEt):
+
+    rho_ab(t) = phi^T G_ab phi*,    G_ab = (V_a^T V_b) o (C W C^dagger),
+
+where V_a holds the rows of qubit label a.  The forms are built once and
+the time grid is read through them in fixed-size chunks; the leakage into
+the top two Fock levels is one more form of the same kind.  Reduced states
+then go through the Wootters spin-flip construction.  Agreement with
 :mod:`tc2q.analytic` is therefore a genuine two-route test.
 
-The composite index is qubit-major: basis vector (q, n) sits at q * dim + n
-with q running over the eg ordering.
+The composite index is qubit-major: basis vector (q, n) sits at q * dim + n,
+with q running over the four states of the qubit frame.
 """
 
 from __future__ import annotations
@@ -39,19 +55,42 @@ _COMPOSITE_TOL = 1e-9
 #: matrices per batched LAPACK pass in :func:`wootters_concurrence`
 _WOOTTERS_CHUNK = 256
 
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
-_EYE2 = np.eye(2, dtype=complex)
+#: times per chunk of phases exp(-iEt) read through the bilinear forms
+_PHASE_CHUNK = 256
+
+#: weighted initial population at or below which a block is left out: far
+#: under anything the leakage check resolves, far above the ~1e-34 that the
+#: round-off of a rotated Bell vector leaves in blocks it does not touch
+_POPULATION_FLOOR = 1e-20
+
+#: entries of a rotated 4x4 qubit operator below this are round-off of zeros
+_OPERATOR_ROUNDOFF = 1e-12
+
+_S = math.sqrt(0.5)
+
+#: the qubit frame away from omega0 = 0: rows |ee>, (|eg>+|ge>)/sqrt(2),
+#: (|eg>-|ge>)/sqrt(2), |gg> in eg components
+_EXCHANGE_FROM_EG = np.array([
+    [1.0, 0.0, 0.0, 0.0],
+    [0.0, _S, _S, 0.0],
+    [0.0, _S, -_S, 0.0],
+    [0.0, 0.0, 0.0, 1.0],
+])
+
+# sx1 + sx2 and sz1 + sz2 in the eg ordering
+_SX_SUM = np.array([
+    [0.0, 1.0, 1.0, 0.0],
+    [1.0, 0.0, 0.0, 1.0],
+    [1.0, 0.0, 0.0, 1.0],
+    [0.0, 1.0, 1.0, 0.0],
+])
+_SZ_SUM = np.diag([2.0, 0.0, 0.0, -2.0])
 _SIGMA_YY = np.array([
     [0.0, 0.0, 0.0, -1.0],
     [0.0, 0.0, 1.0, 0.0],
     [0.0, 1.0, 0.0, 0.0],
     [-1.0, 0.0, 0.0, 0.0],
 ])  # sigma_y (x) sigma_y is real in the eg ordering
-
-
-def _destroy(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
 
 
 def _check_dim(dim: int) -> int:
@@ -74,18 +113,94 @@ def choose_dim(spec: OscillatorSpec, params: ModelParams) -> int:
     return max(20, math.ceil(s * s) + 10 * math.ceil(s) + top_level + 10)
 
 
-def build_hamiltonian(params: ModelParams, dim: int) -> np.ndarray:
-    """Dense H = (omega0/2)(sz1+sz2) + omega adag a + lambda (a+adag)(sx1+sx2)."""
+def _qubit_frame(params: ModelParams) -> np.ndarray:
+    """The real orthogonal 4x4 map from eg components to the frame H is
+    blocked in: jm at omega0 = 0, the exchange basis otherwise."""
+    return JM_FROM_EG if params.omega0 == 0.0 else _EXCHANGE_FROM_EG
+
+
+def _hamiltonian_entries(params: ModelParams, dim: int):
+    """Rows, columns and values of the nonzero entries of H in the qubit frame.
+
+    omega n sits on the diagonal, lambda sqrt(n) on the n +- 1 bands where
+    sx1 + sx2 has entries, and omega0/2 where sz1 + sz2 has them.
+    """
+    frame = _qubit_frame(params)
+
+    def rotated(operator):
+        """``operator`` in the qubit frame, with its round-off zeros made exact."""
+        out = frame @ operator @ frame.T
+        return np.where(np.abs(out) > _OPERATOR_ROUNDOFF, out, 0.0)
+
+    sx, sz = rotated(_SX_SUM), rotated(_SZ_SUM)
+    n = np.arange(dim)
+    band = params.lambda_ * np.sqrt(n[1:].astype(float))
+    parts = [(q * dim + n, q * dim + n, params.omega * n) for q in range(4)]
+    for a, b in zip(*np.nonzero(sx)):
+        # (a + adag) has sqrt(n + 1) at (n, n + 1) and at (n + 1, n)
+        parts.append((a * dim + n[:-1], b * dim + n[1:], sx[a, b] * band))
+        parts.append((a * dim + n[1:], b * dim + n[:-1], sx[a, b] * band))
+    for a, b in zip(*np.nonzero(sz)):
+        value = 0.5 * params.omega0 * sz[a, b]
+        parts.append((a * dim + n, b * dim + n, np.full(dim, value)))
+    rows, cols, vals = (np.concatenate(part) for part in zip(*parts))
+    keep = vals != 0.0
+    return rows[keep], cols[keep], vals[keep]
+
+
+def _component_labels(size: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Connected component of each of ``size`` nodes joined by the edges
+    (rows, cols), by union-find; components are numbered by their lowest node."""
+    parent = list(range(size))
+
+    def root(node):
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    for a, b in zip(rows.tolist(), cols.tolist()):
+        a, b = root(a), root(b)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    return np.unique([root(node) for node in range(size)], return_inverse=True)[1]
+
+
+def eigenblocks(params: ModelParams, dim: int, population: np.ndarray | None = None):
+    """Diagonalise H on the truncated space block by block, in the qubit frame.
+
+    The blocks are the connected components of the sparsity graph of H.
+    ``population`` is the weighted initial population of each composite
+    index, in the qubit frame; with it, only the blocks holding more than
+    ``_POPULATION_FLOOR`` of it are diagonalised, without it all are.
+    Returns the list of (composite indices, energies, real eigenvectors) of
+    those blocks, in the order of their lowest index, and the largest
+    Frobenius residual ||H_B V_B - V_B E_B|| over them.
+    """
     dim = _check_dim(dim)
-    a = _destroy(dim)
-    number = a.conj().T @ a
-    sx_sum = np.kron(_SIGMA_X, _EYE2) + np.kron(_EYE2, _SIGMA_X)
-    sz_sum = np.kron(_SIGMA_Z, _EYE2) + np.kron(_EYE2, _SIGMA_Z)
-    h = (params.omega * np.kron(np.eye(4, dtype=complex), number)
-         + params.lambda_ * np.kron(sx_sum, a + a.conj().T))
-    if params.omega0 != 0.0:
-        h = h + (0.5 * params.omega0) * np.kron(sz_sum, np.eye(dim, dtype=complex))
-    return h
+    rows, cols, vals = _hamiltonian_entries(params, dim)
+    upper = rows < cols
+    label = _component_labels(4 * dim, rows[upper], cols[upper])
+    row_label = label[rows]
+    blocks, residual = [], 0.0
+    for block in range(label.max() + 1):
+        index = np.flatnonzero(label == block)
+        if population is not None and population[index].sum() <= _POPULATION_FLOOR:
+            continue
+        entry = row_label == block
+        h = np.zeros((index.size, index.size))
+        local = np.searchsorted(index, rows[entry]), np.searchsorted(index, cols[entry])
+        np.add.at(h, local, vals[entry])
+        energies, vectors = np.linalg.eigh(h)
+        residual = max(residual, float(np.linalg.norm(h @ vectors - vectors * energies)))
+        blocks.append((index, energies, vectors))
+    return blocks, residual
+
+
+def spectrum(params: ModelParams, dim: int) -> np.ndarray:
+    """Every eigenvalue of H on the truncated space, sorted, from all blocks."""
+    blocks, _ = eigenblocks(params, dim)
+    return np.sort(np.concatenate([energies for _, energies, _ in blocks]))
 
 
 def predicted_spectrum(params: ModelParams, dim: int) -> np.ndarray:
@@ -137,22 +252,29 @@ def wootters_concurrence(rho):
     return clamp_unit(np.where(conc > 0.0, conc, 0.0))
 
 
+def _quadratic(phase: np.ndarray, form) -> np.ndarray:
+    """phi(t)^T G phi(t)* for each row phi(t) of ``phase``."""
+    left, right, g = form
+    return np.einsum("ti,ti->t", phase[:, left] @ g, phase[:, right].conj())
+
+
 def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
                     params: ModelParams, dim: int | None):
     """dim (by default :func:`choose_dim`), the reduced qubit states on the
-    time grid, shaped (T, 4, 4), and the leakage (the population of the top
-    two Fock levels) at each time; leakage beyond 1e-6 raises
-    :class:`TruncationError`.
+    time grid, shaped (T, 4, 4), the leakage (the population of the top two
+    Fock levels) at each time, and the diagnostics of the eigensolver (the
+    sizes of the blocks diagonalised and the largest eigen-residual);
+    leakage beyond 1e-6 raises :class:`TruncationError`.
 
-    bell (x) F is split into weighted pure columns, each evolved in the
-    eigenbasis.  The t = 0 state is checked on its factors: the Bell vector
-    is a fixed unit vector, so the oscillator weights must be >= 0 and sum
-    to 1 and its Fock columns must be orthonormal.
+    bell (x) F is split into weighted pure columns, and the reduced state
+    is read off the bilinear forms of the module docstring.  The t = 0
+    state is checked on its factors: the Bell vector is a fixed unit vector,
+    so the oscillator weights must be >= 0 and sum to 1 and its Fock columns
+    must be orthonormal.
     """
     if dim is None:
         dim = choose_dim(spec, params)
     dim = _check_dim(dim)
-    energies, modes = np.linalg.eigh(build_hamiltonian(params, dim))
     weights, columns = spec.fock_columns(dim)
     if weights.min() < 0.0 or abs(weights.sum() - 1.0) > _COMPOSITE_TOL:
         raise ValueError(f"oscillator weights must be >= 0 and sum to 1 within "
@@ -161,28 +283,65 @@ def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
     gram = columns.conj().T @ columns
     if np.abs(gram - np.eye(weights.size)).max() > _COMPOSITE_TOL:
         raise ValueError("oscillator columns are not orthonormal within 1e-9")
-    coeff = modes.conj().T @ np.kron(bell_vector(qubit_init)[:, None], columns)
+    frame = _qubit_frame(params)
+    psi0 = np.kron((frame @ bell_vector(qubit_init))[:, None], columns)
+    blocks, residual = eigenblocks(params, dim, (np.abs(psi0) ** 2) @ weights)
 
-    rho = np.empty((times.size, 4, 4), dtype=complex)
+    # the eigenvectors of the used blocks as the columns of one (4 dim, modes)
+    # matrix V, C = V^T psi0 and M = C W C^dagger
+    energies = np.concatenate([block_energies for _, block_energies, _ in blocks])
+    vectors = np.zeros((4 * dim, energies.size))
+    coeff = np.empty((energies.size, weights.size), dtype=complex)
+    start = 0
+    for index, _, block_vectors in blocks:
+        stop = start + index.size
+        vectors[index, start:stop] = block_vectors
+        coeff[start:stop] = block_vectors.T @ psi0[index]
+        start = stop
+    mix = (coeff * weights) @ coeff.conj().T
+
+    def form(rows_a, rows_b):
+        """(V_a^T V_b) o M on the modes that reach rows a and rows b."""
+        v_a, v_b = vectors[rows_a], vectors[rows_b]
+        left, right = np.flatnonzero(v_a.any(axis=0)), np.flatnonzero(v_b.any(axis=0))
+        return left, right, (v_a[:, left].T @ v_b[:, right]) * mix[np.ix_(left, right)]
+
+    label_rows = [slice(q * dim, (q + 1) * dim) for q in range(4)]
+    forms = {(a, b): form(label_rows[a], label_rows[b])
+             for a in range(4) for b in range(a, 4)}
+    forms = {pair: f for pair, f in forms.items() if f[2].any()}
+    top = np.add.outer(dim * np.arange(4), [dim - 2, dim - 1]).ravel()
+    leak_form = form(top, top)
+
+    rho = np.zeros((times.size, 4, 4), dtype=complex)
     leak = np.empty(times.size)
-    for idx, t in enumerate(times):
-        psi_t = (modes @ (np.exp(-1j * energies * t)[:, None] * coeff)).reshape(4, dim, -1)
-        rho_q = np.einsum("ank,bnk,k->ab", psi_t, psi_t.conj(), weights)
-        rho[idx] = (rho_q + rho_q.conj().T) / 2.0
-        leak[idx] = np.einsum("ank,k->", np.abs(psi_t[:, -2:, :]) ** 2, weights)
+    for start in range(0, times.size, _PHASE_CHUNK):
+        chunk = slice(start, start + _PHASE_CHUNK)
+        phase = np.exp(-1j * np.outer(times[chunk], energies))
+        for (a, b), f in forms.items():
+            value = _quadratic(phase, f)
+            rho[chunk, a, b] = value
+            rho[chunk, b, a] = value.conj()
+        # a population: the form may round to a hair below zero
+        leak[chunk] = np.maximum(_quadratic(phase, leak_form).real, 0.0)
+    # back to eg, with the round-off of the diagonal forms made Hermitian
+    rho = frame.T @ rho @ frame
+    rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
     over = np.flatnonzero(leak > LEAK_ERROR)
     if over.size:
         first = over[0]
         raise TruncationError(
             f"leakage {leak[first]:.3e} > {LEAK_ERROR:g} at t={times[first]:g} with "
             f"dim={dim}; increase dim")
-    return dim, rho, leak
+    diagnostics = {"blocks": [int(index.size) for index, _, _ in blocks],
+                   "eigen_residual": residual}
+    return dim, rho, leak, diagnostics
 
 
 def oracle_reduced_density(qubit_init: str, spec: OscillatorSpec, t: float,
                            params: ModelParams, dim: int | None = None) -> QubitDensity:
     """Reduced qubit state at a single time, straight through the full model."""
-    _, rho, _ = _reduced_states(qubit_init, spec, np.array([float(t)]), params, dim)
+    _, rho, _, _ = _reduced_states(qubit_init, spec, np.array([float(t)]), params, dim)
     return QubitDensity(rho[0])
 
 
@@ -192,18 +351,22 @@ def oracle_concurrence_series(qubit_init: str, spec: OscillatorSpec,
     """Concurrence on a time grid by exact propagation in the truncated space.
 
     The initial mixture is split into weighted pure states (exactly: thermal
-    and number preparations are Fock-diagonal, coherent ones are pure) and
-    each column is evolved in the eigenbasis, which is far cheaper than
-    conjugating the full composite density at every grid point.  C, I and
-    the leakage into the top two Fock levels are read off the stack of
-    reduced states; leakage beyond 1e-6 anywhere aborts the run.
+    and number preparations are Fock-diagonal, coherent ones are pure), and
+    only the blocks of H they populate are diagonalised; the reduced states
+    are read off bilinear forms in the phases exp(-iEt), built once, which
+    is far cheaper than propagating the columns at every grid point.  C, I
+    and the leakage into the top two Fock levels are read off the stack of
+    reduced states; leakage beyond 1e-6 anywhere aborts the run.  ``meta``
+    records the sizes of the blocks diagonalised (``blocks``) and the
+    largest Frobenius residual ||H_B V_B - V_B E_B|| over them
+    (``eigen_residual``).
     """
     if qubit_init not in BELL_KINDS:
         raise ValueError(f"qubit_init must be one of {BELL_KINDS}, got {qubit_init!r}")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("times must be a non-empty 1-d array")
-    dim, rho, leak = _reduced_states(qubit_init, spec, times, params, dim)
+    dim, rho, leak, diagnostics = _reduced_states(qubit_init, spec, times, params, dim)
     u = v = None
     if qubit_init in ("psi_plus", "phi_plus"):
         # I(t) is twice the (1,1)-(1,-1) coherence in the jm ordering
@@ -225,5 +388,6 @@ def oracle_concurrence_series(qubit_init: str, spec: OscillatorSpec,
             "params": {"omega": params.omega, "lambda": params.lambda_,
                        "omega0": params.omega0},
             "leakage_flagged": bool(np.any(leak > LEAK_FLAG)),
+            **diagnostics,
         },
     )

@@ -4,9 +4,10 @@ None of this is used by the CLI or the engines.  Each function reaches a
 quantity the package computes by a different road: branch evolution of
 coherent states, the Fourier transform of the P function, an exact
 rational-arithmetic binomial sum, a matrix-exponential displacement, the
-partial trace of a composite density matrix, and the free classical
-trajectory.  The module has no ``test_`` prefix, so pytest imports it from
-the test files and does not collect it.
+partial trace of a composite density matrix, the dense Hamiltonian with a
+per-time propagation in its eigenbasis, and the free classical trajectory.
+The module has no ``test_`` prefix, so pytest imports it from the test
+files and does not collect it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from tc2q.model import (
     f_phase,
     laguerre,
 )
-from tc2q.oracle import _check_dim, _destroy
+from tc2q.oracle import _check_dim
 
 _JM_LEVELS = ((1, 1), (1, 0), (0, 0), (1, -1))
 
@@ -192,6 +193,50 @@ def coherence_integral_fock_sum(n_index: int, t: float, params: ModelParams) -> 
 
 
 # --- Fock-space pieces the oracle no longer needs ------------------------------
+
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
+_EYE2 = np.eye(2, dtype=complex)
+
+
+def _destroy(dim: int) -> np.ndarray:
+    return np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
+
+
+def dense_hamiltonian(params: ModelParams, dim: int) -> np.ndarray:
+    """Dense H = (omega0/2)(sz1+sz2) + omega adag a + lambda (a+adag)(sx1+sx2),
+    in the eg ordering, qubit-major."""
+    dim = _check_dim(dim)
+    a = _destroy(dim)
+    number = a.conj().T @ a
+    sx_sum = np.kron(_SIGMA_X, _EYE2) + np.kron(_EYE2, _SIGMA_X)
+    sz_sum = np.kron(_SIGMA_Z, _EYE2) + np.kron(_EYE2, _SIGMA_Z)
+    h = (params.omega * np.kron(np.eye(4, dtype=complex), number)
+         + params.lambda_ * np.kron(sx_sum, a + a.conj().T))
+    if params.omega0 != 0.0:
+        h = h + (0.5 * params.omega0) * np.kron(sz_sum, np.eye(dim, dtype=complex))
+    return h
+
+
+def dense_reduced_states(qubit_init: str, spec: OscillatorSpec, times, params: ModelParams,
+                         dim: int):
+    """Reduced qubit states (T, 4, 4) and top-two-level leakage (T,) by
+    diagonalising the dense Hamiltonian once and propagating each weighted
+    pure column to every grid time."""
+    dim = _check_dim(dim)
+    times = np.asarray(times, dtype=float)
+    energies, modes = np.linalg.eigh(dense_hamiltonian(params, dim))
+    weights, columns = spec.fock_columns(dim)
+    coeff = modes.conj().T @ np.kron(bell_vector(qubit_init)[:, None], columns)
+    rho = np.empty((times.size, 4, 4), dtype=complex)
+    leak = np.empty(times.size)
+    for idx, t in enumerate(times):
+        psi_t = (modes @ (np.exp(-1j * energies * t)[:, None] * coeff)).reshape(4, dim, -1)
+        rho_q = np.einsum("ank,bnk,k->ab", psi_t, psi_t.conj(), weights)
+        rho[idx] = (rho_q + rho_q.conj().T) / 2.0
+        leak[idx] = np.einsum("ank,k->", np.abs(psi_t[:, -2:, :]) ** 2, weights)
+    return rho, leak
+
 
 def displaced_number_state(n_index: int, m: int, params: ModelParams,
                            dim: int) -> np.ndarray:

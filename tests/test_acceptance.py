@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from reference import coherence_integral_fock_sum
+from reference import coherence_integral_fock_sum, dense_hamiltonian
 from tc2q import cli
 from tc2q.analytic import coherence_integral
 from tc2q.classical import (
@@ -24,7 +24,6 @@ from tc2q.classical import (
 )
 from tc2q.model import Coherent, Fock, ModelParams, Thermal, bell_vector, laguerre
 from tc2q.oracle import (
-    build_hamiltonian,
     choose_dim,
     oracle_concurrence_series,
     oracle_reduced_density,
@@ -282,7 +281,7 @@ def test_criterion_11_property_suite(capsys):
                            and eig.min() >= -1e-10)
 
         # energy sum_k w_k <psi_k(t)|H|psi_k(t)> over the weighted pure columns
-        h = build_hamiltonian(params, dim)
+        h = dense_hamiltonian(params, dim)
         weights, columns = spec.fock_columns(dim)
         psi0 = np.kron(bell_vector("psi_plus")[:, None], columns)
         e0 = float(np.einsum("ik,ik,k->", psi0.conj(), h @ psi0, weights).real)

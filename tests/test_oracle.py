@@ -16,9 +16,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
-from reference import bell_state, displaced_number_state, partial_trace_oscillator
+from reference import (
+    bell_state,
+    dense_hamiltonian,
+    dense_reduced_states,
+    displaced_number_state,
+    partial_trace_oscillator,
+)
 from tc2q.analytic import coherence_integral
 from tc2q.model import (
+    BELL_KINDS,
+    JM_FROM_EG,
     Coherent,
     ExplicitDensity,
     Fock,
@@ -30,11 +38,13 @@ from tc2q.oracle import (
     _WOOTTERS_CHUNK,
     LEAK_ERROR,
     TruncationError,
-    build_hamiltonian,
+    _qubit_frame,
     choose_dim,
+    eigenblocks,
     oracle_concurrence_series,
     oracle_reduced_density,
     predicted_spectrum,
+    spectrum,
     wootters_concurrence,
 )
 
@@ -67,22 +77,91 @@ def density_stacks(draw):
     return np.tile(stack, (repeat, 1, 1))
 
 
+@st.composite
+def scenarios(draw):
+    """Small-dim oracle scenarios: parameters at and away from omega0 = 0,
+    a preparation and a Bell kind."""
+    omega = draw(st.floats(0.5, 2.0))
+    beta = draw(st.floats(0.0, 0.25))
+    omega0 = draw(st.one_of(st.just(0.0), st.floats(0.05, 1.0)))
+    spec = draw(st.one_of(
+        st.builds(Thermal, st.floats(0.0, 0.25)),
+        st.builds(Coherent, st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                                               allow_infinity=False)),
+        st.builds(Fock, st.integers(0, 4))))
+    return ModelParams(omega, beta * omega, omega0), spec, draw(st.sampled_from(BELL_KINDS))
+
+
+class TestBlockedOracle:
+    """The symmetry-blocked eigensolver and the bilinear readout against the
+    dense Hamiltonian and the per-time propagation of tests/reference.py."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(scenario=scenarios())
+    def test_matches_the_dense_reference(self, scenario):
+        params, spec, kind = scenario
+        dim = choose_dim(spec, params)
+        h = dense_hamiltonian(params, dim)
+        np.testing.assert_allclose(spectrum(params, dim), np.linalg.eigvalsh(h),
+                                   rtol=0, atol=1e-11)
+
+        # [H, parity] = 0, and in the qubit frame H has no entry between blocks
+        parity = np.kron(np.diag([1.0, -1.0, -1.0, 1.0]), np.diag((-1.0) ** np.arange(dim)))
+        assert np.abs(h @ parity - parity @ h).max() <= 1e-12
+        blocks, residual = eigenblocks(params, dim)
+        assert residual < 1e-10
+        label = np.empty(4 * dim, dtype=int)
+        for number, (index, _, _) in enumerate(blocks):
+            label[index] = number
+        frame = np.kron(_qubit_frame(params), np.eye(dim))
+        rotated = frame @ h @ frame.T
+        assert np.abs(rotated[label[:, None] != label[None, :]]).max() <= 1e-12
+
+        t = np.linspace(0.0, 6.0, 13)
+        series = oracle_concurrence_series(kind, spec, t, params, dim=dim)
+        rho, leak = dense_reduced_states(kind, spec, t, params, dim)
+        np.testing.assert_allclose(series.concurrence, wootters_concurrence(rho),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(series.leakage, leak, rtol=0, atol=1e-12)
+        if series.u is not None:
+            sign = -1.0 if kind == "psi_plus" else 1.0
+            i_t = sign * 2.0 * (JM_FROM_EG @ rho @ JM_FROM_EG.T)[:, 0, 3]
+            np.testing.assert_allclose(series.u, i_t.real, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(series.v, i_t.imag, rtol=0, atol=1e-12)
+        assert series.meta["eigen_residual"] < 1e-10
+        assert sum(series.meta["blocks"]) <= 4 * dim
+
+    def test_blocks_follow_the_conserved_quantities(self):
+        t = np.array([0.0, 1.0])
+        # omega0 = 0: the m = +1 and m = -1 chains
+        meta = oracle_concurrence_series("psi_plus", Thermal(1.0), t, P, dim=80).meta
+        assert meta["blocks"] == [80, 80]
+        # omega0 > 0: the two parity classes of the triplet
+        split = ModelParams(omega=1.0, lambda_=0.1, omega0=0.3)
+        meta = oracle_concurrence_series("phi_plus", Thermal(1.0), t, split, dim=80).meta
+        assert meta["blocks"] == [120, 120]
+        # the singlet is stationary: a block per populated Fock level
+        meta = oracle_concurrence_series("psi_minus", Fock(3), t, split, dim=80).meta
+        assert meta["blocks"] == [1]
+        assert 0.0 <= meta["eigen_residual"] < 1e-10
+
+
 class TestHamiltonian:
     def test_decoupled_limit_is_the_bare_oscillator(self):
         free = ModelParams(omega=1.0, lambda_=0.0)
-        h = build_hamiltonian(free, 12)
+        h = dense_hamiltonian(free, 12)
         levels = np.sort(np.linalg.eigvalsh(h))
         expected = np.repeat(np.arange(12.0), 4)
         np.testing.assert_allclose(levels, expected, atol=1e-12)
 
     def test_lowest_level_is_shifted_down_by_the_coupling(self):
-        h = build_hamiltonian(P, 60)
+        h = dense_hamiltonian(P, 60)
         ground = np.linalg.eigvalsh(h)[0]
         assert ground == pytest.approx(-4.0 * P.beta ** 2, abs=1e-10)
 
     def test_predicted_levels_match_diagonalization_deep_into_the_stack(self):
         dim = 60
-        computed = np.sort(np.linalg.eigvalsh(build_hamiltonian(P, dim)))
+        computed = np.sort(np.linalg.eigvalsh(dense_hamiltonian(P, dim)))
         predicted = predicted_spectrum(P, dim)
         check = 2 * dim
         np.testing.assert_allclose(computed[:check], predicted[:check],
@@ -101,7 +180,7 @@ class TestHamiltonian:
             predicted_spectrum(ModelParams(omega=1.0, lambda_=0.1, omega0=0.3), 20)
 
     def test_hermitian(self):
-        h = build_hamiltonian(ModelParams(omega=1.3, lambda_=0.2, omega0=0.4), 15)
+        h = dense_hamiltonian(ModelParams(omega=1.3, lambda_=0.2, omega0=0.4), 15)
         np.testing.assert_allclose(h, h.conj().T, atol=1e-14)
 
 
@@ -308,7 +387,7 @@ class TestConcurrenceSeries:
         series = oracle_concurrence_series("psi_plus", spec, np.array([t]), P)
         v = bell_vector("psi_plus")
         rho0 = np.kron(np.outer(v, v.conj()), oscillator_density(spec, dim))
-        u = expm(-1j * build_hamiltonian(P, dim) * t)
+        u = expm(-1j * dense_hamiltonian(P, dim) * t)
         rho_q = partial_trace_oscillator(u @ rho0 @ u.conj().T, dim)
         assert series.concurrence[0] == pytest.approx(
             wootters_concurrence(rho_q), abs=1e-11)

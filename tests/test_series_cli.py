@@ -185,6 +185,9 @@ class TestCliRun:
         payload = json.loads(Path(out).read_text())
         assert payload["meta"]["dim"] == 85
         assert payload["meta"]["config"]["engine"] == "oracle"
+        # the m = +1 and m = -1 chains, diagonalised to round-off
+        assert payload["meta"]["blocks"] == [85, 85]
+        assert 0.0 <= payload["meta"]["eigen_residual"] < 1e-10
 
     def test_oracle_engine_models_nonzero_qubit_splitting(self, tmp_path):
         out = str(tmp_path / "o.json")
@@ -274,6 +277,8 @@ class TestCliValidate:
         assert report["max_abs_diff"] <= 1e-6
         assert report["max_abs_diff_coherence"] <= 1e-6
         assert len(report["columns"]["abs_diff"]) == 25
+        assert report["meta"]["blocks"] == [report["dim"]] * 2
+        assert 0.0 <= report["meta"]["eigen_residual"] < 1e-10
 
     def test_unattainable_tolerance_exits_three(self, tmp_path):
         out = str(tmp_path / "report.json")
@@ -557,7 +562,7 @@ class TestCliErrors:
     ], ids=["run", "validate", "spectrum"])
     def test_oversized_dim_exits_two_before_allocating(self, tmp_path, capsys, monkeypatch,
                                                        command, overrides):
-        monkeypatch.setattr(oracle, "build_hamiltonian", self.refuse_allocation)
+        monkeypatch.setattr(oracle, "eigenblocks", self.refuse_allocation)
         out = str(tmp_path / "out.json")
         cfg_path, _ = write_config(tmp_path, output={"path": out, "format": "json"},
                                    **overrides)
@@ -584,7 +589,7 @@ class TestCliErrors:
     ], ids=["run-analytic", "run-classical", "validate", "sweep-beta", "spectrum"])
     def test_closed_form_jobs_need_the_degenerate_point(self, tmp_path, capsys,
                                                         monkeypatch, command, overrides):
-        for module, name in ((oracle, "build_hamiltonian"),
+        for module, name in ((oracle, "eigenblocks"),
                              (oracle, "oracle_concurrence_series"),
                              (analytic, "coherence_integral"),
                              (classical, "monte_carlo_classical_concurrence")):
@@ -733,10 +738,10 @@ class TestCliErrors:
         assert err["exit_code"] == 3
 
     def test_allocation_failure_exits_three(self, tmp_path, capsys, monkeypatch):
-        def out_of_memory(params, dim):
-            raise MemoryError(f"cannot allocate the dim={dim} Hamiltonian")
+        def out_of_memory(params, dim, population=None):
+            raise MemoryError(f"cannot allocate the dim={dim} Hamiltonian blocks")
 
-        monkeypatch.setattr(oracle, "build_hamiltonian", out_of_memory)
+        monkeypatch.setattr(oracle, "eigenblocks", out_of_memory)
         cfg_path, cfg = write_config(tmp_path, engine="oracle")
         assert cli.main(["run", "--config", cfg_path]) == 3
         lines = capsys.readouterr().err.splitlines()
@@ -759,3 +764,15 @@ class TestCliErrors:
             tmp_path, time_grid={"t_start": 0.0, "t_end": 1.0, "n_points": 1})
         assert cli.main(["run", "--config", cfg_path]) == 2
         assert not os.path.exists(cfg["output"]["path"])
+
+
+def test_cli_import_loads_neither_scipy_sparse_nor_linalg():
+    # each would add to the start-up of every CLI process
+    code = ("import sys, tc2q.cli; print(sorted(name for name in sys.modules "
+            "if name.startswith(('scipy.sparse', 'scipy.linalg'))))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(tc2q.__file__).parents[1]), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
