@@ -15,7 +15,8 @@ where P is the Glauber-Sudarshan function of the initial oscillator state and
 f(omega t, alpha) = sin(omega t/2) (alpha* e^{i omega t/2} + alpha e^{-i omega t/2}).
 The concurrence is |I(t)|.  The closed forms of I for thermal, coherent and
 number states live on the preparations in :mod:`tc2q.model`;
-:func:`coherence_integral` dispatches to them.
+:func:`coherence_integral` dispatches to them.  The same sector picture gives
+the spectrum in closed form, :func:`predicted_spectrum`.
 
 Scalar ``t`` arguments may also be 1-d arrays; results broadcast.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ModelParams, OscillatorSpec
+from .model import ModelParams, OscillatorSpec, check_dim
 
 
 def coherence_integral(spec: OscillatorSpec, t, params: ModelParams):
@@ -42,3 +43,18 @@ def coherence_integral(spec: OscillatorSpec, t, params: ModelParams):
     params.require_degenerate()
     out = closed_form(params.omega * np.asarray(t, dtype=float), params.beta)
     return complex(out) if out.ndim == 0 else out
+
+
+def predicted_spectrum(params: ModelParams, dim: int) -> np.ndarray:
+    """Sorted degenerate-model eigenvalues {omega (N - 4 m^2 beta^2)}.
+
+    Each oscillator level N contributes the pair m = +-1 at
+    omega (N - 4 beta^2) and the two m = 0 states at omega N.
+    Raises ``ValueError`` unless ``params.omega0`` is 0.
+    """
+    dim = check_dim(dim)
+    params.require_degenerate()
+    n = np.arange(dim, dtype=float)
+    shifted = params.omega * (n - 4.0 * params.beta ** 2)
+    flat = params.omega * n
+    return np.sort(np.concatenate([shifted, shifted, flat, flat]))

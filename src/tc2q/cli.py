@@ -221,17 +221,7 @@ def _resolve_dim(cfg: dict, args, default: int) -> int:
     if args.dim is not None:
         dim = args.dim
     dim = default if dim is None else dim
-    # the blocked oracle at its largest (omega0 > 0, a triplet Bell state, a
-    # thermal mixture of dim columns): a parity block of 3 dim / 2 with its
-    # eigenvectors and eigh's workspace; the 3 dim modes it reads out, as
-    # real eigenvector columns, initial columns and their coefficients, M
-    # and seven complex bilinear forms (six qubit pairs and the leakage);
-    # and three copies of a chunk of phases.  That counts about
-    # 1,410 dim^2 bytes, against a tracemalloc peak of about 1,370 dim^2.
-    block, modes = (3 * dim + 1) // 2, 3 * dim
-    _check_fits(3 * 8 * block ** 2 + 8 * 4 * dim * modes + 16 * (4 * dim + modes) * dim
-                + 8 * 16 * modes ** 2 + 3 * 16 * oracle._PHASE_CHUNK * modes,
-                f"dim = {dim}")
+    _check_fits(oracle.peak_bytes(dim), f"dim = {dim}")
     return dim
 
 
@@ -403,7 +393,7 @@ def _cmd_spectrum(cfg: dict, args) -> int:
     path, fmt = _resolve_output(cfg, args, default_format="json")
 
     computed = oracle.spectrum(params, dim)
-    predicted = oracle.predicted_spectrum(params, dim)
+    predicted = analytic.predicted_spectrum(params, dim)
     abs_diff = np.abs(computed - predicted)
     checked = (2 * dim) // 3
     max_diff = float(abs_diff[:checked].max())

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import gammaln
 
 BELL_KINDS = ("psi_plus", "psi_minus", "phi_plus", "phi_minus")
 
@@ -36,6 +35,9 @@ EIGENVALUE_FLOOR = -1e-10
 
 #: slack accepted when clamping a concurrence back into [0, 1]
 CLAMP_SLACK = 1e-9
+
+#: population a preparation may leave above the truncated Fock space
+TAIL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -166,6 +168,9 @@ def bell_vector(kind: str) -> np.ndarray:
 # * ``label``: short tag used in sweep tables, logs and artifact metadata;
 # * ``reach``: (phase-space radius, highest occupied Fock level), which sizes
 #   the oracle's truncation rule;
+# * ``tail_level`` (thermal only): the least dim at which ``fock_columns``
+#   accepts the geometric tail, a floor under that rule, which falls short
+#   of it past mean_n ~ 17;
 # * ``fock_columns(dim)``: weights w_k and orthonormal Fock-basis columns c_k
 #   with F = sum_k w_k c_k c_k^dagger, the pure states the oracle evolves;
 # * ``coherence(omega_t, beta)``: the closed-form overlap integral I, which
@@ -174,6 +179,13 @@ def bell_vector(kind: str) -> np.ndarray:
 
 class TruncationError(RuntimeError):
     """The chosen Fock-space dimension cannot support the requested state."""
+
+
+def check_dim(dim: int) -> int:
+    """``dim`` as an int, or ``ValueError`` unless it is an integer >= 2."""
+    if not isinstance(dim, (int, np.integer)) or dim < 2:
+        raise ValueError(f"dim must be an integer >= 2, got {dim!r}")
+    return int(dim)
 
 
 def f_phase(omega_t, alpha: complex):
@@ -234,13 +246,30 @@ class Thermal:
     def reach(self) -> tuple:
         return 4.0 * math.sqrt(self.mean_n), 0
 
+    @property
+    def tail_level(self) -> int:
+        """The least dim at which the tail check of :meth:`fock_columns` passes."""
+        if self.mean_n == 0.0:
+            return 1
+        ratio = self.mean_n / (1.0 + self.mean_n)
+        if ratio == 1.0:
+            raise TruncationError(f"thermal mean_n={self.mean_n:g} leaves tail "
+                                  f"population 1 at every dim")
+        level = math.ceil(math.log(TAIL_TOL) / math.log(ratio))
+        # the logarithms may land one level off the power the check evaluates
+        if ratio ** (level - 1) <= TAIL_TOL:
+            level -= 1
+        elif ratio ** level > TAIL_TOL:
+            level += 1
+        return level
+
     def fock_columns(self, dim: int):
         """Geometric occupations on the number states, tail population < 1e-12."""
         if self.mean_n == 0.0:
             return np.array([1.0]), _fock_vector(0, dim)
         ratio = self.mean_n / (1.0 + self.mean_n)
         tail = ratio ** dim
-        if tail > 1e-12:
+        if tail > TAIL_TOL:
             raise TruncationError(
                 f"thermal mean_n={self.mean_n:g} leaves tail population "
                 f"{tail:.3e} > 1e-12 at dim={dim}")
@@ -282,10 +311,11 @@ class Coherent:
         if a == 0:
             return np.array([1.0]), _fock_vector(0, dim)
         n = np.arange(dim)
-        log_mag = n * math.log(abs(a)) - 0.5 * gammaln(n + 1.0) - 0.5 * abs(a) ** 2
+        log_factorial = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+        log_mag = n * math.log(abs(a)) - 0.5 * log_factorial - 0.5 * abs(a) ** 2
         vec = np.exp(log_mag) * np.exp(1j * np.angle(a) * n)
         tail = 1.0 - float(np.sum(np.abs(vec) ** 2))
-        if tail > 1e-12:
+        if tail > TAIL_TOL:
             raise TruncationError(
                 f"coherent |alpha0|={abs(a):g} leaves tail population "
                 f"{tail:.3e} > 1e-12 at dim={dim}")

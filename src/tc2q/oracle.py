@@ -42,6 +42,7 @@ from .model import (
     QubitDensity,
     TruncationError,
     bell_vector,
+    check_dim,
     clamp_unit,
 )
 
@@ -93,24 +94,21 @@ _SIGMA_YY = np.array([
 ])  # sigma_y (x) sigma_y is real in the eg ordering
 
 
-def _check_dim(dim: int) -> int:
-    if not isinstance(dim, (int, np.integer)) or dim < 2:
-        raise ValueError(f"dim must be an integer >= 2, got {dim!r}")
-    return int(dim)
-
-
 def choose_dim(spec: OscillatorSpec, params: ModelParams) -> int:
     """Truncation rule sized from the displacement reach of the initial state.
 
     dim = max(20, ceil(s^2) + 10 ceil(s) + N + 10) with
     s = r + 4 beta and (r, N) = ``spec.reach``: r is |alpha0| for coherent
     states and 4 sqrt(mean_n) for thermal ones, N the highest occupied level.
+    A thermal dim is raised to ``spec.tail_level`` where the rule falls
+    short of it, so the preparation never rejects the dim chosen for it.
     Convergence tests, not estimates, are the actual guarantee; this just has
     to land above the knee.
     """
     radius, top_level = spec.reach
     s = radius + 4.0 * params.beta
-    return max(20, math.ceil(s * s) + 10 * math.ceil(s) + top_level + 10)
+    rule = max(20, math.ceil(s * s) + 10 * math.ceil(s) + top_level + 10)
+    return max(rule, getattr(spec, "tail_level", 0))
 
 
 def _qubit_frame(params: ModelParams) -> np.ndarray:
@@ -177,7 +175,7 @@ def eigenblocks(params: ModelParams, dim: int, population: np.ndarray | None = N
     those blocks, in the order of their lowest index, and the largest
     Frobenius residual ||H_B V_B - V_B E_B|| over them.
     """
-    dim = _check_dim(dim)
+    dim = check_dim(dim)
     rows, cols, vals = _hamiltonian_entries(params, dim)
     upper = rows < cols
     label = _component_labels(4 * dim, rows[upper], cols[upper])
@@ -201,20 +199,6 @@ def spectrum(params: ModelParams, dim: int) -> np.ndarray:
     """Every eigenvalue of H on the truncated space, sorted, from all blocks."""
     blocks, _ = eigenblocks(params, dim)
     return np.sort(np.concatenate([energies for _, energies, _ in blocks]))
-
-
-def predicted_spectrum(params: ModelParams, dim: int) -> np.ndarray:
-    """Sorted degenerate-model eigenvalues {omega (N - 4 m^2 beta^2)}.
-
-    Each oscillator level N contributes the pair m = +-1 at
-    omega (N - 4 beta^2) and the two m = 0 states at omega N.
-    """
-    dim = _check_dim(dim)
-    params.require_degenerate()
-    n = np.arange(dim, dtype=float)
-    shifted = params.omega * (n - 4.0 * params.beta ** 2)
-    flat = params.omega * n
-    return np.sort(np.concatenate([shifted, shifted, flat, flat]))
 
 
 def wootters_concurrence(rho):
@@ -258,6 +242,22 @@ def _quadratic(phase: np.ndarray, form) -> np.ndarray:
     return np.einsum("ti,ti->t", phase[:, left] @ g, phase[:, right].conj())
 
 
+def peak_bytes(dim: int) -> int:
+    """Bytes of arrays :func:`_reduced_states` holds at its peak at ``dim``.
+
+    Counted at its largest (omega0 > 0, a triplet Bell state, a thermal
+    mixture of dim columns): a parity block of 3 dim / 2 with its
+    eigenvectors and eigh's workspace; the 3 dim modes it reads out, as real
+    eigenvector columns, initial columns and their coefficients, M and seven
+    complex bilinear forms (six qubit pairs and the leakage); and three
+    copies of a chunk of phases.  That counts about 1,410 dim^2 bytes,
+    against a tracemalloc peak of about 1,370 dim^2.
+    """
+    block, modes = (3 * dim + 1) // 2, 3 * dim
+    return (3 * 8 * block ** 2 + 8 * 4 * dim * modes + 16 * (4 * dim + modes) * dim
+            + 8 * 16 * modes ** 2 + 3 * 16 * _PHASE_CHUNK * modes)
+
+
 def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
                     params: ModelParams, dim: int | None):
     """dim (by default :func:`choose_dim`), the reduced qubit states on the
@@ -274,7 +274,7 @@ def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
     """
     if dim is None:
         dim = choose_dim(spec, params)
-    dim = _check_dim(dim)
+    dim = check_dim(dim)
     weights, columns = spec.fock_columns(dim)
     if weights.min() < 0.0 or abs(weights.sum() - 1.0) > _COMPOSITE_TOL:
         raise ValueError(f"oscillator weights must be >= 0 and sum to 1 within "

@@ -4,6 +4,7 @@ None of this is used by the CLI or the engines.  Each function reaches a
 quantity the package computes by a different road: branch evolution of
 coherent states, the Fourier transform of the P function, an exact
 rational-arithmetic binomial sum, a matrix-exponential displacement, the
+Poisson amplitudes of a coherent state through scipy's log-gamma, the
 partial trace of a composite density matrix, the dense Hamiltonian with a
 per-time propagation in its eigenbasis, and the free classical trajectory.
 The module has no ``test_`` prefix, so pytest imports it from the test
@@ -19,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 from tc2q.analytic import coherence_integral
 from tc2q.model import (
@@ -29,11 +31,11 @@ from tc2q.model import (
     QubitDensity,
     TruncationError,
     bell_vector,
+    check_dim,
     clamp_unit,
     f_phase,
     laguerre,
 )
-from tc2q.oracle import _check_dim
 
 _JM_LEVELS = ((1, 1), (1, 0), (0, 0), (1, -1))
 
@@ -206,7 +208,7 @@ def _destroy(dim: int) -> np.ndarray:
 def dense_hamiltonian(params: ModelParams, dim: int) -> np.ndarray:
     """Dense H = (omega0/2)(sz1+sz2) + omega adag a + lambda (a+adag)(sx1+sx2),
     in the eg ordering, qubit-major."""
-    dim = _check_dim(dim)
+    dim = check_dim(dim)
     a = _destroy(dim)
     number = a.conj().T @ a
     sx_sum = np.kron(_SIGMA_X, _EYE2) + np.kron(_EYE2, _SIGMA_X)
@@ -223,7 +225,7 @@ def dense_reduced_states(qubit_init: str, spec: OscillatorSpec, times, params: M
     """Reduced qubit states (T, 4, 4) and top-two-level leakage (T,) by
     diagonalising the dense Hamiltonian once and propagating each weighted
     pure column to every grid time."""
-    dim = _check_dim(dim)
+    dim = check_dim(dim)
     times = np.asarray(times, dtype=float)
     energies, modes = np.linalg.eigh(dense_hamiltonian(params, dim))
     weights, columns = spec.fock_columns(dim)
@@ -246,7 +248,7 @@ def displaced_number_state(n_index: int, m: int, params: ModelParams,
     exactly unitary and norm is useless as a truncation diagnostic; instead
     the population stuck in the top two ladder rungs is checked.
     """
-    dim = _check_dim(dim)
+    dim = check_dim(dim)
     if not isinstance(n_index, (int, np.integer)) or not (0 <= n_index < dim):
         raise ValueError(f"n_index must lie in [0, {dim}), got {n_index!r}")
     bm = m * params.beta
@@ -263,9 +265,18 @@ def displaced_number_state(n_index: int, m: int, params: ModelParams,
     return vec
 
 
+def poisson_column(alpha: complex, dim: int) -> np.ndarray:
+    """The coherent state |alpha> on the first ``dim`` Fock levels, normalised:
+    alpha^n e^{-|alpha|^2/2} / sqrt(n!), with log n! from scipy's gammaln."""
+    n = np.arange(dim)
+    log_mag = n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1.0) - 0.5 * abs(alpha) ** 2
+    vec = np.exp(log_mag) * np.exp(1j * np.angle(alpha) * n)
+    return vec / np.linalg.norm(vec)
+
+
 def partial_trace_oscillator(rho: np.ndarray, dim: int) -> np.ndarray:
     """Trace out the oscillator factor of a (4 dim) x (4 dim) composite matrix."""
-    dim = _check_dim(dim)
+    dim = check_dim(dim)
     rho = np.asarray(rho)
     if rho.shape != (4 * dim, 4 * dim):
         raise ValueError(f"expected shape {(4 * dim, 4 * dim)}, got {rho.shape}")

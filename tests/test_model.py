@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from reference import bell_state
+from reference import bell_state, poisson_column
 from tc2q.model import (
     BELL_KINDS,
     JM_FROM_EG,
@@ -15,6 +15,7 @@ from tc2q.model import (
     ModelParams,
     QubitDensity,
     Thermal,
+    TruncationError,
     bell_vector,
     clamp_unit,
     spec_label,
@@ -233,6 +234,16 @@ class TestOscillatorSpecs:
         weights, cols = ExplicitDensity(inner).fock_columns(5)
         np.testing.assert_allclose(((cols * weights) @ cols.conj().T)[:2, :2], inner,
                                    atol=1e-14)
+
+    @pytest.mark.parametrize("alpha", [0.4, 3.0j, -10.0, 25.0 * np.exp(0.7j)])
+    def test_coherent_column_matches_the_gammaln_reference(self, alpha):
+        weights, cols = Coherent(alpha).fock_columns(900)
+        np.testing.assert_array_equal(weights, [1.0])
+        np.testing.assert_allclose(cols[:, 0], poisson_column(alpha, 900), rtol=0,
+                                   atol=1e-13)
+        # about half the population sits above level |alpha|^2
+        with pytest.raises(TruncationError, match="tail population"):
+            Coherent(alpha).fock_columns(max(2, math.ceil(abs(alpha) ** 2)))
 
     def test_closed_form_broadcasts_over_time_and_coupling(self):
         wt = np.linspace(0.0, 2.0 * math.pi, 7)[:, None]

@@ -8,6 +8,7 @@ under truncation refinement.
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from reference import (
     displaced_number_state,
     partial_trace_oscillator,
 )
-from tc2q.analytic import coherence_integral
+from tc2q.analytic import coherence_integral, predicted_spectrum
 from tc2q.model import (
     BELL_KINDS,
     JM_FROM_EG,
@@ -43,7 +44,7 @@ from tc2q.oracle import (
     eigenblocks,
     oracle_concurrence_series,
     oracle_reduced_density,
-    predicted_spectrum,
+    peak_bytes,
     spectrum,
     wootters_concurrence,
 )
@@ -144,6 +145,20 @@ class TestBlockedOracle:
         meta = oracle_concurrence_series("psi_minus", Fock(3), t, split, dim=80).meta
         assert meta["blocks"] == [1]
         assert 0.0 <= meta["eigen_residual"] < 1e-10
+
+    def test_peak_bytes_counts_the_largest_case(self):
+        # omega0 > 0, a triplet and a thermal mixture of dim columns: two
+        # parity blocks of 3 dim / 2, the case peak_bytes counts
+        dim, t = 100, np.linspace(0.0, 5.0, 300)
+        split = ModelParams(omega=1.0, lambda_=0.1, omega0=0.3)
+        tracemalloc.start()
+        try:
+            series = oracle_concurrence_series("psi_plus", Thermal(1.0), t, split, dim=dim)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert series.meta["blocks"] == [150, 150]
+        assert 0.8 * peak_bytes(dim) <= peak <= peak_bytes(dim)
 
 
 class TestHamiltonian:
@@ -350,6 +365,45 @@ class TestTruncationRule:
         small = choose_dim(ExplicitDensity(np.eye(2) / 2.0), P)
         large = choose_dim(ExplicitDensity(np.eye(30) / 30.0), P)
         assert large - small == 28
+
+    @staticmethod
+    def accepts(spec, dim):
+        try:
+            spec.fock_columns(dim)
+        except TruncationError:
+            return False
+        return True
+
+    @pytest.mark.parametrize("beta", [0.0, 0.1, 0.2, 0.35])
+    def test_thermal_dim_is_raised_only_where_its_tail_needs_it(self, beta):
+        params = ModelParams(omega=1.0, lambda_=beta)
+        raised = 0
+        for mean_n in np.concatenate([np.linspace(0.0, 30.0, 61), [4.0, 5.0, 17.0, 18.0]]):
+            spec = Thermal(float(mean_n))
+            s = spec.reach[0] + 4.0 * beta
+            rule = max(20, math.ceil(s * s) + 10 * math.ceil(s) + 10)
+            dim = choose_dim(spec, params)
+            assert self.accepts(spec, dim)
+            if self.accepts(spec, rule):
+                assert dim == rule
+            else:
+                # the least dim the tail check passes
+                assert dim > rule and not self.accepts(spec, dim - 1)
+                raised += 1
+        assert raised > 0
+        # the benchmark's oracle jobs keep their dims
+        assert choose_dim(Thermal(5.0), P) == 198 and choose_dim(Thermal(4.0), P) == 171
+
+    @pytest.mark.parametrize("mean_n, dim", [(18.0, 512), (20.0, 567)])
+    def test_large_thermal_default_dim_matches_the_closed_form(self, mean_n, dim):
+        params = ModelParams(omega=1.0, lambda_=0.2)
+        spec, t = Thermal(mean_n), np.linspace(0.0, 2.0 * math.pi, 5)
+        series = oracle_concurrence_series("psi_plus", spec, t, params)
+        assert series.meta["dim"] == dim
+        i_t = coherence_integral(spec, t, params)
+        np.testing.assert_allclose(series.u + 1j * series.v, i_t, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(series.concurrence, np.abs(i_t), rtol=0, atol=1e-6)
+        assert series.leakage.max() <= 1e-10
 
 
 class TestConcurrenceSeries:

@@ -766,13 +766,46 @@ class TestCliErrors:
         assert not os.path.exists(cfg["output"]["path"])
 
 
-def test_cli_import_loads_neither_scipy_sparse_nor_linalg():
-    # each would add to the start-up of every CLI process
-    code = ("import sys, tc2q.cli; print(sorted(name for name in sys.modules "
-            "if name.startswith(('scipy.sparse', 'scipy.linalg'))))")
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``python -c code args`` in a fresh interpreter that imports this tc2q."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(tc2q.__file__).parents[1]), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True)
+
+
+def test_package_import_loads_no_scipy():
+    # scipy serves only the tests' reference routes; loading it would add to
+    # the start-up of every CLI process
+    code = ("import sys, tc2q, tc2q.cli; print(sorted(name for name in sys.modules "
+            "if name.split('.')[0] == 'scipy'))")
+    assert run_python(code).stdout.strip() == "[]"
+
+
+def test_every_cli_job_runs_with_scipy_blocked(tmp_path):
+    scenario = {"time_grid": {"t_start": 0.0, "t_end": 3.0, "n_points": 6}}
+    no_scenario = {"qubit_init": None, "oscillator": None, "time_grid": None}
+    jobs = [
+        ("run", scenario),
+        ("run", {**scenario, "engine": "oracle",
+                 "oscillator": {"kind": "coherent", "alpha0": [1.0, 0.5]}}),
+        ("run", {**scenario, "engine": "classical",
+                 "oscillator": {"kind": "classical_thermal", "k_T": 1.0},
+                 "monte_carlo": {"samples": 50}}),
+        ("validate", {**scenario, "engine": "validate"}),
+        ("sweep-beta", {**no_scenario, "oscillators": [{"kind": "fock", "n": 1}],
+                        "beta_grid": {"start": 0.0, "stop": 0.2, "n_points": 3}}),
+        ("spectrum", {**no_scenario, "engine": "oracle", "oracle": {"dim": 12}}),
+    ]
+    argvs = []
+    for i, (command, overrides) in enumerate(jobs):
+        out = {"path": str(tmp_path / f"out{i}.json"), "format": "json"}
+        cfg_path, _ = write_config(tmp_path, name=f"cfg{i}.json", output=out, **overrides)
+        argvs.append([command, "--config", cfg_path])
+    # a None entry in sys.modules makes every import of scipy raise ImportError
+    code = ("import json, sys; sys.modules['scipy'] = None; from tc2q import cli; "
+            "print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))")
+    done = run_python(code, json.dumps(argvs))
+    assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(jobs), done.stderr
+    assert all((tmp_path / f"out{i}.json").exists() for i in range(len(jobs)))
