@@ -7,8 +7,9 @@ Four subcommands, all driven by a JSON config (schema version 1):
 * ``validate``   analytic vs oracle on the same grid, pass/fail report
 * ``spectrum``   oracle eigenvalues against the closed-form levels
 
-Exit codes: 0 success, 2 configuration error, 3 numerical or validation
-failure.  Unknown config keys, and sections the job does not read, are
+Exit codes: 0 success, 2 configuration error (an output path that cannot
+be written included), 3 numerical or validation failure, or a failed
+write.  Unknown config keys, and sections the job does not read, are
 rejected rather than ignored, and every JSON artifact echoes the config it
 was produced from, so a result file is enough to re-run the job bit-identically.
 """
@@ -234,6 +235,13 @@ def _resolve_output(cfg: dict, args, default_format: str = "csv"):
         raise ConfigError("no output path: set config.output.path or pass --out")
     if not isinstance(path, str):
         raise ConfigError(f"output.path must be a string, got {path!r}")
+    # checked before any engine runs; the atomic write also needs the parent
+    # directory for its temp file
+    parent = os.path.dirname(path) or "."
+    if not os.path.basename(path) or os.path.isdir(path):
+        raise ConfigError(f"output path {path!r} does not name a file")
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
+        raise ConfigError(f"output directory {parent!r} does not exist or is not writable")
     suffix = os.path.splitext(path)[1].lower()
     fmt = (args.format or obj.get("format")
            or {".csv": "csv", ".json": "json"}.get(suffix, default_format))
@@ -295,9 +303,7 @@ def _classical_series(cfg: dict, args, dist, times: np.ndarray,
         seed = _get_int(mc, "seed", "monte_carlo", required=False, default=0, minimum=0)
         if args.seed is not None:
             seed = args.seed
-        # the sampled (q0, p0) and the per-time correlator and jackknife
-        # temporaries peak at about 72 bytes per sample under tracemalloc
-        _check_fits(128 * samples, f"monte_carlo.samples = {samples}")
+        _check_fits(classical.mc_peak_bytes(samples), f"monte_carlo.samples = {samples}")
         # one sample set for the whole grid: common random numbers keep the
         # curve smooth and the file reproducible
         conc, err = classical.monte_carlo_classical_concurrence(
@@ -447,7 +453,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(json.dumps({"error": str(exc), "exit_code": 2}), file=sys.stderr)
         return 2
-    except (oracle.TruncationError, MemoryError, OverflowError, ValueError) as exc:
+    except (oracle.TruncationError, MemoryError, OverflowError, ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc), "exit_code": 3}), file=sys.stderr)
         return 3
 

@@ -6,7 +6,8 @@ coherent states, the Fourier transform of the P function, an exact
 rational-arithmetic binomial sum, a matrix-exponential displacement, the
 Poisson amplitudes of a coherent state through scipy's log-gamma, the
 partial trace of a composite density matrix, the dense Hamiltonian with a
-per-time propagation in its eigenbasis, and the free classical trajectory.
+per-time propagation in its eigenbasis, the free classical trajectory, and
+the Monte Carlo estimate as a single-threaded loop over the time points.
 The module has no ``test_`` prefix, so pytest imports it from the test
 files and does not collect it.
 """
@@ -23,6 +24,7 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 
 from tc2q.analytic import coherence_integral
+from tc2q.classical import ClassicalThermal, GaussianDist, s_plus_correlator
 from tc2q.model import (
     Coherent,
     Fock,
@@ -293,3 +295,27 @@ def classical_trajectory(q0: float, p0: float, t, params: ModelParams):
     if wt.ndim == 0:
         return float(q), float(p)
     return q, p
+
+
+def monte_carlo_per_point(dist, times, params: ModelParams, n_samples: int, seed: int):
+    """(value, std_error) of a Gaussian or classical thermal ensemble at
+    every entry of ``times``: 2 |mean of the correlator| and its jackknife
+    error, from one draw of ``n_samples`` initial conditions, one time
+    point after another on the calling thread."""
+    if isinstance(dist, ClassicalThermal):
+        width = math.sqrt(2.0 * dist.k_T)
+        dist = GaussianDist(0.0, 0.0, width / params.omega, width)
+    rng = np.random.default_rng(seed)
+    q0 = rng.normal(dist.q_bar, dist.delta_q / math.sqrt(2.0), n_samples)
+    p0 = rng.normal(dist.p_bar, dist.delta_p / math.sqrt(2.0), n_samples)
+    times = np.asarray(times, dtype=float)
+    value = np.empty(times.shape)
+    std_error = np.empty(times.shape)
+    for idx, t in np.ndenumerate(times):
+        z = s_plus_correlator(q0, p0, float(t), params)
+        total = z.sum()
+        value[idx] = np.clip(2.0 * abs(total) / n_samples, 0.0, 1.0)
+        leave_one_out = 2.0 * np.abs(total - z) / (n_samples - 1)
+        std_error[idx] = math.sqrt((n_samples - 1) / n_samples * float(
+            ((leave_one_out - leave_one_out.mean()) ** 2).sum()))
+    return value, std_error

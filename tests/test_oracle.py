@@ -146,6 +146,16 @@ class TestBlockedOracle:
         assert meta["blocks"] == [1]
         assert 0.0 <= meta["eigen_residual"] < 1e-10
 
+    @pytest.mark.parametrize("spec", [Fock(3), Thermal(1.0), Coherent(1.5)],
+                             ids=["fock", "thermal", "coherent"])
+    def test_singlet_is_dark_at_every_qubit_splitting(self, spec):
+        # H annihilates (|eg> - |ge>)/sqrt(2) at any omega0, so psi_minus
+        # stays maximally entangled while the oscillator moves on its own
+        split = ModelParams(omega=1.0, lambda_=0.1, omega0=0.3)
+        t = np.linspace(0.0, 30.0, 61)
+        series = oracle_concurrence_series("psi_minus", spec, t, split)
+        np.testing.assert_allclose(series.concurrence, 1.0, rtol=0, atol=1e-12)
+
     def test_peak_bytes_counts_the_largest_case(self):
         # omega0 > 0, a triplet and a thermal mixture of dim columns: two
         # parity blocks of 3 dim / 2, the case peak_bytes counts

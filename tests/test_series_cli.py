@@ -1,5 +1,6 @@
 """Result containers, file round-trips and the command-line interface."""
 
+import errno
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import tc2q
-from tc2q import analytic, classical, cli, oracle
+from tc2q import analytic, classical, cli, oracle, series
 from tc2q.analytic import coherence_integral
 from tc2q.model import Fock, ModelParams, Thermal
 from tc2q.series import ConcurrenceSeries, read_series, write_table
@@ -655,6 +656,84 @@ class TestCliErrors:
         assert err["exit_code"] == 2 and "physical memory" in err["error"]
         assert "monte_carlo.samples = 10000000000000" in err["error"]
         assert not os.path.exists(cfg["output"]["path"])
+
+    @pytest.mark.parametrize("spare", [0, -1], ids=["fits", "one-byte-short"])
+    def test_monte_carlo_guard_is_the_engine_memory_model(self, tmp_path, capsys,
+                                                          monkeypatch, spare):
+        # physical memory exactly the model's count passes; one byte less is
+        # exit 2, before any sample is drawn
+        monkeypatch.setattr(classical, "_cores", lambda: 3)
+        samples = 5000
+        physical = classical.mc_peak_bytes(samples) + spare
+        pages = {"SC_PHYS_PAGES": physical, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+        cfg_path, cfg = write_config(tmp_path, engine="classical",
+                                     oscillator={"kind": "classical_thermal", "k_T": 1.0},
+                                     monte_carlo={"samples": samples})
+        if spare == 0:
+            assert cli.main(["run", "--config", cfg_path]) == 0
+            assert os.path.exists(cfg["output"]["path"])
+            return
+        monkeypatch.setattr(np.random, "default_rng", self.refuse_allocation)
+        assert cli.main(["run", "--config", cfg_path]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["exit_code"] == 2 and "physical memory" in err["error"]
+        assert f"monte_carlo.samples = {samples}" in err["error"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    JOBS = {
+        "run": {},
+        "sweep-beta": SWEEP,
+        "validate": {"engine": "validate"},
+        "spectrum": {"engine": "oracle", "qubit_init": None, "oscillator": None,
+                     "time_grid": None},
+    }
+
+    @staticmethod
+    def refuse_to_compute(*args, **kwargs):
+        raise AssertionError("an engine ran although the output cannot be written")
+
+    @pytest.mark.parametrize("path", ["", ".", "/", "/nonexistent/dir/x.csv"],
+                             ids=["empty", "dot", "root", "missing-dir"])
+    @pytest.mark.parametrize("command", list(JOBS))
+    def test_unwritable_output_exits_two_before_any_engine(self, tmp_path, capsys,
+                                                           monkeypatch, command, path):
+        for module, name in ((oracle, "eigenblocks"), (oracle, "oracle_concurrence_series"),
+                             (oracle, "spectrum"), (analytic, "coherence_integral"),
+                             (Thermal, "coherence"), (cli, "write_table")):
+            monkeypatch.setattr(module, name, self.refuse_to_compute)
+        monkeypatch.chdir(tmp_path)
+        fmt = "json" if command in ("validate", "spectrum") else "csv"
+        cfg_path, _ = write_config(tmp_path, output={"path": path, "format": fmt},
+                                   **self.JOBS[command])
+        assert cli.main([command, "--config", cfg_path]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["exit_code"] == 2 and "output" in err["error"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("command", list(JOBS))
+    def test_failed_write_exits_three_with_one_json_line(self, tmp_path, capsys,
+                                                         monkeypatch, command):
+        def full_disk(path, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+        monkeypatch.setattr(series, "_atomic_write_text", full_disk)
+        fmt = "json" if command in ("validate", "spectrum") else "csv"
+        cfg_path, _ = write_config(tmp_path, output={"path": str(tmp_path / f"out.{fmt}"),
+                                                     "format": fmt},
+                                   **self.JOBS[command])
+        assert cli.main([command, "--config", cfg_path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["exit_code"] == 3 and os.strerror(errno.ENOSPC) in err["error"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @staticmethod
     def traced_peak(monkeypatch, argv):
