@@ -29,10 +29,6 @@ import numpy as np
 
 BELL_KINDS = ("psi_plus", "psi_minus", "phi_plus", "phi_minus")
 
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
-EIGENVALUE_FLOOR = -1e-10
-
 #: slack accepted when clamping a concurrence back into [0, 1]
 CLAMP_SLACK = 1e-9
 
@@ -121,29 +117,6 @@ _JM_FROM_XX = np.array([
 JM_FROM_EG = _JM_FROM_XX @ np.kron(_HADAMARD, _HADAMARD)
 
 
-@dataclass(frozen=True)
-class QubitDensity:
-    """A validated two-qubit density matrix in the eg ordering."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError(f"density matrix must be 4x4, got shape {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
-            raise ValueError("density matrix has non-finite entries")
-        if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
-            raise ValueError("density matrix is not Hermitian within 1e-12")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {np.trace(m)} is not 1 within 1e-12")
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if w.min() < EIGENVALUE_FLOOR:
-            raise ValueError(f"density matrix has eigenvalue {w.min():.3e} < -1e-10")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-
 # --- Bell states ------------------------------------------------------------
 
 _BELL_EG = {
@@ -155,10 +128,10 @@ _BELL_EG = {
 
 
 def bell_vector(kind: str) -> np.ndarray:
-    """State vector of a Bell state."""
+    """Real state vector of a Bell state."""
     if kind not in BELL_KINDS:
         raise ValueError(f"kind must be one of {BELL_KINDS}, got {kind!r}")
-    return _BELL_EG[kind].astype(complex)
+    return _BELL_EG[kind].copy()
 
 
 # --- oscillator preparations ------------------------------------------------
@@ -173,6 +146,8 @@ def bell_vector(kind: str) -> np.ndarray:
 #   of it past mean_n ~ 17;
 # * ``fock_columns(dim)``: weights w_k and orthonormal Fock-basis columns c_k
 #   with F = sum_k w_k c_k c_k^dagger, the pure states the oracle evolves;
+#   real for thermal and number states, so the oracle reads them out in
+#   real arithmetic;
 # * ``coherence(omega_t, beta)``: the closed-form overlap integral I, which
 #   broadcasts over both arguments (see :mod:`tc2q.analytic`).
 
@@ -225,7 +200,7 @@ def _envelope(s, beta):
 def _fock_vector(n: int, dim: int) -> np.ndarray:
     if n >= dim:
         raise TruncationError(f"number state n={n} needs dim > {n}")
-    return np.eye(dim, dtype=complex)[:, [n]]
+    return np.eye(dim)[:, [n]]
 
 
 @dataclass(frozen=True)
@@ -276,7 +251,7 @@ class Thermal:
         weights = (1.0 - ratio) * ratio ** np.arange(dim)
         weights /= weights.sum()
         keep = weights > 0.0
-        return weights[keep], np.eye(dim, dtype=complex)[:, keep]
+        return weights[keep], np.eye(dim)[:, keep]
 
     def coherence(self, omega_t, beta):
         """I = exp(-32 beta^2 sin^2(wt/2) (1 + 2 mean_n)), real."""

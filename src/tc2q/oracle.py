@@ -18,8 +18,11 @@ state is a bilinear form in the phases phi(t) = exp(-iEt):
     rho_ab(t) = phi^T G_ab phi*,    G_ab = (V_a^T V_b) o (C W C^dagger),
 
 where V_a holds the rows of qubit label a.  The forms are built once and
-the time grid is read through them in fixed-size chunks; the leakage into
-the top two Fock levels is one more form of the same kind.  Reduced states
+the time grid is read through them in fixed-size chunks of cos(Et) and
+sin(Et); the leakage into the top two Fock levels is one more form of the
+same kind.  The frame and the Bell vectors are real, so for a real psi0
+(thermal and number states) C and every G_ab are real and are read with
+real products; a complex psi0 (coherent) keeps a complex one.  Reduced states
 then go through the Wootters spin-flip construction.  Agreement with
 :mod:`tc2q.analytic` is therefore a genuine two-route test.
 
@@ -39,7 +42,6 @@ from .model import (
     JM_FROM_EG,
     ModelParams,
     OscillatorSpec,
-    QubitDensity,
     TruncationError,
     bell_vector,
     check_dim,
@@ -179,13 +181,19 @@ def eigenblocks(params: ModelParams, dim: int, population: np.ndarray | None = N
     rows, cols, vals = _hamiltonian_entries(params, dim)
     upper = rows < cols
     label = _component_labels(4 * dim, rows[upper], cols[upper])
-    row_label = label[rows]
+    count = label.max() + 1
+    # the nodes and the entries of every block in one stable sort each, so
+    # the loop visits only the blocks it diagonalises
+    (nodes, node_start), (entries, entry_start) = (
+        (np.argsort(key, kind="stable"),
+         np.concatenate(([0], np.cumsum(np.bincount(key, minlength=count)))))
+        for key in (label, label[rows]))
+    used = range(count) if population is None else np.flatnonzero(
+        np.bincount(label, weights=population, minlength=count) > _POPULATION_FLOOR)
     blocks, residual = [], 0.0
-    for block in range(label.max() + 1):
-        index = np.flatnonzero(label == block)
-        if population is not None and population[index].sum() <= _POPULATION_FLOOR:
-            continue
-        entry = row_label == block
+    for block in used:
+        index = nodes[node_start[block]:node_start[block + 1]]
+        entry = entries[entry_start[block]:entry_start[block + 1]]
         h = np.zeros((index.size, index.size))
         local = np.searchsorted(index, rows[entry]), np.searchsorted(index, cols[entry])
         np.add.at(h, local, vals[entry])
@@ -210,8 +218,6 @@ def wootters_concurrence(rho):
     which keeps the near-zero ones at machine precision where the textbook
     eigvals(rho rho~) route floors near 1e-8.
     """
-    if isinstance(rho, QubitDensity):
-        rho = rho.matrix
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix or a stack of them, "
@@ -236,26 +242,48 @@ def wootters_concurrence(rho):
     return clamp_unit(np.where(conc > 0.0, conc, 0.0))
 
 
-def _quadratic(phase: np.ndarray, form) -> np.ndarray:
-    """phi(t)^T G phi(t)* for each row phi(t) of ``phase``."""
+def _quadratic(cos: np.ndarray, sin: np.ndarray, form, hermitian: bool = False):
+    """phi(t)^T G phi(t)* for each row phi(t) = cos - i sin of a chunk of phases.
+
+    The dtype of G picks the arithmetic.  A complex G takes one complex
+    product.  A real G takes real products on the cos and sin parts, and a
+    real ``hermitian`` one only the real part c^T G c + s^T G s.
+    """
     left, right, g = form
-    return np.einsum("ti,ti->t", phase[:, left] @ g, phase[:, right].conj())
+    if np.iscomplexobj(g):
+        # phi and phi* set from their parts, bit for bit exp(-iEt) and its conjugate
+        phase = np.empty((cos.shape[0], left.size), dtype=complex)
+        phase.real, phase.imag = cos[:, left], -sin[:, left]
+        conj = np.empty((cos.shape[0], right.size), dtype=complex)
+        conj.real, conj.imag = cos[:, right], sin[:, right]
+        return np.einsum("ti,ti->t", phase @ g, conj)
+    c_right, s_right = cos[:, right], sin[:, right]
+    c_g, s_g = cos[:, left] @ g, sin[:, left] @ g
+    value = np.einsum("ti,ti->t", c_g, c_right) + np.einsum("ti,ti->t", s_g, s_right)
+    if hermitian:
+        return value
+    return value + 1j * (np.einsum("ti,ti->t", c_g, s_right)
+                         - np.einsum("ti,ti->t", s_g, c_right))
 
 
 def peak_bytes(dim: int) -> int:
-    """Bytes of arrays :func:`_reduced_states` holds at its peak at ``dim``.
+    """An upper bound on the bytes of arrays :func:`_reduced_states` holds at ``dim``.
 
-    Counted at its largest (omega0 > 0, a triplet Bell state, a thermal
-    mixture of dim columns): a parity block of 3 dim / 2 with its
-    eigenvectors and eigh's workspace; the 3 dim modes it reads out, as real
-    eigenvector columns, initial columns and their coefficients, M and seven
-    complex bilinear forms (six qubit pairs and the leakage); and three
-    copies of a chunk of phases.  That counts about 1,410 dim^2 bytes,
-    against a tracemalloc peak of about 1,370 dim^2.
+    Counted at its largest (omega0 > 0, a triplet Bell state, a complex
+    mixture of dim columns): the 3 dim modes it reads out, as real
+    eigenvectors (per parity block of 3 dim / 2 and in one matrix), initial
+    columns and their coefficients, and M and seven complex bilinear forms;
+    the temporaries of the last form built (a real product and a complex
+    copy of M); and those of a chunk of phases read through a complex form
+    (its angles, cos and sin, and six real copies).  The two sets of
+    temporaries are never live together: counting both leaves 216 dim^2
+    bytes for the arrays that grow with the number of points.  At dim 100
+    that counts 2,181 dim^2 bytes, against a tracemalloc peak of 1,914
+    dim^2 for a mixture of 60 columns on 300 points.
     """
     block, modes = (3 * dim + 1) // 2, 3 * dim
-    return (3 * 8 * block ** 2 + 8 * 4 * dim * modes + 16 * (4 * dim + modes) * dim
-            + 8 * 16 * modes ** 2 + 3 * 16 * _PHASE_CHUNK * modes)
+    return (8 * (2 * block ** 2 + 4 * dim * modes) + 16 * (5 * dim + modes) * dim
+            + (16 * 8 + 24) * modes ** 2 + 9 * 8 * _PHASE_CHUNK * modes)
 
 
 def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
@@ -280,18 +308,17 @@ def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
         raise ValueError(f"oscillator weights must be >= 0 and sum to 1 within "
                          f"1e-9, got range [{weights.min():.3e}, {weights.max():.3e}] "
                          f"and sum {weights.sum():.12g}")
-    gram = columns.conj().T @ columns
-    if np.abs(gram - np.eye(weights.size)).max() > _COMPOSITE_TOL:
+    if np.abs(columns.conj().T @ columns - np.eye(weights.size)).max() > _COMPOSITE_TOL:
         raise ValueError("oscillator columns are not orthonormal within 1e-9")
     frame = _qubit_frame(params)
     psi0 = np.kron((frame @ bell_vector(qubit_init))[:, None], columns)
     blocks, residual = eigenblocks(params, dim, (np.abs(psi0) ** 2) @ weights)
 
     # the eigenvectors of the used blocks as the columns of one (4 dim, modes)
-    # matrix V, C = V^T psi0 and M = C W C^dagger
+    # matrix V, C = V^T psi0 and M = C W C^dagger, all real for a real psi0
     energies = np.concatenate([block_energies for _, block_energies, _ in blocks])
     vectors = np.zeros((4 * dim, energies.size))
-    coeff = np.empty((energies.size, weights.size), dtype=complex)
+    coeff = np.empty((energies.size, weights.size), dtype=psi0.dtype)
     start = 0
     for index, _, block_vectors in blocks:
         stop = start + index.size
@@ -317,13 +344,14 @@ def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
     leak = np.empty(times.size)
     for start in range(0, times.size, _PHASE_CHUNK):
         chunk = slice(start, start + _PHASE_CHUNK)
-        phase = np.exp(-1j * np.outer(times[chunk], energies))
+        angle = np.outer(times[chunk], energies)
+        cos, sin = np.cos(angle), np.sin(angle)
         for (a, b), f in forms.items():
-            value = _quadratic(phase, f)
+            value = _quadratic(cos, sin, f, hermitian=a == b)
             rho[chunk, a, b] = value
             rho[chunk, b, a] = value.conj()
         # a population: the form may round to a hair below zero
-        leak[chunk] = np.maximum(_quadratic(phase, leak_form).real, 0.0)
+        leak[chunk] = np.maximum(_quadratic(cos, sin, leak_form, hermitian=True).real, 0.0)
     # back to eg, with the round-off of the diagonal forms made Hermitian
     rho = frame.T @ rho @ frame
     rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
@@ -336,13 +364,6 @@ def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
     diagnostics = {"blocks": [int(index.size) for index, _, _ in blocks],
                    "eigen_residual": residual}
     return dim, rho, leak, diagnostics
-
-
-def oracle_reduced_density(qubit_init: str, spec: OscillatorSpec, t: float,
-                           params: ModelParams, dim: int | None = None) -> QubitDensity:
-    """Reduced qubit state at a single time, straight through the full model."""
-    _, rho, _, _ = _reduced_states(qubit_init, spec, np.array([float(t)]), params, dim)
-    return QubitDensity(rho[0])
 
 
 def oracle_concurrence_series(qubit_init: str, spec: OscillatorSpec,

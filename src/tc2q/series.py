@@ -4,19 +4,20 @@ A concurrence-versus-time series has ``t, omega_t, C`` plus optional
 ``u, v, std_error, leakage`` columns, in that order.  Every artifact, series
 or not, goes through :func:`write_table`: CSV with 12 significant digits or
 JSON with full doubles, under one envelope (artifact version, engine,
-summary fields, config echo).  Files are written atomically (temp file +
-rename) so a failed run never leaves a partial artifact.
+summary fields, config echo).  Files are written through temp files and
+renamed into place, so a failed run never leaves a partial artifact.
 
 CSV files are exactly header + rows.  Because that leaves no room for
 provenance, a CSV emit also drops ``<path>.meta.json`` alongside, holding
-the envelope a JSON emit embeds, without the columns.
+the envelope a JSON emit embeds, without the columns.  The table and its
+sidecar are placed together or not at all.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,33 +76,45 @@ class ConcurrenceSeries:
         return cols
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partials."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+def _write_temp(path: str, text: str) -> str:
+    """Write ``text`` to a new temp file beside ``path`` and return its name;
+    created like any new file, so the umask sets its mode (mkstemp's is 0600)."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".tmp-{os.urandom(8).hex()}.part")
+    handle = open(tmp, "x")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with handle:
             handle.write(text)
-        os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
+        raise
+    return tmp
+
+
+def _write_all(texts: dict) -> None:
+    """Place the text of every path, all or nothing: every text goes to a
+    temp file, then each is renamed into place; on a failure the temp files
+    left and the paths already placed are removed."""
+    temps, placed = [], []
+    try:
+        for path, text in texts.items():
+            temps.append(_write_temp(path, text))
+        for path, tmp in zip(texts, temps):
+            os.replace(tmp, path)
+            placed.append(path)
+    except BaseException:
+        for name in temps[len(placed):] + placed:
+            with contextlib.suppress(OSError):
+                os.unlink(name)
         raise
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    return format(float(value), ".12g")
-
-
 def _csv_text(columns: dict) -> str:
-    names = list(columns)
-    n_rows = len(next(iter(columns.values())))
-    lines = [",".join(names)]
-    for i in range(n_rows):
-        lines.append(",".join(_format_cell(columns[name][i]) for name in names))
-    return "\n".join(lines) + "\n"
+    """Header and rows, numbers to 12 significant digits, strings as given."""
+    cells = [[name, *(vals if isinstance(vals, list) else
+                      [format(v, ".12g") for v in np.asarray(vals, dtype=float).tolist()])]
+             for name, vals in columns.items()]
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def write_table(path: str, fmt: str, engine: str, columns: dict, meta: dict,
@@ -117,13 +130,15 @@ def write_table(path: str, fmt: str, engine: str, columns: dict, meta: dict,
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     envelope = {"artifact_version": __version__, "engine": engine, **(summary or {}),
                 "meta": meta}
+    texts = {}
     if fmt == "csv":
-        _atomic_write_text(path, _csv_text(columns))
+        texts[path] = _csv_text(columns)
         path += ".meta.json"
     else:
         envelope["columns"] = {name: vals if isinstance(vals, list) else vals.tolist()
                                for name, vals in columns.items()}
-    _atomic_write_text(path, json.dumps(envelope, indent=2) + "\n")
+    texts[path] = json.dumps(envelope, indent=2) + "\n"
+    _write_all(texts)
 
 
 def read_series(path: str) -> ConcurrenceSeries:

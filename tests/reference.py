@@ -8,6 +8,8 @@ Poisson amplitudes of a coherent state through scipy's log-gamma, the
 partial trace of a composite density matrix, the dense Hamiltonian with a
 per-time propagation in its eigenbasis, the free classical trajectory, and
 the Monte Carlo estimate as a single-threaded loop over the time points.
+It also holds the validated two-qubit density container and the single-time
+oracle state that only the tests use.
 The module has no ``test_`` prefix, so pytest imports it from the test
 files and does not collect it.
 """
@@ -30,7 +32,6 @@ from tc2q.model import (
     Fock,
     ModelParams,
     OscillatorSpec,
-    QubitDensity,
     TruncationError,
     bell_vector,
     check_dim,
@@ -38,8 +39,50 @@ from tc2q.model import (
     f_phase,
     laguerre,
 )
+from tc2q.oracle import _reduced_states
+
+HERMITICITY_TOL = 1e-12
+TRACE_TOL = 1e-12
+EIGENVALUE_FLOOR = -1e-10
 
 _JM_LEVELS = ((1, 1), (1, 0), (0, 0), (1, -1))
+
+
+@dataclass(frozen=True)
+class QubitDensity:
+    """A validated two-qubit density matrix in the eg ordering.
+
+    numpy reads it as its matrix, so :func:`tc2q.oracle.wootters_concurrence`
+    takes one as it stands.
+    """
+
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        m = np.array(self.matrix, dtype=complex)
+        if m.shape != (4, 4):
+            raise ValueError(f"density matrix must be 4x4, got shape {m.shape}")
+        if not np.all(np.isfinite(m.view(float))):
+            raise ValueError("density matrix has non-finite entries")
+        if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
+            raise ValueError("density matrix is not Hermitian within 1e-12")
+        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
+            raise ValueError(f"density matrix trace {np.trace(m)} is not 1 within 1e-12")
+        w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+        if w.min() < EIGENVALUE_FLOOR:
+            raise ValueError(f"density matrix has eigenvalue {w.min():.3e} < -1e-10")
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.matrix, dtype=dtype, copy=copy)
+
+
+def oracle_reduced_density(qubit_init: str, spec: OscillatorSpec, t: float,
+                           params: ModelParams, dim: int | None = None) -> QubitDensity:
+    """Reduced qubit state at a single time, straight through the full model."""
+    _, rho, _, _ = _reduced_states(qubit_init, spec, np.array([float(t)]), params, dim)
+    return QubitDensity(rho[0])
 
 
 def bell_state(kind: str) -> QubitDensity:

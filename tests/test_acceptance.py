@@ -12,7 +12,11 @@ import time
 
 import numpy as np
 
-from reference import coherence_integral_fock_sum, dense_hamiltonian
+from reference import (
+    coherence_integral_fock_sum,
+    dense_hamiltonian,
+    oracle_reduced_density,
+)
 from tc2q import cli
 from tc2q.analytic import coherence_integral
 from tc2q.classical import (
@@ -23,11 +27,7 @@ from tc2q.classical import (
     monte_carlo_classical_concurrence,
 )
 from tc2q.model import Coherent, Fock, ModelParams, Thermal, bell_vector, laguerre
-from tc2q.oracle import (
-    choose_dim,
-    oracle_concurrence_series,
-    oracle_reduced_density,
-)
+from tc2q.oracle import choose_dim, oracle_concurrence_series
 
 SPEC_SET = (Thermal(0.5), Thermal(1.0), Thermal(2.0),
             Coherent(0.0), Coherent(1.0), Coherent(2j),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from reference import bell_state, poisson_column
+from reference import QubitDensity, bell_state, poisson_column
 from tc2q.model import (
     BELL_KINDS,
     JM_FROM_EG,
@@ -13,7 +13,6 @@ from tc2q.model import (
     ExplicitDensity,
     Fock,
     ModelParams,
-    QubitDensity,
     Thermal,
     TruncationError,
     bell_vector,

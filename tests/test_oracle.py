@@ -22,8 +22,10 @@ from reference import (
     dense_hamiltonian,
     dense_reduced_states,
     displaced_number_state,
+    oracle_reduced_density,
     partial_trace_oscillator,
 )
+from tc2q import oracle
 from tc2q.analytic import coherence_integral, predicted_spectrum
 from tc2q.model import (
     BELL_KINDS,
@@ -43,7 +45,6 @@ from tc2q.oracle import (
     choose_dim,
     eigenblocks,
     oracle_concurrence_series,
-    oracle_reduced_density,
     peak_bytes,
     spectrum,
     wootters_concurrence,
@@ -156,19 +157,78 @@ class TestBlockedOracle:
         series = oracle_concurrence_series("psi_minus", spec, t, split)
         np.testing.assert_allclose(series.concurrence, 1.0, rtol=0, atol=1e-12)
 
-    def test_peak_bytes_counts_the_largest_case(self):
-        # omega0 > 0, a triplet and a thermal mixture of dim columns: two
-        # parity blocks of 3 dim / 2, the case peak_bytes counts
-        dim, t = 100, np.linspace(0.0, 5.0, 300)
-        split = ModelParams(omega=1.0, lambda_=0.1, omega0=0.3)
+    @pytest.mark.parametrize("omega0", [0.0, 0.3])
+    @pytest.mark.parametrize("spec", [Thermal(0.5), Fock(2)], ids=["thermal", "fock"])
+    def test_real_readout_matches_the_complex_one(self, spec, omega0):
+        # thermal and number states are read through real forms; the same
+        # density as an ExplicitDensity has complex columns, so complex forms
+        params = ModelParams(omega=1.0, lambda_=0.1, omega0=omega0)
+        dim = choose_dim(spec, params)
+        explicit = ExplicitDensity(oscillator_density(spec, dim))
+        t = np.linspace(0.0, 6.0, 13)
+        for kind in BELL_KINDS:
+            real = oracle_concurrence_series(kind, spec, t, params, dim=dim)
+            full = oracle_concurrence_series(kind, explicit, t, params, dim=dim)
+            for name in ("concurrence", "u", "v", "leakage"):
+                if getattr(real, name) is None:
+                    assert getattr(full, name) is None
+                    continue
+                np.testing.assert_allclose(getattr(real, name), getattr(full, name),
+                                           rtol=0, atol=1e-12, err_msg=f"{kind} {name}")
+            # C, u and v cannot tell rho from rho*, so the states themselves
+            _, rho_real, _, _ = oracle._reduced_states(kind, spec, t, params, dim)
+            _, rho_full, _, _ = oracle._reduced_states(kind, explicit, t, params, dim)
+            np.testing.assert_allclose(rho_real, rho_full, rtol=0, atol=1e-12, err_msg=kind)
+
+    def test_real_states_take_real_forms(self, monkeypatch):
+        dtypes = []
+        quadratic = oracle._quadratic
+
+        def spy(cos, sin, form, hermitian=False):
+            dtypes.append(form[2].dtype)
+            return quadratic(cos, sin, form, hermitian)
+
+        monkeypatch.setattr(oracle, "_quadratic", spy)
+        t = np.linspace(0.0, 5.0, 20)
+        for spec, dtype in ((Thermal(1.0), np.float64), (Fock(2), np.float64),
+                            (Coherent(1.0 + 0.5j), np.complex128),
+                            (ExplicitDensity(np.eye(2) / 2.0), np.complex128)):
+            dtypes.clear()
+            oracle_concurrence_series("psi_plus", spec, t, P)
+            assert dtypes and set(dtypes) == {np.dtype(dtype)}, spec.label
+
+    @staticmethod
+    def traced_peak(*args, **kwargs):
+        """The series and the tracemalloc peak of computing it."""
         tracemalloc.start()
         try:
-            series = oracle_concurrence_series("psi_plus", Thermal(1.0), t, split, dim=dim)
+            series = oracle_concurrence_series(*args, **kwargs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return series, peak
+
+    def test_peak_bytes_counts_the_largest_case(self):
+        # omega0 > 0, a triplet and a complex mixture: two parity blocks of
+        # 3 dim / 2 read through complex forms, the case peak_bytes counts
+        dim, t = 100, np.linspace(0.0, 5.0, 300)
+        split = ModelParams(omega=1.0, lambda_=0.1, omega0=0.3)
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(60, 60)) + 1j * rng.normal(size=(60, 60))
+        density = a @ a.conj().T
+        spec = ExplicitDensity(density / np.trace(density).real)
+        series, peak = self.traced_peak("psi_plus", spec, t, split, dim=dim)
         assert series.meta["blocks"] == [150, 150]
         assert 0.8 * peak_bytes(dim) <= peak <= peak_bytes(dim)
+
+    @pytest.mark.parametrize("dim", [60, 100, 250])
+    @pytest.mark.parametrize("omega0", [0.0, 0.3])
+    def test_peak_bytes_bounds_every_preparation(self, dim, omega0):
+        t = np.linspace(0.0, 5.0, 300)
+        params = ModelParams(omega=1.0, lambda_=0.1, omega0=omega0)
+        for spec in (Thermal(1.0), Coherent(1.0 + 0.5j), Fock(3)):
+            _, peak = self.traced_peak("phi_plus", spec, t, params, dim=dim)
+            assert peak <= peak_bytes(dim), spec.label
 
 
 class TestHamiltonian:

@@ -137,6 +137,45 @@ class TestFileRoundTrips:
         assert text == json.dumps(report, indent=2) + "\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
+    def test_csv_text_matches_the_per_cell_formatter(self):
+        def per_cell(columns):
+            """The row-by-row formatter the column-wise one replaced."""
+            def cell(value):
+                return value if isinstance(value, str) else format(float(value), ".12g")
+            names = list(columns)
+            rows = len(next(iter(columns.values())))
+            lines = [",".join(names)]
+            lines += [",".join(cell(columns[name][i]) for name in names) for i in range(rows)]
+            return "\n".join(lines) + "\n"
+
+        values = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0 / 3.0, 2.0 / 3.0,
+                           0.1, 123456789012.5, 1e-5, 7.0])
+        columns = {"label": [f"spec({i})" for i in range(values.size)], "x": values,
+                   "y": values[::-1].copy(), "index": np.arange(values.size)}
+        assert series._csv_text(columns) == per_cell(columns)
+
+    def test_failed_sidecar_leaves_no_table(self, tmp_path, capsys):
+        # the sidecar path is a directory, so its rename fails after the
+        # table is placed: the table must go again
+        (tmp_path / "out.csv.meta.json").mkdir()
+        cfg_path, _ = write_config(tmp_path)
+        assert cli.main(["run", "--config", cfg_path]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["exit_code"] == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out.csv.meta.json"]
+        assert not any((tmp_path / "out.csv.meta.json").iterdir())
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_artifacts_follow_the_umask(self, tmp_path, fmt):
+        path = tmp_path / f"out.{fmt}"
+        old = os.umask(0o022)
+        try:
+            write_series(make_series(), str(path), fmt)
+        finally:
+            os.umask(old)
+        written = [path] + ([tmp_path / "out.csv.meta.json"] if fmt == "csv" else [])
+        assert [p.stat().st_mode & 0o777 for p in written] == [0o644] * len(written)
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_series(make_series(), str(tmp_path / "x.xml"), "xml")
@@ -721,7 +760,7 @@ class TestCliErrors:
         def full_disk(path, text):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
 
-        monkeypatch.setattr(series, "_atomic_write_text", full_disk)
+        monkeypatch.setattr(series, "_write_temp", full_disk)
         fmt = "json" if command in ("validate", "spectrum") else "csv"
         cfg_path, _ = write_config(tmp_path, output={"path": str(tmp_path / f"out.{fmt}"),
                                                      "format": fmt},
