@@ -32,6 +32,11 @@ from .series import ConcurrenceSeries, write_table
 _SPECTRUM_DIM = 60
 _SPECTRUM_TOL = 1e-8
 
+#: the highest Fock level a config may name: the closed form of a number
+#: state runs a recurrence of n steps over the whole grid (about 0.13 s for
+#: 2000 points at this bound), and the oracle's memory check stops it far lower
+_MAX_FOCK_LEVEL = 10_000
+
 
 class ConfigError(Exception):
     """Invalid configuration; maps to exit code 2."""
@@ -49,7 +54,8 @@ def _is_number(value) -> bool:
 
 
 def _get_number(obj: dict, key: str, context: str, required: bool = True,
-                default=None, integer: bool = False, minimum: int | None = None):
+                default=None, integer: bool = False, minimum: int | None = None,
+                maximum: int | None = None):
     """``obj[key]`` as a float, or as an int if ``integer``; booleans are neither."""
     if key not in obj:
         if required:
@@ -63,11 +69,14 @@ def _get_number(obj: dict, key: str, context: str, required: bool = True,
         raise ConfigError(f"{context}.{key} must be finite, got {value}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{context}.{key} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{context}.{key} must be <= {maximum}, got {value}")
     return value if integer else float(value)
 
 
 _get_int = functools.partial(_get_number, integer=True)
-_get_count = functools.partial(_get_number, integer=True, minimum=0)
+_get_level = functools.partial(_get_number, integer=True, minimum=0,
+                               maximum=_MAX_FOCK_LEVEL)
 
 
 def _get_amplitude(obj: dict, key: str, context: str) -> complex:
@@ -84,7 +93,7 @@ def _get_amplitude(obj: dict, key: str, context: str) -> complex:
 _KINDS = {
     "thermal": ("quantum", Thermal, {"mean_n": _get_number}),
     "coherent": ("quantum", Coherent, {"alpha0": _get_amplitude}),
-    "fock": ("quantum", Fock, {"n": _get_count}),
+    "fock": ("quantum", Fock, {"n": _get_level}),
     "delta": ("classical", classical.DeltaDist, {"q0": _get_number, "p0": _get_number}),
     "gaussian": ("classical", classical.GaussianDist,
                  dict.fromkeys(("q_bar", "p_bar", "delta_q", "delta_p"), _get_number)),

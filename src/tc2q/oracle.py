@@ -17,10 +17,19 @@ state is a bilinear form in the phases phi(t) = exp(-iEt):
 
     rho_ab(t) = phi^T G_ab phi*,    G_ab = (V_a^T V_b) o (C W C^dagger),
 
-where V_a holds the rows of qubit label a.  The forms are built once and
-the time grid is read through them in fixed-size chunks of cos(Et) and
-sin(Et); the leakage into the top two Fock levels is one more form of the
-same kind.  The frame and the Bell vectors are real, so for a real psi0
+where V_a holds the rows of qubit label a.  psi0 is never formed: row
+(q, n) of a column is the Bell amplitude of label q times row n of the Fock
+column, so C = (sum_q amp_q V_q)^T F.  Each form is multiplied into its own
+slice of M = C W C^dagger, on the modes it reads.  V_a^T V_b vanishes
+between modes of different blocks, and on the modes of a block that lies
+in one label a, V_a^T V_a is the identity: that block's share of rho_aa is
+the constant sum_j M_jj over its modes, added once.  So the forms read per
+time are the coherences (a != b), the populations of blocks that mix labels
+(only the parity blocks at omega0 > 0 do), and the leakage into the top two
+Fock levels, one form of the same kind per group of blocks (the blocks of
+one label, or one block that mixes labels).  They are built once and the
+time grid is read through them in fixed-size chunks of cos(Et) and sin(Et).
+The frame and the Bell vectors are real, so for a real psi0
 (thermal and number states) C and every G_ab are real and are read with
 real products; a complex psi0 (coherent) keeps a complex one.  Reduced states
 then go through the Wootters spin-flip construction.  Agreement with
@@ -266,24 +275,35 @@ def _quadratic(cos: np.ndarray, sin: np.ndarray, form, hermitian: bool = False):
                          - np.einsum("ti,ti->t", s_g, c_right))
 
 
+def _block_diagonal(squares) -> np.ndarray:
+    """The block-diagonal matrix of a list of square matrices."""
+    sizes = [square.shape[0] for square in squares]
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    out = np.zeros((owner.size, owner.size))
+    # the mask is true on each block's square, row by row in block order
+    out[owner[:, None] == owner] = np.concatenate([square.ravel() for square in squares])
+    return out
+
+
 def peak_bytes(dim: int) -> int:
     """An upper bound on the bytes of arrays :func:`_reduced_states` holds at ``dim``.
 
     Counted at its largest (omega0 > 0, a triplet Bell state, a complex
-    mixture of dim columns): the 3 dim modes it reads out, as real
-    eigenvectors (per parity block of 3 dim / 2 and in one matrix), initial
-    columns and their coefficients, and M and seven complex bilinear forms;
-    the temporaries of the last form built (a real product and a complex
-    copy of M); and those of a chunk of phases read through a complex form
-    (its angles, cos and sin, and six real copies).  The two sets of
-    temporaries are never live together: counting both leaves 216 dim^2
-    bytes for the arrays that grow with the number of points.  At dim 100
-    that counts 2,181 dim^2 bytes, against a tracemalloc peak of 1,914
-    dim^2 for a mixture of 60 columns on 300 points.
+    mixture of dim columns), where the 3 dim modes it reads out lie in two
+    parity blocks of 3 dim / 2: the real eigenvectors (per block and in one
+    matrix), the initial columns and their coefficients; the complex forms,
+    three coherences on every mode and, per block, three populations and a
+    leakage; the inputs of the last form's slice of M; and the temporaries
+    of a chunk of phases read through a complex form (its angles, cos and
+    sin, the complex phases, their conjugates and their product, and one
+    real copy).  The two sets of temporaries are never live together.  At
+    dim 100 that counts 1,578 dim^2 bytes, against a tracemalloc peak of
+    1,449 dim^2 for a mixture of 60 columns on 300 points.
     """
     block, modes = (3 * dim + 1) // 2, 3 * dim
-    return (8 * (2 * block ** 2 + 4 * dim * modes) + 16 * (5 * dim + modes) * dim
-            + (16 * 8 + 24) * modes ** 2 + 9 * 8 * _PHASE_CHUNK * modes)
+    return (8 * (2 * block ** 2 + 4 * dim * modes) + 16 * (dim + modes) * dim
+            + 16 * (3 * modes ** 2 + 8 * block ** 2 + 2 * block * dim)
+            + 80 * _PHASE_CHUNK * modes)
 
 
 def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
@@ -311,47 +331,71 @@ def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
     if np.abs(columns.conj().T @ columns - np.eye(weights.size)).max() > _COMPOSITE_TOL:
         raise ValueError("oscillator columns are not orthonormal within 1e-9")
     frame = _qubit_frame(params)
-    psi0 = np.kron((frame @ bell_vector(qubit_init))[:, None], columns)
-    blocks, residual = eigenblocks(params, dim, (np.abs(psi0) ** 2) @ weights)
+    # row (q, n) of a pure column of bell (x) F is the Bell amplitude of
+    # label q times row n of the Fock column
+    amplitude = frame @ bell_vector(qubit_init)
+    blocks, residual = eigenblocks(
+        params, dim, np.kron(amplitude ** 2, (np.abs(columns) ** 2) @ weights))
 
     # the eigenvectors of the used blocks as the columns of one (4 dim, modes)
-    # matrix V, C = V^T psi0 and M = C W C^dagger, all real for a real psi0
+    # matrix V, and C = V^T psi0 = (sum_q amp_q V_q)^T F, real for a real psi0
+    sizes = np.array([rows.size for rows, _, _ in blocks])
+    index = np.concatenate([rows for rows, _, _ in blocks])
     energies = np.concatenate([block_energies for _, block_energies, _ in blocks])
-    vectors = np.zeros((4 * dim, energies.size))
-    coeff = np.empty((energies.size, weights.size), dtype=psi0.dtype)
-    start = 0
-    for index, _, block_vectors in blocks:
-        stop = start + index.size
-        vectors[index, start:stop] = block_vectors
-        coeff[start:stop] = block_vectors.T @ psi0[index]
-        start = stop
-    mix = (coeff * weights) @ coeff.conj().T
+    vectors = np.zeros((4 * dim, index.size))
+    vectors[index] = _block_diagonal([block_vectors for _, _, block_vectors in blocks])
+    coeff = np.tensordot(amplitude, vectors.reshape(4, dim, -1), axes=1).T @ columns
 
-    def form(rows_a, rows_b):
-        """(V_a^T V_b) o M on the modes that reach rows a and rows b."""
+    # a block within one label keeps its population, sum_j M_jj over its modes,
+    # so the modes of such blocks are grouped by label; a block that mixes
+    # labels is a group of its own, with a population form per label
+    starts, label = np.cumsum(sizes) - sizes, index // dim
+    low, high = np.minimum.reduceat(label, starts), np.maximum.reduceat(label, starts)
+    group = np.repeat(np.where(low == high, low, 4 + np.arange(sizes.size)), sizes)
+    conserved = group < 4
+    population = np.bincount(group[conserved], minlength=4,
+                             weights=(np.abs(coeff[conserved]) ** 2) @ weights)
+
+    def form(rows_a, rows_b, among):
+        """(V_a^T V_b) o M on the modes of ``among`` that reach rows a and rows
+        b, multiplied into its own slice of M = C W C^dagger."""
         v_a, v_b = vectors[rows_a], vectors[rows_b]
-        left, right = np.flatnonzero(v_a.any(axis=0)), np.flatnonzero(v_b.any(axis=0))
-        return left, right, (v_a[:, left].T @ v_b[:, right]) * mix[np.ix_(left, right)]
+        left = np.flatnonzero(among & v_a.any(axis=0))
+        right = np.flatnonzero(among & v_b.any(axis=0))
+        g = (coeff[left] * weights) @ coeff[right].conj().T
+        g *= v_a[:, left].T @ v_b[:, right]
+        return left, right, g
 
     label_rows = [slice(q * dim, (q + 1) * dim) for q in range(4)]
-    forms = {(a, b): form(label_rows[a], label_rows[b])
-             for a in range(4) for b in range(a, 4)}
-    forms = {pair: f for pair, f in forms.items() if f[2].any()}
     top = np.add.outer(dim * np.arange(4), [dim - 2, dim - 1]).ravel()
-    leak_form = form(top, top)
+    everywhere = np.ones(index.size, dtype=bool)
+    coherences = [(a, b, form(label_rows[a], label_rows[b], everywhere))
+                  for a in range(4) for b in range(a + 1, 4)]
+    groups = np.flatnonzero(np.bincount(group))
+    populations = [(a, form(label_rows[a], label_rows[a], group == g))
+                   for g in groups[groups >= 4] for a in range(4)]
+    # V_top^T V_top vanishes between blocks, so the leakage is read group by group
+    leak_forms = [form(top, top, group == g) for g in groups]
+    coherences = [(a, b, f) for a, b, f in coherences if f[2].any()]
+    populations = [(a, f) for a, f in populations if f[2].any()]
+    leak_forms = [f for f in leak_forms if f[2].any()]
 
     rho = np.zeros((times.size, 4, 4), dtype=complex)
+    rho[:, range(4), range(4)] = population
     leak = np.empty(times.size)
     for start in range(0, times.size, _PHASE_CHUNK):
         chunk = slice(start, start + _PHASE_CHUNK)
         angle = np.outer(times[chunk], energies)
         cos, sin = np.cos(angle), np.sin(angle)
-        for (a, b), f in forms.items():
-            value = _quadratic(cos, sin, f, hermitian=a == b)
+        for a, b, f in coherences:
+            value = _quadratic(cos, sin, f)
             rho[chunk, a, b] = value
             rho[chunk, b, a] = value.conj()
-        # a population: the form may round to a hair below zero
-        leak[chunk] = np.maximum(_quadratic(cos, sin, leak_form, hermitian=True).real, 0.0)
+        for a, f in populations:
+            rho[chunk, a, a] += _quadratic(cos, sin, f, hermitian=True)
+        # a population: the forms may round to a hair below zero
+        leak[chunk] = np.maximum(sum((_quadratic(cos, sin, f, hermitian=True).real
+                                      for f in leak_forms), 0.0), 0.0)
     # back to eg, with the round-off of the diagonal forms made Hermitian
     rho = frame.T @ rho @ frame
     rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
@@ -361,8 +405,7 @@ def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
         raise TruncationError(
             f"leakage {leak[first]:.3e} > {LEAK_ERROR:g} at t={times[first]:g} with "
             f"dim={dim}; increase dim")
-    diagnostics = {"blocks": [int(index.size) for index, _, _ in blocks],
-                   "eigen_residual": residual}
+    diagnostics = {"blocks": sizes.tolist(), "eigen_residual": residual}
     return dim, rho, leak, diagnostics
 
 

@@ -122,6 +122,9 @@ class TestBlockedOracle:
         t = np.linspace(0.0, 6.0, 13)
         series = oracle_concurrence_series(kind, spec, t, params, dim=dim)
         rho, leak = dense_reduced_states(kind, spec, t, params, dim)
+        # C alone cannot see a population moved from one label to another
+        _, states, _, _ = oracle._reduced_states(kind, spec, t, params, dim)
+        np.testing.assert_allclose(states, rho, rtol=0, atol=1e-12)
         np.testing.assert_allclose(series.concurrence, wootters_concurrence(rho),
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(series.leakage, leak, rtol=0, atol=1e-12)
@@ -196,6 +199,28 @@ class TestBlockedOracle:
             dtypes.clear()
             oracle_concurrence_series("psi_plus", spec, t, P)
             assert dtypes and set(dtypes) == {np.dtype(dtype)}, spec.label
+
+    def test_conserved_populations_are_read_once(self, monkeypatch):
+        # at omega0 = 0 every block lies in one label of the jm frame, so the
+        # populations are constant: per chunk, the triplet Bell states read
+        # their one coherence form and the leakage, and no population form
+        reads = []
+        quadratic = oracle._quadratic
+
+        def spy(cos, sin, form, hermitian=False):
+            value = quadratic(cos, sin, form, hermitian)
+            reads.append((hermitian, np.abs(value).max()))
+            return value
+
+        monkeypatch.setattr(oracle, "_quadratic", spy)
+        t = np.linspace(0.0, 5.0, 20)
+        for kind in ("psi_plus", "phi_plus"):
+            reads.clear()
+            oracle_concurrence_series(kind, Thermal(1.0), t, P)
+            assert [hermitian for hermitian, _ in reads].count(False) == 1, kind
+            # a population form would read populations of about 1/2
+            leakage = [size for hermitian, size in reads if hermitian]
+            assert leakage and max(leakage) <= LEAK_ERROR, kind
 
     @staticmethod
     def traced_peak(*args, **kwargs):

@@ -679,6 +679,32 @@ class TestCliErrors:
             tracemalloc.stop()
         assert peak <= counted[0]
 
+    @pytest.mark.parametrize("command, overrides", [("run", {}), ("sweep-beta", SWEEP)],
+                             ids=["run-analytic", "sweep-beta"])
+    def test_huge_fock_level_exits_two_in_time(self, tmp_path, command, overrides):
+        # the closed form of |n> is a recurrence of n steps, which at 10^30
+        # would never return
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            os.path.dirname(os.path.dirname(tc2q.__file__)), os.environ.get("PYTHONPATH")])))
+        cfg_path, _ = write_config(tmp_path, oscillator={"kind": "fock", "n": 10 ** 30},
+                                   **overrides)
+        done = subprocess.run([sys.executable, "-m", "tc2q.cli", command, "--config", cfg_path],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 2
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["exit_code"] == 2
+        assert err["error"].endswith(f".n must be <= 10000, got {10 ** 30}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("level, code", [(10_000, 0), (10_001, 2)])
+    def test_fock_level_bound(self, tmp_path, level, code):
+        cfg_path, cfg = write_config(tmp_path, oscillator={"kind": "fock", "n": level},
+                                     **self.SWEEP)
+        assert cli.main(["sweep-beta", "--config", cfg_path]) == code
+        assert os.path.exists(cfg["output"]["path"]) == (code == 0)
+
     @pytest.mark.parametrize("oscillator", [
         {"kind": "gaussian", "q_bar": 0.0, "p_bar": 0.0, "delta_q": 1.0, "delta_p": 1.0},
         {"kind": "classical_thermal", "k_T": 1.0},
