@@ -224,14 +224,37 @@ def _parse_job(cfg: dict, args, command: str) -> str:
     return engine
 
 
-def _resolve_dim(cfg: dict, args, default: int) -> int:
-    """The Fock truncation: --dim, else oracle.dim, else ``default``."""
+def _check_scales(params: ModelParams, times: np.ndarray | None = None,
+                  dim: int | None = None) -> None:
+    """Reject, before any engine runs, parameters whose products with the
+    time grid or the Fock truncation overflow there (ModelParams checks beta)."""
+    products = {}
+    if times is not None:
+        products["omega * t"] = params.omega * max(-float(times[0]), float(times[-1]))
+    if dim is not None:
+        products["omega * dim"] = params.omega * dim
+        products["lambda * sqrt(dim)"] = params.lambda_ * math.sqrt(dim)
+    for name, value in products.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} is not finite for omega = {params.omega!r}, "
+                              f"lambda = {params.lambda_!r}")
+
+
+def _resolve_dim(cfg: dict, args, params: ModelParams, spec=None) -> int:
+    """The Fock truncation: --dim, else oracle.dim, else oracle.choose_dim for
+    ``spec`` (the spectrum's fixed default without one)."""
     obj = _section(cfg, "oracle", {"dim"})
     dim = _get_int(obj, "dim", "oracle", required=False, minimum=2)
     if args.dim is not None:
         dim = args.dim
-    dim = default if dim is None else dim
+    if dim is None:
+        try:
+            dim = _SPECTRUM_DIM if spec is None else oracle.choose_dim(spec, params)
+        except OverflowError as exc:
+            raise ConfigError(f"no Fock truncation fits beta = {params.beta!r}: "
+                              f"{exc}") from exc
     _check_fits(oracle.peak_bytes(dim), f"dim = {dim}")
+    _check_scales(params, dim=dim)
     return dim
 
 
@@ -282,12 +305,13 @@ def _cmd_run(cfg: dict, args) -> int:
     spec = _parse_preparation(cfg.get("oscillator"), "oscillator",
                               "classical" if engine == "classical" else "quantum")
     times = _parse_grid(cfg, "time_grid", "t_start", "t_end")
+    _check_scales(params, times)
     path, fmt = _resolve_output(cfg, args)
 
     if engine == "analytic":
         series = _analytic_series(qubit_init, spec, times, params)
     elif engine == "oracle":
-        dim = _resolve_dim(cfg, args, oracle.choose_dim(spec, params))
+        dim = _resolve_dim(cfg, args, params, spec)
         series = oracle.oracle_concurrence_series(qubit_init, spec, times,
                                                   params, dim=dim)
     else:
@@ -329,6 +353,7 @@ def _cmd_validate(cfg: dict, args) -> int:
     qubit_init = _parse_qubit_init(cfg, engine)
     spec = _parse_preparation(cfg.get("oscillator"), "oscillator", "quantum")
     times = _parse_grid(cfg, "time_grid", "t_start", "t_end")
+    _check_scales(params, times)
     tolerance = _get_number(_section(cfg, "validate", {"tolerance"}), "tolerance",
                             "validate", required=False, default=1e-6)
     if tolerance <= 0:
@@ -337,7 +362,7 @@ def _cmd_validate(cfg: dict, args) -> int:
     if fmt != "json":
         raise ConfigError("validate writes a JSON report; use --format json")
 
-    dim = _resolve_dim(cfg, args, oracle.choose_dim(spec, params))
+    dim = _resolve_dim(cfg, args, params, spec)
     analytic_series = _analytic_series(qubit_init, spec, times, params)
     oracle_series = oracle.oracle_concurrence_series(qubit_init, spec, times,
                                                      params, dim=dim)
@@ -404,7 +429,7 @@ def _cmd_sweep(cfg: dict, args) -> int:
 def _cmd_spectrum(cfg: dict, args) -> int:
     engine = _parse_job(cfg, args, "spectrum")
     params = _parse_params(cfg, "spectrum", engine)
-    dim = _resolve_dim(cfg, args, _SPECTRUM_DIM)
+    dim = _resolve_dim(cfg, args, params)
     path, fmt = _resolve_output(cfg, args, default_format="json")
 
     computed = oracle.spectrum(params, dim)

@@ -45,7 +45,7 @@ class ModelParams:
     omega : float
         Cavity frequency, > 0.
     lambda_ : float
-        Qubit-cavity coupling, real and >= 0.
+        Qubit-cavity coupling, real and >= 0, with lambda_/omega finite.
     omega0 : float
         Qubit splitting.  The closed forms, quantum and classical, hold
         only at the degenerate point omega0 = 0 and raise ``ValueError``
@@ -68,6 +68,9 @@ class ModelParams:
             raise ValueError(f"lambda_ must be >= 0, got {self.lambda_}")
         if self.omega0 < 0:
             raise ValueError(f"omega0 must be >= 0, got {self.omega0}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta = lambda/omega must be finite, got "
+                             f"{self.lambda_!r}/{self.omega!r}")
 
     @property
     def beta(self) -> float:
@@ -146,8 +149,8 @@ def bell_vector(kind: str) -> np.ndarray:
 #   of it past mean_n ~ 17;
 # * ``fock_columns(dim)``: weights w_k and orthonormal Fock-basis columns c_k
 #   with F = sum_k w_k c_k c_k^dagger, the pure states the oracle evolves;
-#   real for thermal and number states, so the oracle reads them out in
-#   real arithmetic;
+#   real for thermal and number states and for an explicit density with no
+#   imaginary part, so the oracle reads them out in real arithmetic;
 # * ``coherence(omega_t, beta)``: the closed-form overlap integral I, which
 #   broadcasts over both arguments (see :mod:`tc2q.analytic`).
 
@@ -334,7 +337,11 @@ class Fock:
 
 @dataclass(frozen=True)
 class ExplicitDensity:
-    """An arbitrary oscillator density matrix, handled only by the oracle."""
+    """An arbitrary oscillator density matrix, handled only by the oracle.
+
+    The matrix is stored as float64 when its imaginary part is exactly zero,
+    and as complex128 otherwise.
+    """
 
     matrix: np.ndarray
 
@@ -350,6 +357,9 @@ class ExplicitDensity:
             raise ValueError(f"oscillator density trace {np.trace(m)} is not 1 within 1e-9")
         if np.linalg.eigvalsh((m + m.conj().T) / 2.0).min() < -1e-9:
             raise ValueError("oscillator density has an eigenvalue below -1e-9")
+        if not m.imag.any():
+            # real Fock columns, which the oracle reads out in real arithmetic
+            m = m.real.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -366,7 +376,7 @@ class ExplicitDensity:
         d = self.matrix.shape[0]
         if d > dim:
             raise TruncationError(f"explicit density of dim {d} does not fit in dim={dim}")
-        rho = np.zeros((dim, dim), dtype=complex)
+        rho = np.zeros((dim, dim), dtype=self.matrix.dtype)
         rho[:d, :d] = self.matrix
         w, vecs = np.linalg.eigh(rho)
         keep = w > 1e-15

@@ -9,7 +9,11 @@ the exchange basis |ee>, (|eg>+|ge>)/sqrt(2), (|eg>-|ge>)/sqrt(2), |gg>,
 in which the parity (-1)^n sz1 sz2 is diagonal.  Neither symmetry is
 imposed: the blocks are found as the connected components of the sparsity
 graph, and only those the initial state populates are diagonalised, each by
-a dense eigh.
+a dense eigh unless it is 1 x 1.  Mirror pairs are found from the entries
+too: at omega0 = 0 the m = +1 and m = -1 chains are h and S h S with
+S = diag((-1)^n), the parity of the Rabi family, so only the first is
+diagonalised and the second takes its energies and S V.  The phases of the
+pair are then equal, and each distinct one is taken once.
 
 The initial state bell (x) F is split into weighted pure columns.  With V
 the real eigenvectors, E the energies and C = V^T psi0, the reduced qubit
@@ -28,7 +32,8 @@ time are the coherences (a != b), the populations of blocks that mix labels
 (only the parity blocks at omega0 > 0 do), and the leakage into the top two
 Fock levels, one form of the same kind per group of blocks (the blocks of
 one label, or one block that mixes labels).  They are built once and the
-time grid is read through them in fixed-size chunks of cos(Et) and sin(Et).
+time grid is read through them in fixed-size chunks of cos(Et) and sin(Et),
+taken only on the phases some form reads.
 The frame and the Bell vectors are real, so for a real psi0
 (thermal and number states) C and every G_ab are real and are read with
 real products; a complex psi0 (coherent) keeps a complex one.  Reduced states
@@ -181,7 +186,12 @@ def eigenblocks(params: ModelParams, dim: int, population: np.ndarray | None = N
     The blocks are the connected components of the sparsity graph of H.
     ``population`` is the weighted initial population of each composite
     index, in the qubit frame; with it, only the blocks holding more than
-    ``_POPULATION_FLOOR`` of it are diagonalised, without it all are.
+    ``_POPULATION_FLOOR`` of it are diagonalised, without it all are.  A
+    1 x 1 block needs no eigensolver: its energy is its entry and its
+    eigenvector 1.  A block whose entries mirror those of a block already
+    diagonalised, h = S h_0 S with S = diag((-1)^n) on the same Fock rows
+    (the m = +1 and m = -1 chains at omega0 = 0), takes the same energies
+    array and the eigenvectors S V_0.
     Returns the list of (composite indices, energies, real eigenvectors) of
     those blocks, in the order of their lowest index, and the largest
     Frobenius residual ||H_B V_B - V_B E_B|| over them.
@@ -192,21 +202,38 @@ def eigenblocks(params: ModelParams, dim: int, population: np.ndarray | None = N
     label = _component_labels(4 * dim, rows[upper], cols[upper])
     count = label.max() + 1
     # the nodes and the entries of every block in one stable sort each, so
-    # the loop visits only the blocks it diagonalises
+    # the loop visits only the blocks it returns
     (nodes, node_start), (entries, entry_start) = (
         (np.argsort(key, kind="stable"),
          np.concatenate(([0], np.cumsum(np.bincount(key, minlength=count)))))
         for key in (label, label[rows]))
     used = range(count) if population is None else np.flatnonzero(
         np.bincount(label, weights=population, minlength=count) > _POPULATION_FLOOR)
+    # a 1 x 1 block's energy is its entry, summed in the order np.add.at would
+    diagonal = np.bincount(label[rows], weights=vals, minlength=count)
+    sign = 1.0 - 2.0 * (np.arange(4 * dim) % dim % 2)  # (-1)^n of each index
+    solved = {}  # Fock rows -> local entries and eigenpairs of a block diagonalised
     blocks, residual = [], 0.0
     for block in used:
         index = nodes[node_start[block]:node_start[block + 1]]
+        if index.size == 1:
+            blocks.append((index, diagonal[block:block + 1], np.ones((1, 1))))
+            continue
         entry = entries[entry_start[block]:entry_start[block + 1]]
-        h = np.zeros((index.size, index.size))
         local = np.searchsorted(index, rows[entry]), np.searchsorted(index, cols[entry])
-        np.add.at(h, local, vals[entry])
-        energies, vectors = np.linalg.eigh(h)
+        values = vals[entry]
+        h = np.zeros((index.size, index.size))
+        np.add.at(h, local, values)
+        # h mirrors h_0 if h_0 was diagonalised on the same Fock rows and
+        # each entry of h is s_i s_j times its entry there, s = (-1)^n
+        s, fock = sign[index], (index % dim).tobytes()
+        first = solved.get(fock)
+        if first is not None and all(map(np.array_equal, (*local, values), (
+                first[0], first[1], s[first[0]] * s[first[1]] * first[2]))):
+            energies, vectors = first[3], s[:, None] * first[4]
+        else:
+            energies, vectors = np.linalg.eigh(h)
+            solved.setdefault(fock, (*local, values, energies, vectors))
         residual = max(residual, float(np.linalg.norm(h @ vectors - vectors * energies)))
         blocks.append((index, energies, vectors))
     return blocks, residual
@@ -311,7 +338,7 @@ def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
     """dim (by default :func:`choose_dim`), the reduced qubit states on the
     time grid, shaped (T, 4, 4), the leakage (the population of the top two
     Fock levels) at each time, and the diagnostics of the eigensolver (the
-    sizes of the blocks diagonalised and the largest eigen-residual);
+    sizes of the blocks populated and the largest eigen-residual);
     leakage beyond 1e-6 raises :class:`TruncationError`.
 
     bell (x) F is split into weighted pure columns, and the reduced state
@@ -380,6 +407,23 @@ def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
     populations = [(a, f) for a, f in populations if f[2].any()]
     leak_forms = [f for f in leak_forms if f[2].any()]
 
+    # cos(Et) and sin(Et) are taken on phase columns: one per distinct energy
+    # some form reads.  A mirrored block shares its first block's energies
+    # array, so its modes take the columns of that block's modes.
+    first = {}
+    shared = np.concatenate([first.setdefault(id(block_energies), start)
+                             + np.arange(block_energies.size)
+                             for start, (_, block_energies, _) in zip(starts, blocks)])
+    read = np.zeros(index.size, dtype=bool)
+    for left, right, _ in [f for *_, f in coherences + populations] + leak_forms:
+        read[shared[left]] = read[shared[right]] = True
+    column = (np.cumsum(read) - 1)[shared]
+    coherences = [(a, b, (column[left], column[right], g))
+                  for a, b, (left, right, g) in coherences]
+    populations = [(a, (column[left], column[right], g)) for a, (left, right, g) in populations]
+    leak_forms = [(column[left], column[right], g) for left, right, g in leak_forms]
+    energies = energies[read]
+
     rho = np.zeros((times.size, 4, 4), dtype=complex)
     rho[:, range(4), range(4)] = population
     leak = np.empty(times.size)
@@ -421,7 +465,7 @@ def oracle_concurrence_series(qubit_init: str, spec: OscillatorSpec,
     is far cheaper than propagating the columns at every grid point.  C, I
     and the leakage into the top two Fock levels are read off the stack of
     reduced states; leakage beyond 1e-6 anywhere aborts the run.  ``meta``
-    records the sizes of the blocks diagonalised (``blocks``) and the
+    records the sizes of the blocks populated (``blocks``) and the
     largest Frobenius residual ||H_B V_B - V_B E_B|| over them
     (``eigen_residual``).
     """

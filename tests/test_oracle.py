@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
+import reference
 from reference import (
     bell_state,
     dense_hamiltonian,
@@ -58,6 +59,33 @@ def oscillator_density(spec, dim):
     """The truncated oscillator density matrix sum_k w_k |c_k><c_k|."""
     w, c = spec.fock_columns(dim)
     return (c * w) @ c.conj().T
+
+
+class ComplexColumns:
+    """Another preparation's Fock columns as complex arrays, so the oracle
+    reads the same state through complex forms."""
+
+    def __init__(self, spec):
+        self.spec, self.label = spec, spec.label
+
+    def fock_columns(self, dim):
+        weights, columns = self.spec.fock_columns(dim)
+        return weights, columns.astype(complex)
+
+
+def spy_on_eigh(monkeypatch):
+    """The shapes of the single (2-d) matrices passed to np.linalg.eigh from
+    now on; the Wootters stacks are left out."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return shapes
 
 
 @st.composite
@@ -150,6 +178,65 @@ class TestBlockedOracle:
         assert meta["blocks"] == [1]
         assert 0.0 <= meta["eigen_residual"] < 1e-10
 
+    @pytest.mark.parametrize("kind", ["psi_plus", "phi_plus"])
+    def test_each_mirror_pair_is_diagonalised_once(self, monkeypatch, kind):
+        shapes = spy_on_eigh(monkeypatch)
+        t = np.linspace(0.0, 5.0, 20)
+        # omega0 = 0: the m = -1 chain is S h S of the m = +1 chain
+        oracle_concurrence_series(kind, Thermal(5.0), t, P, dim=198)
+        assert shapes == [(198, 198)]
+        # omega0 > 0: the two parity blocks hold different Fock rows
+        shapes.clear()
+        split = ModelParams(omega=1.0, lambda_=0.1, omega0=0.25)
+        meta = oracle_concurrence_series(kind, Thermal(5.0), t, split, dim=198).meta
+        assert shapes == [(297, 297)] * 2 and meta["blocks"] == [297, 297]
+
+    def test_singleton_blocks_need_no_eigensolver(self, monkeypatch):
+        shapes = spy_on_eigh(monkeypatch)
+        t = np.linspace(0.0, 5.0, 20)
+        for kind in ("psi_minus", "phi_minus"):
+            meta = oracle_concurrence_series(kind, Thermal(5.0), t, P, dim=198).meta
+            assert meta["blocks"] == [1] * 198 and meta["eigen_residual"] == 0.0, kind
+        assert shapes == []
+        # every block of H at omega0 = 0: two mirrored chains and 2 dim singletons
+        levels = spectrum(P, 60)
+        assert shapes == [(60, 60)]
+        np.testing.assert_allclose(levels, np.linalg.eigvalsh(dense_hamiltonian(P, 60)),
+                                   rtol=0, atol=1e-11)
+
+    def test_a_broken_mirror_is_diagonalised_on_its_own(self, monkeypatch):
+        # scale the band between levels 5 and 6 of the m = -1 chain (label 3
+        # of the jm frame), both ways: H stays Hermitian but its two chains
+        # are no longer mirror images
+        dim, entries = 80, oracle._hamiltonian_entries
+
+        def broken(params, dim):
+            rows, cols, vals = entries(params, dim)
+            pair = [3 * dim + 5, 3 * dim + 6]
+            bond = np.isin(rows, pair) & np.isin(cols, pair) & (rows != cols)
+            assert bond.sum() == 2
+            return rows, cols, np.where(bond, 1.5 * vals, vals)
+
+        rows, cols, vals = broken(P, dim)
+        h = np.zeros((4 * dim, 4 * dim))
+        np.add.at(h, (rows, cols), vals)
+        frame = np.kron(JM_FROM_EG, np.eye(dim))
+        intact = spectrum(P, dim)
+        monkeypatch.setattr(oracle, "_hamiltonian_entries", broken)
+        monkeypatch.setattr(reference, "dense_hamiltonian", lambda params, dim: frame.T @ h @ frame)
+        shapes = spy_on_eigh(monkeypatch)
+        t = np.linspace(0.0, 6.0, 13)
+        _, states, leak, diagnostics = oracle._reduced_states("psi_plus", Thermal(1.0), t, P, dim)
+        assert shapes == [(dim, dim)] * 2
+        assert diagnostics["eigen_residual"] < 1e-10
+        rho, leak_ref = dense_reduced_states("psi_plus", Thermal(1.0), t, P, dim)
+        np.testing.assert_allclose(states, rho, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(leak, leak_ref, rtol=0, atol=1e-12)
+        # the broken chain has its own levels, which a copy of the other's would miss
+        levels = spectrum(P, dim)
+        np.testing.assert_allclose(levels, np.linalg.eigvalsh(h), rtol=0, atol=1e-11)
+        assert np.abs(levels - intact).max() > 1e-3
+
     @pytest.mark.parametrize("spec", [Fock(3), Thermal(1.0), Coherent(1.5)],
                              ids=["fock", "thermal", "coherent"])
     def test_singlet_is_dark_at_every_qubit_splitting(self, spec):
@@ -164,10 +251,10 @@ class TestBlockedOracle:
     @pytest.mark.parametrize("spec", [Thermal(0.5), Fock(2)], ids=["thermal", "fock"])
     def test_real_readout_matches_the_complex_one(self, spec, omega0):
         # thermal and number states are read through real forms; the same
-        # density as an ExplicitDensity has complex columns, so complex forms
+        # density as an ExplicitDensity with complex columns, through complex ones
         params = ModelParams(omega=1.0, lambda_=0.1, omega0=omega0)
         dim = choose_dim(spec, params)
-        explicit = ExplicitDensity(oscillator_density(spec, dim))
+        explicit = ComplexColumns(ExplicitDensity(oscillator_density(spec, dim)))
         t = np.linspace(0.0, 6.0, 13)
         for kind in BELL_KINDS:
             real = oracle_concurrence_series(kind, spec, t, params, dim=dim)
@@ -195,10 +282,19 @@ class TestBlockedOracle:
         t = np.linspace(0.0, 5.0, 20)
         for spec, dtype in ((Thermal(1.0), np.float64), (Fock(2), np.float64),
                             (Coherent(1.0 + 0.5j), np.complex128),
-                            (ExplicitDensity(np.eye(2) / 2.0), np.complex128)):
+                            (ExplicitDensity(np.eye(2) / 2.0), np.float64),
+                            (ExplicitDensity(np.eye(2) / 2.0 + 0j), np.float64),
+                            (ExplicitDensity([[0.5, 0.5j], [-0.5j, 0.5]]), np.complex128)):
             dtypes.clear()
             oracle_concurrence_series("psi_plus", spec, t, P)
             assert dtypes and set(dtypes) == {np.dtype(dtype)}, spec.label
+        # the real explicit density is the even mixture of |0> and |1>, and
+        # the reduced states are linear in the oscillator density
+        dim = choose_dim(Fock(1), P)
+        _, mixed, _, _ = oracle._reduced_states("psi_plus", ExplicitDensity(np.eye(2) / 2.0),
+                                                t, P, dim)
+        parts = [oracle._reduced_states("psi_plus", Fock(n), t, P, dim)[1] for n in (0, 1)]
+        np.testing.assert_allclose(mixed, (parts[0] + parts[1]) / 2.0, rtol=0, atol=1e-12)
 
     def test_conserved_populations_are_read_once(self, monkeypatch):
         # at omega0 = 0 every block lies in one label of the jm frame, so the

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -858,6 +859,41 @@ class TestCliErrors:
         assert len(lines) == 1
         err = json.loads(lines[0])
         assert err["exit_code"] == 2 and "must be finite" in err["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, overrides, message", [
+        ("run", {"engine": "oracle", "params": {"omega": 1e308, "lambda": 0.1}},
+         "omega * t is not finite"),
+        ("run", {"engine": "classical", "params": {"omega": 1e-320, "lambda": 0.1},
+                 "oscillator": {"kind": "classical_thermal", "k_T": 1.0}},
+         "beta = lambda/omega must be finite"),
+        ("run", {"engine": "oracle", "params": {"omega": 1.0, "lambda": 1e308}},
+         "no Fock truncation fits"),
+        ("validate", {"engine": "validate", "params": {"omega": 1e308, "lambda": 0.1}},
+         "omega * t is not finite"),
+        ("spectrum", {"engine": "oracle", "params": {"omega": 1e308, "lambda": 0.1},
+                      "qubit_init": None, "oscillator": None, "time_grid": None},
+         "omega * dim is not finite"),
+        ("spectrum", {"engine": "oracle", "params": {"omega": 1.0, "lambda": 1e308},
+                      "qubit_init": None, "oscillator": None, "time_grid": None},
+         "lambda * sqrt(dim) is not finite"),
+    ], ids=["oracle-omega-1e308", "classical-omega-1e-320", "oracle-lambda-1e308",
+            "validate-omega-1e308", "spectrum-omega-1e308", "spectrum-lambda-1e308"])
+    def test_finite_extremes_are_config_errors(self, tmp_path, capsys, command, overrides,
+                                               message):
+        # finite parameters whose products with the grid or the truncation
+        # overflow are refused before any engine runs, without a warning
+        out = tmp_path / "out.json"
+        cfg_path, _ = write_config(tmp_path, output={"path": str(out), "format": "json"},
+                                   **overrides)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main([command, "--config", cfg_path]) == 2
+        assert caught == []
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["exit_code"] == 2 and message in err["error"]
         assert not out.exists()
 
     def test_sections_the_job_never_reads_are_config_errors(self, tmp_path, capsys):
