@@ -7,11 +7,15 @@ Four subcommands, all driven by a JSON config (schema version 1):
 * ``validate``   analytic vs oracle on the same grid, pass/fail report
 * ``spectrum``   oracle eigenvalues against the closed-form levels
 
-Exit codes: 0 success, 2 configuration error (an output path that cannot
-be written included), 3 numerical or validation failure, or a failed
-write.  Unknown config keys, and sections the job does not read, are
-rejected rather than ignored, and every JSON artifact echoes the config it
-was produced from, so a result file is enough to re-run the job bit-identically.
+Every job runs through ``main``: config, job check (``_JOBS``), output path,
+the command's handler (parse and compute), one write, one line, exit code.
+
+Exit codes: 0 success, 2 configuration error (the output path is checked
+first), 3 numerical or validation failure (a numpy overflow included) or a
+failed write; errors go to stderr as one JSON line.  Unknown config keys,
+and sections the job does not read, are rejected rather than ignored, and
+every artifact echoes the config it was produced from, so a result file is
+enough to re-run the job bit-identically.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -101,16 +106,19 @@ _KINDS = {
 }
 
 # Every job, as (command, config.engine): the command-line overrides it reads
-# (--seed only with a monte_carlo section) and its config sections besides
-# version, engine and output; any other pair, override or section is an error.
+# (--seed only with a monte_carlo section), its config sections besides
+# version, engine and output, and the formats it writes, the default first;
+# any other pair, override, section or format is an error.
 _SCENARIO = ("qubit_init", "params", "oscillator", "time_grid")
+_TABLE = ("csv", "json")
 _JOBS = {
-    ("run", "analytic"): ((), _SCENARIO),
-    ("run", "oracle"): (("dim",), (*_SCENARIO, "oracle")),
-    ("run", "classical"): (("seed",), (*_SCENARIO, "monte_carlo")),
-    ("validate", "validate"): (("dim",), (*_SCENARIO, "oracle", "validate")),
-    ("sweep-beta", "analytic"): ((), ("params", "oscillator", "oscillators", "beta_grid")),
-    ("spectrum", "oracle"): (("dim",), ("params", "oracle")),
+    ("run", "analytic"): ((), _SCENARIO, _TABLE),
+    ("run", "oracle"): (("dim",), (*_SCENARIO, "oracle"), _TABLE),
+    ("run", "classical"): (("seed",), (*_SCENARIO, "monte_carlo"), _TABLE),
+    ("validate", "validate"): (("dim",), (*_SCENARIO, "oracle", "validate"), ("json",)),
+    ("sweep-beta", "analytic"): ((), ("params", "oscillator", "oscillators", "beta_grid"),
+                                 _TABLE),
+    ("spectrum", "oracle"): (("dim",), ("params", "oracle"), ("json", "csv")),
 }
 
 
@@ -200,23 +208,13 @@ def _parse_grid(cfg: dict, name: str, start: str, stop: str) -> np.ndarray:
     return np.linspace(first, last, n_points)
 
 
-def _parse_qubit_init(cfg: dict, engine: str) -> str:
-    kind = cfg.get("qubit_init")
-    if kind not in BELL_KINDS:
-        raise ConfigError(f"config.qubit_init must be one of {BELL_KINDS}, got {kind!r}")
-    if engine == "classical" and kind not in ("psi_plus", "phi_plus"):
-        raise ConfigError("the classical engine models the (|eg>+|ge>)/sqrt(2) "
-                          "correlator; qubit_init must be psi_plus or phi_plus")
-    return kind
-
-
-def _parse_job(cfg: dict, args, command: str) -> str:
+def _parse_job(cfg: dict, args) -> str:
     """config.engine, checked with --dim/--seed and the sections against ``_JOBS``."""
-    engine = cfg.get("engine")
+    command, engine = args.command, cfg.get("engine")
     if not isinstance(engine, str) or (command, engine) not in _JOBS:
         engines = tuple(name for job, name in _JOBS if job == command)
         raise ConfigError(f"{command} needs config.engine in {engines}, got {engine!r}")
-    flags, sections = _JOBS[command, engine]
+    flags, sections, _ = _JOBS[command, engine]
     for flag in ("dim", "seed"):
         if getattr(args, flag) is not None and flag not in flags:
             raise ConfigError(f"--{flag} does not apply to {command} with engine={engine}")
@@ -240,6 +238,22 @@ def _check_scales(params: ModelParams, times: np.ndarray | None = None,
                               f"lambda = {params.lambda_!r}")
 
 
+def _parse_scenario(cfg: dict, args, engine: str):
+    """The scenario ``run`` and ``validate`` share, with its scales checked."""
+    params = _parse_params(cfg, args.command, engine)
+    kind = cfg.get("qubit_init")
+    if kind not in BELL_KINDS:
+        raise ConfigError(f"config.qubit_init must be one of {BELL_KINDS}, got {kind!r}")
+    if engine == "classical" and kind not in ("psi_plus", "phi_plus"):
+        raise ConfigError("the classical engine models the (|eg>+|ge>)/sqrt(2) "
+                          "correlator; qubit_init must be psi_plus or phi_plus")
+    spec = _parse_preparation(cfg.get("oscillator"), "oscillator",
+                              "classical" if engine == "classical" else "quantum")
+    times = _parse_grid(cfg, "time_grid", "t_start", "t_end")
+    _check_scales(params, times)
+    return params, kind, spec, times
+
+
 def _resolve_dim(cfg: dict, args, params: ModelParams, spec=None) -> int:
     """The Fock truncation: --dim, else oracle.dim, else oracle.choose_dim for
     ``spec`` (the spectrum's fixed default without one)."""
@@ -258,17 +272,17 @@ def _resolve_dim(cfg: dict, args, params: ModelParams, spec=None) -> int:
     return dim
 
 
-def _resolve_output(cfg: dict, args, default_format: str = "csv"):
+def _resolve_output(cfg: dict, args, engine: str):
     """Output path and format: --format, else output.format, else the path's
-    .csv or .json suffix, else ``default_format``."""
+    .csv or .json suffix, else the job's default format (``_JOBS``)."""
+    formats = _JOBS[args.command, engine][2]
     obj = _section(cfg, "output", {"path", "format"})
     path = args.out or obj.get("path")
     if path is None:
         raise ConfigError("no output path: set config.output.path or pass --out")
     if not isinstance(path, str):
         raise ConfigError(f"output.path must be a string, got {path!r}")
-    # checked before any engine runs; the atomic write also needs the parent
-    # directory for its temp file
+    # the atomic write needs the parent directory for its temp file
     parent = os.path.dirname(path) or "."
     if not os.path.basename(path) or os.path.isdir(path):
         raise ConfigError(f"output path {path!r} does not name a file")
@@ -276,9 +290,11 @@ def _resolve_output(cfg: dict, args, default_format: str = "csv"):
         raise ConfigError(f"output directory {parent!r} does not exist or is not writable")
     suffix = os.path.splitext(path)[1].lower()
     fmt = (args.format or obj.get("format")
-           or {".csv": "csv", ".json": "json"}.get(suffix, default_format))
-    if fmt not in ("csv", "json"):
+           or {".csv": "csv", ".json": "json"}.get(suffix, formats[0]))
+    if fmt not in _TABLE:
         raise ConfigError(f"output format must be 'csv' or 'json', got {fmt!r}")
+    if fmt not in formats:
+        raise ConfigError(f"{args.command} writes a JSON report; use --format json")
     return path, fmt
 
 
@@ -298,29 +314,18 @@ def _analytic_series(qubit_init: str, spec, times: np.ndarray,
         meta={"engine": "analytic", "oscillator": spec.label})
 
 
-def _cmd_run(cfg: dict, args) -> int:
-    engine = _parse_job(cfg, args, "run")
-    params = _parse_params(cfg, "run", engine)
-    qubit_init = _parse_qubit_init(cfg, engine)
-    spec = _parse_preparation(cfg.get("oscillator"), "oscillator",
-                              "classical" if engine == "classical" else "quantum")
-    times = _parse_grid(cfg, "time_grid", "t_start", "t_end")
-    _check_scales(params, times)
-    path, fmt = _resolve_output(cfg, args)
-
+def _cmd_run(cfg: dict, args, engine: str, path: str):
+    params, qubit_init, spec, times = _parse_scenario(cfg, args, engine)
     if engine == "analytic":
         series = _analytic_series(qubit_init, spec, times, params)
     elif engine == "oracle":
-        dim = _resolve_dim(cfg, args, params, spec)
-        series = oracle.oracle_concurrence_series(qubit_init, spec, times,
-                                                  params, dim=dim)
+        series = oracle.oracle_concurrence_series(
+            qubit_init, spec, times, params, dim=_resolve_dim(cfg, args, params, spec))
     else:
         series = _classical_series(cfg, args, spec, times, params)
-
-    write_table(path, fmt, series.engine, series.columns(),
-                {"config": cfg, **series.meta, "artifact_version": __version__})
-    print(f"wrote {times.size} rows to {path} (engine={engine})")
-    return 0
+    return (series.engine, series.columns(),
+            {**series.meta, "artifact_version": __version__}, None,
+            f"wrote {times.size} rows to {path} (engine={engine})", True)
 
 
 def _classical_series(cfg: dict, args, dist, times: np.ndarray,
@@ -347,21 +352,12 @@ def _classical_series(cfg: dict, args, dist, times: np.ndarray,
         concurrence=conc, std_error=err, meta=meta)
 
 
-def _cmd_validate(cfg: dict, args) -> int:
-    engine = _parse_job(cfg, args, "validate")
-    params = _parse_params(cfg, "validate", engine)
-    qubit_init = _parse_qubit_init(cfg, engine)
-    spec = _parse_preparation(cfg.get("oscillator"), "oscillator", "quantum")
-    times = _parse_grid(cfg, "time_grid", "t_start", "t_end")
-    _check_scales(params, times)
+def _cmd_validate(cfg: dict, args, engine: str, path: str):
+    params, qubit_init, spec, times = _parse_scenario(cfg, args, engine)
     tolerance = _get_number(_section(cfg, "validate", {"tolerance"}), "tolerance",
                             "validate", required=False, default=1e-6)
     if tolerance <= 0:
         raise ConfigError(f"validate.tolerance must be positive, got {tolerance}")
-    path, fmt = _resolve_output(cfg, args, default_format="json")
-    if fmt != "json":
-        raise ConfigError("validate writes a JSON report; use --format json")
-
     dim = _resolve_dim(cfg, args, params, spec)
     analytic_series = _analytic_series(qubit_init, spec, times, params)
     oracle_series = oracle.oracle_concurrence_series(qubit_init, spec, times,
@@ -376,26 +372,24 @@ def _cmd_validate(cfg: dict, args) -> int:
                                         analytic_series.v - oracle_series.v).max())
     passed = bool(max_diff <= tolerance
                   and (coherence_diff is None or coherence_diff <= tolerance))
-    write_table(path, fmt, "validate",
-                {"t": times, "omega_t": analytic_series.omega_t,
-                 "C_analytic": analytic_series.concurrence,
-                 "C_oracle": oracle_series.concurrence, "abs_diff": diff},
-                {"config": cfg, "blocks": oracle_series.meta["blocks"],
-                 "eigen_residual": oracle_series.meta["eigen_residual"]},
-                {"tolerance": tolerance, "max_abs_diff": max_diff,
-                 "max_abs_diff_coherence": coherence_diff, "passed": passed,
-                 "n_points": int(times.size), "dim": dim})
     status = "PASS" if passed else "FAIL"
-    print(f"max |C_analytic - C_oracle| = {max_diff:.6g}, max |I_analytic - I_oracle| "
-          f"= {coherence_diff} vs tolerance {tolerance:g}: {status} ({path})")
-    return 0 if passed else 3
+    return ("validate",
+            {"t": times, "omega_t": analytic_series.omega_t,
+             "C_analytic": analytic_series.concurrence,
+             "C_oracle": oracle_series.concurrence, "abs_diff": diff},
+            {"blocks": oracle_series.meta["blocks"],
+             "eigen_residual": oracle_series.meta["eigen_residual"]},
+            {"tolerance": tolerance, "max_abs_diff": max_diff,
+             "max_abs_diff_coherence": coherence_diff, "passed": passed,
+             "n_points": int(times.size), "dim": dim},
+            f"max |C_analytic - C_oracle| = {max_diff:.6g}, max |I_analytic - I_oracle| "
+            f"= {coherence_diff} vs tolerance {tolerance:g}: {status} ({path})", passed)
 
 
-def _cmd_sweep(cfg: dict, args) -> int:
-    engine = _parse_job(cfg, args, "sweep-beta")
+def _cmd_sweep(cfg: dict, args, engine: str, path: str):
     # optional: beta comes from the grid, but params given are checked
     if "params" in cfg:
-        _parse_params(cfg, "sweep-beta", engine)
+        _parse_params(cfg, args.command, engine)
     betas = _parse_grid(cfg, "beta_grid", "start", "stop")
     if not 0.0 <= betas[0] < betas[-1] <= 0.5:
         raise ConfigError(f"beta_grid must lie within [0, 0.5], "
@@ -409,7 +403,6 @@ def _cmd_sweep(cfg: dict, args) -> int:
         raise ConfigError("config.oscillators must be a non-empty list")
     specs = [_parse_preparation(entry, f"oscillators[{i}]", "quantum")
              for i, entry in enumerate(raw_specs)]
-    path, fmt = _resolve_output(cfg, args)
     # one row per (oscillator, beta): writing the table peaks at about 500
     # bytes per row under tracemalloc (JSON; CSV about 310); count 1 kB
     _check_fits(1024 * len(specs) * betas.size,
@@ -418,36 +411,29 @@ def _cmd_sweep(cfg: dict, args) -> int:
     # the half-period point omega t = pi depends on beta alone
     labels = [spec.label for spec in specs for _ in betas]
     conc = [clamp_unit(np.abs(spec.coherence(math.pi, betas))) for spec in specs]
-    write_table(path, fmt, "analytic",
-                {"spec": labels, "beta": np.tile(betas, len(specs)),
-                 "C": np.concatenate(conc)},
-                {"config": cfg, "engine": "analytic", "artifact_version": __version__})
-    print(f"wrote {len(labels)} rows to {path} ({len(specs)} oscillator spec(s))")
-    return 0
+    return ("analytic",
+            {"spec": labels, "beta": np.tile(betas, len(specs)), "C": np.concatenate(conc)},
+            {"engine": "analytic", "artifact_version": __version__}, None,
+            f"wrote {len(labels)} rows to {path} ({len(specs)} oscillator spec(s))", True)
 
 
-def _cmd_spectrum(cfg: dict, args) -> int:
-    engine = _parse_job(cfg, args, "spectrum")
-    params = _parse_params(cfg, "spectrum", engine)
+def _cmd_spectrum(cfg: dict, args, engine: str, path: str):
+    params = _parse_params(cfg, args.command, engine)
     dim = _resolve_dim(cfg, args, params)
-    path, fmt = _resolve_output(cfg, args, default_format="json")
-
     computed = oracle.spectrum(params, dim)
     predicted = analytic.predicted_spectrum(params, dim)
     abs_diff = np.abs(computed - predicted)
     checked = (2 * dim) // 3
     max_diff = float(abs_diff[:checked].max())
     passed = bool(max_diff <= _SPECTRUM_TOL)
-    write_table(path, fmt, "oracle",
-                {"index": np.arange(computed.size), "computed": computed,
-                 "predicted": predicted, "abs_diff": abs_diff},
-                {"config": cfg},
-                {"dim": dim, "checked_levels": checked, "max_abs_diff_checked": max_diff,
-                 "tolerance": _SPECTRUM_TOL, "passed": passed})
     status = "PASS" if passed else "FAIL"
-    print(f"lowest {checked} levels: max |E - E_pred| = {max_diff:.6g} vs "
-          f"{_SPECTRUM_TOL:g}: {status} ({path})")
-    return 0 if passed else 3
+    return ("oracle",
+            {"index": np.arange(computed.size), "computed": computed,
+             "predicted": predicted, "abs_diff": abs_diff},
+            {}, {"dim": dim, "checked_levels": checked, "max_abs_diff_checked": max_diff,
+                 "tolerance": _SPECTRUM_TOL, "passed": passed},
+            f"lowest {checked} levels: max |E - E_pred| = {max_diff:.6g} vs "
+            f"{_SPECTRUM_TOL:g}: {status} ({path})", passed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -483,13 +469,23 @@ def main(argv=None) -> int:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         if args.dim is not None and args.dim < 2:
             raise ConfigError(f"--dim must be >= 2, got {args.dim}")
-        return args.handler(cfg, args)
+        engine = _parse_job(cfg, args)
+        path, fmt = _resolve_output(cfg, args, engine)
+        with warnings.catch_warnings():
+            # numpy reports an overflow as a warning: a numerical failure here
+            warnings.simplefilter("error", RuntimeWarning)
+            kind, columns, meta, summary, message, passed = args.handler(
+                cfg, args, engine, path)
+        write_table(path, fmt, kind, columns, {"config": cfg, **meta}, summary)
     except ConfigError as exc:
         print(json.dumps({"error": str(exc), "exit_code": 2}), file=sys.stderr)
         return 2
-    except (oracle.TruncationError, MemoryError, OverflowError, ValueError, OSError) as exc:
+    except (oracle.TruncationError, MemoryError, OverflowError, ValueError, OSError,
+            RuntimeWarning) as exc:
         print(json.dumps({"error": str(exc), "exit_code": 3}), file=sys.stderr)
         return 3
+    print(message)
+    return 0 if passed else 3
 
 
 if __name__ == "__main__":

@@ -946,13 +946,113 @@ class TestCliErrors:
         assert not os.path.exists(cfg["output"]["path"])
 
 
-def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """``python -c code args`` in a fresh interpreter that imports this tc2q."""
+class TestJobPipeline:
+    """``cli.main`` is the one place that writes, prints and sets the exit code."""
+
+    GRID = {"t_start": 0.0, "t_end": 3.0, "n_points": 6}
+    NO_SCENARIO = {"qubit_init": None, "oscillator": None, "time_grid": None}
+    VALIDATE_LINE = ("max |C_analytic - C_oracle| = {max_abs_diff:.6g}, "
+                     "max |I_analytic - I_oracle| = {max_abs_diff_coherence} "
+                     "vs tolerance {tolerance:g}: ")
+
+    # the numbers in the validate and spectrum lines are round-off, so they
+    # are read back from the report, formatted as the line formats them
+    @pytest.mark.parametrize("command, overrides, code, line", [
+        ("run", {"output": {"path": "out.csv"}}, 0,
+         "wrote 6 rows to out.csv (engine=analytic)"),
+        ("run", {"engine": "oracle", "oscillator": {"kind": "coherent", "alpha0": 0.5},
+                 "output": {"path": "out.json"}}, 0,
+         "wrote 6 rows to out.json (engine=oracle)"),
+        ("run", {"engine": "classical", "oscillator": {"kind": "classical_thermal",
+                                                       "k_T": 1.0},
+                 "output": {"path": "out"}}, 0,
+         "wrote 6 rows to out (engine=classical)"),
+        ("validate", {"engine": "validate", "output": {"path": "report.json"}}, 0,
+         VALIDATE_LINE + "PASS (report.json)"),
+        ("validate", {"engine": "validate", "validate": {"tolerance": 1e-18},
+                      "output": {"path": "report"}}, 3,
+         VALIDATE_LINE + "FAIL (report)"),
+        ("sweep-beta", {**NO_SCENARIO, "oscillators": [{"kind": "fock", "n": 1},
+                                                       {"kind": "thermal", "mean_n": 2.0}],
+                        "beta_grid": {"start": 0.0, "stop": 0.2, "n_points": 3},
+                        "output": {"path": "sweep.csv"}}, 0,
+         "wrote 6 rows to sweep.csv (2 oscillator spec(s))"),
+        ("spectrum", {**NO_SCENARIO, "engine": "oracle", "oracle": {"dim": 12},
+                      "output": {"path": "spectrum"}}, 0,
+         "lowest 8 levels: max |E - E_pred| = {max_abs_diff_checked:.6g} vs 1e-08: "
+         "PASS (spectrum)"),
+    ], ids=["run-analytic", "run-oracle", "run-classical", "validate-pass", "validate-fail",
+            "sweep-beta", "spectrum"])
+    def test_every_job_prints_its_one_line(self, tmp_path, capsys, monkeypatch, command,
+                                           overrides, code, line):
+        monkeypatch.chdir(tmp_path)
+        cfg_path, cfg = write_config(tmp_path, **{"time_grid": self.GRID, **overrides})
+        assert cli.main([command, "--config", cfg_path]) == code
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out = cfg["output"]["path"]
+        summary = json.loads(Path(out).read_text()) if "{" in line else {}
+        assert captured.out == line.format(**summary) + "\n"
+
+    def test_output_is_checked_before_the_other_sections(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path, output=None,
+                                   params={"omega": "fast", "lambda": 0.1})
+        assert cli.main(["run", "--config", cfg_path]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"].startswith("no output path: ")
+
+        missing = tmp_path / "missing"
+        cfg_path, _ = write_config(tmp_path, engine="oracle", oracle={"dim": 1},
+                                   output={"path": str(missing / "s.json")},
+                                   **self.NO_SCENARIO)
+        assert cli.main(["spectrum", "--config", cfg_path]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == (f"output directory {str(missing)!r} does not exist "
+                                "or is not writable")
+
+    # a separate interpreter, since pytest's filterwarnings = error would
+    # turn the warning into an exception before the CLI could print it
+    @pytest.mark.parametrize("command, overrides, flags", [
+        ("run", {"engine": "oracle"}, ["--dim", "60"]),
+        ("spectrum", {**NO_SCENARIO, "engine": "oracle"}, ["--dim", "60"]),
+        ("run", {"engine": "classical",
+                 "oscillator": {"kind": "gaussian", "q_bar": 0.5, "p_bar": -0.3,
+                                "delta_q": 1.0, "delta_p": 1.0}}, []),
+        ("run", {}, []),
+    ], ids=["run-oracle", "spectrum", "run-classical", "run-analytic"])
+    def test_overflow_inside_an_engine_exits_three(self, tmp_path, command, overrides,
+                                                   flags):
+        # lambda = 1e200 passes every scale check, but the oracle's residual
+        # norm and the classical closed form's exponent overflow
+        cfg_path, _ = write_config(tmp_path, params={"omega": 1.0, "lambda": 1e200},
+                                   output={"path": "out.json"},
+                                   **{"time_grid": self.GRID, **overrides})
+        done = run_cli(tmp_path, command, "--config", cfg_path, *flags)
+        assert done.returncode == 3
+        assert done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["exit_code"] == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def fresh_python(argv: list, **kwargs) -> subprocess.CompletedProcess:
+    """``python argv`` in a fresh interpreter that imports this tc2q."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(tc2q.__file__).parents[1]), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, **kwargs)
+
+
+def run_cli(cwd, *argv: str) -> subprocess.CompletedProcess:
+    """``python -m tc2q.cli argv`` in ``cwd``."""
+    return fresh_python(["-m", "tc2q.cli", *argv], cwd=cwd, timeout=120)
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``python -c code args``, which must succeed."""
+    return fresh_python(["-c", code, *args], check=True)
 
 
 def test_package_import_loads_no_scipy():
