@@ -91,8 +91,9 @@ class GaussianDist:
         independent of the mean (q_bar, p_bar), which only rotates the phase.
         """
         a, b = _phase_coefficients(t, params)
-        out = np.exp(-(a ** 2 * self.delta_q ** 2 + b ** 2 * self.delta_p ** 2) / 4.0)
-        return clamp_unit(out)
+        with np.errstate(over="ignore"):  # an exponent that overflows gives exp(-inf) = 0
+            return clamp_unit(np.exp(-(a ** 2 * self.delta_q ** 2
+                                       + b ** 2 * self.delta_p ** 2) / 4.0))
 
     def monte_carlo(self, times, params, n_samples, seed) -> tuple:
         rng = np.random.default_rng(seed)

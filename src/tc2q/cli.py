@@ -224,14 +224,16 @@ def _parse_job(cfg: dict, args) -> str:
 
 def _check_scales(params: ModelParams, times: np.ndarray | None = None,
                   dim: int | None = None) -> None:
-    """Reject, before any engine runs, parameters whose products with the
-    time grid or the Fock truncation overflow there (ModelParams checks beta)."""
+    """Reject, before any engine runs, parameters whose products with the time
+    grid, the Fock truncation or both overflow there (ModelParams checks beta)."""
     products = {}
     if times is not None:
         products["omega * t"] = params.omega * max(-float(times[0]), float(times[-1]))
     if dim is not None:
         products["omega * dim"] = params.omega * dim
         products["lambda * sqrt(dim)"] = params.lambda_ * math.sqrt(dim)
+        if times is not None:  # the oracle's phases E t, E up to about omega dim
+            products["omega * dim * t"] = products["omega * t"] * dim
     for name, value in products.items():
         if not math.isfinite(value):
             raise ConfigError(f"{name} is not finite for omega = {params.omega!r}, "
@@ -254,9 +256,9 @@ def _parse_scenario(cfg: dict, args, engine: str):
     return params, kind, spec, times
 
 
-def _resolve_dim(cfg: dict, args, params: ModelParams, spec=None) -> int:
+def _resolve_dim(cfg: dict, args, params: ModelParams, spec=None, times=None) -> int:
     """The Fock truncation: --dim, else oracle.dim, else oracle.choose_dim for
-    ``spec`` (the spectrum's fixed default without one)."""
+    ``spec`` (the spectrum's fixed default without one), checked with ``times``."""
     obj = _section(cfg, "oracle", {"dim"})
     dim = _get_int(obj, "dim", "oracle", required=False, minimum=2)
     if args.dim is not None:
@@ -268,7 +270,7 @@ def _resolve_dim(cfg: dict, args, params: ModelParams, spec=None) -> int:
             raise ConfigError(f"no Fock truncation fits beta = {params.beta!r}: "
                               f"{exc}") from exc
     _check_fits(oracle.peak_bytes(dim), f"dim = {dim}")
-    _check_scales(params, dim=dim)
+    _check_scales(params, times, dim)
     return dim
 
 
@@ -320,7 +322,7 @@ def _cmd_run(cfg: dict, args, engine: str, path: str):
         series = _analytic_series(qubit_init, spec, times, params)
     elif engine == "oracle":
         series = oracle.oracle_concurrence_series(
-            qubit_init, spec, times, params, dim=_resolve_dim(cfg, args, params, spec))
+            qubit_init, spec, times, params, dim=_resolve_dim(cfg, args, params, spec, times))
     else:
         series = _classical_series(cfg, args, spec, times, params)
     return (series.engine, series.columns(),
@@ -358,7 +360,7 @@ def _cmd_validate(cfg: dict, args, engine: str, path: str):
                             "validate", required=False, default=1e-6)
     if tolerance <= 0:
         raise ConfigError(f"validate.tolerance must be positive, got {tolerance}")
-    dim = _resolve_dim(cfg, args, params, spec)
+    dim = _resolve_dim(cfg, args, params, spec, times)
     analytic_series = _analytic_series(qubit_init, spec, times, params)
     oracle_series = oracle.oracle_concurrence_series(qubit_init, spec, times,
                                                      params, dim=dim)

@@ -259,7 +259,8 @@ class Thermal:
     def coherence(self, omega_t, beta):
         """I = exp(-32 beta^2 sin^2(wt/2) (1 + 2 mean_n)), real."""
         s = _half_sine(omega_t)
-        return _envelope(s, beta) * np.exp(-64.0 * beta ** 2 * self.mean_n * s * s) + 0j
+        with np.errstate(over="ignore"):  # an exponent that overflows gives exp(-inf) = 0
+            return _envelope(s, beta) * np.exp(-64.0 * beta ** 2 * self.mean_n * s * s) + 0j
 
 
 @dataclass(frozen=True)

@@ -15,30 +15,31 @@ S = diag((-1)^n), the parity of the Rabi family, so only the first is
 diagonalised and the second takes its energies and S V.  The phases of the
 pair are then equal, and each distinct one is taken once.
 
-The initial state bell (x) F is split into weighted pure columns.  With V
-the real eigenvectors, E the energies and C = V^T psi0, the reduced qubit
-state is a bilinear form in the phases phi(t) = exp(-iEt):
+The initial state bell (x) F is split into weighted pure columns.  With
+V_k the real eigenvectors of block k, E_k its energies and C_k = V_k^T psi0,
+the reduced qubit state is a sum of bilinear forms in the phases
+phi_k(t) = exp(-i E_k t), one per pair of blocks (k, l):
 
-    rho_ab(t) = phi^T G_ab phi*,    G_ab = (V_a^T V_b) o (C W C^dagger),
+    rho_ab(t) = sum_kl phi_k^T G_ab^kl phi_l*,
+    G_ab^kl = (V_ka^T V_lb) o (C_k W C_l^dagger),
 
-where V_a holds the rows of qubit label a.  psi0 is never formed: row
-(q, n) of a column is the Bell amplitude of label q times row n of the Fock
-column, so C = (sum_q amp_q V_q)^T F.  Each form is multiplied into its own
-slice of M = C W C^dagger, on the modes it reads.  V_a^T V_b vanishes
-between modes of different blocks, and on the modes of a block that lies
-in one label a, V_a^T V_a is the identity: that block's share of rho_aa is
-the constant sum_j M_jj over its modes, added once.  So the forms read per
-time are the coherences (a != b), the populations of blocks that mix labels
-(only the parity blocks at omega0 > 0 do), and the leakage into the top two
-Fock levels, one form of the same kind per group of blocks (the blocks of
-one label, or one block that mixes labels).  They are built once and the
+where V_ka holds the rows of block k with qubit label a.  psi0 is never
+formed: row (q, n) of a column is the Bell amplitude of label q times row n
+of the Fock column, so C_k = (amp[label] o V_k)^T F[fock].  V_ka^T V_lb sums
+over the Fock rows n where (a, n) lies in k and (b, n) in l, so a form is
+built only on the block pairs where they meet and some column reaches both
+blocks.  On a block that lies in one label a, V_ka^T V_ka is the identity:
+its share of rho_aa is the constant sum_j M_jj over its modes, added once.
+So the forms read per time are the coherences (a != b), the populations of
+blocks that mix labels (only the parity blocks at omega0 > 0 do), and each
+block's leakage into the top two Fock levels.  They are built once and the
 time grid is read through them in fixed-size chunks of cos(Et) and sin(Et),
-taken only on the phases some form reads.
-The frame and the Bell vectors are real, so for a real psi0
-(thermal and number states) C and every G_ab are real and are read with
-real products; a complex psi0 (coherent) keeps a complex one.  Reduced states
-then go through the Wootters spin-flip construction.  Agreement with
-:mod:`tc2q.analytic` is therefore a genuine two-route test.
+taken only on the phases some form reads, each block's in one slice.  The
+frame and the Bell vectors are real, so for a real psi0 (thermal and number
+states) every C_k and G_ab^kl is real and is read with real products; a
+complex psi0 (coherent) keeps a complex one.  Reduced states then go through
+the Wootters spin-flip construction.  Agreement with :mod:`tc2q.analytic` is
+therefore a genuine two-route test.
 
 The composite index is qubit-major: basis vector (q, n) sits at q * dim + n,
 with q running over the four states of the qubit frame.
@@ -46,6 +47,7 @@ with q running over the four states of the qubit frame.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -164,20 +166,14 @@ def _hamiltonian_entries(params: ModelParams, dim: int):
 
 def _component_labels(size: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Connected component of each of ``size`` nodes joined by the edges
-    (rows, cols), by union-find; components are numbered by their lowest node."""
-    parent = list(range(size))
-
-    def root(node):
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
-
-    for a, b in zip(rows.tolist(), cols.tolist()):
-        a, b = root(a), root(b)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    return np.unique([root(node) for node in range(size)], return_inverse=True)[1]
+    (rows, cols), numbered by their lowest node: each pass hooks the larger
+    root of every edge under the smaller, then jumps pointers to the roots."""
+    root = np.arange(size)
+    while not np.array_equal(low := root[rows], high := root[cols]):
+        np.minimum.at(root, np.maximum(low, high), np.minimum(low, high))
+        while not np.array_equal(root, jumped := root[root]):
+            root = jumped
+    return np.unique(root, return_inverse=True)[1]
 
 
 def eigenblocks(params: ModelParams, dim: int, population: np.ndarray | None = None):
@@ -212,7 +208,7 @@ def eigenblocks(params: ModelParams, dim: int, population: np.ndarray | None = N
     # a 1 x 1 block's energy is its entry, summed in the order np.add.at would
     diagonal = np.bincount(label[rows], weights=vals, minlength=count)
     sign = 1.0 - 2.0 * (np.arange(4 * dim) % dim % 2)  # (-1)^n of each index
-    solved = {}  # Fock rows -> local entries and eigenpairs of a block diagonalised
+    solved = {}  # Fock rows -> local entries, eigenpairs and residual of a block
     blocks, residual = [], 0.0
     for block in used:
         index = nodes[node_start[block]:node_start[block + 1]]
@@ -228,13 +224,15 @@ def eigenblocks(params: ModelParams, dim: int, population: np.ndarray | None = N
         # each entry of h is s_i s_j times its entry there, s = (-1)^n
         s, fock = sign[index], (index % dim).tobytes()
         first = solved.get(fock)
+        # (and then h S V - S V E = S (h_0 V - V E): the same residual, bit for bit)
         if first is not None and all(map(np.array_equal, (*local, values), (
                 first[0], first[1], s[first[0]] * s[first[1]] * first[2]))):
-            energies, vectors = first[3], s[:, None] * first[4]
+            energies, vectors, error = first[3], s[:, None] * first[4], first[5]
         else:
             energies, vectors = np.linalg.eigh(h)
-            solved.setdefault(fock, (*local, values, energies, vectors))
-        residual = max(residual, float(np.linalg.norm(h @ vectors - vectors * energies)))
+            error = float(np.linalg.norm(h @ vectors - vectors * energies))
+            solved.setdefault(fock, (*local, values, energies, vectors, error))
+        residual = max(residual, error)
         blocks.append((index, energies, vectors))
     return blocks, residual
 
@@ -288,9 +286,9 @@ def _quadratic(cos: np.ndarray, sin: np.ndarray, form, hermitian: bool = False):
     left, right, g = form
     if np.iscomplexobj(g):
         # phi and phi* set from their parts, bit for bit exp(-iEt) and its conjugate
-        phase = np.empty((cos.shape[0], left.size), dtype=complex)
+        phase = np.empty((cos.shape[0], g.shape[0]), dtype=complex)
         phase.real, phase.imag = cos[:, left], -sin[:, left]
-        conj = np.empty((cos.shape[0], right.size), dtype=complex)
+        conj = np.empty((cos.shape[0], g.shape[1]), dtype=complex)
         conj.real, conj.imag = cos[:, right], sin[:, right]
         return np.einsum("ti,ti->t", phase @ g, conj)
     c_right, s_right = cos[:, right], sin[:, right]
@@ -302,54 +300,37 @@ def _quadratic(cos: np.ndarray, sin: np.ndarray, form, hermitian: bool = False):
                          - np.einsum("ti,ti->t", s_g, c_right))
 
 
-def _block_diagonal(squares) -> np.ndarray:
-    """The block-diagonal matrix of a list of square matrices."""
-    sizes = [square.shape[0] for square in squares]
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    out = np.zeros((owner.size, owner.size))
-    # the mask is true on each block's square, row by row in block order
-    out[owner[:, None] == owner] = np.concatenate([square.ravel() for square in squares])
-    return out
+def _take(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``matrix[rows]`` for sorted distinct ``rows``, uncopied if that is all of it."""
+    return matrix if rows.size == matrix.shape[0] else matrix[rows]
 
 
 def peak_bytes(dim: int) -> int:
     """An upper bound on the bytes of arrays :func:`_reduced_states` holds at ``dim``.
 
     Counted at its largest (omega0 > 0, a triplet Bell state, a complex
-    mixture of dim columns), where the 3 dim modes it reads out lie in two
-    parity blocks of 3 dim / 2: the real eigenvectors (per block and in one
-    matrix), the initial columns and their coefficients; the complex forms,
-    three coherences on every mode and, per block, three populations and a
-    leakage; the inputs of the last form's slice of M; and the temporaries
-    of a chunk of phases read through a complex form (its angles, cos and
-    sin, the complex phases, their conjugates and their product, and one
-    real copy).  The two sets of temporaries are never live together.  At
-    dim 100 that counts 1,578 dim^2 bytes, against a tracemalloc peak of
-    1,449 dim^2 for a mixture of 60 columns on 300 points.
+    mixture of dim columns): 14 complex forms on the pairs of two parity
+    blocks of 3 dim / 2, plus the larger of what building them holds (the
+    eigenvectors, columns and coefficients, the last slice of M and
+    V_a^T V_b) and what reading a chunk of phases holds (angles and cos, and
+    a complex read's phases, conjugates, product and one real copy).  At
+    dim 100 that is 842 dim^2 bytes.
     """
-    block, modes = (3 * dim + 1) // 2, 3 * dim
-    return (8 * (2 * block ** 2 + 4 * dim * modes) + 16 * (dim + modes) * dim
-            + 16 * (3 * modes ** 2 + 8 * block ** 2 + 2 * block * dim)
-            + 80 * _PHASE_CHUNK * modes)
+    block = (3 * dim + 1) // 2
+    build = 8 * 5 * block ** 2 + 16 * (dim + 2 * block) * dim
+    return 16 * 14 * block ** 2 + max(build, 88 * _PHASE_CHUNK * block)
 
 
-def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
-                    params: ModelParams, dim: int | None):
-    """dim (by default :func:`choose_dim`), the reduced qubit states on the
-    time grid, shaped (T, 4, 4), the leakage (the population of the top two
-    Fock levels) at each time, and the diagnostics of the eigensolver (the
-    sizes of the blocks populated and the largest eigen-residual);
-    leakage beyond 1e-6 raises :class:`TruncationError`.
+def _forms(qubit_init: str, spec: OscillatorSpec, params: ModelParams, dim: int):
+    """For bell (x) F at ``dim``: the constant populations, the energies whose
+    phases are read, the forms of the module docstring as (a, b, (left,
+    right, G)), with slices of those phases, a == b a population and a = b =
+    None the leakage, and the eigensolver's diagnostics.
 
-    bell (x) F is split into weighted pure columns, and the reduced state
-    is read off the bilinear forms of the module docstring.  The t = 0
-    state is checked on its factors: the Bell vector is a fixed unit vector,
-    so the oscillator weights must be >= 0 and sum to 1 and its Fock columns
-    must be orthonormal.
+    The t = 0 state is checked on its factors: the Bell vector is a fixed
+    unit vector, so the oscillator weights must be >= 0 and sum to 1 and its
+    Fock columns must be orthonormal.
     """
-    if dim is None:
-        dim = choose_dim(spec, params)
-    dim = check_dim(dim)
     weights, columns = spec.fock_columns(dim)
     if weights.min() < 0.0 or abs(weights.sum() - 1.0) > _COMPOSITE_TOL:
         raise ValueError(f"oscillator weights must be >= 0 and sum to 1 within "
@@ -357,90 +338,106 @@ def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
                          f"and sum {weights.sum():.12g}")
     if np.abs(columns.conj().T @ columns - np.eye(weights.size)).max() > _COMPOSITE_TOL:
         raise ValueError("oscillator columns are not orthonormal within 1e-9")
-    frame = _qubit_frame(params)
     # row (q, n) of a pure column of bell (x) F is the Bell amplitude of
     # label q times row n of the Fock column
-    amplitude = frame @ bell_vector(qubit_init)
+    amplitude = _qubit_frame(params) @ bell_vector(qubit_init)
     blocks, residual = eigenblocks(
         params, dim, np.kron(amplitude ** 2, (np.abs(columns) ** 2) @ weights))
+    diagnostics = {"blocks": [index.size for index, _, _ in blocks], "eigen_residual": residual}
+    # the 1 x 1 blocks below the top two Fock rows read no leakage, so those
+    # of one label are read as one block, whose eigenvectors are I
+    lone = [index.size == 1 and index[0] % dim < dim - 2 for index, _, _ in blocks]
+    index, energies = (np.array([b[i][0] for b, one in zip(blocks, lone) if one]) for i in (0, 1))
+    blocks = [block for block, one in zip(blocks, lone) if not one] + [
+        (index[pick], energies[pick], np.eye(pick.sum()))
+        for pick in (index // dim == a for a in range(4)) if pick.any()]
 
-    # the eigenvectors of the used blocks as the columns of one (4 dim, modes)
-    # matrix V, and C = V^T psi0 = (sum_q amp_q V_q)^T F, real for a real psi0
-    sizes = np.array([rows.size for rows, _, _ in blocks])
-    index = np.concatenate([rows for rows, _, _ in blocks])
-    energies = np.concatenate([block_energies for _, block_energies, _ in blocks])
-    vectors = np.zeros((4 * dim, index.size))
-    vectors[index] = _block_diagonal([block_vectors for _, _, block_vectors in blocks])
-    coeff = np.tensordot(amplitude, vectors.reshape(4, dim, -1), axes=1).T @ columns
+    # per block: the label and Fock row of each row, the columns of F that
+    # reach it and C on them, real for a real psi0; a block within one label
+    # adds its constant population, sum_j M_jj over its modes, once
+    nonzero, population, parts = columns != 0.0, np.zeros(4), []
+    for index, _, vectors in blocks:
+        label, fock = np.divmod(index, dim)
+        reach = np.flatnonzero(nonzero[fock[amplitude[label] != 0.0]].any(axis=0))
+        coeff = (amplitude[label, None] * vectors).T @ columns[fock[:, None], reach]
+        if label[0] == label[-1]:
+            population[label[0]] += ((np.abs(coeff) ** 2) @ weights[reach]).sum()
+        parts.append((label, fock, reach, vectors, coeff))
 
-    # a block within one label keeps its population, sum_j M_jj over its modes,
-    # so the modes of such blocks are grouped by label; a block that mixes
-    # labels is a group of its own, with a population form per label
-    starts, label = np.cumsum(sizes) - sizes, index // dim
-    low, high = np.minimum.reduceat(label, starts), np.maximum.reduceat(label, starts)
-    group = np.repeat(np.where(low == high, low, 4 + np.arange(sizes.size)), sizes)
-    conserved = group < 4
-    population = np.bincount(group[conserved], minlength=4,
-                             weights=(np.abs(coeff[conserved]) ** 2) @ weights)
+    # coherence (a, b) on the block pairs where label a of k and label b of l
+    # share Fock rows; the populations of a block that mixes labels and the
+    # leakage (its top two Fock rows) on the block with itself
+    holding = [[k for k, part in enumerate(parts) if (part[0] == a).any()] for a in range(4)]
+    wanted = {}  # (k, l) -> [(a, b, rows of k, rows of l)]; a == b on one block
+    for a, b in itertools.combinations(range(4), 2):
+        for k, l in itertools.product(holding[a], holding[b]):
+            (label_k, fock_k, *_), (label_l, fock_l, *_) = parts[k], parts[l]
+            rows_k, rows_l = np.flatnonzero(label_k == a), np.flatnonzero(label_l == b)
+            _, i, j = np.intersect1d(fock_k[rows_k], fock_l[rows_l], assume_unique=True,
+                                     return_indices=True)
+            if i.size:
+                wanted.setdefault((k, l), []).append((a, b, rows_k[i], rows_l[j]))
+    for k, (label, fock, *_) in enumerate(parts):
+        top = np.flatnonzero(fock >= dim - 2)
+        wanted.setdefault((k, k), []).extend(
+            [(a, a, rows, rows) for a in range(4) if label[0] != label[-1]
+             for rows in [np.flatnonzero(label == a)] if rows.size]
+            + [(None, None, top, top)] * bool(top.size))
 
-    def form(rows_a, rows_b, among):
-        """(V_a^T V_b) o M on the modes of ``among`` that reach rows a and rows
-        b, multiplied into its own slice of M = C W C^dagger."""
-        v_a, v_b = vectors[rows_a], vectors[rows_b]
-        left = np.flatnonzero(among & v_a.any(axis=0))
-        right = np.flatnonzero(among & v_b.any(axis=0))
-        g = (coeff[left] * weights) @ coeff[right].conj().T
-        g *= v_a[:, left].T @ v_b[:, right]
-        return left, right, g
+    # each form is (V_a^T V_b) o M on its block pair, multiplied into the
+    # slice of M = C W C^dagger over the columns that reach both blocks
+    forms = []
+    for (k, l), reads in wanted.items():
+        (*_, reach_k, v_k, c_k), (*_, reach_l, v_l, c_l) = parts[k], parts[l]
+        common, i, j = np.intersect1d(reach_k, reach_l, assume_unique=True,
+                                      return_indices=True)
+        if not (reads and common.size):
+            continue
+        m = (_take(c_k.T, i).T * weights[common]) @ _take(c_l.T, j).conj()
+        forms += [(a, b, k, l, m * (_take(v_k, rows_k).T @ _take(v_l, rows_l)))
+                  for a, b, rows_k, rows_l in reads]
 
-    label_rows = [slice(q * dim, (q + 1) * dim) for q in range(4)]
-    top = np.add.outer(dim * np.arange(4), [dim - 2, dim - 1]).ravel()
-    everywhere = np.ones(index.size, dtype=bool)
-    coherences = [(a, b, form(label_rows[a], label_rows[b], everywhere))
-                  for a in range(4) for b in range(a + 1, 4)]
-    groups = np.flatnonzero(np.bincount(group))
-    populations = [(a, form(label_rows[a], label_rows[a], group == g))
-                   for g in groups[groups >= 4] for a in range(4)]
-    # V_top^T V_top vanishes between blocks, so the leakage is read group by group
-    leak_forms = [form(top, top, group == g) for g in groups]
-    coherences = [(a, b, f) for a, b, f in coherences if f[2].any()]
-    populations = [(a, f) for a, f in populations if f[2].any()]
-    leak_forms = [f for f in leak_forms if f[2].any()]
+    # cos(Et) and sin(Et) are taken once per distinct energy some form reads,
+    # a block's in one slice; a mirrored block shares its first block's
+    # energies array, so it shares its slice
+    read = {id(blocks[k][1]): blocks[k][1] for _, _, *pair, _ in forms for k in pair}
+    ends = itertools.accumulate(energies.size for energies in read.values())
+    span = {key: slice(end - e.size, end) for (key, e), end in zip(read.items(), ends)}
+    return population, np.concatenate([np.zeros(0), *read.values()]), [
+        (a, b, (span[id(blocks[k][1])], span[id(blocks[l][1])], g))
+        for a, b, k, l, g in forms], diagnostics
 
-    # cos(Et) and sin(Et) are taken on phase columns: one per distinct energy
-    # some form reads.  A mirrored block shares its first block's energies
-    # array, so its modes take the columns of that block's modes.
-    first = {}
-    shared = np.concatenate([first.setdefault(id(block_energies), start)
-                             + np.arange(block_energies.size)
-                             for start, (_, block_energies, _) in zip(starts, blocks)])
-    read = np.zeros(index.size, dtype=bool)
-    for left, right, _ in [f for *_, f in coherences + populations] + leak_forms:
-        read[shared[left]] = read[shared[right]] = True
-    column = (np.cumsum(read) - 1)[shared]
-    coherences = [(a, b, (column[left], column[right], g))
-                  for a, b, (left, right, g) in coherences]
-    populations = [(a, (column[left], column[right], g)) for a, (left, right, g) in populations]
-    leak_forms = [(column[left], column[right], g) for left, right, g in leak_forms]
-    energies = energies[read]
 
+def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
+                    params: ModelParams, dim: int | None):
+    """dim (by default :func:`choose_dim`), the reduced qubit states on the
+    time grid, shaped (T, 4, 4), the leakage (the population of the top two
+    Fock levels) at each time, and the diagnostics of the eigensolver, read
+    through :func:`_forms`; leakage beyond 1e-6 raises :class:`TruncationError`.
+    """
+    if dim is None:
+        dim = choose_dim(spec, params)
+    dim = check_dim(dim)
+    population, energies, forms, diagnostics = _forms(qubit_init, spec, params, dim)
     rho = np.zeros((times.size, 4, 4), dtype=complex)
     rho[:, range(4), range(4)] = population
-    leak = np.empty(times.size)
+    leak = np.zeros(times.size)
     for start in range(0, times.size, _PHASE_CHUNK):
         chunk = slice(start, start + _PHASE_CHUNK)
         angle = np.outer(times[chunk], energies)
-        cos, sin = np.cos(angle), np.sin(angle)
-        for a, b, f in coherences:
-            value = _quadratic(cos, sin, f)
-            rho[chunk, a, b] = value
-            rho[chunk, b, a] = value.conj()
-        for a, f in populations:
-            rho[chunk, a, a] += _quadratic(cos, sin, f, hermitian=True)
-        # a population: the forms may round to a hair below zero
-        leak[chunk] = np.maximum(sum((_quadratic(cos, sin, f, hermitian=True).real
-                                      for f in leak_forms), 0.0), 0.0)
+        cos, sin = np.cos(angle), np.sin(angle, out=angle)
+        for a, b, f in forms:
+            value = _quadratic(cos, sin, f, hermitian=a == b)
+            if a is None:
+                leak[chunk] += value.real
+            elif a == b:
+                rho[chunk, a, a] += value
+            else:
+                rho[chunk, a, b] += value
+                rho[chunk, b, a] += value.conj()
+    leak = np.maximum(leak, 0.0)  # a population, which the forms may round below zero
     # back to eg, with the round-off of the diagonal forms made Hermitian
+    frame = _qubit_frame(params)
     rho = frame.T @ rho @ frame
     rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
     over = np.flatnonzero(leak > LEAK_ERROR)
@@ -449,7 +446,6 @@ def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
         raise TruncationError(
             f"leakage {leak[first]:.3e} > {LEAK_ERROR:g} at t={times[first]:g} with "
             f"dim={dim}; increase dim")
-    diagnostics = {"blocks": sizes.tolist(), "eigen_residual": residual}
     return dim, rho, leak, diagnostics
 
 

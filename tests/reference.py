@@ -6,8 +6,10 @@ coherent states, the Fourier transform of the P function, an exact
 rational-arithmetic binomial sum, a matrix-exponential displacement, the
 Poisson amplitudes of a coherent state through scipy's log-gamma, the
 partial trace of a composite density matrix, the dense Hamiltonian with a
-per-time propagation in its eigenbasis, the free classical trajectory, and
-the Monte Carlo estimate as a single-threaded loop over the time points.
+per-time propagation in its eigenbasis, the connected components of a graph
+by a Python union-find, the concurrence of an X state without an
+eigensolver, the free classical trajectory, and the Monte Carlo estimate as
+a single-threaded loop over the time points.
 It also holds the validated two-qubit density container and the single-time
 oracle state that only the tests use.
 The module has no ``test_`` prefix, so pytest imports it from the test
@@ -283,6 +285,37 @@ def dense_reduced_states(qubit_init: str, spec: OscillatorSpec, times, params: M
         rho[idx] = (rho_q + rho_q.conj().T) / 2.0
         leak[idx] = np.einsum("ank,k->", np.abs(psi_t[:, -2:, :]) ** 2, weights)
     return rho, leak
+
+
+def union_find_labels(size: int, rows, cols) -> np.ndarray:
+    """Connected component of each of ``size`` nodes joined by the edges
+    (rows, cols), by a Python union-find with path halving; components are
+    numbered by their lowest node."""
+    parent = list(range(size))
+
+    def root(node):
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    for a, b in zip(np.asarray(rows).tolist(), np.asarray(cols).tolist()):
+        a, b = root(a), root(b)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    return np.unique([root(node) for node in range(size)], return_inverse=True)[1]
+
+
+def x_state_concurrence(rho) -> np.ndarray:
+    """Concurrence of two-qubit X states (only the diagonal and the
+    anti-diagonal nonzero, eg ordering), shaped (..., 4, 4):
+    2 max(0, |rho_14| - sqrt(rho_22 rho_33), |rho_23| - sqrt(rho_11 rho_44)),
+    with no eigensolver (Yu & Eberly, Quantum Inf. Comput. 7, 459 (2007))."""
+    rho = np.asarray(rho)
+    p = np.clip(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0, None)
+    return 2.0 * np.maximum(0.0, np.maximum(
+        np.abs(rho[..., 0, 3]) - np.sqrt(p[..., 1] * p[..., 2]),
+        np.abs(rho[..., 1, 2]) - np.sqrt(p[..., 0] * p[..., 3])))
 
 
 def displaced_number_state(n_index: int, m: int, params: ModelParams,

@@ -25,6 +25,8 @@ from reference import (
     displaced_number_state,
     oracle_reduced_density,
     partial_trace_oscillator,
+    union_find_labels,
+    x_state_concurrence,
 )
 from tc2q import oracle
 from tc2q.analytic import coherence_integral, predicted_spectrum
@@ -236,6 +238,76 @@ class TestBlockedOracle:
         levels = spectrum(P, dim)
         np.testing.assert_allclose(levels, np.linalg.eigvalsh(h), rtol=0, atol=1e-11)
         assert np.abs(levels - intact).max() > 1e-3
+
+    @pytest.mark.parametrize("omega0", [0.0, 0.25])
+    @pytest.mark.parametrize("dim", [2, 20, 198, 567])
+    def test_component_labels_match_a_union_find(self, dim, omega0):
+        params = ModelParams(omega=1.0, lambda_=0.1, omega0=omega0)
+        rows, cols, _ = oracle._hamiltonian_entries(params, dim)
+        upper = rows < cols
+        labels = oracle._component_labels(4 * dim, rows[upper], cols[upper])
+        np.testing.assert_array_equal(
+            labels, union_find_labels(4 * dim, rows[upper], cols[upper]))
+        # a chain that runs against the node order, and isolated nodes
+        chain = np.arange(9, 0, -1)
+        np.testing.assert_array_equal(oracle._component_labels(12, chain, chain - 1),
+                                      union_find_labels(12, chain, chain - 1))
+
+    @pytest.mark.parametrize("dim", [20, 60, 198, 400])
+    @pytest.mark.parametrize("lam", [0.05, 0.1, 0.3])
+    def test_a_mirrored_block_takes_the_residual_of_its_first(self, dim, lam):
+        # at omega0 = 0 the m = -1 chain reuses the eigenpairs of the m = +1
+        # chain, and h S V - S V E = S (h_0 V - V E) leaves the norm as it is
+        params = ModelParams(omega=1.0, lambda_=lam)
+        blocks, residual = eigenblocks(params, dim)
+        rows, cols, vals = oracle._hamiltonian_entries(params, dim)
+        h = np.zeros((4 * dim, 4 * dim))
+        np.add.at(h, (rows, cols), vals)
+        by_hand = [float(np.linalg.norm(h[np.ix_(index, index)] @ vectors
+                                        - vectors * energies))
+                   for index, energies, vectors in blocks if index.size > 1]
+        assert len(by_hand) == 2
+        assert by_hand[0] == by_hand[1] == residual
+
+    @pytest.mark.parametrize("spec", [Thermal(1.0), Coherent(1.0 + 0.5j),
+                                      ExplicitDensity([[0.5, 0.5j], [-0.5j, 0.5]])],
+                             ids=["thermal", "coherent", "complex-mixture"])
+    def test_each_form_lies_on_one_block_pair(self, monkeypatch, spec):
+        # at omega0 > 0 every form is built on one pair of parity blocks, so
+        # neither side of one is wider than the larger block
+        widths = []
+        quadratic = oracle._quadratic
+
+        def spy(cos, sin, form, hermitian=False):
+            widths.append(form[2].shape)
+            return quadratic(cos, sin, form, hermitian)
+
+        monkeypatch.setattr(oracle, "_quadratic", spy)
+        split = ModelParams(omega=1.0, lambda_=0.1, omega0=0.3)
+        t = np.linspace(0.0, 5.0, 20)
+        for kind in BELL_KINDS:
+            widths.clear()
+            blocks = oracle_concurrence_series(kind, spec, t, split, dim=80).meta["blocks"]
+            assert all(max(shape) <= max(blocks) for shape in widths), kind
+            # the triplet fills both parity blocks of 3 dim / 2
+            assert kind == "psi_minus" or max(map(max, widths)) == 120 == max(blocks)
+
+    @pytest.mark.parametrize("spec", [Thermal(2.0), Fock(3)], ids=["thermal", "fock"])
+    @pytest.mark.parametrize("omega0", [0.0, 0.3])
+    @pytest.mark.parametrize("kind", BELL_KINDS)
+    def test_reduced_states_are_x_states(self, spec, omega0, kind):
+        # thermal and number states commute with the parity (-1)^n sz1 sz2,
+        # and every Bell state is a parity eigenstate, so the reduced state
+        # keeps only its diagonal and anti-diagonal
+        params = ModelParams(omega=1.0, lambda_=0.1, omega0=omega0)
+        t = np.linspace(0.0, 12.0, 41)
+        series = oracle_concurrence_series(kind, spec, t, params)
+        _, rho, _, _ = oracle._reduced_states(kind, spec, t, params, series.meta["dim"])
+        off_x = np.ones((4, 4), dtype=bool)
+        off_x[range(4), range(4)] = off_x[range(4), range(3, -1, -1)] = False
+        assert np.abs(rho[:, off_x]).max() <= 1e-15
+        np.testing.assert_allclose(series.concurrence, x_state_concurrence(rho),
+                                   rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("spec", [Fock(3), Thermal(1.0), Coherent(1.5)],
                              ids=["fock", "thermal", "coherent"])

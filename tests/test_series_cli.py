@@ -877,8 +877,16 @@ class TestCliErrors:
         ("spectrum", {"engine": "oracle", "params": {"omega": 1.0, "lambda": 1e308},
                       "qubit_init": None, "oscillator": None, "time_grid": None},
          "lambda * sqrt(dim) is not finite"),
+        # omega t and omega dim are finite, but the oracle's phases E t are not
+        ("run", {"engine": "oracle",
+                 "time_grid": {"t_start": 0.0, "t_end": 1e308, "n_points": 20}},
+         "omega * dim * t is not finite"),
+        ("validate", {"engine": "validate",
+                      "time_grid": {"t_start": -1e308, "t_end": 1.0, "n_points": 20}},
+         "omega * dim * t is not finite"),
     ], ids=["oracle-omega-1e308", "classical-omega-1e-320", "oracle-lambda-1e308",
-            "validate-omega-1e308", "spectrum-omega-1e308", "spectrum-lambda-1e308"])
+            "validate-omega-1e308", "spectrum-omega-1e308", "spectrum-lambda-1e308",
+            "oracle-t-1e308", "validate-t-minus-1e308"])
     def test_finite_extremes_are_config_errors(self, tmp_path, capsys, command, overrides,
                                                message):
         # finite parameters whose products with the grid or the truncation
@@ -895,6 +903,29 @@ class TestCliErrors:
         err = json.loads(lines[0])
         assert err["exit_code"] == 2 and message in err["error"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, overrides, column, expected", [
+        ("sweep-beta", {**SWEEP, "oscillator": None,
+                        "oscillators": [{"kind": "thermal", "mean_n": 1e308}],
+                        "beta_grid": {"start": 0.0, "stop": 0.5, "n_points": 5}},
+         "C", [1.0, 0.0, 0.0, 0.0, 0.0]),
+        ("run", {"engine": "classical", "params": {"omega": 1.0, "lambda": 1e200},
+                 "oscillator": {"kind": "gaussian", "q_bar": 0.5, "p_bar": -0.3,
+                                "delta_q": 1.0, "delta_p": 1.0},
+                 "time_grid": {"t_start": 0.0, "t_end": 3.0, "n_points": 4}},
+         "C", [1.0, 0.0, 0.0, 0.0]),
+    ], ids=["sweep-thermal-mean-n-1e308", "classical-gaussian-lambda-1e200"])
+    def test_exponents_that_overflow_give_their_limit(self, tmp_path, capsys, command,
+                                                      overrides, column, expected):
+        # exp(-inf) = 0 is the right value, so the job writes it, with no warning
+        out = tmp_path / "out.json"
+        cfg_path, _ = write_config(tmp_path, output={"path": str(out), "format": "json"},
+                                   **overrides)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main([command, "--config", cfg_path]) == 0
+        assert caught == [] and capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["columns"][column] == expected
 
     def test_sections_the_job_never_reads_are_config_errors(self, tmp_path, capsys):
         sections = {"monte_carlo": {"samples": 10}, "oracle": {"dim": 40},
@@ -1016,14 +1047,13 @@ class TestJobPipeline:
         ("run", {"engine": "oracle"}, ["--dim", "60"]),
         ("spectrum", {**NO_SCENARIO, "engine": "oracle"}, ["--dim", "60"]),
         ("run", {"engine": "classical",
-                 "oscillator": {"kind": "gaussian", "q_bar": 0.5, "p_bar": -0.3,
-                                "delta_q": 1.0, "delta_p": 1.0}}, []),
+                 "oscillator": {"kind": "classical_thermal", "k_T": 1.0}}, []),
         ("run", {}, []),
     ], ids=["run-oracle", "spectrum", "run-classical", "run-analytic"])
     def test_overflow_inside_an_engine_exits_three(self, tmp_path, command, overrides,
                                                    flags):
         # lambda = 1e200 passes every scale check, but the oracle's residual
-        # norm and the classical closed form's exponent overflow
+        # norm and beta^2 in the classical thermal closed form overflow
         cfg_path, _ = write_config(tmp_path, params={"omega": 1.0, "lambda": 1e200},
                                    output={"path": "out.json"},
                                    **{"time_grid": self.GRID, **overrides})
