@@ -17,24 +17,22 @@ closed forms these hold only at omega0 = 0: the two public entry points
 raise ``ValueError`` otherwise.  Gaussian widths follow the un-doubled
 convention exp(-(q - q0)^2 / dq^2), i.e. variance dq^2 / 2.
 
-A Monte Carlo estimate uses every core the process may run on: its time
-points are dealt out in interleaved shares, one thread per share, and
-numpy's array operations release the GIL.  Each point is computed by the
-same operations in the same order whatever the number of cores, so the
-output does not depend on it, bit for bit.
+A Monte Carlo estimate runs on the calling thread, one time point after
+another, in real arithmetic: with u = tan(phi/2) of each sample's phase phi,
+cos phi = 2/(1 + u^2) - 1 and sin phi = 2u/(1 + u^2), since numpy's float64
+tan is far cheaper than its complex exp or its sin and cos.  The output
+depends only on the ensemble, the times, the sample count and the seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .model import ModelParams, clamp_unit
+from .model import ModelParams, clamp_unit, decay, squared
 
 
 # Each ensemble carries its artifact ``label``, its closed-form ensemble
@@ -102,42 +100,37 @@ class GaussianDist:
         p0 = rng.normal(self.p_bar, self.delta_p / math.sqrt(2.0), n_samples)
         value = np.empty(times.shape)
         std_error = np.empty(times.shape)
-        flat_t, flat_value, flat_error = times.ravel(), value.ravel(), std_error.ravel()
-        # share k holds the points k, k + step, ...: small and large phases mix
-        step = max(1, min(_cores(), flat_t.size))
-        # a float and a complex buffer per share, allocated on this thread so
-        # that they come from its heap rather than from a fresh thread arena
-        buffers = [(np.empty(n_samples), np.empty(n_samples, dtype=complex))
-                   for _ in range(step)]
-
-        def share(k: int) -> None:
-            # every step repeats the expression order of
-            # -0.5 exp(1j (a q0 + b p0)) and of its jackknife, op for op.  The
-            # phase is built in z.real, so that z = phase + 0j is the complex
-            # cast that 1j * phase makes, without its cast buffer.
-            tmp, z = buffers[k]
-            phase = z.real
-            for i in range(k, flat_t.size, step):
-                a, b = _phase_coefficients(float(flat_t[i]), params)
-                np.multiply(a, q0, out=phase)
-                np.multiply(b, p0, out=tmp)
-                np.add(phase, tmp, out=phase)
-                z.imag = 0.0
-                np.multiply(1j, z, out=z)
-                np.exp(z, out=z)
-                np.multiply(-0.5, z, out=z)
-                total = z.sum()
-                flat_value[i] = np.clip(2.0 * abs(total) / n_samples, 0.0, 1.0)
-                # the leave-one-out estimates 2 |total - z| / (n - 1)
-                np.subtract(total, z, out=z)
-                np.abs(z, out=tmp)
-                np.multiply(2.0, tmp, out=tmp)
-                np.divide(tmp, n_samples - 1, out=tmp)
-                np.subtract(tmp, tmp.mean(), out=tmp)
-                np.square(tmp, out=tmp)
-                flat_error[i] = math.sqrt((n_samples - 1) / n_samples * float(tmp.sum()))
-
-        _in_threads(share, step)
+        cos, sin = np.empty(n_samples), np.empty(n_samples)
+        for i, t in enumerate(times.flat):
+            a, b = _phase_coefficients(float(t), params)
+            # u = tan(phi/2), phi = a q0 + b p0: halving a and b is exact, so
+            # phi/2 carries the bits of phi
+            np.multiply(a / 2.0, q0, out=cos)
+            np.multiply(b / 2.0, p0, out=sin)
+            np.add(cos, sin, out=cos)
+            np.tan(cos, out=sin)
+            np.square(sin, out=cos)
+            np.add(cos, 1.0, out=cos)
+            np.divide(2.0, cos, out=cos)
+            np.multiply(sin, cos, out=sin)
+            np.subtract(cos, 1.0, out=cos)
+            # the total T of the correlators -1/2 exp(i phi)
+            t_r, t_i = -0.5 * float(cos.sum()), -0.5 * float(sin.sum())
+            value.flat[i] = min(2.0 * math.hypot(t_r, t_i) / n_samples, 1.0)
+            # the leave-one-out estimates are 2 |T - z_j| / (n - 1), and as
+            # |z_j| = 1/2, |T - z_j|^2 = |T|^2 + 1/4 + T_r cos phi_j + T_i sin phi_j
+            np.multiply(t_r, cos, out=cos)
+            np.multiply(t_i, sin, out=sin)
+            np.add(cos, sin, out=cos)
+            np.add(cos, t_r * t_r + t_i * t_i + 0.25, out=cos)
+            np.maximum(cos, 0.0, out=cos)
+            np.sqrt(cos, out=cos)
+            np.subtract(cos, cos.mean(), out=cos)
+            # einsum's own loop: np.dot would hand the sum to BLAS, which
+            # splits it by its thread count
+            spread = float(np.einsum("i,i->", cos, cos))
+            std_error.flat[i] = 2.0 / (n_samples - 1) * math.sqrt(
+                (n_samples - 1) / n_samples * spread)
         return value, std_error
 
 
@@ -162,8 +155,8 @@ class ClassicalThermal:
         Gaussian form recombine into a single sin^2.
         """
         s = np.sin(params.omega * np.asarray(t, dtype=float) / 2.0)
-        return clamp_unit(np.exp(-64.0 * params.beta ** 2 * s * s * self.k_T
-                                 / params.omega))
+        return clamp_unit(decay(s, lambda: -64.0 * squared(params.beta) * s * s * self.k_T
+                                / params.omega))
 
     def monte_carlo(self, times, params, n_samples, seed) -> tuple:
         # the Boltzmann weight exp(-(p^2 + omega^2 q^2) / (2 k_T)) is the
@@ -189,61 +182,15 @@ def _phase_coefficients(t, params: ModelParams):
     return a, b
 
 
-def _cores() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _in_threads(task, count: int) -> None:
-    """Run ``task(0)`` on this thread and ``task(1)`` ... ``task(count - 1)``
-    on threads of their own.  Every thread is joined before the first task's
-    exception, if any, is raised here."""
-    errors = [None] * count
-
-    def guarded(k: int) -> None:
-        try:
-            task(k)
-        except BaseException as exc:  # raised again on the calling thread
-            errors[k] = exc
-
-    threads = []
-    try:
-        for k in range(1, count):
-            thread = threading.Thread(target=guarded, args=(k,))
-            thread.start()
-            threads.append(thread)
-        guarded(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-
-
 def mc_peak_bytes(samples: int) -> int:
     """Bytes a Monte Carlo estimate holds at its peak with ``samples`` draws.
 
-    q0 and p0, and per core a float and a complex buffer, make 16 + 24 cores
-    bytes per sample.  1 MiB more covers what does not grow with the
-    samples: numpy.random's import on first use (about 0.7 MB under
-    tracemalloc) and the job's other state (about 0.2 MB).
+    q0 and p0 and the two float buffers of the kernel make 32 bytes per
+    sample.  1 MiB more covers what does not grow with the samples:
+    numpy.random's import on first use (about 0.7 MB under tracemalloc) and
+    the job's other state (about 0.2 MB).
     """
-    return (16 + 24 * _cores()) * samples + 2 ** 20
-
-
-def s_plus_correlator(q0: float, p0: float, t, params: ModelParams):
-    """<S+1 S+2>(t) for the initial value -1/2 set by (|eg>+|ge>)/sqrt(2).
-
-    The modulus is exactly 1/2 for every trajectory; only the accumulated
-    phase -4 lambda sqrt(2/omega) * integral of p depends on (q0, p0).
-    """
-    a, b = _phase_coefficients(t, params)
-    out = -0.5 * np.exp(1j * (a * q0 + b * p0))
-    return complex(out) if np.asarray(out).ndim == 0 else out
+    return 32 * samples + 2 ** 20
 
 
 def classical_concurrence(dist: PhaseSpaceDist, t, params: ModelParams):

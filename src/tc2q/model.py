@@ -197,7 +197,22 @@ def _half_sine(omega_t):
 
 def _envelope(s, beta):
     """Overlap of the two counter-displaced branches, exp(-32 beta^2 s^2)."""
-    return np.exp(-32.0 * beta ** 2 * s * s)
+    return decay(s, lambda: -32.0 * squared(beta) * s * s)
+
+
+def squared(beta):
+    """``beta ** 2``, bit for bit, but inf where a float's ``**`` raises
+    ``OverflowError``: numpy's float64 power calls the same libm ``pow``, and
+    an array squares as before."""
+    return np.float64(beta) ** 2
+
+
+def decay(s, exponent):
+    """``np.exp(exponent())`` for an exponent -c s^2, c >= 0, whose c may
+    overflow to inf.  Its limits are exp(-inf) = 0 where s != 0 and 1 at
+    s = 0, where -inf * 0 would give NaN; the overflow is silent."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(s == 0.0, 1.0, np.exp(exponent()))
 
 
 def _fock_vector(n: int, dim: int) -> np.ndarray:
@@ -259,8 +274,8 @@ class Thermal:
     def coherence(self, omega_t, beta):
         """I = exp(-32 beta^2 sin^2(wt/2) (1 + 2 mean_n)), real."""
         s = _half_sine(omega_t)
-        with np.errstate(over="ignore"):  # an exponent that overflows gives exp(-inf) = 0
-            return _envelope(s, beta) * np.exp(-64.0 * beta ** 2 * self.mean_n * s * s) + 0j
+        return (_envelope(s, beta)
+                * decay(s, lambda: -64.0 * squared(beta) * self.mean_n * s * s) + 0j)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ Poisson amplitudes of a coherent state through scipy's log-gamma, the
 partial trace of a composite density matrix, the dense Hamiltonian with a
 per-time propagation in its eigenbasis, the connected components of a graph
 by a Python union-find, the concurrence of an X state without an
-eigensolver, the free classical trajectory, and the Monte Carlo estimate as
-a single-threaded loop over the time points.
+eigensolver, the free classical trajectory and its complex correlator, and
+the Monte Carlo estimate in long double with the leave-one-out moduli formed
+directly.
 It also holds the validated two-qubit density container and the single-time
 oracle state that only the tests use.
 The module has no ``test_`` prefix, so pytest imports it from the test
@@ -28,7 +29,7 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 
 from tc2q.analytic import coherence_integral
-from tc2q.classical import ClassicalThermal, GaussianDist, s_plus_correlator
+from tc2q.classical import ClassicalThermal, GaussianDist, _phase_coefficients
 from tc2q.model import (
     Coherent,
     Fock,
@@ -373,11 +374,24 @@ def classical_trajectory(q0: float, p0: float, t, params: ModelParams):
     return q, p
 
 
-def monte_carlo_per_point(dist, times, params: ModelParams, n_samples: int, seed: int):
+def s_plus_correlator(q0: float, p0: float, t, params: ModelParams):
+    """<S+1 S+2>(t) for the initial value -1/2 set by (|eg>+|ge>)/sqrt(2).
+
+    The modulus is exactly 1/2 for every trajectory; only the accumulated
+    phase -4 lambda sqrt(2/omega) * integral of p depends on (q0, p0).
+    """
+    a, b = _phase_coefficients(t, params)
+    out = -0.5 * np.exp(1j * (a * q0 + b * p0))
+    return complex(out) if np.asarray(out).ndim == 0 else out
+
+
+def monte_carlo_long_double(dist, times, params: ModelParams, n_samples: int, seed: int):
     """(value, std_error) of a Gaussian or classical thermal ensemble at
     every entry of ``times``: 2 |mean of the correlator| and its jackknife
-    error, from one draw of ``n_samples`` initial conditions, one time
-    point after another on the calling thread."""
+    error, from one draw of ``n_samples`` initial conditions.  The phases
+    a q0 + b p0 are the engine's float64 ones; their cosines and sines, the
+    sums and the leave-one-out moduli |T - z_j| are taken in long double
+    (80-bit on x86-64)."""
     if isinstance(dist, ClassicalThermal):
         width = math.sqrt(2.0 * dist.k_T)
         dist = GaussianDist(0.0, 0.0, width / params.omega, width)
@@ -387,11 +401,14 @@ def monte_carlo_per_point(dist, times, params: ModelParams, n_samples: int, seed
     times = np.asarray(times, dtype=float)
     value = np.empty(times.shape)
     std_error = np.empty(times.shape)
+    n = np.longdouble(n_samples)
     for idx, t in np.ndenumerate(times):
-        z = s_plus_correlator(q0, p0, float(t), params)
+        a, b = _phase_coefficients(float(t), params)
+        phase = (a * q0 + b * p0).astype(np.longdouble)
+        z = -0.5 * (np.cos(phase) + 1j * np.sin(phase))
         total = z.sum()
-        value[idx] = np.clip(2.0 * abs(total) / n_samples, 0.0, 1.0)
-        leave_one_out = 2.0 * np.abs(total - z) / (n_samples - 1)
-        std_error[idx] = math.sqrt((n_samples - 1) / n_samples * float(
-            ((leave_one_out - leave_one_out.mean()) ** 2).sum()))
+        value[idx] = min(float(2 * abs(total) / n), 1.0)
+        leave_one_out = 2 * np.abs(total - z) / (n - 1)
+        std_error[idx] = float(np.sqrt((n - 1) / n * (
+            (leave_one_out - leave_one_out.mean()) ** 2).sum()))
     return value, std_error

@@ -7,15 +7,12 @@ Monte Carlo estimator against both.
 """
 
 import math
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from reference import classical_trajectory, monte_carlo_per_point
-from tc2q import classical
+from reference import classical_trajectory, monte_carlo_long_double, s_plus_correlator
 from tc2q.analytic import coherence_integral
 from tc2q.classical import (
     ClassicalThermal,
@@ -25,7 +22,6 @@ from tc2q.classical import (
     mc_peak_bytes,
     minimum_uncertainty_widths,
     monte_carlo_classical_concurrence,
-    s_plus_correlator,
 )
 from tc2q.model import Coherent, ModelParams, Thermal
 
@@ -269,77 +265,29 @@ class TestMonteCarlo:
                                               seed=0)
 
 
-class TestThreadedMonteCarlo:
-    """The time points are shared out over the cores; the result may not
-    depend on how many there are, bit for bit."""
+class TestMonteCarloKernel:
+    """The tangent kernel against the long-double estimator: the value to
+    1e-15, and the jackknife error to 1e-9 relative.  Near t = 0 the
+    leave-one-out moduli are nearly equal and each carries about eps of
+    round-off, so the error also has an absolute floor of sqrt(n) eps."""
 
-    @pytest.mark.parametrize("cores", [1, 2, 3, 40])
+    @pytest.mark.parametrize("n_samples", [3001, 20000])
+    @pytest.mark.parametrize("lambda_", [0.13, 3.0, 1e3])
     @pytest.mark.parametrize("dist", [GaussianDist(0.4, -0.2, 0.9, 1.3),
                                       ClassicalThermal(1.7)], ids=["gaussian", "thermal"])
-    @pytest.mark.parametrize("t", [2.3, np.linspace(0.0, 30.0, 12).reshape(3, 4)],
-                             ids=["scalar", "2d"])
-    def test_matches_the_per_point_loop_at_any_core_count(self, monkeypatch, cores, dist, t):
-        monkeypatch.setattr(classical, "_cores", lambda: cores)
-        value, err = monte_carlo_classical_concurrence(dist, t, P, 1001, seed=9)
-        ref_value, ref_err = monte_carlo_per_point(dist, t, P, 1001, 9)
+    @pytest.mark.parametrize("t", [
+        2.3, np.append([0.0, 1e-3, 1e-2, 0.1], np.linspace(0.5, 30.0, 8)).reshape(3, 4),
+    ], ids=["scalar", "2d"])
+    def test_matches_the_long_double_estimator(self, t, dist, lambda_, n_samples):
+        p = ModelParams(omega=1.0, lambda_=lambda_)
+        value, err = monte_carlo_classical_concurrence(dist, t, p, n_samples, seed=9)
+        ref_value, ref_err = monte_carlo_long_double(dist, t, p, n_samples, 9)
         assert np.shape(value) == np.shape(err) == np.shape(t)
-        assert np.array_equal(value, ref_value)
-        assert np.array_equal(err, ref_err)
+        np.testing.assert_allclose(value, ref_value, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(err, ref_err, rtol=1e-9,
+                                   atol=math.sqrt(n_samples) * np.finfo(float).eps)
 
-    def test_many_threads_switching_often_write_every_point(self, monkeypatch):
-        # more threads than cores, preempted as often as the interpreter
-        # allows: a point written twice or not at all would show
-        monkeypatch.setattr(classical, "_cores", lambda: 16)
-        t = np.linspace(0.0, 40.0, 64)
-        dist = GaussianDist(0.3, 0.1, 1.1, 0.7)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            value, err = monte_carlo_classical_concurrence(dist, t, P, 300, seed=4)
-        finally:
-            sys.setswitchinterval(interval)
-        ref_value, ref_err = monte_carlo_per_point(dist, t, P, 300, 4)
-        assert np.array_equal(value, ref_value)
-        assert np.array_equal(err, ref_err)
-
-    @pytest.mark.parametrize("cores, points, threads", [(1, 5, 0), (3, 5, 2), (8, 5, 4),
-                                                        (8, 1, 0)])
-    def test_starts_one_thread_per_share_beyond_the_first(self, monkeypatch, cores,
-                                                          points, threads):
-        monkeypatch.setattr(classical, "_cores", lambda: cores)
-        started = []
-
-        class CountedThread(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(classical.threading, "Thread", CountedThread)
-        monte_carlo_classical_concurrence(ClassicalThermal(1.0), np.linspace(0.0, 3.0, points),
-                                          P, 50, seed=0)
-        assert len(started) == threads
-
-    @pytest.mark.parametrize("failing", [0, 1, 2])
-    def test_a_failing_share_reaches_the_caller(self, monkeypatch, failing):
-        monkeypatch.setattr(classical, "_cores", lambda: 3)
-        t = np.linspace(0.0, 6.0, 7)
-        exact = classical._phase_coefficients
-
-        def phase_coefficients(time, params):
-            if time == t[failing + 3]:  # share k holds the points k, k + 3, k + 6
-                raise RuntimeError(f"share {failing} failed")
-            return exact(time, params)
-
-        monkeypatch.setattr(classical, "_phase_coefficients", phase_coefficients)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match=f"share {failing} failed"):
-            monte_carlo_classical_concurrence(GaussianDist(0.0, 0.0, 1.0, 1.0), t, P, 100,
-                                              seed=0)
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("cores", [1, 2, 3])
-    def test_peak_bytes_counts_the_draws_and_every_core(self, monkeypatch, cores):
-        monkeypatch.setattr(classical, "_cores", lambda: cores)
+    def test_peak_bytes_counts_the_draws_and_two_buffers(self):
         samples = 100_000
         t = np.linspace(0.0, 3.0, 6)
         tracemalloc.start()
@@ -348,5 +296,5 @@ class TestThreadedMonteCarlo:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the draws and every share's buffers are live at once
-        assert (16 + 24 * cores) * samples <= peak <= mc_peak_bytes(samples)
+        # q0, p0 and the kernel's two float buffers are live at once
+        assert 32 * samples <= peak <= mc_peak_bytes(samples)

@@ -209,6 +209,13 @@ class TestCliRun:
                                    np.abs(coherence_integral(Thermal(1.0), t, P)),
                                    rtol=1e-10, atol=1e-12)
 
+    def test_main_builds_its_parser_once(self, tmp_path, monkeypatch):
+        # a parser built per call grew an in-process caller's memory call by call
+        cfg_path, _ = write_config(tmp_path)
+        assert cli.main(["run", "--config", cfg_path]) == 0
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+        assert cli.main(["run", "--config", cfg_path]) == 0
+
     def test_stationary_preparation_emits_constant_series(self, tmp_path):
         cfg_path, cfg = write_config(tmp_path, qubit_init="psi_minus")
         assert cli.main(["run", "--config", cfg_path]) == 0
@@ -728,7 +735,6 @@ class TestCliErrors:
                                                           monkeypatch, spare):
         # physical memory exactly the model's count passes; one byte less is
         # exit 2, before any sample is drawn
-        monkeypatch.setattr(classical, "_cores", lambda: 3)
         samples = 5000
         physical = classical.mc_peak_bytes(samples) + spare
         pages = {"SC_PHYS_PAGES": physical, "SC_PAGE_SIZE": 1}
@@ -914,7 +920,21 @@ class TestCliErrors:
                                 "delta_q": 1.0, "delta_p": 1.0},
                  "time_grid": {"t_start": 0.0, "t_end": 3.0, "n_points": 4}},
          "C", [1.0, 0.0, 0.0, 0.0]),
-    ], ids=["sweep-thermal-mean-n-1e308", "classical-gaussian-lambda-1e200"])
+        ("run", {"engine": "classical", "params": {"omega": 1.0, "lambda": 1e200},
+                 "oscillator": {"kind": "classical_thermal", "k_T": 1.0},
+                 "time_grid": {"t_start": 0.0, "t_end": 3.0, "n_points": 4}},
+         "C", [1.0, 0.0, 0.0, 0.0]),
+        ("run", {"params": {"omega": 1.0, "lambda": 1e200},
+                 "time_grid": {"t_start": 0.0, "t_end": 3.0, "n_points": 4}},
+         "C", [1.0, 0.0, 0.0, 0.0]),
+        # the thermal exponent overflows, and at t = 0 it is -inf * 0
+        ("run", {"params": {"omega": 1.0, "lambda": 0.5},
+                 "oscillator": {"kind": "thermal", "mean_n": 1e308},
+                 "time_grid": {"t_start": 0.0, "t_end": 3.0, "n_points": 4}},
+         "C", [1.0, 0.0, 0.0, 0.0]),
+    ], ids=["sweep-thermal-mean-n-1e308", "classical-gaussian-lambda-1e200",
+            "classical-thermal-lambda-1e200", "analytic-lambda-1e200",
+            "analytic-thermal-mean-n-1e308"])
     def test_exponents_that_overflow_give_their_limit(self, tmp_path, capsys, command,
                                                       overrides, column, expected):
         # exp(-inf) = 0 is the right value, so the job writes it, with no warning
@@ -1046,14 +1066,11 @@ class TestJobPipeline:
     @pytest.mark.parametrize("command, overrides, flags", [
         ("run", {"engine": "oracle"}, ["--dim", "60"]),
         ("spectrum", {**NO_SCENARIO, "engine": "oracle"}, ["--dim", "60"]),
-        ("run", {"engine": "classical",
-                 "oscillator": {"kind": "classical_thermal", "k_T": 1.0}}, []),
-        ("run", {}, []),
-    ], ids=["run-oracle", "spectrum", "run-classical", "run-analytic"])
+    ], ids=["run-oracle", "spectrum"])
     def test_overflow_inside_an_engine_exits_three(self, tmp_path, command, overrides,
                                                    flags):
         # lambda = 1e200 passes every scale check, but the oracle's residual
-        # norm and beta^2 in the classical thermal closed form overflow
+        # norm and the spectrum's beta^2 overflow
         cfg_path, _ = write_config(tmp_path, params={"omega": 1.0, "lambda": 1e200},
                                    output={"path": "out.json"},
                                    **{"time_grid": self.GRID, **overrides})
