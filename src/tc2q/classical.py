@@ -18,10 +18,11 @@ raise ``ValueError`` otherwise.  Gaussian widths follow the un-doubled
 convention exp(-(q - q0)^2 / dq^2), i.e. variance dq^2 / 2.
 
 A Monte Carlo estimate runs on the calling thread, one time point after
-another, in real arithmetic: with u = tan(phi/2) of each sample's phase phi,
-cos phi = 2/(1 + u^2) - 1 and sin phi = 2u/(1 + u^2), since numpy's float64
-tan is far cheaper than its complex exp or its sin and cos.  The output
-depends only on the ensemble, the times, the sample count and the seed.
+another, in real arithmetic: each sample's cos phi and sin phi come from
+u = tan(phi/2) through :func:`tc2q.model.cos_sin_of_halves`, the kernel the
+oracle reads its phases with, since numpy's float64 tan is far cheaper than
+its complex exp or its sin and cos.  The output depends only on the
+ensemble, the times, the sample count and the seed.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Union
 
 import numpy as np
 
-from .model import ModelParams, clamp_unit, decay, squared
+from .model import ModelParams, clamp_unit, cos_sin_of_halves, decay, squared
 
 
 # Each ensemble carries its artifact ``label``, its closed-form ensemble
@@ -108,12 +109,7 @@ class GaussianDist:
             np.multiply(a / 2.0, q0, out=cos)
             np.multiply(b / 2.0, p0, out=sin)
             np.add(cos, sin, out=cos)
-            np.tan(cos, out=sin)
-            np.square(sin, out=cos)
-            np.add(cos, 1.0, out=cos)
-            np.divide(2.0, cos, out=cos)
-            np.multiply(sin, cos, out=sin)
-            np.subtract(cos, 1.0, out=cos)
+            cos_sin_of_halves(cos, sin)
             # the total T of the correlators -1/2 exp(i phi)
             t_r, t_i = -0.5 * float(cos.sum()), -0.5 * float(sin.sum())
             value.flat[i] = min(2.0 * math.hypot(t_r, t_i) / n_samples, 1.0)

@@ -411,7 +411,7 @@ def _cmd_sweep(cfg: dict, args, engine: str, path: str):
                 f"{len(specs)} oscillator(s) x {betas.size} betas")
 
     # the half-period point omega t = pi depends on beta alone
-    labels = [spec.label for spec in specs for _ in betas]
+    labels = [label for spec in specs for label in [spec.label] * betas.size]
     conc = [clamp_unit(np.abs(spec.coherence(math.pi, betas))) for spec in specs]
     return ("analytic",
             {"spec": labels, "beta": np.tile(betas, len(specs)), "C": np.concatenate(conc)},

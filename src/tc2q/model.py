@@ -215,6 +215,20 @@ def decay(s, exponent):
         return np.where(s == 0.0, 1.0, np.exp(exponent()))
 
 
+def cos_sin_of_halves(half: np.ndarray, sin: np.ndarray):
+    """cos and sin of the angles 2 ``half``, in place: with u = tan(half),
+    cos = 2/(1 + u^2) - 1 is left in ``half`` and sin = u 2/(1 + u^2) in
+    ``sin``, a float buffer of its shape.  numpy's SIMD tan is far cheaper
+    than its cos and sin at large angles, and angle 0 gives exactly (1, 0)."""
+    np.tan(half, out=sin)
+    np.square(sin, out=half)
+    np.add(half, 1.0, out=half)
+    np.divide(2.0, half, out=half)
+    np.multiply(sin, half, out=sin)
+    np.subtract(half, 1.0, out=half)
+    return half, sin
+
+
 def _fock_vector(n: int, dim: int) -> np.ndarray:
     if n >= dim:
         raise TruncationError(f"number state n={n} needs dim > {n}")
@@ -346,9 +360,14 @@ class Fock:
         return np.array([1.0]), _fock_vector(self.n_index, dim)
 
     def coherence(self, omega_t, beta):
-        """I = L_n((8 beta sin(wt/2))^2) exp(-32 beta^2 sin^2(wt/2)), real."""
+        """I = L_n((8 beta sin(wt/2))^2) exp(-32 beta^2 sin^2(wt/2)), real;
+        where the argument overflows, the envelope's limit 0 is I's: L_n is
+        read at 0 there, as L_n(inf) * 0 would be NaN."""
         s = _half_sine(omega_t)
-        return laguerre(self.n_index, (8.0 * beta * s) ** 2) * _envelope(s, beta) + 0j
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, and inf * 0 at s = 0
+            x = (8.0 * beta * s) ** 2
+        return (laguerre(self.n_index, np.where(np.isfinite(x), x, 0.0))
+                * _envelope(s, beta) + 0j)
 
 
 @dataclass(frozen=True)

@@ -32,14 +32,17 @@ blocks.  On a block that lies in one label a, V_ka^T V_ka is the identity:
 its share of rho_aa is the constant sum_j M_jj over its modes, added once.
 So the forms read per time are the coherences (a != b), the populations of
 blocks that mix labels (only the parity blocks at omega0 > 0 do), and each
-block's leakage into the top two Fock levels.  They are built once and the
-time grid is read through them in fixed-size chunks of cos(Et) and sin(Et),
-taken only on the phases some form reads, each block's in one slice.  The
-frame and the Bell vectors are real, so for a real psi0 (thermal and number
-states) every C_k and G_ab^kl is real and is read with real products; a
-complex psi0 (coherent) keeps a complex one.  Reduced states then go through
-the Wootters spin-flip construction.  Agreement with :mod:`tc2q.analytic` is
-therefore a genuine two-route test.
+block's leakage into the top two Fock levels; forms with one destination
+that read the same phases (the leakage of the mirror chains) are summed into
+one.  They are built once and the time grid is read through them in
+fixed-size chunks of cos(Et) and sin(Et), taken only on the phases some form
+reads, each block's in one slice, from u = tan(Et/2) by
+:func:`tc2q.model.cos_sin_of_halves`.  The frame and the Bell vectors are
+real, so for a real psi0 (thermal and number states) every C_k and G_ab^kl
+is real and is read with real products; a complex psi0 (coherent) keeps a
+complex one.  Reduced states then go through the Wootters spin-flip
+construction.  Agreement with :mod:`tc2q.analytic` is therefore a genuine
+two-route test.
 
 The composite index is qubit-major: basis vector (q, n) sits at q * dim + n,
 with q running over the four states of the qubit frame.
@@ -62,6 +65,7 @@ from .model import (
     bell_vector,
     check_dim,
     clamp_unit,
+    cos_sin_of_halves,
 )
 
 #: leakage (population of the top two Fock levels) above which a series row
@@ -312,9 +316,9 @@ def peak_bytes(dim: int) -> int:
     mixture of dim columns): 14 complex forms on the pairs of two parity
     blocks of 3 dim / 2, plus the larger of what building them holds (the
     eigenvectors, columns and coefficients, the last slice of M and
-    V_a^T V_b) and what reading a chunk of phases holds (angles and cos, and
-    a complex read's phases, conjugates, product and one real copy).  At
-    dim 100 that is 842 dim^2 bytes.
+    V_a^T V_b) and what reading a chunk of phases holds (its cos and sin
+    buffers, and a complex read's phases, conjugates, product and one real
+    copy).  At dim 100 that is 842 dim^2 bytes.
     """
     block = (3 * dim + 1) // 2
     build = 8 * 5 * block ** 2 + 16 * (dim + 2 * block) * dim
@@ -385,8 +389,11 @@ def _forms(qubit_init: str, spec: OscillatorSpec, params: ModelParams, dim: int)
             + [(None, None, top, top)] * bool(top.size))
 
     # each form is (V_a^T V_b) o M on its block pair, multiplied into the
-    # slice of M = C W C^dagger over the columns that reach both blocks
-    forms = []
+    # slice of M = C W C^dagger over the columns that reach both blocks.  A
+    # mirrored block shares its first block's energies array, so it reads
+    # the same phases: forms with one destination and the same two arrays
+    # (the leakage of the mirror chains) are summed into one as they are built
+    forms, read = {}, {}  # (a, b, ids of the two arrays) -> G; id -> energies
     for (k, l), reads in wanted.items():
         (*_, reach_k, v_k, c_k), (*_, reach_l, v_l, c_l) = parts[k], parts[l]
         common, i, j = np.intersect1d(reach_k, reach_l, assume_unique=True,
@@ -394,18 +401,23 @@ def _forms(qubit_init: str, spec: OscillatorSpec, params: ModelParams, dim: int)
         if not (reads and common.size):
             continue
         m = (_take(c_k.T, i).T * weights[common]) @ _take(c_l.T, j).conj()
-        forms += [(a, b, k, l, m * (_take(v_k, rows_k).T @ _take(v_l, rows_l)))
-                  for a, b, rows_k, rows_l in reads]
+        pair = blocks[k][1], blocks[l][1]
+        read.update((id(energies), energies) for energies in pair)
+        for n, (a, b, rows_k, rows_l) in enumerate(reads, 1 - len(reads)):
+            # the pair's last form (n = 0) is multiplied into M itself, so
+            # that no third dim^2 array is alive while it is built
+            g = np.multiply(m, _take(v_k, rows_k).T @ _take(v_l, rows_l),
+                            out=None if n else m)
+            total = forms.setdefault((a, b, *map(id, pair)), g)
+            if total is not g:
+                total += g
 
-    # cos(Et) and sin(Et) are taken once per distinct energy some form reads,
-    # a block's in one slice; a mirrored block shares its first block's
-    # energies array, so it shares its slice
-    read = {id(blocks[k][1]): blocks[k][1] for _, _, *pair, _ in forms for k in pair}
+    # cos(Et) and sin(Et) are taken once per distinct energy some form
+    # reads, a block's in one slice
     ends = itertools.accumulate(energies.size for energies in read.values())
     span = {key: slice(end - e.size, end) for (key, e), end in zip(read.items(), ends)}
     return population, np.concatenate([np.zeros(0), *read.values()]), [
-        (a, b, (span[id(blocks[k][1])], span[id(blocks[l][1])], g))
-        for a, b, k, l, g in forms], diagnostics
+        (a, b, (span[k], span[l], g)) for (a, b, k, l), g in forms.items()], diagnostics
 
 
 def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
@@ -422,10 +434,15 @@ def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
     rho = np.zeros((times.size, 4, 4), dtype=complex)
     rho[:, range(4), range(4)] = population
     leak = np.zeros(times.size)
+    # two buffers, allocated once: a chunk's half phases t E / 2 go into the
+    # first, and its cos(Et) and sin(Et) come out in both
+    buffers = np.empty((2, min(times.size, _PHASE_CHUNK), energies.size))
+    half_energies = energies / 2.0
     for start in range(0, times.size, _PHASE_CHUNK):
         chunk = slice(start, start + _PHASE_CHUNK)
-        angle = np.outer(times[chunk], energies)
-        cos, sin = np.cos(angle), np.sin(angle, out=angle)
+        cos, sin = buffers[:, :times[chunk].size]
+        np.multiply.outer(times[chunk], half_energies, out=cos)
+        cos_sin_of_halves(cos, sin)
         for a, b, f in forms:
             value = _quadratic(cos, sin, f, hermitian=a == b)
             if a is None:

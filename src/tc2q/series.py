@@ -110,11 +110,12 @@ def _write_all(texts: dict) -> None:
 
 
 def _csv_text(columns: dict) -> str:
-    """Header and rows, numbers to 12 significant digits, strings as given."""
-    cells = [[name, *(vals if isinstance(vals, list) else
-                      [format(v, ".12g") for v in np.asarray(vals, dtype=float).tolist()])]
-             for name, vals in columns.items()]
-    return "\n".join(map(",".join, zip(*cells))) + "\n"
+    """Header and rows, numbers to 12 significant digits, strings as given;
+    each row is one ``%`` format, whose ``%.12g`` is ``format(v, ".12g")``."""
+    row = ",".join("%s" if isinstance(vals, list) else "%.12g" for vals in columns.values())
+    cells = [vals if isinstance(vals, list) else np.asarray(vals, dtype=float).tolist()
+             for vals in columns.values()]
+    return "\n".join([",".join(columns), *(row % cell for cell in zip(*cells))]) + "\n"
 
 
 def write_table(path: str, fmt: str, engine: str, columns: dict, meta: dict,

@@ -1,6 +1,7 @@
 """Parameter containers, the collective basis and state validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from tc2q.model import (
     TruncationError,
     bell_vector,
     clamp_unit,
+    cos_sin_of_halves,
     decay,
+    laguerre,
     spec_label,
     squared,
 )
@@ -96,6 +99,43 @@ class TestOverflowingExponents:
         rate = -64.0 * squared(0.5)
         assert decay(s, lambda: rate * 1e308 * s * s).tolist() == [1.0, 0.0, 0.0]
         np.testing.assert_array_equal(decay(s, lambda: -2.0 * s * s), np.exp(-2.0 * s * s))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7])
+    def test_an_overflowed_laguerre_argument_gives_the_limit(self, n):
+        # (8 beta s)^2 overflows: L_n(inf) exp(-inf) has the limit 0, and
+        # s = 0 keeps L_n(0) = 1, with no warning; a finite argument takes
+        # the plain formula, bit for bit
+        omega_t = np.array([0.0, 1.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for beta in (1e200, 1e308):
+                assert Fock(n).coherence(omega_t, beta).tolist() == [1.0, 0.0, 0.0]
+        s = np.sin(omega_t / 2.0)
+        np.testing.assert_array_equal(
+            Fock(n).coherence(omega_t, 0.3),
+            laguerre(n, (8.0 * 0.3 * s) ** 2) * np.exp(-32.0 * 0.3 ** 2 * s * s))
+
+
+class TestHalfAngleTangent:
+    def test_matches_long_double_cos_and_sin(self):
+        # the oracle's phases reach thousands of radians; numpy's tan
+        # reduces its argument as exactly as cos and sin do
+        rng = np.random.default_rng(3)
+        magnitude = np.concatenate([10.0 ** rng.uniform(-300.0, 9.0, 20000),
+                                    rng.uniform(0.0, 1e9, 20000),
+                                    rng.uniform(0.0, 3e3, 20000)])
+        theta = magnitude * rng.choice([-1.0, 1.0], magnitude.size)
+        cos, sin = cos_sin_of_halves(theta / 2.0, np.empty_like(theta))
+        exact = theta.astype(np.longdouble)
+        assert np.abs(cos - np.cos(exact)).max() <= 1e-15
+        assert np.abs(sin - np.sin(exact)).max() <= 1e-15
+
+    def test_works_in_place_and_a_zero_angle_is_exact(self):
+        half, sin = np.array([0.0, -0.0, math.pi / 4.0]), np.full(3, np.nan)
+        cos, out = cos_sin_of_halves(half, sin)
+        assert cos is half and out is sin
+        assert cos[:2].tolist() == [1.0, 1.0] and sin[:2].tolist() == [0.0, 0.0]
+        np.testing.assert_allclose([cos[2], sin[2]], [0.0, 1.0], rtol=0, atol=1e-15)
 
 
 # the component maps between the two orderings, keyed (source, target)

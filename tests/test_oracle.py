@@ -390,6 +390,37 @@ class TestBlockedOracle:
             leakage = [size for hermitian, size in reads if hermitian]
             assert leakage and max(leakage) <= LEAK_ERROR, kind
 
+    @pytest.mark.parametrize("spec", [Thermal(1.0), Coherent(1.0 + 0.5j)],
+                             ids=["thermal", "coherent"])
+    def test_mirror_chains_read_one_leakage_form(self, monkeypatch, spec):
+        # at omega0 = 0 the m = +1 and m = -1 chains share one energies
+        # array, so their leakage forms read the same phases into the same
+        # place and are one form: per chunk, one coherence and one leakage
+        reads = []
+        quadratic = oracle._quadratic
+
+        def spy(cos, sin, form, hermitian=False):
+            reads.append(hermitian)
+            return quadratic(cos, sin, form, hermitian)
+
+        monkeypatch.setattr(oracle, "_quadratic", spy)
+        t = np.linspace(0.0, 5.0, 2 * oracle._PHASE_CHUNK + 1)
+        for kind in ("psi_plus", "phi_plus"):
+            reads.clear()
+            series = oracle_concurrence_series(kind, spec, t, P)
+            assert series.meta["blocks"] == [series.meta["dim"]] * 2, kind
+            assert reads == [False, True] * 3, kind
+
+    def test_forms_are_built_in_place(self):
+        # Thermal(5) at dim 198: two chain blocks of 198, whose forms and
+        # the columns, eigenvectors and coefficients they are built from
+        # peak at about 2.77 MiB when each block pair's last form is
+        # multiplied into M; one more dim^2 array alive reads 3.06 MiB
+        t = 1.0 + np.linspace(0.0, 4.0 * math.pi, 400)
+        series, peak = self.traced_peak("psi_plus", Thermal(5.0), t, P)
+        assert series.meta["dim"] == 198
+        assert peak < 2.9 * 2 ** 20
+
     @staticmethod
     def traced_peak(*args, **kwargs):
         """The series and the tracemalloc peak of computing it."""
