@@ -201,9 +201,8 @@ def _parse_grid(cfg: dict, name: str, start: str, stop: str) -> np.ndarray:
     if not last > first:
         raise ConfigError(f"{name}.{stop} ({last}) must exceed {start} ({first})")
     # per point the oracle series peaks at three 4x4 complex matrices (the
-    # reduced state and two temporaries while the stack is rotated back or
-    # I(t) is read off it) and its float columns, about 780 bytes under
-    # tracemalloc; count 1 kB
+    # reduced state and two temporaries while the stack is rotated back)
+    # and its float columns, about 780 bytes under tracemalloc; count 1 kB
     _check_fits(1024 * n_points, f"{name}.n_points = {n_points}")
     return np.linspace(first, last, n_points)
 

@@ -21,6 +21,7 @@ Conventions
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -171,28 +172,98 @@ def f_phase(omega_t, alpha: complex):
 
     ``omega_t`` is the dimensionless product omega * t.
     """
-    omega_t = np.asarray(omega_t, dtype=float)
-    alpha = complex(alpha)
-    out = np.sin(omega_t / 2.0) * 2.0 * (alpha * np.exp(-0.5j * omega_t)).real
-    return float(out) if out.ndim == 0 else out
+    if not isinstance(omega_t, float):
+        omega_t = np.asarray(omega_t, dtype=float)
+    out = np.sin(omega_t / 2.0) * 2.0 * (complex(alpha) * np.exp(-0.5j * omega_t)).real
+    return float(out) if isinstance(out, float) else out
+
+
+#: |L| past which the Laguerre recurrence scales its two terms by 2^-500
+_LAGUERRE_CEILING = 2.0 ** 500
+_LOG_CEILING = 500.0 * math.log(2.0)
+
+#: a bound on log |L_n(x) e^{-x/2}| below which the product rounds to 0:
+#: under log(2^-1074) = -744.4, the least subnormal, with room
+_LOG_UNDERFLOW = -800.0
+
+
+def _scaled_laguerre(n: int, x):
+    """(L, k) with L_n(x) = L 2^(500 k), by the stable three-term recurrence.
+
+    Wherever |L| is seen past 2^500 both terms are scaled by 2^-500, exactly,
+    and k counts it, so L stays finite where L_n(x) would overflow.  A float
+    ``x`` runs on Python floats, bit for bit numpy's float64 arithmetic and
+    far cheaper per step; an array runs elementwise.
+    """
+    scalar = isinstance(x, float)
+    prev, cur, k = 1.0, 1.0 - x, 0 if scalar else np.zeros(np.shape(x), dtype=int)
+    if n == 0:
+        return (1.0 if scalar else np.ones_like(x)), k
+    # a step grows the larger term at most (3 + |x|) fold, so an array's
+    # terms, looked at every `stride` steps, stay under 2^1000 in between
+    stride = 1 if scalar else max(1, int(500.0 / math.log2(
+        3.0 + np.nanmax(np.abs(x), initial=0.0))))
+    for j in range(1, n):
+        prev, cur = cur, ((2.0 * j + 1.0 - x) * cur - j * prev) / (j + 1.0)
+        if scalar:
+            if abs(cur) > _LAGUERRE_CEILING:
+                prev, cur, k = prev / _LAGUERRE_CEILING, cur / _LAGUERRE_CEILING, k + 1
+        elif j % stride == 0 and (big := np.maximum(np.abs(prev), np.abs(cur))
+                                  > _LAGUERRE_CEILING).any():
+            scale = np.where(big, 1.0 / _LAGUERRE_CEILING, 1.0)
+            prev, cur, k = prev * scale, cur * scale, k + big
+    return cur, k
 
 
 def laguerre(n: int, x):
     """Laguerre polynomial L_n(x) by the stable three-term recurrence."""
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if n == 0:
-        return float(prev) if prev.ndim == 0 else prev
-    cur = 1.0 - x
-    for k in range(1, n):
-        prev, cur = cur, ((2.0 * k + 1.0 - x) * cur - k * prev) / (k + 1.0)
-    return float(cur) if cur.ndim == 0 else cur
+    value, k = _scaled_laguerre(n, x if isinstance(x, float) else np.asarray(x, dtype=float))
+    return np.ldexp(value, 500 * k) if np.any(k) else value
 
 
-def _half_sine(omega_t):
-    return np.sin(np.asarray(omega_t, dtype=float) / 2.0)
+def _laguerre_decay(n: int, x, envelope):
+    """L_n(x) e^{-x/2} for x >= 0, with ``envelope`` e^{-x/2} as the caller
+    rounds it; a non-finite x is read as 0, where the envelope's limit is
+    the value.
+
+    Where the recurrence stays under 2^500 this is L_n(x) * ``envelope``,
+    bit for bit.  Past it the envelope may have underflowed where L_n(x)
+    overflows, yet |L_n(x) e^{-x/2}| <= 1 (Szego, *Orthogonal Polynomials*,
+    7.21): the scaled L takes the exponent as exp(500 k ln 2 - x/2).  Where
+    |L_n(x)| <= (1 + x)^n puts the product under e^-800 it is 0, without the
+    recurrence, which would overflow at such an x.
+    """
+    if isinstance(x, float):
+        x = float(x) if math.isfinite(x) else 0.0
+        if n * math.log1p(x) - x / 2.0 < _LOG_UNDERFLOW:
+            return 0.0
+        value, k = _scaled_laguerre(n, x)
+        return value * (envelope if k == 0 else np.exp(k * _LOG_CEILING - x / 2.0))
+    x = np.where(np.isfinite(x), x, 0.0)
+    zero = n * np.log1p(x) - x / 2.0 < _LOG_UNDERFLOW
+    value, k = _scaled_laguerre(n, np.where(zero, 0.0, x))
+    out = value * envelope
+    if k.any():
+        out = np.where(k == 0, out, value * np.exp(k * _LOG_CEILING - x / 2.0))
+    return np.where(zero, 0.0, out)
+
+
+def _half_sine(omega_t, beta):
+    """(sin(omega t / 2), beta) as Python floats where both are floats, else
+    with the sine an array.  Python floats overflow and make NaN silently,
+    bit for bit as numpy's float64, and skip numpy's per-call machinery."""
+    if isinstance(omega_t, float) and isinstance(beta, float):
+        return float(np.sin(omega_t / 2.0)), float(beta)
+    return np.sin(np.asarray(omega_t, dtype=float) / 2.0), beta
+
+
+def _quiet(s):
+    """A context that silences overflow and inf * 0 in numpy, which the
+    Python floats of a float ``s`` (from :func:`_half_sine`) never signal."""
+    return contextlib.nullcontext() if type(s) is float else np.errstate(
+        over="ignore", invalid="ignore")
 
 
 def _envelope(s, beta):
@@ -204,15 +275,25 @@ def squared(beta):
     """``beta ** 2``, bit for bit, but inf where a float's ``**`` raises
     ``OverflowError``: numpy's float64 power calls the same libm ``pow``, and
     an array squares as before."""
+    if type(beta) is float:
+        try:
+            return beta ** 2
+        except OverflowError:
+            return math.inf
     return np.float64(beta) ** 2
 
 
 def decay(s, exponent):
     """``np.exp(exponent())`` for an exponent -c s^2, c >= 0, whose c may
     overflow to inf.  Its limits are exp(-inf) = 0 where s != 0 and 1 at
-    s = 0, where -inf * 0 would give NaN; the overflow is silent."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(s == 0.0, 1.0, np.exp(exponent()))
+    s = 0, where -inf * 0 would give NaN; the overflow is silent.  A Python
+    float ``s`` must come with an exponent of Python floats, as
+    :func:`_half_sine` gives them, and gives a scalar."""
+    with _quiet(s):
+        value = exponent()
+        if isinstance(value, float):
+            return 1.0 if s == 0.0 else np.exp(value)
+        return np.where(s == 0.0, 1.0, np.exp(value))
 
 
 def cos_sin_of_halves(half: np.ndarray, sin: np.ndarray):
@@ -244,6 +325,8 @@ class Thermal:
     def __post_init__(self) -> None:
         if not math.isfinite(self.mean_n) or self.mean_n < 0:
             raise ValueError(f"mean_n must be finite and >= 0, got {self.mean_n!r}")
+        # a Python float, as the scalar closed form's arithmetic needs
+        object.__setattr__(self, "mean_n", float(self.mean_n))
 
     @property
     def label(self) -> str:
@@ -287,7 +370,7 @@ class Thermal:
 
     def coherence(self, omega_t, beta):
         """I = exp(-32 beta^2 sin^2(wt/2) (1 + 2 mean_n)), real."""
-        s = _half_sine(omega_t)
+        s, beta = _half_sine(omega_t, beta)
         return (_envelope(s, beta)
                 * decay(s, lambda: -64.0 * squared(beta) * self.mean_n * s * s) + 0j)
 
@@ -334,7 +417,7 @@ class Coherent:
 
         The amplitude only rotates the phase, so |I| does not depend on it.
         """
-        s = _half_sine(omega_t)
+        s, beta = _half_sine(omega_t, beta)
         return _envelope(s, beta) * np.exp(-8j * beta * f_phase(omega_t, self.alpha0))
 
 
@@ -360,14 +443,13 @@ class Fock:
         return np.array([1.0]), _fock_vector(self.n_index, dim)
 
     def coherence(self, omega_t, beta):
-        """I = L_n((8 beta sin(wt/2))^2) exp(-32 beta^2 sin^2(wt/2)), real;
-        where the argument overflows, the envelope's limit 0 is I's: L_n is
-        read at 0 there, as L_n(inf) * 0 would be NaN."""
-        s = _half_sine(omega_t)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf, and inf * 0 at s = 0
-            x = (8.0 * beta * s) ** 2
-        return (laguerre(self.n_index, np.where(np.isfinite(x), x, 0.0))
-                * _envelope(s, beta) + 0j)
+        """I = L_n(x) exp(-x/2) with x = (8 beta sin(wt/2))^2, real, which
+        stays finite where L_n(x) overflows; where x does, the envelope's
+        limit 0 is I's."""
+        s, beta = _half_sine(omega_t, beta)
+        with _quiet(s):  # inf, and inf * 0 at s = 0
+            x = squared(8.0 * beta * s)
+        return _laguerre_decay(self.n_index, x, _envelope(s, beta)) + 0j
 
 
 @dataclass(frozen=True)

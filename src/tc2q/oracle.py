@@ -40,9 +40,14 @@ reads, each block's in one slice, from u = tan(Et/2) by
 :func:`tc2q.model.cos_sin_of_halves`.  The frame and the Bell vectors are
 real, so for a real psi0 (thermal and number states) every C_k and G_ab^kl
 is real and is read with real products; a complex psi0 (coherent) keeps a
-complex one.  Reduced states then go through the Wootters spin-flip
-construction.  Agreement with :mod:`tc2q.analytic` is therefore a genuine
-two-route test.
+complex one.  Reduced states then go through :func:`wootters_concurrence`.
+A Bell state with a Fock column on rows of one parity is an eigenstate of
+the parity (-1)^n sz1 sz2, so where H commutes with it every reduced state
+is an X state: at omega0 > 0 the parity blocks leave its off-X entries
+exactly 0, and at omega0 = 0 their round-off is set to 0 where eigenblocks
+matched each populated chain to its mirror.  X states take the closed
+form, the rest LAPACK's spin-flip eigenvalues.  Agreement with
+:mod:`tc2q.analytic` is therefore a genuine two-route test.
 
 The composite index is qubit-major: basis vector (q, n) sits at q * dim + n,
 with q running over the four states of the qubit frame.
@@ -50,6 +55,7 @@ with q running over the four states of the qubit frame.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 
@@ -114,6 +120,15 @@ _SIGMA_YY = np.array([
     [0.0, 1.0, 0.0, 0.0],
     [-1.0, 0.0, 0.0, 0.0],
 ])  # sigma_y (x) sigma_y is real in the eg ordering
+
+#: the entries of a 4x4 matrix in the eg ordering off its diagonal and
+#: anti-diagonal, all of them 0 in an X state
+_OFF_X = np.array([
+    [False, True, True, False],
+    [True, False, False, True],
+    [True, False, False, True],
+    [False, True, True, False],
+])
 
 
 def choose_dim(spec: OscillatorSpec, params: ModelParams) -> int:
@@ -251,10 +266,17 @@ def wootters_concurrence(rho):
     """Wootters concurrence of a two-qubit density matrix in the eg ordering.
 
     ``rho`` is one 4x4 matrix, giving a float, or a stack of shape
-    (..., 4, 4), giving an array of shape (...).  The spin-flip eigenvalues
-    are computed as singular values of sqrt(rho) (sy (x) sy) sqrt(rho)*,
-    which keeps the near-zero ones at machine precision where the textbook
-    eigvals(rho rho~) route floors near 1e-8.
+    (..., 4, 4), giving an array of shape (...).  Each matrix takes one of
+    two routes.  An X state, one whose eight entries off the diagonal and
+    the anti-diagonal are exactly 0.0, takes the closed form of Yu &
+    Eberly (Quantum Inf. Comput. 7, 459 (2007)),
+    2 max(0, |rho_ee,gg| - sqrt(rho_eg,eg rho_ge,ge),
+    |rho_eg,ge| - sqrt(rho_ee,ee rho_gg,gg)), and no LAPACK call.  Any other
+    takes the spin-flip eigenvalues as singular values of
+    sqrt(rho) (sy (x) sy) sqrt(rho)*, which keeps the near-zero ones at
+    machine precision where the textbook eigvals(rho rho~) route floors near
+    1e-8.  Both check Hermiticity and the eigenvalues (>= -1e-9) first, and a
+    matrix gives the same value alone as in any stack.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
@@ -269,15 +291,45 @@ def wootters_concurrence(rho):
         adjoint = chunk.conj().swapaxes(-1, -2)
         if np.abs(chunk - adjoint).max() > _COMPOSITE_TOL:
             raise ValueError("density matrix is not Hermitian within 1e-9")
-        w, vecs = np.linalg.eigh((chunk + adjoint) / 2.0)
-        if w.min() < -_COMPOSITE_TOL:
-            raise ValueError(f"density matrix has eigenvalue {w.min():.3e} below -1e-9")
-        root = ((vecs * np.sqrt(np.clip(w, 0.0, None))[..., None, :])
-                @ vecs.conj().swapaxes(-1, -2))
-        lam = np.linalg.svd(root @ _SIGMA_YY @ root.conj(), compute_uv=False)
-        conc[start:start + _WOOTTERS_CHUNK] = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
+        chunk = (chunk + adjoint) / 2.0
+        x_state = ~chunk[:, _OFF_X].any(axis=1)
+        out = conc[start:start + _WOOTTERS_CHUNK]
+        if x_state.any():
+            out[x_state] = _x_state_concurrence(chunk[x_state])
+        if not x_state.all():
+            out[~x_state] = _spin_flip_concurrence(chunk[~x_state])
     conc = conc.reshape(rho.shape[:-2])
     return clamp_unit(np.where(conc > 0.0, conc, 0.0))
+
+
+def _check_eigenvalue(lowest: float) -> None:
+    if not lowest >= -_COMPOSITE_TOL:  # NaN too, which LAPACK would refuse
+        raise ValueError(f"density matrix has eigenvalue {lowest:.3e} below -1e-9")
+
+
+def _x_state_concurrence(rho: np.ndarray) -> np.ndarray:
+    """The closed form of :func:`wootters_concurrence` on a Hermitian stack of
+    X states, before it is clipped at 0.  Their eigenvalues are those of the
+    two 2x2 blocks {ee, gg} and {eg, ge}, mean -+ sqrt(half-gap^2 + |z|^2)."""
+    first, second = rho[:, [0, 1], [0, 1]].real, rho[:, [3, 2], [3, 2]].real
+    z = rho[:, [0, 1], [3, 2]]
+    # |z| from its parts: elementwise, so a stack and its members agree bit for bit
+    size = np.sqrt(z.real ** 2 + z.imag ** 2)
+    _check_eigenvalue(((first + second) / 2.0
+                       - np.sqrt(((first - second) / 2.0) ** 2 + size ** 2)).min())
+    root = np.sqrt(np.clip(first * second, 0.0, None))
+    return 2.0 * np.maximum(size[:, 0] - root[:, 1], size[:, 1] - root[:, 0])
+
+
+def _spin_flip_concurrence(rho: np.ndarray) -> np.ndarray:
+    """lambda_1 - lambda_2 - lambda_3 - lambda_4 of :func:`wootters_concurrence`
+    on a Hermitian stack, one LAPACK eigh and svd per matrix."""
+    w, vecs = np.linalg.eigh(rho)
+    _check_eigenvalue(w.min())
+    root = ((vecs * np.sqrt(np.clip(w, 0.0, None))[..., None, :])
+            @ vecs.conj().swapaxes(-1, -2))
+    lam = np.linalg.svd(root @ _SIGMA_YY @ root.conj(), compute_uv=False)
+    return lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
 
 
 def _quadratic(cos: np.ndarray, sin: np.ndarray, form, hermitian: bool = False):
@@ -329,7 +381,8 @@ def _forms(qubit_init: str, spec: OscillatorSpec, params: ModelParams, dim: int)
     """For bell (x) F at ``dim``: the constant populations, the energies whose
     phases are read, the forms of the module docstring as (a, b, (left,
     right, G)), with slices of those phases, a == b a population and a = b =
-    None the leakage, and the eigensolver's diagnostics.
+    None the leakage, and the eigensolver's diagnostics, with ``x_state``
+    true where the parity proves every reduced state an X state.
 
     The t = 0 state is checked on its factors: the Bell vector is a fixed
     unit vector, so the oscillator weights must be >= 0 and sum to 1 and its
@@ -347,7 +400,21 @@ def _forms(qubit_init: str, spec: OscillatorSpec, params: ModelParams, dim: int)
     amplitude = _qubit_frame(params) @ bell_vector(qubit_init)
     blocks, residual = eigenblocks(
         params, dim, np.kron(amplitude ** 2, (np.abs(columns) ** 2) @ weights))
-    diagnostics = {"blocks": [index.size for index, _, _ in blocks], "eigen_residual": residual}
+    # every Bell state is an eigenstate of the parity (-1)^n sz1 sz2, and so
+    # is bell (x) c for a Fock column c on rows of one parity.  At omega0 = 0
+    # the parity swaps the m = +1 and m = -1 chains of the jm frame as
+    # h <-> S h S and maps each m = 0 index to itself, so it commutes with H
+    # on the populated blocks if each chain shares its energies array with
+    # its mirror (which eigenblocks matched entry by entry) and each m = 0
+    # block is 1 x 1.  Then every reduced state is an X state, and the
+    # round-off off its X is dropped before the Wootters step
+    nonzero = columns != 0.0
+    one_parity = not (nonzero[0::2].any(axis=0) & nonzero[1::2].any(axis=0)).any()
+    shared = collections.Counter(id(energies) for _, energies, _ in blocks)
+    commutes = all(shared[id(energies)] == 2 if index[0] // dim in (0, 3) else index.size == 1
+                   for index, energies, _ in blocks)
+    diagnostics = {"blocks": [index.size for index, _, _ in blocks], "eigen_residual": residual,
+                   "x_state": params.omega0 == 0.0 and one_parity and commutes}
     # the 1 x 1 blocks below the top two Fock rows read no leakage, so those
     # of one label are read as one block, whose eigenvectors are I
     lone = [index.size == 1 and index[0] % dim < dim - 2 for index, _, _ in blocks]
@@ -359,7 +426,7 @@ def _forms(qubit_init: str, spec: OscillatorSpec, params: ModelParams, dim: int)
     # per block: the label and Fock row of each row, the columns of F that
     # reach it and C on them, real for a real psi0; a block within one label
     # adds its constant population, sum_j M_jj over its modes, once
-    nonzero, population, parts = columns != 0.0, np.zeros(4), []
+    population, parts = np.zeros(4), []
     for index, _, vectors in blocks:
         label, fock = np.divmod(index, dim)
         reach = np.flatnonzero(nonzero[fock[amplitude[label] != 0.0]].any(axis=0))
@@ -424,8 +491,9 @@ def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
                     params: ModelParams, dim: int | None):
     """dim (by default :func:`choose_dim`), the reduced qubit states on the
     time grid, shaped (T, 4, 4), the leakage (the population of the top two
-    Fock levels) at each time, and the diagnostics of the eigensolver, read
-    through :func:`_forms`; leakage beyond 1e-6 raises :class:`TruncationError`.
+    Fock levels) at each time, and the diagnostics of :func:`_forms`, through
+    which the states are read; leakage beyond 1e-6 raises
+    :class:`TruncationError`.
     """
     if dim is None:
         dim = choose_dim(spec, params)
@@ -488,11 +556,16 @@ def oracle_concurrence_series(qubit_init: str, spec: OscillatorSpec,
     if times.ndim != 1 or times.size < 1:
         raise ValueError("times must be a non-empty 1-d array")
     dim, rho, leak, diagnostics = _reduced_states(qubit_init, spec, times, params, dim)
+    # proved X states: their off-X entries are round-off, and without it the
+    # Wootters step takes the closed form
+    if diagnostics.pop("x_state"):
+        rho[:, _OFF_X] = 0.0
     u = v = None
     if qubit_init in ("psi_plus", "phi_plus"):
-        # I(t) is twice the (1,1)-(1,-1) coherence in the jm ordering
+        # I(t) is twice the (1,1)-(1,-1) coherence in the jm ordering, read
+        # with the two rows of the frame alone (bit for bit the full rotation)
         sign = -1.0 if qubit_init == "psi_plus" else 1.0
-        i_t = sign * 2.0 * (JM_FROM_EG @ rho @ JM_FROM_EG.T)[:, 0, 3]
+        i_t = sign * 2.0 * (JM_FROM_EG[:1] @ rho @ JM_FROM_EG[3:].T)[:, 0, 0]
         u, v = i_t.real, i_t.imag
     return _series.ConcurrenceSeries(
         engine="oracle",

@@ -116,6 +116,58 @@ class TestOverflowingExponents:
             laguerre(n, (8.0 * 0.3 * s) ** 2) * np.exp(-32.0 * 0.3 ** 2 * s * s))
 
 
+class TestNumberStatesAtAnyCoupling:
+    @pytest.mark.parametrize("n, beta, expected", [
+        (2000, 4.70, 0.014304154866373409),    # x/2 = 706.9
+        (400, 4.75, -0.030936633227057121),
+        (10000, 5.0, -0.0070630994467346431),  # x/2 = 800: e^{-x/2} underflows
+        (10000, 2.0, -0.0090196539230375418),
+    ])
+    def test_matches_the_extended_precision_value(self, n, beta, expected):
+        # L_n(x) e^{-x/2} at x = (8 beta)^2, omega t = pi, from mpmath at 60
+        # digits; the product of L_n(x) and the envelope overflows on the
+        # first three.  A scalar and an array take the same scaling
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = Fock(n).coherence(math.pi, beta)
+            array = Fock(n).coherence(np.array([0.0, math.pi]), beta)
+        assert scalar.real == pytest.approx(expected, abs=1e-14) and scalar.imag == 0.0
+        assert array[0] == 1.0 and array[1].real == pytest.approx(expected, abs=1e-14)
+
+    @pytest.mark.parametrize("n, beta", [(2, 1e100), (400, 1e10), (40, 12.0)])
+    def test_a_finite_argument_past_the_range_gives_zero(self, n, beta):
+        # |L_n(x) e^{-x/2}| <= (1 + x)^n e^{-x/2}, under the least subnormal
+        # here, where the recurrence itself would overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Fock(n).coherence(math.pi, beta) == 0.0
+            assert Fock(n).coherence(np.array([0.0, 1.0, math.pi]), beta).tolist() == [
+                1.0, 0.0, 0.0]
+
+    def test_scaled_laguerre_keeps_the_plain_recurrence_where_it_fits(self):
+        # laguerre undoes its own scaling exactly, and a float runs on the
+        # same arithmetic as a numpy scalar
+        x = np.random.default_rng(2).uniform(0.0, 60.0, 200)
+        for n in (0, 1, 2, 7, 30):
+            values = laguerre(n, x)
+            assert [laguerre(n, v) for v in x.tolist()] == values.tolist()
+            assert [laguerre(n, v) for v in x] == values.tolist()
+        assert laguerre(300, 1500.0) == pytest.approx(
+            float(laguerre(300, np.array([1500.0]))[0]), rel=1e-12)
+
+    @pytest.mark.parametrize("spec", [Thermal(2.3), Coherent(1.2 - 0.7j), Fock(10)],
+                             ids=["thermal", "coherent", "fock"])
+    def test_python_floats_match_numpy_scalars_bit_for_bit(self, spec):
+        # a float time and coupling run on Python floats, a 0-d array on
+        # numpy's scalars: the same operations, so the same bits
+        rng = np.random.default_rng(4)
+        for omega_t, beta in zip(rng.uniform(-20.0, 20.0, 300), rng.uniform(0.0, 3.0, 300)):
+            fast = spec.coherence(float(omega_t), float(beta))
+            slow = spec.coherence(np.array(omega_t), np.float64(beta))
+            assert complex(fast) == complex(slow)
+            assert math.copysign(1.0, complex(fast).real) == math.copysign(1.0, complex(slow).real)
+
+
 class TestHalfAngleTangent:
     def test_matches_long_double_cos_and_sin(self):
         # the oracle's phases reach thousands of radians; numpy's tan

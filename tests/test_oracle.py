@@ -109,13 +109,68 @@ def density_stacks(draw):
     return np.tile(stack, (repeat, 1, 1))
 
 
+def spy_on_svd(monkeypatch):
+    """The shapes of the stacks passed to np.linalg.svd from now on, which
+    only the spin-flip route of :func:`wootters_concurrence` calls."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
+
+
+def broken_mirror(entries):
+    """``entries`` (oracle._hamiltonian_entries) with the band between levels
+    5 and 6 of the m = -1 chain (label 3 of the jm frame) scaled, both ways:
+    H stays Hermitian but its two chains are no longer mirror images."""
+    def broken(params, dim):
+        rows, cols, vals = entries(params, dim)
+        pair = [3 * dim + 5, 3 * dim + 6]
+        bond = np.isin(rows, pair) & np.isin(cols, pair) & (rows != cols)
+        assert bond.sum() == 2
+        return rows, cols, np.where(bond, 1.5 * vals, vals)
+
+    return broken
+
+
+def unitary(theta, phi, chi):
+    """A 2x2 unitary that mixes both basis states for theta away from 0 and pi/2."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[np.exp(1j * phi) * c, -np.exp(1j * chi) * s],
+                     [np.exp(-1j * chi) * s, np.exp(-1j * phi) * c]])
+
+
 @st.composite
-def scenarios(draw):
-    """Small-dim oracle scenarios: parameters at and away from omega0 = 0,
-    a preparation and a Bell kind."""
+def x_state_stacks(draw):
+    """Stacks of X states in the eg ordering: on each of the blocks {ee, gg}
+    and {eg, ge} a positive 2x2 matrix of rank 0, 1 or 2 (rank 1 to 4 in
+    all) with a complex off-diagonal entry, normalised.  Each block's
+    eigenvectors mix both of its states and its nonzero eigenvalues are
+    bounded below, so no draw puts a zero population beside a nonzero one,
+    where C has an infinite slope and round-off of 1e-17 moves it by 1e-9.
+    Mixed draws, with C at or near 0, are common."""
+    stack = np.zeros((draw(st.integers(1, 4)), 4, 4), dtype=complex)
+    for member in stack:
+        ranks = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any))
+        for rows, rank in zip(([0, 3], [1, 2]), ranks):
+            u = unitary(draw(st.floats(0.2, 1.37)), draw(st.floats(-3.2, 3.2)), 0.0)
+            weights = [draw(st.floats(0.05, 1.0)) for _ in range(rank)] + [0.0] * (2 - rank)
+            member[np.ix_(rows, rows)] = (u * weights) @ u.conj().T
+        member /= np.trace(member).real
+    return stack
+
+
+@st.composite
+def scenarios(draw, omega0=st.one_of(st.just(0.0), st.floats(0.05, 1.0))):
+    """Small-dim oracle scenarios: parameters at and (or only) away from
+    omega0 = 0, a preparation and a Bell kind."""
     omega = draw(st.floats(0.5, 2.0))
     beta = draw(st.floats(0.0, 0.25))
-    omega0 = draw(st.one_of(st.just(0.0), st.floats(0.05, 1.0)))
+    omega0 = draw(omega0)
     spec = draw(st.one_of(
         st.builds(Thermal, st.floats(0.0, 0.25)),
         st.builds(Coherent, st.complex_numbers(max_magnitude=1.0, allow_nan=False,
@@ -308,6 +363,55 @@ class TestBlockedOracle:
         assert np.abs(rho[:, off_x]).max() <= 1e-15
         np.testing.assert_allclose(series.concurrence, x_state_concurrence(rho),
                                    rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("omega0", [0.0, 0.3])
+    def test_parity_definite_states_need_no_lapack_for_c(self, monkeypatch, omega0):
+        # thermal and number states are proved X states, at omega0 = 0 by
+        # the matched mirror chains, and take the closed form; a coherent
+        # state is no X state and takes the spin-flip route
+        params = ModelParams(omega=1.0, lambda_=0.1, omega0=omega0)
+        t = np.linspace(0.0, 12.0, 41)
+        calls = spy_on_svd(monkeypatch)
+        for spec in (Thermal(2.0), Fock(3)):
+            for kind in ("psi_plus", "phi_plus"):
+                oracle_concurrence_series(kind, spec, t, params)
+        assert calls == []
+        oracle_concurrence_series("psi_plus", Coherent(1.5), t, params)
+        assert calls
+
+    def test_a_broken_mirror_keeps_the_spin_flip_route(self, monkeypatch):
+        # the same broken H as above: the parity no longer commutes with
+        # it, so nothing is zeroed and C is that of the states as computed
+        dim, t = 80, np.linspace(0.0, 6.0, 13)
+        monkeypatch.setattr(oracle, "_hamiltonian_entries",
+                            broken_mirror(oracle._hamiltonian_entries))
+        _, rho, _, _ = oracle._reduced_states("psi_plus", Thermal(1.0), t, P, dim)
+        assert np.abs(rho[:, oracle._OFF_X]).max() > 1e-7
+        calls = spy_on_svd(monkeypatch)
+        series = oracle_concurrence_series("psi_plus", Thermal(1.0), t, P, dim=dim)
+        assert calls
+        np.testing.assert_array_equal(series.concurrence, wootters_concurrence(rho))
+
+    @settings(max_examples=25, deadline=None)
+    @given(scenario=scenarios(omega0=st.floats(0.05, 1.0)))
+    def test_reduced_states_at_a_qubit_splitting_are_states(self, scenario):
+        # trace 1, Hermitian and positive, C in [0, 1], and symmetric under
+        # the exchange of the qubits, as H and every Bell state are; thermal
+        # and number states take the closed form, coherent ones LAPACK
+        params, spec, kind = scenario
+        t = np.linspace(0.0, 6.0, 13)
+        dim = choose_dim(spec, params)
+        _, rho, _, _ = oracle._reduced_states(kind, spec, t, params, dim)
+        series = oracle_concurrence_series(kind, spec, t, params, dim=dim)
+        np.testing.assert_allclose(np.trace(rho, axis1=1, axis2=2), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(rho, rho.conj().swapaxes(1, 2))
+        assert np.linalg.eigvalsh(rho).min() >= -1e-12
+        assert 0.0 <= series.concurrence.min() and series.concurrence.max() <= 1.0
+        swap = [0, 2, 1, 3]
+        exchanged = rho[:, swap][:, :, swap]
+        np.testing.assert_allclose(exchanged, rho, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(wootters_concurrence(exchanged), series.concurrence,
+                                   rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("spec", [Fock(3), Thermal(1.0), Coherent(1.5)],
                              ids=["fock", "thermal", "coherent"])
@@ -577,6 +681,44 @@ class TestWootters:
         bad[data.draw(st.integers(0, stack.shape[0] - 1)), 0, 1] += 0.1
         with pytest.raises(ValueError, match="Hermitian"):
             wootters_concurrence(bad)
+
+    @settings(max_examples=80, deadline=None)
+    @given(stack=x_state_stacks(),
+           angles=st.lists(st.floats(0.3, 1.2), min_size=2, max_size=2),
+           phases=st.lists(st.floats(-3.2, 3.2), min_size=4, max_size=4))
+    def test_x_states_match_the_spin_flip_route(self, stack, angles, phases):
+        # local unitaries U1 (x) U2 leave C as it is and make the copy no X
+        # state, so it takes the LAPACK route
+        u = np.kron(unitary(angles[0], *phases[:2]), unitary(angles[1], *phases[2:]))
+        rotated = u @ stack @ u.conj().T
+        assume(rotated[:, oracle._OFF_X].any())
+        with pytest.MonkeyPatch.context() as patch:
+            calls = spy_on_svd(patch)
+            closed = wootters_concurrence(stack)
+            assert calls == []
+            np.testing.assert_allclose(closed, wootters_concurrence(rotated),
+                                       rtol=0, atol=1e-12)
+            assert calls
+        np.testing.assert_allclose(closed, x_state_concurrence(stack), rtol=0, atol=1e-15)
+
+    def test_x_states_are_checked_as_any_other(self):
+        # the closed form keeps both checks of the spin-flip route, with the
+        # same messages: on an X state and on a copy that is none
+        u = np.kron(unitary(0.4, 0.3, -1.1), unitary(0.9, 2.0, 0.5))
+        skew = np.array(bell_state("psi_plus"), dtype=complex)
+        skew[1, 2] += 0.1
+        # eigenvalues 1.1 and -0.1 on the block {ee, gg}
+        negative = np.zeros((4, 4))
+        negative[np.ix_([0, 3], [0, 3])] = [[0.5, 0.6], [0.6, 0.5]]
+        for rho in (skew, u @ skew @ u.conj().T):
+            with pytest.raises(ValueError, match="not Hermitian within 1e-9"):
+                wootters_concurrence(rho)
+        for rho in (negative, u @ negative @ u.conj().T):
+            with pytest.raises(ValueError, match=r"eigenvalue -1\.000e-01 below -1e-9"):
+                wootters_concurrence(rho)
+        # a NaN, which LAPACK refuses, gives no concurrence on an X state either
+        with pytest.raises(ValueError, match="eigenvalue nan"):
+            wootters_concurrence(np.diag([np.nan, 0.5, 0.5, 0.0]))
 
 
 class TestInitialStates:

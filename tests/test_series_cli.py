@@ -941,10 +941,20 @@ class TestCliErrors:
                  "oscillator": {"kind": "fock", "n": 0},
                  "time_grid": {"t_start": 0.0, "t_end": 3.0, "n_points": 4}},
          "C", [1.0, 0.0, 0.0, 0.0]),
+        # the argument is finite, but L_n of it overflows where e^{-x/2} is 0
+        ("run", {"params": {"omega": 1.0, "lambda": 1e100},
+                 "oscillator": {"kind": "fock", "n": 2},
+                 "time_grid": {"t_start": 0.0, "t_end": 3.0, "n_points": 4}},
+         "C", [1.0, 0.0, 0.0, 0.0]),
+        ("run", {"params": {"omega": 1.0, "lambda": 1e10},
+                 "oscillator": {"kind": "fock", "n": 400},
+                 "time_grid": {"t_start": 0.0, "t_end": 3.0, "n_points": 4}},
+         "C", [1.0, 0.0, 0.0, 0.0]),
     ], ids=["sweep-thermal-mean-n-1e308", "classical-gaussian-lambda-1e200",
             "classical-thermal-lambda-1e200", "analytic-lambda-1e200",
             "analytic-thermal-mean-n-1e308", "analytic-fock-2-lambda-1e200",
-            "analytic-fock-0-lambda-1e200"])
+            "analytic-fock-0-lambda-1e200", "analytic-fock-2-lambda-1e100",
+            "analytic-fock-400-lambda-1e10"])
     def test_exponents_that_overflow_give_their_limit(self, tmp_path, capsys, command,
                                                       overrides, column, expected):
         # exp(-inf) = 0 is the right value, so the job writes it, with no warning
