@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .model import ModelParams, clamp_unit, cos_sin_of_halves, decay, squared
+from .model import ModelParams, _quiet, at_limit, clamp_unit, cos_sin_of_halves, squared
 
 
 # Each ensemble carries its artifact ``label``, its closed-form ensemble
@@ -88,11 +87,14 @@ class GaussianDist:
                 * exp(-8 beta^2 sin^2(wt) dp^2 / omega),
 
         independent of the mean (q_bar, p_bar), which only rotates the phase.
+        Where the exponent overflows, C is at its limit (:func:`~tc2q.model.at_limit`).
         """
-        a, b = _phase_coefficients(t, params)
-        with np.errstate(over="ignore"):  # an exponent that overflows gives exp(-inf) = 0
-            return clamp_unit(np.exp(-(a ** 2 * self.delta_q ** 2
-                                       + b ** 2 * self.delta_p ** 2) / 4.0))
+        s = np.sin(params.omega * np.asarray(t, dtype=float) / 2.0)
+        with _quiet(s):
+            a, b = _phase_coefficients(t, params)
+            value = np.exp(-(a ** 2 * squared(self.delta_q)
+                             + b ** 2 * squared(self.delta_p)) / 4.0)
+        return clamp_unit(at_limit(s, value, value))
 
     def monte_carlo(self, times, params, n_samples, seed) -> tuple:
         rng = np.random.default_rng(seed)
@@ -148,11 +150,13 @@ class ClassicalThermal:
         """C(t) = exp(-64 beta^2 sin^2(wt/2) k_T / omega).
 
         Equipartition widths make the sin^4 and sin^2 cos^2 exponents of the
-        Gaussian form recombine into a single sin^2.
+        Gaussian form recombine into a single sin^2.  Where the exponent
+        overflows, C is at its limit (:func:`~tc2q.model.at_limit`).
         """
         s = np.sin(params.omega * np.asarray(t, dtype=float) / 2.0)
-        return clamp_unit(decay(s, lambda: -64.0 * squared(params.beta) * s * s * self.k_T
-                                / params.omega))
+        with _quiet(s):
+            value = np.exp(-64.0 * squared(params.beta) * s * s * self.k_T / params.omega)
+        return clamp_unit(at_limit(s, value, value))
 
     def monte_carlo(self, times, params, n_samples, seed) -> tuple:
         # the Boltzmann weight exp(-(p^2 + omega^2 q^2) / (2 k_T)) is the
@@ -160,9 +164,6 @@ class ClassicalThermal:
         width = math.sqrt(2.0 * self.k_T)
         return GaussianDist(0.0, 0.0, width / params.omega, width).monte_carlo(
             times, params, n_samples, seed)
-
-
-PhaseSpaceDist = Union[DeltaDist, GaussianDist, ClassicalThermal]
 
 
 def minimum_uncertainty_widths(params: ModelParams) -> tuple:
@@ -189,14 +190,14 @@ def mc_peak_bytes(samples: int) -> int:
     return 32 * samples + 2 ** 20
 
 
-def classical_concurrence(dist: PhaseSpaceDist, t, params: ModelParams):
+def classical_concurrence(dist, t, params: ModelParams):
     """Ensemble-averaged 2 |<S+1 S+2>(t)| in closed form: ``dist.concurrence``."""
     params.require_degenerate()
     return dist.concurrence(t, params)
 
 
-def monte_carlo_classical_concurrence(dist: PhaseSpaceDist, t, params: ModelParams,
-                                      n_samples: int, seed: int) -> tuple:
+def monte_carlo_classical_concurrence(dist, t, params: ModelParams, n_samples: int,
+                                      seed: int) -> tuple:
     """Monte Carlo estimate (value, std_error) of the ensemble concurrence.
 
     Estimator: 2 |mean of the sampled correlator|, with a jackknife standard

@@ -21,6 +21,7 @@ Conventions
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import math
 from dataclasses import dataclass
@@ -251,10 +252,11 @@ def _laguerre_decay(n: int, x, envelope):
 
 
 def _half_sine(omega_t, beta):
-    """(sin(omega t / 2), beta) as Python floats where both are floats, else
-    with the sine an array.  Python floats overflow and make NaN silently,
-    bit for bit as numpy's float64, and skip numpy's per-call machinery."""
-    if isinstance(omega_t, float) and isinstance(beta, float):
+    """(sin(omega t / 2), beta) as Python floats where both are floats and
+    8 beta is finite, else with the sine an array.  Python floats overflow and
+    make NaN silently, bit for bit as numpy's float64, and skip numpy's
+    per-call machinery; but numpy's complex exp signals an infinite phase."""
+    if isinstance(omega_t, float) and isinstance(beta, float) and math.isfinite(8.0 * beta):
         return float(np.sin(omega_t / 2.0)), float(beta)
     return np.sin(np.asarray(omega_t, dtype=float) / 2.0), beta
 
@@ -264,11 +266,6 @@ def _quiet(s):
     Python floats of a float ``s`` (from :func:`_half_sine`) never signal."""
     return contextlib.nullcontext() if type(s) is float else np.errstate(
         over="ignore", invalid="ignore")
-
-
-def _envelope(s, beta):
-    """Overlap of the two counter-displaced branches, exp(-32 beta^2 s^2)."""
-    return decay(s, lambda: -32.0 * squared(beta) * s * s)
 
 
 def squared(beta):
@@ -283,17 +280,14 @@ def squared(beta):
     return np.float64(beta) ** 2
 
 
-def decay(s, exponent):
-    """``np.exp(exponent())`` for an exponent -c s^2, c >= 0, whose c may
-    overflow to inf.  Its limits are exp(-inf) = 0 where s != 0 and 1 at
-    s = 0, where -inf * 0 would give NaN; the overflow is silent.  A Python
-    float ``s`` must come with an exponent of Python floats, as
-    :func:`_half_sine` gives them, and gives a scalar."""
-    with _quiet(s):
-        value = exponent()
-        if isinstance(value, float):
-            return 1.0 if s == 0.0 else np.exp(value)
-        return np.where(s == 0.0, 1.0, np.exp(value))
+def at_limit(s, envelope, value):
+    """A closed form's ``value`` at s = sin(omega t/2), bit for bit, where it is
+    finite.  Else its limit: 1 at s = 0, as every I and C is 1 at t = 0, and 0
+    where ``envelope`` = exp(-c s^2) >= |value| has underflowed as c s^2
+    overflowed.  Any other non-finite value stays, so a real failure shows."""
+    if not isinstance(value, np.ndarray) and cmath.isfinite(value):
+        return value  # a scalar's fast path
+    return np.select([np.isfinite(value), s == 0.0, envelope == 0.0], [value, 1.0, 0.0], value)
 
 
 def cos_sin_of_halves(half: np.ndarray, sin: np.ndarray):
@@ -369,10 +363,12 @@ class Thermal:
         return weights[keep], np.eye(dim)[:, keep]
 
     def coherence(self, omega_t, beta):
-        """I = exp(-32 beta^2 sin^2(wt/2) (1 + 2 mean_n)), real."""
+        """I = exp(-32 beta^2 sin^2(wt/2) (1 + 2 mean_n)), real (:func:`at_limit`)."""
         s, beta = _half_sine(omega_t, beta)
-        return (_envelope(s, beta)
-                * decay(s, lambda: -64.0 * squared(beta) * self.mean_n * s * s) + 0j)
+        with _quiet(s):
+            envelope = np.exp(-32.0 * squared(beta) * s * s)
+            value = envelope * np.exp(-64.0 * squared(beta) * self.mean_n * s * s) + 0j
+        return at_limit(s, envelope, value)
 
 
 @dataclass(frozen=True)
@@ -413,12 +409,15 @@ class Coherent:
         return np.array([1.0]), (vec / np.linalg.norm(vec))[:, None]
 
     def coherence(self, omega_t, beta):
-        """I = exp(-32 beta^2 sin^2(wt/2)) exp(-8i beta f(wt, alpha0)).
+        """I = exp(-32 beta^2 sin^2(wt/2)) exp(-8i beta f(wt, alpha0)) (:func:`at_limit`).
 
         The amplitude only rotates the phase, so |I| does not depend on it.
         """
         s, beta = _half_sine(omega_t, beta)
-        return _envelope(s, beta) * np.exp(-8j * beta * f_phase(omega_t, self.alpha0))
+        with _quiet(s):
+            envelope = np.exp(-32.0 * squared(beta) * s * s)
+            value = envelope * np.exp(-8j * beta * f_phase(omega_t, self.alpha0))
+        return at_limit(s, envelope, value)
 
 
 @dataclass(frozen=True)
@@ -443,13 +442,13 @@ class Fock:
         return np.array([1.0]), _fock_vector(self.n_index, dim)
 
     def coherence(self, omega_t, beta):
-        """I = L_n(x) exp(-x/2) with x = (8 beta sin(wt/2))^2, real, which
-        stays finite where L_n(x) overflows; where x does, the envelope's
-        limit 0 is I's."""
+        """I = L_n(x) exp(-x/2) with x = (8 beta sin(wt/2))^2, real, finite where
+        L_n(x) overflows, and at its limit (:func:`at_limit`) where x does."""
         s, beta = _half_sine(omega_t, beta)
-        with _quiet(s):  # inf, and inf * 0 at s = 0
-            x = squared(8.0 * beta * s)
-        return _laguerre_decay(self.n_index, x, _envelope(s, beta)) + 0j
+        with _quiet(s):
+            envelope = np.exp(-32.0 * squared(beta) * s * s)
+            value = _laguerre_decay(self.n_index, squared(8.0 * beta * s), envelope) + 0j
+        return at_limit(s, envelope, value)
 
 
 @dataclass(frozen=True)

@@ -169,6 +169,20 @@ class TestClosedFormAverages:
             np.testing.assert_allclose(c_cl, concurrence(Coherent(0.0), t, p),
                                        atol=1e-12)
 
+    def test_a_finite_closed_form_is_the_plain_formula(self):
+        # the limit rule (model.at_limit) leaves every bit the plain formula
+        # gives where it is finite, as for the quantum closed forms
+        p = ModelParams(omega=1.5, lambda_=0.45)
+        t = np.linspace(0.0, 12.0, 45)
+        wt = p.omega * t
+        a = 8.0 * p.beta * math.sqrt(2.0 * p.omega) * np.sin(wt / 2.0) ** 2
+        b = -4.0 * p.beta * math.sqrt(2.0 / p.omega) * np.sin(wt)
+        np.testing.assert_array_equal(GaussianDist(0.4, -0.2, 0.8, 1.7).concurrence(t, p),
+                                      np.exp(-(a ** 2 * 0.8 ** 2 + b ** 2 * 1.7 ** 2) / 4.0))
+        s = np.sin(p.omega * t / 2.0)
+        np.testing.assert_array_equal(ClassicalThermal(2.5).concurrence(t, p),
+                                      np.exp(-64.0 * p.beta ** 2 * s * s * 2.5 / p.omega))
+
     @pytest.mark.parametrize("dist", [
         DeltaDist(0.5, -1.0), GaussianDist(0.0, 0.0, 1.0, 1.0), ClassicalThermal(1.0),
     ], ids=["delta", "gaussian", "thermal"])

@@ -5,8 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reference import QubitDensity, bell_state, poisson_column
+from tc2q.classical import ClassicalThermal, GaussianDist
 from tc2q.model import (
     BELL_KINDS,
     JM_FROM_EG,
@@ -16,10 +19,11 @@ from tc2q.model import (
     ModelParams,
     Thermal,
     TruncationError,
+    at_limit,
     bell_vector,
     clamp_unit,
     cos_sin_of_halves,
-    decay,
+    f_phase,
     laguerre,
     spec_label,
     squared,
@@ -93,12 +97,36 @@ class TestOverflowingExponents:
             assert squared(1e200) == math.inf
 
     def test_an_overflowed_decay_rate_gives_its_limits(self):
-        # exp(-inf) = 0 away from s = 0 and 1 at s = 0, with no warning
+        # exp(-inf) = 0 away from s = 0, and 1 at s = 0, where -inf * 0 is NaN
         s = np.array([0.0, 1e-3, -0.5])
-        assert decay(s, lambda: -32.0 * squared(1e200) * s * s).tolist() == [1.0, 0.0, 0.0]
-        rate = -64.0 * squared(0.5)
-        assert decay(s, lambda: rate * 1e308 * s * s).tolist() == [1.0, 0.0, 0.0]
-        np.testing.assert_array_equal(decay(s, lambda: -2.0 * s * s), np.exp(-2.0 * s * s))
+        with np.errstate(over="ignore", invalid="ignore"):
+            envelope = np.exp(-32.0 * squared(1e200) * s * s)
+            thermal = envelope * np.exp(-64.0 * squared(0.5) * 1e308 * s * s)
+        assert at_limit(s, envelope, envelope).tolist() == [1.0, 0.0, 0.0]
+        assert at_limit(s, envelope, thermal).tolist() == [1.0, 0.0, 0.0]
+        # Python floats make the same NaN silently, and give a scalar limit
+        envelope = math.exp(-32.0 * squared(1e200) * 0.5 * 0.5)
+        assert at_limit(0.0, math.nan, math.nan) == 1.0
+        assert at_limit(0.5, envelope, envelope * math.nan) == 0.0
+        # a finite value is returned as it is, signed zeros included
+        plain = np.exp(-2.0 * s * s) * np.array([1.0, -0.0, 1.0])
+        assert at_limit(s, plain, plain).tobytes() == plain.tobytes()
+        assert math.copysign(1.0, at_limit(0.5, 0.1, -0.0)) == -1.0
+        # any other NaN stays: the envelope has not underflowed there
+        assert np.isnan(at_limit(s, np.full(3, 0.5), np.full(3, math.nan))[1:]).all()
+        assert math.isnan(at_limit(0.5, 0.5, complex(math.nan, 0.0)).real)
+
+    @pytest.mark.parametrize("spec, plain", [
+        (Thermal(0.7), lambda s, wt: (np.exp(-32.0 * 0.3 ** 2 * s * s)
+                                      * np.exp(-64.0 * 0.3 ** 2 * 0.7 * s * s))),
+        (Coherent(1.2 - 0.7j), lambda s, wt: (np.exp(-32.0 * 0.3 ** 2 * s * s)
+                                              * np.exp(-8j * 0.3 * f_phase(wt, 1.2 - 0.7j)))),
+    ], ids=["thermal", "coherent"])
+    def test_a_finite_closed_form_is_the_plain_formula(self, spec, plain):
+        # as for the number state below: the limit rule leaves every bit
+        omega_t = np.array([0.0, 1.0, 3.0])
+        np.testing.assert_array_equal(spec.coherence(omega_t, 0.3),
+                                      plain(np.sin(omega_t / 2.0), omega_t))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 7])
     def test_an_overflowed_laguerre_argument_gives_the_limit(self, n):
@@ -114,6 +142,66 @@ class TestOverflowingExponents:
         np.testing.assert_array_equal(
             Fock(n).coherence(omega_t, 0.3),
             laguerre(n, (8.0 * 0.3 * s) ** 2) * np.exp(-32.0 * 0.3 ** 2 * s * s))
+
+
+def log_uniform(low, high):
+    """Floats spread evenly over the decades from ``low`` to ``high``."""
+    return st.floats(math.log10(low), math.log10(high)).map(lambda x: min(10.0 ** x, high))
+
+
+def closed_form(form, mean_n, alpha0, n, k_T, widths):
+    """One of the five closed forms as f(omega t, beta), at omega = 1."""
+    if form in ("thermal", "coherent", "fock"):
+        return {"thermal": Thermal, "coherent": Coherent, "fock": Fock}[form](
+            {"thermal": mean_n, "coherent": alpha0, "fock": n}[form]).coherence
+    dist = ClassicalThermal(k_T) if form == "classical_thermal" else GaussianDist(
+        0.5, -0.3, *widths)
+    return lambda omega_t, beta: dist.concurrence(omega_t, ModelParams(1.0, beta))
+
+
+# the fields the examples below share, on the grid of a CLI job with omega = 1
+# and 7 points over [0, 6]; each example is an input whose closed form once
+# gave NaN, a warning or an OverflowError there
+TYPICAL = dict(mean_n=1.0, alpha0=0j, n=2, k_T=1.0, widths=(1.0, 1.0),
+               omega_t=np.linspace(0.0, 6.0, 7))
+
+
+class TestEveryClosedFormAtItsLimit:
+    @settings(max_examples=150, deadline=None)
+    @given(form=st.sampled_from(["thermal", "coherent", "fock", "classical_thermal",
+                                 "gaussian"]),
+           beta=log_uniform(1e-3, 1.7e308),
+           mean_n=st.one_of(st.just(0.0), log_uniform(1e-3, 1e300)),
+           alpha0=st.one_of(st.just(0j), st.complex_numbers(
+               max_magnitude=10.0, allow_nan=False, allow_infinity=False)),
+           n=st.integers(0, 20),
+           k_T=log_uniform(1e-3, 1e200),
+           widths=st.tuples(log_uniform(1e-3, 1e200), log_uniform(1e-3, 1e200)),
+           omega_t=st.builds(lambda end, points: np.linspace(0.0, end, points),
+                             st.one_of(st.floats(0.1, 60.0), st.floats(-60.0, -0.1)),
+                             st.integers(2, 24)))
+    @example(form="thermal", beta=1e200, **{**TYPICAL, "mean_n": 0.0})
+    @example(form="coherent", beta=1.7e308, **{**TYPICAL, "alpha0": 1.0 + 0.5j})
+    @example(form="coherent", beta=1.7e308, **TYPICAL)
+    @example(form="gaussian", beta=1e308, **TYPICAL)
+    @example(form="gaussian", beta=0.1, **{**TYPICAL, "widths": (1e200, 1.0)})
+    def test_values_are_finite_bounded_and_one_at_t_zero(self, form, beta, mean_n, alpha0,
+                                                         n, k_T, widths, omega_t):
+        # with no warning, at any coupling a float can hold; a float omega t
+        # gives the bits of the 0-d array call
+        f = closed_form(form, mean_n, alpha0, n, k_T, widths)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.asarray(f(omega_t, beta))
+            scalars = [(complex(f(float(wt), beta)), complex(f(np.array(wt), np.float64(beta))))
+                       for wt in omega_t]
+        assert np.isfinite(values).all()
+        assert np.abs(values).max() <= 1.0
+        assert values[0] == 1.0 and scalars[0][0] == 1.0
+        for fast, slow in scalars:
+            assert fast == slow and np.isfinite(fast)
+            assert np.array_equal(np.signbit([fast.real, fast.imag]),
+                                  np.signbit([slow.real, slow.imag]))
 
 
 class TestNumberStatesAtAnyCoupling:

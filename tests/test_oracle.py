@@ -413,6 +413,23 @@ class TestBlockedOracle:
         np.testing.assert_allclose(wootters_concurrence(exchanged), series.concurrence,
                                    rtol=0, atol=1e-12)
 
+    @settings(max_examples=25, deadline=None)
+    @given(scenario=scenarios(omega0=st.just(0.0)))
+    def test_series_is_periodic_at_the_degenerate_point(self, scenario):
+        # at omega0 = 0 every reduced state returns after one cavity period
+        # 2 pi / omega, so C, u and v at t and at t + 2 pi / omega agree
+        params, spec, kind = scenario
+        t = np.linspace(0.0, 6.0, 13)
+        dim = choose_dim(spec, params)
+        first = oracle_concurrence_series(kind, spec, t, params, dim=dim)
+        later = oracle_concurrence_series(kind, spec, t + 2.0 * math.pi / params.omega,
+                                          params, dim=dim)
+        np.testing.assert_allclose(later.concurrence, first.concurrence, rtol=0, atol=1e-10)
+        assert (later.u is None) == (first.u is None)
+        if first.u is not None:
+            np.testing.assert_allclose(later.u, first.u, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(later.v, first.v, rtol=0, atol=1e-10)
+
     @pytest.mark.parametrize("spec", [Fock(3), Thermal(1.0), Coherent(1.5)],
                              ids=["fock", "thermal", "coherent"])
     def test_singlet_is_dark_at_every_qubit_splitting(self, spec):
