@@ -92,8 +92,7 @@ class GaussianDist:
         s = np.sin(params.omega * np.asarray(t, dtype=float) / 2.0)
         with _quiet(s):
             a, b = _phase_coefficients(t, params)
-            value = np.exp(-(a ** 2 * squared(self.delta_q)
-                             + b ** 2 * squared(self.delta_p)) / 4.0)
+            value = np.exp(-(_spread(a, self.delta_q) + _spread(b, self.delta_p)) / 4.0)
         return clamp_unit(at_limit(s, value, value))
 
     def monte_carlo(self, times, params, n_samples, seed) -> tuple:
@@ -169,6 +168,13 @@ class ClassicalThermal:
 def minimum_uncertainty_widths(params: ModelParams) -> tuple:
     """Widths (sqrt(1/omega), sqrt(omega)) mimicking a coherent state."""
     return math.sqrt(1.0 / params.omega), math.sqrt(params.omega)
+
+
+def _spread(coefficient, width):
+    """coefficient^2 width^2, bit for bit, but (coefficient width)^2 where that
+    is 0 times an overflowed width^2, which has no value."""
+    value = coefficient ** 2 * squared(width)
+    return np.where(np.isnan(value), (coefficient * width) ** 2, value)
 
 
 def _phase_coefficients(t, params: ModelParams):

@@ -359,8 +359,10 @@ class Thermal:
                 f"{tail:.3e} > 1e-12 at dim={dim}")
         weights = (1.0 - ratio) * ratio ** np.arange(dim)
         weights /= weights.sum()
-        keep = weights > 0.0
-        return weights[keep], np.eye(dim)[:, keep]
+        # the weights fall with n, so those left where they underflow to 0
+        # are the first levels'; each column is stored contiguously
+        weights = weights[weights > 0.0]
+        return weights, np.eye(dim, weights.size, order="F")
 
     def coherence(self, omega_t, beta):
         """I = exp(-32 beta^2 sin^2(wt/2) (1 + 2 mean_n)), real (:func:`at_limit`)."""

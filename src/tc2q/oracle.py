@@ -25,7 +25,13 @@ phi_k(t) = exp(-i E_k t), one per pair of blocks (k, l):
 
 where V_ka holds the rows of block k with qubit label a.  psi0 is never
 formed: row (q, n) of a column is the Bell amplitude of label q times row n
-of the Fock column, so C_k = (amp[label] o V_k)^T F[fock].  V_ka^T V_lb sums
+of the Fock column, so C_k = (amp[label] o V_k)^T F[fock].  The columns of
+thermal and number states are real and each 1.0 on one Fock row, so they are
+worked from those rows: they are orthonormal iff the rows are distinct, the
+Fock populations are the weights put by index, and on a block in one label
+(whose Fock rows are distinct) C_k is a gather of rows of amp o V_k.  Other
+columns, and the parity blocks at omega0 > 0 (where a Fock row lies under
+two labels), take the products.  V_ka^T V_lb sums
 over the Fock rows n where (a, n) lies in k and (b, n) in l, so a form is
 built only on the block pairs where they meet and some column reaches both
 blocks.  On a block that lies in one label a, V_ka^T V_ka is the identity:
@@ -34,13 +40,19 @@ So the forms read per time are the coherences (a != b), the populations of
 blocks that mix labels (only the parity blocks at omega0 > 0 do), and each
 block's leakage into the top two Fock levels; forms with one destination
 that read the same phases (the leakage of the mirror chains) are summed into
-one.  They are built once and the time grid is read through them in
-fixed-size chunks of cos(Et) and sin(Et), taken only on the phases some form
-reads, each block's in one slice, from u = tan(Et/2) by
+one.  For gathered columns that sum is one chain's form doubled, built once:
+the mirror's V is S V and S F = F diag(+-1), so with equal |amp| its C is
++-C column by column, and every term of its M and of its V^T V is the first
+chain's, signs squared away (x + x = 2x exactly).  The forms are built once
+and the time grid is read through them in fixed-size chunks of cos(Et) and
+sin(Et), taken only on the phases some form reads, each block's in one
+slice, from u = tan(Et/2) by
 :func:`tc2q.model.cos_sin_of_halves`.  The frame and the Bell vectors are
 real, so for a real psi0 (thermal and number states) every C_k and G_ab^kl
 is real and is read with real products; a complex psi0 (coherent) keeps a
-complex one.  Reduced states then go through :func:`wootters_concurrence`.
+complex one.  The stack of reduced states is rotated back to the eg
+ordering as (F^T rho) F, each factor one 2-D product over the whole stack,
+and then goes through :func:`wootters_concurrence`.
 A Bell state with a Fock column on rows of one parity is an eigenstate of
 the parity (-1)^n sz1 sz2, so where H commutes with it every reduced state
 is an X state: at omega0 > 0 the parity blocks leave its off-X entries
@@ -237,8 +249,6 @@ def eigenblocks(params: ModelParams, dim: int, population: np.ndarray | None = N
         entry = entries[entry_start[block]:entry_start[block + 1]]
         local = np.searchsorted(index, rows[entry]), np.searchsorted(index, cols[entry])
         values = vals[entry]
-        h = np.zeros((index.size, index.size))
-        np.add.at(h, local, values)
         # h mirrors h_0 if h_0 was diagonalised on the same Fock rows and
         # each entry of h is s_i s_j times its entry there, s = (-1)^n
         s, fock = sign[index], (index % dim).tobytes()
@@ -248,6 +258,8 @@ def eigenblocks(params: ModelParams, dim: int, population: np.ndarray | None = N
                 first[0], first[1], s[first[0]] * s[first[1]] * first[2]))):
             energies, vectors, error = first[3], s[:, None] * first[4], first[5]
         else:
+            h = np.zeros((index.size, index.size))
+            np.add.at(h, local, values)
             energies, vectors = np.linalg.eigh(h)
             error = float(np.linalg.norm(h @ vectors - vectors * energies))
             solved.setdefault(fock, (*local, values, energies, vectors, error))
@@ -386,20 +398,33 @@ def _forms(qubit_init: str, spec: OscillatorSpec, params: ModelParams, dim: int)
 
     The t = 0 state is checked on its factors: the Bell vector is a fixed
     unit vector, so the oscillator weights must be >= 0 and sum to 1 and its
-    Fock columns must be orthonormal.
+    Fock columns must be orthonormal.  Unit columns are worked from their
+    rows (module docstring), with the products' result bit for bit.
     """
     weights, columns = spec.fock_columns(dim)
     if weights.min() < 0.0 or abs(weights.sum() - 1.0) > _COMPOSITE_TOL:
         raise ValueError(f"oscillator weights must be >= 0 and sum to 1 within "
                          f"1e-9, got range [{weights.min():.3e}, {weights.max():.3e}] "
                          f"and sum {weights.sum():.12g}")
-    if np.abs(columns.conj().T @ columns - np.eye(weights.size)).max() > _COMPOSITE_TOL:
+    # unit columns: real, each exactly 1.0 on one Fock row, ``unit``
+    nonzero = columns != 0.0
+    column, unit = np.divmod(np.flatnonzero(nonzero.T), dim)
+    if (np.isrealobj(columns) and np.array_equal(column, np.arange(weights.size))
+            and (columns[unit, column] == 1.0).all()):
+        overlapping = np.flatnonzero(nonzero.any(axis=1)).size < weights.size  # a row shared
+        fock_population = np.zeros(dim)
+        fock_population[unit] = weights
+    else:
+        unit = None
+        overlapping = (np.abs(columns.conj().T @ columns - np.eye(weights.size)).max()
+                       > _COMPOSITE_TOL)
+        fock_population = (np.abs(columns) ** 2) @ weights
+    if overlapping:
         raise ValueError("oscillator columns are not orthonormal within 1e-9")
     # row (q, n) of a pure column of bell (x) F is the Bell amplitude of
     # label q times row n of the Fock column
     amplitude = _qubit_frame(params) @ bell_vector(qubit_init)
-    blocks, residual = eigenblocks(
-        params, dim, np.kron(amplitude ** 2, (np.abs(columns) ** 2) @ weights))
+    blocks, residual = eigenblocks(params, dim, np.kron(amplitude ** 2, fock_population))
     # every Bell state is an eigenstate of the parity (-1)^n sz1 sz2, and so
     # is bell (x) c for a Fock column c on rows of one parity.  At omega0 = 0
     # the parity swaps the m = +1 and m = -1 chains of the jm frame as
@@ -408,7 +433,6 @@ def _forms(qubit_init: str, spec: OscillatorSpec, params: ModelParams, dim: int)
     # its mirror (which eigenblocks matched entry by entry) and each m = 0
     # block is 1 x 1.  Then every reduced state is an X state, and the
     # round-off off its X is dropped before the Wootters step
-    nonzero = columns != 0.0
     one_parity = not (nonzero[0::2].any(axis=0) & nonzero[1::2].any(axis=0)).any()
     shared = collections.Counter(id(energies) for _, energies, _ in blocks)
     commutes = all(shared[id(energies)] == 2 if index[0] // dim in (0, 3) else index.size == 1
@@ -427,10 +451,28 @@ def _forms(qubit_init: str, spec: OscillatorSpec, params: ModelParams, dim: int)
     # reach it and C on them, real for a real psi0; a block within one label
     # adds its constant population, sum_j M_jj over its modes, once
     population, parts = np.zeros(4), []
-    for index, _, vectors in blocks:
+    # id of a gathered block's energies -> (that block, |amplitude|), and the
+    # gathered mirrors whose forms are those of such a block
+    mirrored, twins = {}, set()
+    for k, (index, energies, vectors) in enumerate(blocks):
         label, fock = np.divmod(index, dim)
-        reach = np.flatnonzero(nonzero[fock[amplitude[label] != 0.0]].any(axis=0))
-        coeff = (amplitude[label, None] * vectors).T @ columns[fock[:, None], reach]
+        live = amplitude[label] != 0.0
+        if unit is None or label[0] != label[-1]:
+            reach = np.flatnonzero(nonzero[fock[live]].any(axis=0))
+            coeff = (amplitude[label, None] * vectors).T @ columns[fock[:, None], reach]
+        else:
+            # one label, so each Fock row once: C is a gather of amp o V,
+            # stored row-major as the product's is, so M has the same bits
+            hit = np.zeros(dim, dtype=bool)
+            hit[fock[live]] = True
+            reach = np.flatnonzero(hit[unit])
+            rows = np.searchsorted(fock, unit[reach])
+            coeff = (amplitude[label[rows], None] * vectors[rows]).T.copy()
+            # a mirror S V of a block read the same way, with the same
+            # |amplitude|, has C = +-C column by column, as S F = F diag(+-1)
+            first, size = mirrored.setdefault(id(energies), (k, abs(amplitude[label[0]])))
+            if first != k and size == abs(amplitude[label[0]]):
+                twins.add(k)
         if label[0] == label[-1]:
             population[label[0]] += ((np.abs(coeff) ** 2) @ weights[reach]).sum()
         parts.append((label, fock, reach, vectors, coeff))
@@ -467,8 +509,14 @@ def _forms(qubit_init: str, spec: OscillatorSpec, params: ModelParams, dim: int)
                                       return_indices=True)
         if not (reads and common.size):
             continue
-        m = (_take(c_k.T, i).T * weights[common]) @ _take(c_l.T, j).conj()
         pair = blocks[k][1], blocks[l][1]
+        if k == l and k in twins:
+            # every term of its M and V^T V is its first block's, with both
+            # signs squared, so the sum its forms join is twice that one's
+            for a, b, *_ in reads:
+                forms[(a, b, *map(id, pair))] *= 2.0
+            continue
+        m = (_take(c_k.T, i).T * weights[common]) @ _take(c_l.T, j).conj()
         read.update((id(energies), energies) for energies in pair)
         for n, (a, b, rows_k, rows_l) in enumerate(reads, 1 - len(reads)):
             # the pair's last form (n = 0) is multiplied into M itself, so
@@ -521,9 +569,11 @@ def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
                 rho[chunk, a, b] += value
                 rho[chunk, b, a] += value.conj()
     leak = np.maximum(leak, 0.0)  # a population, which the forms may round below zero
-    # back to eg, with the round-off of the diagonal forms made Hermitian
+    # back to eg as (F^T rho) F, each factor one 2-D product over the whole
+    # stack, with the round-off of the diagonal forms made Hermitian
     frame = _qubit_frame(params)
-    rho = frame.T @ rho @ frame
+    rho = (frame.T @ rho.transpose(1, 0, 2).reshape(4, -1)).reshape(4, -1, 4)
+    rho = (rho.transpose(1, 0, 2).reshape(-1, 4) @ frame).reshape(-1, 4, 4)
     rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
     over = np.flatnonzero(leak > LEAK_ERROR)
     if over.size:

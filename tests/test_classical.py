@@ -8,6 +8,7 @@ Monte Carlo estimator against both.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,23 @@ class TestClosedFormAverages:
         s = np.sin(p.omega * t / 2.0)
         np.testing.assert_array_equal(ClassicalThermal(2.5).concurrence(t, p),
                                       np.exp(-64.0 * p.beta ** 2 * s * s * 2.5 / p.omega))
+
+    def test_a_wide_gaussian_squares_its_product_where_its_square_overflows(self):
+        # a width past 1.3e154 squares to inf, and 0 times inf has no value:
+        # at lambda = 0 (a = b = 0) C is 1, and where a^2 underflows the
+        # exponent is (a dq)^2
+        t, still = np.linspace(0.0, 12.5, 101), ModelParams(1.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for widths in ((1e200, 1.0), (1.0, 1e200), (1e300, 1e300)):
+                dist = GaussianDist(0.0, 0.0, *widths)
+                np.testing.assert_array_equal(dist.concurrence(t, still), np.ones_like(t))
+                assert dist.concurrence(2.0, still) == 1.0
+            p = ModelParams(omega=1.0, lambda_=1e-300)
+            c = GaussianDist(0.4, -0.2, 1e300, 1.0).concurrence(t, p)
+        a = 8.0 * p.beta * math.sqrt(2.0 * p.omega) * np.sin(t / 2.0) ** 2
+        np.testing.assert_allclose(c, np.exp(-(a * 1e300) ** 2 / 4.0), rtol=1e-13, atol=0)
+        assert 0.0 < c.min() < 0.1
 
     @pytest.mark.parametrize("dist", [
         DeltaDist(0.5, -1.0), GaussianDist(0.0, 0.0, 1.0, 1.0), ClassicalThermal(1.0),

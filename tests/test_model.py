@@ -185,6 +185,7 @@ class TestEveryClosedFormAtItsLimit:
     @example(form="coherent", beta=1.7e308, **TYPICAL)
     @example(form="gaussian", beta=1e308, **TYPICAL)
     @example(form="gaussian", beta=0.1, **{**TYPICAL, "widths": (1e200, 1.0)})
+    @example(form="gaussian", beta=0.0, **{**TYPICAL, "widths": (1e200, 1.0)})
     def test_values_are_finite_bounded_and_one_at_t_zero(self, form, beta, mean_n, alpha0,
                                                          n, k_T, widths, omega_t):
         # with no warning, at any coupling a float can hold; a float omega t

@@ -75,6 +75,18 @@ class ComplexColumns:
         return weights, columns.astype(complex)
 
 
+class NegatedColumns:
+    """Another preparation's Fock columns negated: real, but not 1.0 on
+    their row, so the oracle builds C_k = (amp o V_k)^T F as a product."""
+
+    def __init__(self, spec):
+        self.spec, self.label = spec, spec.label
+
+    def fock_columns(self, dim):
+        weights, columns = self.spec.fock_columns(dim)
+        return weights, -columns
+
+
 def spy_on_eigh(monkeypatch):
     """The shapes of the single (2-d) matrices passed to np.linalg.eigh from
     now on; the Wootters stacks are left out."""
@@ -481,6 +493,11 @@ class TestBlockedOracle:
             dtypes.clear()
             oracle_concurrence_series("psi_plus", spec, t, P)
             assert dtypes and set(dtypes) == {np.dtype(dtype)}, spec.label
+        # complex unit columns are not gathered, and keep complex forms
+        for kind in BELL_KINDS:
+            dtypes.clear()
+            oracle_concurrence_series(kind, ComplexColumns(Thermal(2.0)), t, P, dim=80)
+            assert dtypes and set(dtypes) == {np.dtype(np.complex128)}, kind
         # the real explicit density is the even mixture of |0> and |1>, and
         # the reduced states are linear in the oscillator density
         dim = choose_dim(Fock(1), P)
@@ -531,6 +548,62 @@ class TestBlockedOracle:
             series = oracle_concurrence_series(kind, spec, t, P)
             assert series.meta["blocks"] == [series.meta["dim"]] * 2, kind
             assert reads == [False, True] * 3, kind
+
+    @pytest.mark.parametrize("omega0", [0.0, 0.25])
+    @pytest.mark.parametrize("spec", [Thermal(1.0), Fock(3)], ids=["thermal", "fock"])
+    def test_unit_columns_are_read_as_their_products(self, spec, omega0):
+        # columns of 1.0 are gathered, and at omega0 = 0 the mirror chain's
+        # leakage form is its first chain's doubled; -1.0 columns take the
+        # products and build both forms.  Every sign squares away in M, so
+        # the two routes give the same bits
+        params = ModelParams(omega=1.0, lambda_=0.1, omega0=omega0)
+        t = np.linspace(0.0, 12.0, 41)
+        for kind in BELL_KINDS:
+            gathered = oracle_concurrence_series(kind, spec, t, params)
+            product = oracle_concurrence_series(kind, NegatedColumns(spec), t, params,
+                                                dim=gathered.meta["dim"])
+            for name in ("concurrence", "u", "v", "leakage"):
+                np.testing.assert_array_equal(getattr(gathered, name), getattr(product, name),
+                                              err_msg=f"{kind} {name}")
+            assert gathered.meta == product.meta, kind
+
+    def test_unequal_chain_amplitudes_build_both_leakage_forms(self, monkeypatch):
+        # 0.8|ee> + 0.6|eg>, no Bell state, puts amplitudes 0.7 and 0.1 on
+        # the m = +1 and m = -1 chains: their leakage forms differ, so the
+        # mirror's is built, not its first chain's doubled
+        monkeypatch.setattr(oracle, "bell_vector", lambda kind: np.array([0.8, 0.6, 0.0, 0.0]))
+        t, dim = np.linspace(0.0, 12.0, 41), 40
+        _, rho, leakage, _ = oracle._reduced_states("psi_plus", Thermal(1.0), t, P, dim)
+        _, rho_product, leakage_product, _ = oracle._reduced_states(
+            "psi_plus", NegatedColumns(Thermal(1.0)), t, P, dim)
+        assert leakage.max() > 0.0
+        np.testing.assert_array_equal(leakage, leakage_product)
+        np.testing.assert_array_equal(rho, rho_product)
+
+    @pytest.mark.parametrize("spec", [Thermal(1.0), Fock(2), Coherent(1.0 + 0.5j)],
+                             ids=["thermal", "fock", "coherent"])
+    @pytest.mark.parametrize("kind", ["psi_plus", "phi_plus"])
+    def test_mirrored_leakage_is_the_sum_of_both_chains(self, spec, kind):
+        # each chain's leakage form built on its own from every column, as
+        # (V_top^T V_top) o (C W C^dagger): the one form _forms returns for
+        # the pair is their sum, bit for bit
+        dim = choose_dim(spec, P)
+        weights, columns = spec.fock_columns(dim)
+        amplitude = _qubit_frame(P) @ bell_vector(kind)
+        blocks, _ = eigenblocks(P, dim, np.kron(amplitude ** 2,
+                                                (np.abs(columns) ** 2) @ weights))
+        chains = []
+        for index, _, vectors in blocks:
+            label, fock = np.divmod(index, dim)
+            coeff = (amplitude[label, None] * vectors).T @ columns[fock]
+            # two copies of the top rows: numpy takes a product of an array
+            # with its own transpose as a symmetric one, with other round-off
+            top = fock >= dim - 2
+            chains.append(((coeff * weights) @ coeff.T.conj()) * (vectors[top].T @ vectors[top]))
+        assert len(chains) == 2
+        leakage = [g for a, _, (_, _, g) in oracle._forms(kind, spec, P, dim)[2] if a is None]
+        assert len(leakage) == 1
+        np.testing.assert_array_equal(leakage[0], chains[0] + chains[1])
 
     def test_forms_are_built_in_place(self):
         # Thermal(5) at dim 198: two chain blocks of 198, whose forms and
@@ -775,7 +848,7 @@ class TestInitialStates:
         with pytest.raises(TruncationError):
             oscillator_density(ExplicitDensity(np.eye(12) / 12.0), 10)
 
-    def test_invalid_decomposition_is_rejected_before_propagation(self):
+    def test_invalid_decomposition_is_rejected_before_propagation(self, monkeypatch):
         class Decomposed:
             label, reach = "decomposed", (0.0, 2)
 
@@ -793,9 +866,14 @@ class TestInitialStates:
         for bad in (Decomposed([0.5, 0.6], ok.columns),
                     Decomposed([1.5, -0.5], ok.columns),
                     Decomposed([0.5, 0.5], np.stack([e0, (e0 + e1) / math.sqrt(2.0)],
-                                                    axis=1))):
-            with pytest.raises(ValueError):
+                                                    axis=1)),
+                    # real unit columns on one Fock row, whose rows are compared
+                    Decomposed([0.5, 0.5], np.eye(20)[:, [1, 1]]),
+                    Decomposed([0.25, 0.25, 0.5], np.eye(20)[:, [3, 0, 3]])):
+            calls = spy_on_eigh(monkeypatch)
+            with pytest.raises(ValueError, match="weights|orthonormal"):
                 oracle_concurrence_series("psi_plus", bad, t, P, dim=20)
+            assert calls == []
 
 
 class TestTruncationRule:
