@@ -41,8 +41,7 @@ def coherence_integral(spec: OscillatorSpec, t, params: ModelParams):
     except AttributeError:
         raise TypeError(f"not an oscillator spec: {spec!r}") from None
     params.require_degenerate()
-    out = closed_form(params.omega * (t if isinstance(t, float) else np.asarray(t, dtype=float)),
-                      params.beta)
+    out = closed_form(params.omega * np.asarray(t, dtype=float)[()], params.beta)
     return out if getattr(out, "ndim", 0) else complex(out)
 
 

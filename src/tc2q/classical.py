@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, _quiet, at_limit, clamp_unit, cos_sin_of_halves, squared
+from .model import ModelParams, at_limit, clamp_unit, cos_sin_of_halves, squared
 
 
 # Each ensemble carries its artifact ``label``, its closed-form ensemble
@@ -56,8 +56,7 @@ class DeltaDist:
 
     def concurrence(self, t, params: ModelParams):
         """A single trajectory keeps modulus 1/2, so C = 1 exactly."""
-        one = np.ones_like(np.asarray(t, dtype=float))
-        return float(one) if one.ndim == 0 else one
+        return clamp_unit(np.ones_like(np.asarray(t, dtype=float)))
 
     def monte_carlo(self, times, params, n_samples, seed) -> tuple:
         # every sample is the same trajectory: modulus exactly 1/2, variance 0
@@ -90,7 +89,7 @@ class GaussianDist:
         Where the exponent overflows, C is at its limit (:func:`~tc2q.model.at_limit`).
         """
         s = np.sin(params.omega * np.asarray(t, dtype=float) / 2.0)
-        with _quiet(s):
+        with np.errstate(over="ignore", invalid="ignore"):
             a, b = _phase_coefficients(t, params)
             value = np.exp(-(_spread(a, self.delta_q) + _spread(b, self.delta_p)) / 4.0)
         return clamp_unit(at_limit(s, value, value))
@@ -153,7 +152,7 @@ class ClassicalThermal:
         overflows, C is at its limit (:func:`~tc2q.model.at_limit`).
         """
         s = np.sin(params.omega * np.asarray(t, dtype=float) / 2.0)
-        with _quiet(s):
+        with np.errstate(over="ignore", invalid="ignore"):
             value = np.exp(-64.0 * squared(params.beta) * s * s * self.k_T / params.omega)
         return clamp_unit(at_limit(s, value, value))
 

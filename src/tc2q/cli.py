@@ -222,10 +222,14 @@ def _parse_job(cfg: dict, args) -> str:
 
 
 def _check_scales(params: ModelParams, times: np.ndarray | None = None,
-                  dim: int | None = None) -> None:
+                  dim: int | None = None, phases: bool = False) -> None:
     """Reject, before any engine runs, parameters whose products with the time
-    grid, the Fock truncation or both overflow there (ModelParams checks beta)."""
+    grid, the Fock truncation or both, or (``phases``) whose Monte Carlo phase
+    coefficients overflow there (ModelParams checks beta)."""
     products = {}
+    if phases:
+        products["8 beta sqrt(2 omega)"] = 8.0 * params.beta * math.sqrt(2.0 * params.omega)
+        products["4 beta sqrt(2/omega)"] = 4.0 * params.beta * math.sqrt(2.0 / params.omega)
     if times is not None:
         products["omega * t"] = params.omega * max(-float(times[0]), float(times[-1]))
     if dim is not None:
@@ -342,6 +346,8 @@ def _classical_series(cfg: dict, args, dist, times: np.ndarray,
         seed = _get_int(mc, "seed", "monte_carlo", required=False, default=0, minimum=0)
         if args.seed is not None:
             seed = args.seed
+        if not isinstance(dist, classical.DeltaDist):  # one trajectory draws no phase
+            _check_scales(params, phases=True)
         _check_fits(classical.mc_peak_bytes(samples), f"monte_carlo.samples = {samples}")
         # one sample set for the whole grid: common random numbers keep the
         # curve smooth and the file reproducible

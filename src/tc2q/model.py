@@ -22,7 +22,6 @@ Conventions
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -173,10 +172,8 @@ def f_phase(omega_t, alpha: complex):
 
     ``omega_t`` is the dimensionless product omega * t.
     """
-    if not isinstance(omega_t, float):
-        omega_t = np.asarray(omega_t, dtype=float)
-    out = np.sin(omega_t / 2.0) * 2.0 * (complex(alpha) * np.exp(-0.5j * omega_t)).real
-    return float(out) if isinstance(out, float) else out
+    omega_t = np.asarray(omega_t, dtype=float)[()]
+    return np.sin(omega_t / 2.0) * 2.0 * (complex(alpha) * np.exp(-0.5j * omega_t)).real
 
 
 #: |L| past which the Laguerre recurrence scales its two terms by 2^-500
@@ -192,25 +189,21 @@ def _scaled_laguerre(n: int, x):
     """(L, k) with L_n(x) = L 2^(500 k), by the stable three-term recurrence.
 
     Wherever |L| is seen past 2^500 both terms are scaled by 2^-500, exactly,
-    and k counts it, so L stays finite where L_n(x) would overflow.  A float
-    ``x`` runs on Python floats, bit for bit numpy's float64 arithmetic and
-    far cheaper per step; an array runs elementwise.
+    and k counts it, so L stays finite where L_n(x) would overflow.  ``x`` is
+    a numpy float64 scalar or array and runs elementwise.
     """
-    scalar = isinstance(x, float)
-    prev, cur, k = 1.0, 1.0 - x, 0 if scalar else np.zeros(np.shape(x), dtype=int)
-    if n == 0:
-        return (1.0 if scalar else np.ones_like(x)), k
-    # a step grows the larger term at most (3 + |x|) fold, so an array's
-    # terms, looked at every `stride` steps, stay under 2^1000 in between
-    stride = 1 if scalar else max(1, int(500.0 / math.log2(
-        3.0 + np.nanmax(np.abs(x), initial=0.0))))
-    for j in range(1, n):
+    prev, cur, k = 0.0, np.ones(x.shape)[()], np.zeros(x.shape, dtype=int)
+    # a step grows the larger term at most (3 + |x|) fold, so no term passes
+    # 2^500 before step `stride`, and an array's, looked at every `stride`
+    # steps, stay under 2^1000 in between; a scalar is looked at every step
+    # from `stride` on, so its bits depend on x alone
+    stride = max(1, int(500.0 / math.log2(
+        3.0 + np.fmax.reduce(abs(x), axis=None, initial=0.0))))
+    step = stride if x.ndim else 1
+    for j in range(n):
         prev, cur = cur, ((2.0 * j + 1.0 - x) * cur - j * prev) / (j + 1.0)
-        if scalar:
-            if abs(cur) > _LAGUERRE_CEILING:
-                prev, cur, k = prev / _LAGUERRE_CEILING, cur / _LAGUERRE_CEILING, k + 1
-        elif j % stride == 0 and (big := np.maximum(np.abs(prev), np.abs(cur))
-                                  > _LAGUERRE_CEILING).any():
+        if j >= stride and j % step == 0 and np.count_nonzero(
+                big := (abs(prev) > _LAGUERRE_CEILING) | (abs(cur) > _LAGUERRE_CEILING)):
             scale = np.where(big, 1.0 / _LAGUERRE_CEILING, 1.0)
             prev, cur, k = prev * scale, cur * scale, k + big
     return cur, k
@@ -220,8 +213,8 @@ def laguerre(n: int, x):
     """Laguerre polynomial L_n(x) by the stable three-term recurrence."""
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    value, k = _scaled_laguerre(n, x if isinstance(x, float) else np.asarray(x, dtype=float))
-    return np.ldexp(value, 500 * k) if np.any(k) else value
+    value, k = _scaled_laguerre(n, np.asarray(x, dtype=float)[()])
+    return np.ldexp(value, 500 * k) if np.count_nonzero(k) else value
 
 
 def _laguerre_decay(n: int, x, envelope):
@@ -233,50 +226,22 @@ def _laguerre_decay(n: int, x, envelope):
     bit for bit.  Past it the envelope may have underflowed where L_n(x)
     overflows, yet |L_n(x) e^{-x/2}| <= 1 (Szego, *Orthogonal Polynomials*,
     7.21): the scaled L takes the exponent as exp(500 k ln 2 - x/2).  Where
-    |L_n(x)| <= (1 + x)^n puts the product under e^-800 it is 0, without the
-    recurrence, which would overflow at such an x.
+    |L_n(x)| <= (1 + x)^n puts the product under e^-800 the envelope is 0,
+    and the recurrence, which would overflow at such an x, runs on 0.
     """
-    if isinstance(x, float):
-        x = float(x) if math.isfinite(x) else 0.0
-        if n * math.log1p(x) - x / 2.0 < _LOG_UNDERFLOW:
-            return 0.0
-        value, k = _scaled_laguerre(n, x)
-        return value * (envelope if k == 0 else np.exp(k * _LOG_CEILING - x / 2.0))
-    x = np.where(np.isfinite(x), x, 0.0)
-    zero = n * np.log1p(x) - x / 2.0 < _LOG_UNDERFLOW
-    value, k = _scaled_laguerre(n, np.where(zero, 0.0, x))
+    # False where x is not finite, as where the product is under e^-800
+    keep = n * np.log1p(x) - x / 2.0 >= _LOG_UNDERFLOW
+    value, k = _scaled_laguerre(n, np.where(keep, x, 0.0)[()])
     out = value * envelope
-    if k.any():
+    if np.count_nonzero(k):
         out = np.where(k == 0, out, value * np.exp(k * _LOG_CEILING - x / 2.0))
-    return np.where(zero, 0.0, out)
-
-
-def _half_sine(omega_t, beta):
-    """(sin(omega t / 2), beta) as Python floats where both are floats and
-    8 beta is finite, else with the sine an array.  Python floats overflow and
-    make NaN silently, bit for bit as numpy's float64, and skip numpy's
-    per-call machinery; but numpy's complex exp signals an infinite phase."""
-    if isinstance(omega_t, float) and isinstance(beta, float) and math.isfinite(8.0 * beta):
-        return float(np.sin(omega_t / 2.0)), float(beta)
-    return np.sin(np.asarray(omega_t, dtype=float) / 2.0), beta
-
-
-def _quiet(s):
-    """A context that silences overflow and inf * 0 in numpy, which the
-    Python floats of a float ``s`` (from :func:`_half_sine`) never signal."""
-    return contextlib.nullcontext() if type(s) is float else np.errstate(
-        over="ignore", invalid="ignore")
+    return out
 
 
 def squared(beta):
-    """``beta ** 2``, bit for bit, but inf where a float's ``**`` raises
-    ``OverflowError``: numpy's float64 power calls the same libm ``pow``, and
-    an array squares as before."""
-    if type(beta) is float:
-        try:
-            return beta ** 2
-        except OverflowError:
-            return math.inf
+    """``beta ** 2`` as numpy's float64 power: libm ``pow`` for a scalar, as
+    Python's float ``**``, but inf with an overflow warning where that raises
+    ``OverflowError``; x * x for an array."""
     return np.float64(beta) ** 2
 
 
@@ -319,7 +284,7 @@ class Thermal:
     def __post_init__(self) -> None:
         if not math.isfinite(self.mean_n) or self.mean_n < 0:
             raise ValueError(f"mean_n must be finite and >= 0, got {self.mean_n!r}")
-        # a Python float, as the scalar closed form's arithmetic needs
+        # a float, whatever number type it came as, as Coherent keeps a complex
         object.__setattr__(self, "mean_n", float(self.mean_n))
 
     @property
@@ -366,8 +331,8 @@ class Thermal:
 
     def coherence(self, omega_t, beta):
         """I = exp(-32 beta^2 sin^2(wt/2) (1 + 2 mean_n)), real (:func:`at_limit`)."""
-        s, beta = _half_sine(omega_t, beta)
-        with _quiet(s):
+        s = np.sin(np.asarray(omega_t, dtype=float)[()] / 2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
             envelope = np.exp(-32.0 * squared(beta) * s * s)
             value = envelope * np.exp(-64.0 * squared(beta) * self.mean_n * s * s) + 0j
         return at_limit(s, envelope, value)
@@ -415,8 +380,8 @@ class Coherent:
 
         The amplitude only rotates the phase, so |I| does not depend on it.
         """
-        s, beta = _half_sine(omega_t, beta)
-        with _quiet(s):
+        s = np.sin(np.asarray(omega_t, dtype=float)[()] / 2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
             envelope = np.exp(-32.0 * squared(beta) * s * s)
             value = envelope * np.exp(-8j * beta * f_phase(omega_t, self.alpha0))
         return at_limit(s, envelope, value)
@@ -446,8 +411,8 @@ class Fock:
     def coherence(self, omega_t, beta):
         """I = L_n(x) exp(-x/2) with x = (8 beta sin(wt/2))^2, real, finite where
         L_n(x) overflows, and at its limit (:func:`at_limit`) where x does."""
-        s, beta = _half_sine(omega_t, beta)
-        with _quiet(s):
+        s = np.sin(np.asarray(omega_t, dtype=float)[()] / 2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
             envelope = np.exp(-32.0 * squared(beta) * s * s)
             value = _laguerre_decay(self.n_index, squared(8.0 * beta * s), envelope) + 0j
         return at_limit(s, envelope, value)

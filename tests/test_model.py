@@ -104,10 +104,12 @@ class TestOverflowingExponents:
             thermal = envelope * np.exp(-64.0 * squared(0.5) * 1e308 * s * s)
         assert at_limit(s, envelope, envelope).tolist() == [1.0, 0.0, 0.0]
         assert at_limit(s, envelope, thermal).tolist() == [1.0, 0.0, 0.0]
-        # Python floats make the same NaN silently, and give a scalar limit
-        envelope = math.exp(-32.0 * squared(1e200) * 0.5 * 0.5)
-        assert at_limit(0.0, math.nan, math.nan) == 1.0
-        assert at_limit(0.5, envelope, envelope * math.nan) == 0.0
+        # numpy scalars give a scalar limit
+        with np.errstate(over="ignore"):
+            envelope = np.exp(-32.0 * squared(1e200) * np.float64(0.5) * 0.5)
+        nan = np.float64(math.nan)
+        assert at_limit(np.float64(0.0), nan, nan) == 1.0
+        assert at_limit(np.float64(0.5), envelope, envelope * nan) == 0.0
         # a finite value is returned as it is, signed zeros included
         plain = np.exp(-2.0 * s * s) * np.array([1.0, -0.0, 1.0])
         assert at_limit(s, plain, plain).tobytes() == plain.tobytes()
@@ -234,8 +236,8 @@ class TestNumberStatesAtAnyCoupling:
                 1.0, 0.0, 0.0]
 
     def test_scaled_laguerre_keeps_the_plain_recurrence_where_it_fits(self):
-        # laguerre undoes its own scaling exactly, and a float runs on the
-        # same arithmetic as a numpy scalar
+        # laguerre undoes its own scaling exactly, and a float, a numpy scalar
+        # and an array entry run the same numpy arithmetic
         x = np.random.default_rng(2).uniform(0.0, 60.0, 200)
         for n in (0, 1, 2, 7, 30):
             values = laguerre(n, x)
@@ -247,8 +249,8 @@ class TestNumberStatesAtAnyCoupling:
     @pytest.mark.parametrize("spec", [Thermal(2.3), Coherent(1.2 - 0.7j), Fock(10)],
                              ids=["thermal", "coherent", "fock"])
     def test_python_floats_match_numpy_scalars_bit_for_bit(self, spec):
-        # a float time and coupling run on Python floats, a 0-d array on
-        # numpy's scalars: the same operations, so the same bits
+        # a float time and coupling and a 0-d array both run on numpy's
+        # float64 scalars: the same operations, so the same bits
         rng = np.random.default_rng(4)
         for omega_t, beta in zip(rng.uniform(-20.0, 20.0, 300), rng.uniform(0.0, 3.0, 300)):
             fast = spec.coherence(float(omega_t), float(beta))

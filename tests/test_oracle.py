@@ -442,6 +442,31 @@ class TestBlockedOracle:
             np.testing.assert_allclose(later.u, first.u, rtol=0, atol=1e-10)
             np.testing.assert_allclose(later.v, first.v, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("omega0", [st.just(0.0), st.floats(0.05, 1.0)],
+                             ids=["degenerate", "split"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_energy_is_conserved_through_the_eigenpairs(self, omega0, data):
+        # each pure column propagated by the oracle's own eigenpairs keeps
+        # its energy under H built densely here: sum_k w_k <psi_k(t)|H|psi_k(t)>
+        # is constant in t
+        params, spec, kind = data.draw(scenarios(omega0=omega0))
+        dim = choose_dim(spec, params)
+        weights, columns = spec.fock_columns(dim)
+        frame = np.kron(_qubit_frame(params), np.eye(dim))
+        start = frame @ np.kron(bell_vector(kind)[:, None], columns)
+        h = dense_hamiltonian(params, dim)
+        blocks, _ = eigenblocks(params, dim)
+        energy = []
+        for t in np.linspace(0.0, 6.0, 13):
+            psi = np.zeros(start.shape, dtype=complex)
+            for index, energies, vectors in blocks:
+                psi[index] = vectors @ (np.exp(-1j * energies * t)[:, None]
+                                        * (vectors.T @ start[index]))
+            psi = frame.T @ psi
+            energy.append(np.einsum("ik,ij,jk,k->", psi.conj(), h, psi, weights).real)
+        np.testing.assert_allclose(energy, energy[0], rtol=0, atol=1e-10)
+
     @pytest.mark.parametrize("spec", [Fock(3), Thermal(1.0), Coherent(1.5)],
                              ids=["fock", "thermal", "coherent"])
     def test_singlet_is_dark_at_every_qubit_splitting(self, spec):

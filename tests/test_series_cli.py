@@ -890,9 +890,22 @@ class TestCliErrors:
         ("validate", {"engine": "validate",
                       "time_grid": {"t_start": -1e308, "t_end": 1.0, "n_points": 20}},
          "omega * dim * t is not finite"),
+        # the closed form has a limit there, but the estimator's phases do not
+        ("run", {"engine": "classical", "params": {"omega": 1.0, "lambda": 1e308},
+                 "oscillator": {"kind": "gaussian", "q_bar": 0.0, "p_bar": 0.0,
+                                "delta_q": 1.0, "delta_p": 1.0},
+                 "time_grid": {"t_start": 0.0, "t_end": 6.0, "n_points": 7},
+                 "monte_carlo": {"samples": 1000}},
+         "8 beta sqrt(2 omega) is not finite"),
+        ("run", {"engine": "classical", "params": {"omega": 1e-300, "lambda": 1e-10},
+                 "oscillator": {"kind": "classical_thermal", "k_T": 1.0},
+                 "time_grid": {"t_start": 0.0, "t_end": 6.0, "n_points": 7},
+                 "monte_carlo": {"samples": 1000}},
+         "4 beta sqrt(2/omega) is not finite"),
     ], ids=["oracle-omega-1e308", "classical-omega-1e-320", "oracle-lambda-1e308",
             "validate-omega-1e308", "spectrum-omega-1e308", "spectrum-lambda-1e308",
-            "oracle-t-1e308", "validate-t-minus-1e308"])
+            "oracle-t-1e308", "validate-t-minus-1e308", "classical-mc-lambda-1e308",
+            "classical-mc-omega-1e-300"])
     def test_finite_extremes_are_config_errors(self, tmp_path, capsys, command, overrides,
                                                message):
         # finite parameters whose products with the grid or the truncation
@@ -950,11 +963,17 @@ class TestCliErrors:
                  "oscillator": {"kind": "fock", "n": 400},
                  "time_grid": {"t_start": 0.0, "t_end": 3.0, "n_points": 4}},
          "C", [1.0, 0.0, 0.0, 0.0]),
+        # a single trajectory draws no phase, so its estimate needs no finite one
+        ("run", {"engine": "classical", "params": {"omega": 1.0, "lambda": 1e308},
+                 "oscillator": {"kind": "delta", "q0": 0.5, "p0": -0.3},
+                 "time_grid": {"t_start": 0.0, "t_end": 3.0, "n_points": 4},
+                 "monte_carlo": {"samples": 10}},
+         "C", [1.0, 1.0, 1.0, 1.0]),
     ], ids=["sweep-thermal-mean-n-1e308", "classical-gaussian-lambda-1e200",
             "classical-thermal-lambda-1e200", "analytic-lambda-1e200",
             "analytic-thermal-mean-n-1e308", "analytic-fock-2-lambda-1e200",
             "analytic-fock-0-lambda-1e200", "analytic-fock-2-lambda-1e100",
-            "analytic-fock-400-lambda-1e10"])
+            "analytic-fock-400-lambda-1e10", "classical-mc-delta-lambda-1e308"])
     def test_exponents_that_overflow_give_their_limit(self, tmp_path, capsys, command,
                                                       overrides, column, expected):
         # exp(-inf) = 0 is the right value, so the job writes it, with no warning
