@@ -99,11 +99,20 @@ class GaussianDist:
         # exp(-(q-q_bar)^2/dq^2) is a normal with standard deviation dq/sqrt(2)
         q0 = rng.normal(self.q_bar, self.delta_q / math.sqrt(2.0), n_samples)
         p0 = rng.normal(self.p_bar, self.delta_p / math.sqrt(2.0), n_samples)
+        # finite scales, then (|a| max|q0| + |b| max|p0|) / 2 bound the half phases
+        for name, scale in _phase_scales(params).items():
+            if not math.isfinite(scale):
+                raise OverflowError(f"{name} is not finite for omega = {params.omega!r}, "
+                                    f"lambda = {params.lambda_!r}")
+        q_max, p_max = float(np.abs(q0).max()), float(np.abs(p0).max())
         value = np.empty(times.shape)
         std_error = np.empty(times.shape)
         cos, sin = np.empty(n_samples), np.empty(n_samples)
         for i, t in enumerate(times.flat):
             a, b = _phase_coefficients(float(t), params)
+            if not math.isfinite(abs(float(a)) / 2.0 * q_max + abs(float(b)) / 2.0 * p_max):
+                raise OverflowError(f"the sampled phase a q0 + b p0 is not finite at t = "
+                                    f"{t:g}: max |q0| = {q_max!r}, max |p0| = {p_max!r}")
             # u = tan(phi/2), phi = a q0 + b p0: halving a and b is exact, so
             # phi/2 carries the bits of phi
             np.multiply(a / 2.0, q0, out=cos)
@@ -176,12 +185,17 @@ def _spread(coefficient, width):
     return np.where(np.isnan(value), (coefficient * width) ** 2, value)
 
 
+def _phase_scales(params: ModelParams) -> dict:
+    """The bounds on |a| and |b| of :func:`_phase_coefficients`, by name."""
+    return {"8 beta sqrt(2 omega)": 8.0 * params.beta * math.sqrt(2.0 * params.omega),
+            "4 beta sqrt(2/omega)": 4.0 * params.beta * math.sqrt(2.0 / params.omega)}
+
+
 def _phase_coefficients(t, params: ModelParams):
     """(a, b) such that the correlator phase is a * q0 + b * p0."""
     wt = params.omega * np.asarray(t, dtype=float)
-    a = 8.0 * params.beta * math.sqrt(2.0 * params.omega) * np.sin(wt / 2.0) ** 2
-    b = -4.0 * params.beta * math.sqrt(2.0 / params.omega) * np.sin(wt)
-    return a, b
+    scale_a, scale_b = _phase_scales(params).values()
+    return scale_a * np.sin(wt / 2.0) ** 2, -scale_b * np.sin(wt)
 
 
 def mc_peak_bytes(samples: int) -> int:
@@ -211,7 +225,8 @@ def monte_carlo_classical_concurrence(dist, t, params: ModelParams, n_samples: i
     scalar, giving two floats, or an array, giving two arrays: the samples
     are drawn once and reused at every time (common random numbers), so each
     entry equals the scalar call at that time.  Fixed (dist, t, n_samples,
-    seed) reproduces bit-identical results.
+    seed) reproduces bit-identical results.  A sampled phase past the float
+    range raises ``OverflowError``.
     """
     params.require_degenerate()
     if not isinstance(n_samples, (int, np.integer)) or n_samples < 2:

@@ -221,22 +221,15 @@ def _parse_job(cfg: dict, args) -> str:
     return engine
 
 
-def _check_scales(params: ModelParams, times: np.ndarray | None = None,
-                  dim: int | None = None, phases: bool = False) -> None:
+def _check_scales(params: ModelParams, times: np.ndarray | None, dim: int | None = None) -> None:
     """Reject, before any engine runs, parameters whose products with the time
-    grid, the Fock truncation or both, or (``phases``) whose Monte Carlo phase
-    coefficients overflow there (ModelParams checks beta)."""
-    products = {}
-    if phases:
-        products["8 beta sqrt(2 omega)"] = 8.0 * params.beta * math.sqrt(2.0 * params.omega)
-        products["4 beta sqrt(2/omega)"] = 4.0 * params.beta * math.sqrt(2.0 / params.omega)
-    if times is not None:
-        products["omega * t"] = params.omega * max(-float(times[0]), float(times[-1]))
-    if dim is not None:
-        products["omega * dim"] = params.omega * dim
-        products["lambda * sqrt(dim)"] = params.lambda_ * math.sqrt(dim)
-        if times is not None:  # the oracle's phases E t, E up to about omega dim
-            products["omega * dim * t"] = products["omega * t"] * dim
+    grid (t = 0 without one), the Fock truncation or both overflow (ModelParams checks beta)."""
+    span = 0.0 if times is None else max(-float(times[0]), float(times[-1]))
+    products = {"omega * t": params.omega * span}
+    if dim is not None:  # the oracle's phases E t, E up to about omega dim
+        products.update({"omega * dim": params.omega * dim,
+                         "lambda * sqrt(dim)": params.lambda_ * math.sqrt(dim),
+                         "omega * dim * t": products["omega * t"] * dim})
     for name, value in products.items():
         if not math.isfinite(value):
             raise ConfigError(f"{name} is not finite for omega = {params.omega!r}, "
@@ -346,13 +339,14 @@ def _classical_series(cfg: dict, args, dist, times: np.ndarray,
         seed = _get_int(mc, "seed", "monte_carlo", required=False, default=0, minimum=0)
         if args.seed is not None:
             seed = args.seed
-        if not isinstance(dist, classical.DeltaDist):  # one trajectory draws no phase
-            _check_scales(params, phases=True)
         _check_fits(classical.mc_peak_bytes(samples), f"monte_carlo.samples = {samples}")
         # one sample set for the whole grid: common random numbers keep the
         # curve smooth and the file reproducible
-        conc, err = classical.monte_carlo_classical_concurrence(
-            dist, times, params, samples, seed)
+        try:
+            conc, err = classical.monte_carlo_classical_concurrence(
+                dist, times, params, samples, seed)
+        except OverflowError as exc:  # a sampled phase past the float range
+            raise ConfigError(str(exc)) from exc
         meta["monte_carlo"] = {"samples": samples, "seed": seed}
     return ConcurrenceSeries(
         engine="classical", t=times, omega_t=params.omega * times,

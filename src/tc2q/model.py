@@ -194,27 +194,17 @@ def _scaled_laguerre(n: int, x):
     """
     prev, cur, k = 0.0, np.ones(x.shape)[()], np.zeros(x.shape, dtype=int)
     # a step grows the larger term at most (3 + |x|) fold, so no term passes
-    # 2^500 before step `stride`, and an array's, looked at every `stride`
-    # steps, stay under 2^1000 in between; a scalar is looked at every step
-    # from `stride` on, so its bits depend on x alone
+    # 2^500 before step `stride`, and terms looked at every `stride` steps
+    # stay under 2^1000 in between
     stride = max(1, int(500.0 / math.log2(
         3.0 + np.fmax.reduce(abs(x), axis=None, initial=0.0))))
-    step = stride if x.ndim else 1
     for j in range(n):
         prev, cur = cur, ((2.0 * j + 1.0 - x) * cur - j * prev) / (j + 1.0)
-        if j >= stride and j % step == 0 and np.count_nonzero(
+        if j >= stride and j % stride == 0 and np.count_nonzero(
                 big := (abs(prev) > _LAGUERRE_CEILING) | (abs(cur) > _LAGUERRE_CEILING)):
             scale = np.where(big, 1.0 / _LAGUERRE_CEILING, 1.0)
             prev, cur, k = prev * scale, cur * scale, k + big
     return cur, k
-
-
-def laguerre(n: int, x):
-    """Laguerre polynomial L_n(x) by the stable three-term recurrence."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    value, k = _scaled_laguerre(n, np.asarray(x, dtype=float)[()])
-    return np.ldexp(value, 500 * k) if np.count_nonzero(k) else value
 
 
 def _laguerre_decay(n: int, x, envelope):
@@ -314,8 +304,6 @@ class Thermal:
 
     def fock_columns(self, dim: int):
         """Geometric occupations on the number states, tail population < 1e-12."""
-        if self.mean_n == 0.0:
-            return np.array([1.0]), _fock_vector(0, dim)
         ratio = self.mean_n / (1.0 + self.mean_n)
         tail = ratio ** dim
         if tail > TAIL_TOL:

@@ -27,11 +27,10 @@ where V_ka holds the rows of block k with qubit label a.  psi0 is never
 formed: row (q, n) of a column is the Bell amplitude of label q times row n
 of the Fock column, so C_k = (amp[label] o V_k)^T F[fock].  The columns of
 thermal and number states are real and each 1.0 on one Fock row, so they are
-worked from those rows: they are orthonormal iff the rows are distinct, the
-Fock populations are the weights put by index, and on a block in one label
-(whose Fock rows are distinct) C_k is a gather of rows of amp o V_k.  Other
-columns, and the parity blocks at omega0 > 0 (where a Fock row lies under
-two labels), take the products.  V_ka^T V_lb sums
+worked from those rows: they are orthonormal iff the rows are distinct, and
+on a block in one label (whose Fock rows are distinct) C_k is a gather of
+rows of amp o V_k.  Other columns, and the parity blocks at omega0 > 0
+(where a Fock row lies under two labels), take the products.  V_ka^T V_lb sums
 over the Fock rows n where (a, n) lies in k and (b, n) in l, so a form is
 built only on the block pairs where they meet and some column reaches both
 blocks.  On a block that lies in one label a, V_ka^T V_ka is the identity:
@@ -412,19 +411,17 @@ def _forms(qubit_init: str, spec: OscillatorSpec, params: ModelParams, dim: int)
     if (np.isrealobj(columns) and np.array_equal(column, np.arange(weights.size))
             and (columns[unit, column] == 1.0).all()):
         overlapping = np.flatnonzero(nonzero.any(axis=1)).size < weights.size  # a row shared
-        fock_population = np.zeros(dim)
-        fock_population[unit] = weights
     else:
         unit = None
         overlapping = (np.abs(columns.conj().T @ columns - np.eye(weights.size)).max()
                        > _COMPOSITE_TOL)
-        fock_population = (np.abs(columns) ** 2) @ weights
     if overlapping:
         raise ValueError("oscillator columns are not orthonormal within 1e-9")
     # row (q, n) of a pure column of bell (x) F is the Bell amplitude of
     # label q times row n of the Fock column
     amplitude = _qubit_frame(params) @ bell_vector(qubit_init)
-    blocks, residual = eigenblocks(params, dim, np.kron(amplitude ** 2, fock_population))
+    blocks, residual = eigenblocks(
+        params, dim, np.kron(amplitude ** 2, (np.abs(columns) ** 2) @ weights))
     # every Bell state is an eigenstate of the parity (-1)^n sz1 sz2, and so
     # is bell (x) c for a Fock column c on rows of one parity.  At omega0 = 0
     # the parity swaps the m = +1 and m = -1 chains of the jm frame as
@@ -456,16 +453,12 @@ def _forms(qubit_init: str, spec: OscillatorSpec, params: ModelParams, dim: int)
     mirrored, twins = {}, set()
     for k, (index, energies, vectors) in enumerate(blocks):
         label, fock = np.divmod(index, dim)
-        live = amplitude[label] != 0.0
+        reach = np.flatnonzero(nonzero[fock[amplitude[label] != 0.0]].any(axis=0))
         if unit is None or label[0] != label[-1]:
-            reach = np.flatnonzero(nonzero[fock[live]].any(axis=0))
             coeff = (amplitude[label, None] * vectors).T @ columns[fock[:, None], reach]
         else:
             # one label, so each Fock row once: C is a gather of amp o V,
             # stored row-major as the product's is, so M has the same bits
-            hit = np.zeros(dim, dtype=bool)
-            hit[fock[live]] = True
-            reach = np.flatnonzero(hit[unit])
             rows = np.searchsorted(fock, unit[reach])
             coeff = (amplitude[label[rows], None] * vectors[rows]).T.copy()
             # a mirror S V of a block read the same way, with the same

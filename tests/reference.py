@@ -11,8 +11,8 @@ by a Python union-find, the concurrence of an X state without an
 eigensolver, the free classical trajectory and its complex correlator, and
 the Monte Carlo estimate in long double with the leave-one-out moduli formed
 directly.
-It also holds the validated two-qubit density container and the single-time
-oracle state that only the tests use.
+It also holds the validated two-qubit density container, the single-time
+oracle state and the two-route tolerance that only the tests use.
 The module has no ``test_`` prefix, so pytest imports it from the test
 files and does not collect it.
 """
@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import gammaln
+from scipy.special import eval_laguerre, gammaln
 
 from tc2q.analytic import coherence_integral
 from tc2q.classical import ClassicalThermal, GaussianDist, _phase_coefficients
@@ -40,7 +40,6 @@ from tc2q.model import (
     check_dim,
     clamp_unit,
     f_phase,
-    laguerre,
 )
 from tc2q.oracle import _reduced_states
 
@@ -49,6 +48,14 @@ TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 
 _JM_LEVELS = ((1, 1), (1, 0), (0, 0), (1, -1))
+
+
+def two_route_tolerance(omega: float, t) -> float:
+    """The gate between the closed forms and the oracle on the time grid ``t``:
+    1e-13 (1 + omega max|t|), as the round-off of the two routes grows with the
+    span.  At omega = 1 over 4 pi the tests' gaps are at most 8.8e-15, a
+    margin of over 150."""
+    return 1e-13 * (1.0 + omega * float(np.abs(t).max()))
 
 
 @dataclass(frozen=True)
@@ -202,11 +209,11 @@ def p_tilde_coherent(alpha0: complex) -> Callable:
 
 
 def p_tilde_fock(n_index: int) -> Callable:
-    """P~(k1, k2) = L_n((k1^2 + k2^2) / 4)."""
+    """P~(k1, k2) = L_n((k1^2 + k2^2) / 4), with scipy's Laguerre polynomial."""
     n = Fock(n_index).n_index
 
     def p_tilde(k1, k2):
-        return laguerre(n, (np.asarray(k1) ** 2 + np.asarray(k2) ** 2) / 4.0)
+        return eval_laguerre(n, (np.asarray(k1) ** 2 + np.asarray(k2) ** 2) / 4.0)
 
     return p_tilde
 

@@ -19,12 +19,12 @@ from tc2q.model import (
     ModelParams,
     Thermal,
     TruncationError,
+    _scaled_laguerre,
     at_limit,
     bell_vector,
     clamp_unit,
     cos_sin_of_halves,
     f_phase,
-    laguerre,
     spec_label,
     squared,
 )
@@ -141,9 +141,10 @@ class TestOverflowingExponents:
             for beta in (1e200, 1e308):
                 assert Fock(n).coherence(omega_t, beta).tolist() == [1.0, 0.0, 0.0]
         s = np.sin(omega_t / 2.0)
-        np.testing.assert_array_equal(
-            Fock(n).coherence(omega_t, 0.3),
-            laguerre(n, (8.0 * 0.3 * s) ** 2) * np.exp(-32.0 * 0.3 ** 2 * s * s))
+        value, k = _scaled_laguerre(n, (8.0 * 0.3 * s) ** 2)
+        assert not k.any()
+        np.testing.assert_array_equal(Fock(n).coherence(omega_t, 0.3),
+                                      value * np.exp(-32.0 * 0.3 ** 2 * s * s))
 
 
 def log_uniform(low, high):
@@ -236,15 +237,17 @@ class TestNumberStatesAtAnyCoupling:
                 1.0, 0.0, 0.0]
 
     def test_scaled_laguerre_keeps_the_plain_recurrence_where_it_fits(self):
-        # laguerre undoes its own scaling exactly, and a float, a numpy scalar
+        # no term passes 2^500 here, so nothing is scaled, and a numpy scalar
         # and an array entry run the same numpy arithmetic
         x = np.random.default_rng(2).uniform(0.0, 60.0, 200)
         for n in (0, 1, 2, 7, 30):
-            values = laguerre(n, x)
-            assert [laguerre(n, v) for v in x.tolist()] == values.tolist()
-            assert [laguerre(n, v) for v in x] == values.tolist()
-        assert laguerre(300, 1500.0) == pytest.approx(
-            float(laguerre(300, np.array([1500.0]))[0]), rel=1e-12)
+            values, k = _scaled_laguerre(n, x)
+            assert not k.any()
+            assert [_scaled_laguerre(n, v)[0] for v in x] == values.tolist()
+        # past it a scalar is scaled where an array of its x alone is
+        value, k = _scaled_laguerre(300, np.float64(1500.0))
+        values, ks = _scaled_laguerre(300, np.array([1500.0]))
+        assert k > 0 and (value, k) == (values[0], ks[0])
 
     @pytest.mark.parametrize("spec", [Thermal(2.3), Coherent(1.2 - 0.7j), Fock(10)],
                              ids=["thermal", "coherent", "fock"])

@@ -902,14 +902,29 @@ class TestCliErrors:
                  "time_grid": {"t_start": 0.0, "t_end": 6.0, "n_points": 7},
                  "monte_carlo": {"samples": 1000}},
          "4 beta sqrt(2/omega) is not finite"),
+        # the coefficients are finite, but their products with the draws are not
+        ("run", {"engine": "classical", "params": {"omega": 1.0, "lambda": 1e200},
+                 "oscillator": {"kind": "gaussian", "q_bar": 0.0, "p_bar": 0.0,
+                                "delta_q": 1e200, "delta_p": 1.0},
+                 "time_grid": {"t_start": 0.0, "t_end": 6.0, "n_points": 7},
+                 "monte_carlo": {"samples": 1000}},
+         "the sampled phase a q0 + b p0 is not finite"),
+        ("run", {"engine": "classical", "params": {"omega": 1.0, "lambda": 1e307},
+                 "oscillator": {"kind": "gaussian", "q_bar": 1e300, "p_bar": 0.0,
+                                "delta_q": 1.0, "delta_p": 1.0},
+                 "time_grid": {"t_start": 0.0, "t_end": 6.0, "n_points": 7},
+                 "monte_carlo": {"samples": 1000}},
+         "the sampled phase a q0 + b p0 is not finite"),
     ], ids=["oracle-omega-1e308", "classical-omega-1e-320", "oracle-lambda-1e308",
             "validate-omega-1e308", "spectrum-omega-1e308", "spectrum-lambda-1e308",
             "oracle-t-1e308", "validate-t-minus-1e308", "classical-mc-lambda-1e308",
-            "classical-mc-omega-1e-300"])
+            "classical-mc-omega-1e-300", "classical-mc-delta-q-1e200",
+            "classical-mc-q-bar-1e300"])
     def test_finite_extremes_are_config_errors(self, tmp_path, capsys, command, overrides,
                                                message):
         # finite parameters whose products with the grid or the truncation
-        # overflow are refused before any engine runs, without a warning
+        # overflow are refused before any engine runs, and a Monte Carlo
+        # phase past the float range before it is evaluated, without a warning
         out = tmp_path / "out.json"
         cfg_path, _ = write_config(tmp_path, output={"path": str(out), "format": "json"},
                                    **overrides)
