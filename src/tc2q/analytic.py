@@ -15,8 +15,8 @@ where P is the Glauber-Sudarshan function of the initial oscillator state and
 f(omega t, alpha) = sin(omega t/2) (alpha* e^{i omega t/2} + alpha e^{-i omega t/2}).
 The concurrence is |I(t)|.  The closed forms of I for thermal, coherent and
 number states live on the preparations in :mod:`tc2q.model`;
-:func:`coherence_integral` dispatches to them.  The same sector picture gives
-the spectrum in closed form, :func:`predicted_spectrum`.
+:func:`coherence_integral` dispatches to them and :func:`analytic_series` puts
+them on a time grid.  The sector picture also gives :func:`predicted_spectrum`.
 
 Scalar ``t`` arguments may also be 1-d arrays; results broadcast.
 """
@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ModelParams, OscillatorSpec, check_dim
+from .model import BELL_KINDS, COHERENCE_KINDS, ModelParams, OscillatorSpec, check_dim, clamp_unit
+from .series import ConcurrenceSeries, _finite_1d
 
 
 def coherence_integral(spec: OscillatorSpec, t, params: ModelParams):
@@ -43,6 +44,24 @@ def coherence_integral(spec: OscillatorSpec, t, params: ModelParams):
     params.require_degenerate()
     out = closed_form(params.omega * np.asarray(t, dtype=float)[()], params.beta)
     return out if getattr(out, "ndim", 0) else complex(out)
+
+
+def analytic_series(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
+                    params: ModelParams) -> ConcurrenceSeries:
+    """The closed-form series of ``qubit_init`` (x) ``spec``: I = u + iv and
+    C = |I| for psi_plus and phi_plus, C = 1 and no I for the stationary
+    kinds.  Raises ``ValueError`` unless ``params.omega0`` is 0."""
+    if qubit_init not in BELL_KINDS:
+        raise ValueError(f"qubit_init must be one of {BELL_KINDS}, got {qubit_init!r}")
+    params.require_degenerate()
+    times = _finite_1d("t", times)
+    conc, u, v = np.ones_like(times), None, None
+    if qubit_init in COHERENCE_KINDS:
+        i_t = coherence_integral(spec, times, params)
+        conc, u, v = clamp_unit(np.abs(i_t)), i_t.real.copy(), i_t.imag.copy()
+    return ConcurrenceSeries(engine="analytic", t=times, omega_t=params.omega * times,
+                             concurrence=conc, u=u, v=v,
+                             meta={"engine": "analytic", "oscillator": spec.label})
 
 
 def predicted_spectrum(params: ModelParams, dim: int) -> np.ndarray:

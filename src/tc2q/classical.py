@@ -33,12 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, at_limit, clamp_unit, cos_sin_of_halves, squared
+from .series import ConcurrenceSeries, _finite_1d
 
 
 # Each ensemble carries its artifact ``label``, its closed-form ensemble
 # average ``concurrence(t, params)`` of 2 |<S+1 S+2>(t)|, and
 # ``monte_carlo(times, ...)``: the sampled estimate and its standard error at
-# every entry of the array ``times``, from one set of initial conditions.
+# every entry of the 1-d array ``times``, from one set of initial conditions.
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ class GaussianDist:
         value = np.empty(times.shape)
         std_error = np.empty(times.shape)
         cos, sin = np.empty(n_samples), np.empty(n_samples)
-        for i, t in enumerate(times.flat):
+        for i, t in enumerate(times):
             a, b = _phase_coefficients(float(t), params)
             if not math.isfinite(abs(float(a)) / 2.0 * q_max + abs(float(b)) / 2.0 * p_max):
                 raise OverflowError(f"the sampled phase a q0 + b p0 is not finite at t = "
@@ -121,7 +122,7 @@ class GaussianDist:
             cos_sin_of_halves(cos, sin)
             # the total T of the correlators -1/2 exp(i phi)
             t_r, t_i = -0.5 * float(cos.sum()), -0.5 * float(sin.sum())
-            value.flat[i] = min(2.0 * math.hypot(t_r, t_i) / n_samples, 1.0)
+            value[i] = min(2.0 * math.hypot(t_r, t_i) / n_samples, 1.0)
             # the leave-one-out estimates are 2 |T - z_j| / (n - 1), and as
             # |z_j| = 1/2, |T - z_j|^2 = |T|^2 + 1/4 + T_r cos phi_j + T_i sin phi_j
             np.multiply(t_r, cos, out=cos)
@@ -134,7 +135,7 @@ class GaussianDist:
             # einsum's own loop: np.dot would hand the sum to BLAS, which
             # splits it by its thread count
             spread = float(np.einsum("i,i->", cos, cos))
-            std_error.flat[i] = 2.0 / (n_samples - 1) * math.sqrt(
+            std_error[i] = 2.0 / (n_samples - 1) * math.sqrt(
                 (n_samples - 1) / n_samples * spread)
         return value, std_error
 
@@ -215,24 +216,26 @@ def classical_concurrence(dist, t, params: ModelParams):
     return dist.concurrence(t, params)
 
 
-def monte_carlo_classical_concurrence(dist, t, params: ModelParams, n_samples: int,
-                                      seed: int) -> tuple:
-    """Monte Carlo estimate (value, std_error) of the ensemble concurrence.
+def classical_series(dist, times: np.ndarray, params: ModelParams, samples: int | None = None,
+                     seed: int = 0) -> ConcurrenceSeries:
+    """The concurrence series of ``dist``: the closed form, or with ``samples``
+    the Monte Carlo estimate 2 |mean correlator| and its jackknife error.
 
-    Estimator: 2 |mean of the sampled correlator|, with a jackknife standard
-    error.  Taking the modulus after averaging is what the closed form does;
-    the estimator is biased only at the O(1/n) noise floor.  ``t`` may be a
-    scalar, giving two floats, or an array, giving two arrays: the samples
-    are drawn once and reused at every time (common random numbers), so each
-    entry equals the scalar call at that time.  Fixed (dist, t, n_samples,
-    seed) reproduces bit-identical results.  A sampled phase past the float
-    range raises ``OverflowError``.
+    Taking the modulus after averaging is what the closed form does, so the
+    estimate is biased only at the O(1/n) noise floor.  One sample set serves
+    every time (common random numbers), so each entry is a one-point grid's
+    at that time, and fixed inputs give the same bits.  A sampled phase past
+    the float range raises ``OverflowError``.
     """
     params.require_degenerate()
-    if not isinstance(n_samples, (int, np.integer)) or n_samples < 2:
-        raise ValueError(f"n_samples must be an integer >= 2, got {n_samples!r}")
-    times = np.asarray(t, dtype=float)
-    value, std_error = dist.monte_carlo(times, params, int(n_samples), seed)
-    if times.ndim == 0:
-        return float(value), float(std_error)
-    return value, std_error
+    times = _finite_1d("t", times)
+    meta = {"engine": "classical", "oscillator": dist.label}
+    if samples is None:
+        conc, err = dist.concurrence(times, params), None
+    else:
+        if not isinstance(samples, (int, np.integer)) or samples < 2:
+            raise ValueError(f"samples must be an integer >= 2, got {samples!r}")
+        conc, err = dist.monte_carlo(times, params, int(samples), seed)
+        meta["monte_carlo"] = {"samples": int(samples), "seed": seed}
+    return ConcurrenceSeries(engine="classical", t=times, omega_t=params.omega * times,
+                             concurrence=conc, std_error=err, meta=meta)

@@ -31,8 +31,8 @@ import warnings
 import numpy as np
 
 from . import __version__, analytic, classical, oracle
-from .model import BELL_KINDS, Coherent, Fock, ModelParams, Thermal, clamp_unit
-from .series import ConcurrenceSeries, write_table
+from .model import BELL_KINDS, COHERENCE_KINDS, Coherent, Fock, ModelParams, Thermal, clamp_unit
+from .series import write_table
 
 _SPECTRUM_DIM = 60
 _SPECTRUM_TOL = 1e-8
@@ -242,7 +242,7 @@ def _parse_scenario(cfg: dict, args, engine: str):
     kind = cfg.get("qubit_init")
     if kind not in BELL_KINDS:
         raise ConfigError(f"config.qubit_init must be one of {BELL_KINDS}, got {kind!r}")
-    if engine == "classical" and kind not in ("psi_plus", "phi_plus"):
+    if engine == "classical" and kind not in COHERENCE_KINDS:
         raise ConfigError("the classical engine models the (|eg>+|ge>)/sqrt(2) "
                           "correlator; qubit_init must be psi_plus or phi_plus")
     spec = _parse_preparation(cfg.get("oscillator"), "oscillator",
@@ -262,7 +262,7 @@ def _resolve_dim(cfg: dict, args, params: ModelParams, spec=None, times=None) ->
     if dim is None:
         try:
             dim = _SPECTRUM_DIM if spec is None else oracle.choose_dim(spec, params)
-        except OverflowError as exc:
+        except (OverflowError, oracle.TruncationError) as exc:  # or a thermal tail of 1
             raise ConfigError(f"no Fock truncation fits beta = {params.beta!r}: "
                               f"{exc}") from exc
     _check_fits(oracle.peak_bytes(dim), f"dim = {dim}")
@@ -296,26 +296,10 @@ def _resolve_output(cfg: dict, args, engine: str):
     return path, fmt
 
 
-def _analytic_series(qubit_init: str, spec, times: np.ndarray,
-                     params: ModelParams) -> ConcurrenceSeries:
-    if qubit_init in ("psi_plus", "phi_plus"):
-        i_t = analytic.coherence_integral(spec, times, params)
-        conc = clamp_unit(np.abs(i_t))
-        u, v = i_t.real.copy(), i_t.imag.copy()
-    else:
-        # |psi-> and |phi-> are eigenstates of the degenerate Hamiltonian
-        conc = np.ones_like(times)
-        u = v = None
-    return ConcurrenceSeries(
-        engine="analytic", t=times, omega_t=params.omega * times,
-        concurrence=conc, u=u, v=v,
-        meta={"engine": "analytic", "oscillator": spec.label})
-
-
 def _cmd_run(cfg: dict, args, engine: str, path: str):
     params, qubit_init, spec, times = _parse_scenario(cfg, args, engine)
     if engine == "analytic":
-        series = _analytic_series(qubit_init, spec, times, params)
+        series = analytic.analytic_series(qubit_init, spec, times, params)
     elif engine == "oracle":
         series = oracle.oracle_concurrence_series(
             qubit_init, spec, times, params, dim=_resolve_dim(cfg, args, params, spec, times))
@@ -326,31 +310,21 @@ def _cmd_run(cfg: dict, args, engine: str, path: str):
             f"wrote {times.size} rows to {path} (engine={engine})", True)
 
 
-def _classical_series(cfg: dict, args, dist, times: np.ndarray,
-                      params: ModelParams) -> ConcurrenceSeries:
-    meta = {"engine": "classical", "oscillator": dist.label}
-    if cfg.get("monte_carlo") is None:
-        if args.seed is not None:
-            raise ConfigError("--seed requires a monte_carlo section in the config")
-        conc, err = dist.concurrence(times, params), None
-    else:
+def _classical_series(cfg: dict, args, dist, times: np.ndarray, params: ModelParams):
+    samples, seed = None, 0
+    if cfg.get("monte_carlo") is not None:
         mc = _section(cfg, "monte_carlo", {"samples", "seed"}, required=True)
         samples = _get_int(mc, "samples", "monte_carlo", minimum=2)
         seed = _get_int(mc, "seed", "monte_carlo", required=False, default=0, minimum=0)
-        if args.seed is not None:
-            seed = args.seed
         _check_fits(classical.mc_peak_bytes(samples), f"monte_carlo.samples = {samples}")
-        # one sample set for the whole grid: common random numbers keep the
-        # curve smooth and the file reproducible
-        try:
-            conc, err = classical.monte_carlo_classical_concurrence(
-                dist, times, params, samples, seed)
-        except OverflowError as exc:  # a sampled phase past the float range
-            raise ConfigError(str(exc)) from exc
-        meta["monte_carlo"] = {"samples": samples, "seed": seed}
-    return ConcurrenceSeries(
-        engine="classical", t=times, omega_t=params.omega * times,
-        concurrence=conc, std_error=err, meta=meta)
+    if args.seed is not None:
+        if samples is None:
+            raise ConfigError("--seed requires a monte_carlo section in the config")
+        seed = args.seed
+    try:
+        return classical.classical_series(dist, times, params, samples, seed)
+    except OverflowError as exc:  # a sampled phase past the float range
+        raise ConfigError(str(exc)) from exc
 
 
 def _cmd_validate(cfg: dict, args, engine: str, path: str):
@@ -360,7 +334,7 @@ def _cmd_validate(cfg: dict, args, engine: str, path: str):
     if tolerance <= 0:
         raise ConfigError(f"validate.tolerance must be positive, got {tolerance}")
     dim = _resolve_dim(cfg, args, params, spec, times)
-    analytic_series = _analytic_series(qubit_init, spec, times, params)
+    analytic_series = analytic.analytic_series(qubit_init, spec, times, params)
     oracle_series = oracle.oracle_concurrence_series(qubit_init, spec, times,
                                                      params, dim=dim)
     diff = np.abs(analytic_series.concurrence - oracle_series.concurrence)

@@ -30,6 +30,9 @@ import numpy as np
 
 BELL_KINDS = ("psi_plus", "psi_minus", "phi_plus", "phi_minus")
 
+#: the Bell kinds whose state carries I(t); the other two are stationary
+COHERENCE_KINDS = ("psi_plus", "phi_plus")
+
 #: slack accepted when clamping a concurrence back into [0, 1]
 CLAMP_SLACK = 1e-9
 
@@ -259,12 +262,6 @@ def cos_sin_of_halves(half: np.ndarray, sin: np.ndarray):
     return half, sin
 
 
-def _fock_vector(n: int, dim: int) -> np.ndarray:
-    if n >= dim:
-        raise TruncationError(f"number state n={n} needs dim > {n}")
-    return np.eye(dim)[:, [n]]
-
-
 @dataclass(frozen=True)
 class Thermal:
     """Bose-Einstein mixture with mean photon number ``mean_n`` >= 0."""
@@ -351,7 +348,7 @@ class Coherent:
         """The single Poissonian column, tail population < 1e-12."""
         a = self.alpha0
         if a == 0:
-            return np.array([1.0]), _fock_vector(0, dim)
+            return Fock(0).fock_columns(dim)
         n = np.arange(dim)
         log_factorial = np.array([math.lgamma(k + 1.0) for k in range(dim)])
         log_mag = n * math.log(abs(a)) - 0.5 * log_factorial - 0.5 * abs(a) ** 2
@@ -394,7 +391,10 @@ class Fock:
         return 0.0, self.n_index
 
     def fock_columns(self, dim: int):
-        return np.array([1.0]), _fock_vector(self.n_index, dim)
+        if self.n_index >= dim:
+            raise TruncationError(f"number state n={self.n_index} needs dim > {self.n_index}")
+        # column n of the identity, without building the identity
+        return np.array([1.0]), np.eye(dim, 1, -self.n_index)
 
     def coherence(self, omega_t, beta):
         """I = L_n(x) exp(-x/2) with x = (8 beta sin(wt/2))^2, real, finite where

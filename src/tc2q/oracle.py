@@ -75,6 +75,7 @@ import numpy as np
 from . import series as _series
 from .model import (
     BELL_KINDS,
+    COHERENCE_KINDS,
     JM_FROM_EG,
     ModelParams,
     OscillatorSpec,
@@ -595,16 +596,14 @@ def oracle_concurrence_series(qubit_init: str, spec: OscillatorSpec,
     """
     if qubit_init not in BELL_KINDS:
         raise ValueError(f"qubit_init must be one of {BELL_KINDS}, got {qubit_init!r}")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 1:
-        raise ValueError("times must be a non-empty 1-d array")
+    times = _series._finite_1d("t", times)
     dim, rho, leak, diagnostics = _reduced_states(qubit_init, spec, times, params, dim)
     # proved X states: their off-X entries are round-off, and without it the
     # Wootters step takes the closed form
     if diagnostics.pop("x_state"):
         rho[:, _OFF_X] = 0.0
     u = v = None
-    if qubit_init in ("psi_plus", "phi_plus"):
+    if qubit_init in COHERENCE_KINDS:
         # I(t) is twice the (1,1)-(1,-1) coherence in the jm ordering, read
         # with the two rows of the frame alone (bit for bit the full rotation)
         sign = -1.0 if qubit_init == "psi_plus" else 1.0

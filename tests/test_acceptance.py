@@ -25,8 +25,8 @@ from tc2q.classical import (
     ClassicalThermal,
     GaussianDist,
     classical_concurrence,
+    classical_series,
     minimum_uncertainty_widths,
-    monte_carlo_classical_concurrence,
 )
 from tc2q.model import Coherent, Fock, ModelParams, Thermal, bell_vector
 from tc2q.oracle import choose_dim, oracle_concurrence_series
@@ -245,9 +245,8 @@ def test_criterion_10_classical_quantum_identities(capsys):
     target = ClassicalThermal(1.0).concurrence(math.pi, params)
     hits = 0
     for seed in range(30):
-        value, err = monte_carlo_classical_concurrence(
-            dist, math.pi, params, 100000, seed=seed)
-        if abs(value - target) <= 3.0 * err:
+        series = classical_series(dist, np.array([math.pi]), params, 100000, seed=seed)
+        if abs(series.concurrence[0] - target) <= 3.0 * series.std_error[0]:
             hits += 1
 
     ok = gap_min <= 1e-12 and thermal_ok and hits >= 29  # 95% of 30

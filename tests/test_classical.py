@@ -20,9 +20,9 @@ from tc2q.classical import (
     DeltaDist,
     GaussianDist,
     classical_concurrence,
+    classical_series,
     mc_peak_bytes,
     minimum_uncertainty_widths,
-    monte_carlo_classical_concurrence,
 )
 from tc2q.model import Coherent, ModelParams, Thermal
 
@@ -32,6 +32,12 @@ P = ModelParams(omega=1.0, lambda_=0.1)
 def concurrence(spec, t, params):
     """The quantum psi_plus concurrence |I(t)|."""
     return np.abs(coherence_integral(spec, t, params))
+
+
+def monte_carlo(dist, times, params, samples, seed):
+    """The Monte Carlo series of ``dist`` on ``times``, as (C, std_error)."""
+    series = classical_series(dist, times, params, samples, seed)
+    return series.concurrence, series.std_error
 
 
 def equipartition_gaussian(k_T, params):
@@ -78,8 +84,8 @@ class TestDistributions:
         t = np.linspace(0.0, 9.0, 15)
         np.testing.assert_allclose(ClassicalThermal(3.0).concurrence(t, p),
                                    gaussian.concurrence(t, p), atol=1e-14)
-        direct = monte_carlo_classical_concurrence(ClassicalThermal(3.0), t, p, 500, seed=2)
-        via_widths = monte_carlo_classical_concurrence(gaussian, t, p, 500, seed=2)
+        direct = monte_carlo(ClassicalThermal(3.0), t, p, 500, seed=2)
+        via_widths = monte_carlo(gaussian, t, p, 500, seed=2)
         assert np.array_equal(direct[0], via_widths[0])
         assert np.array_equal(direct[1], via_widths[1])
 
@@ -208,8 +214,9 @@ class TestClosedFormAverages:
         nondeg = ModelParams(omega=1.0, lambda_=0.1, omega0=0.3)
         with pytest.raises(ValueError, match="omega0 must be 0"):
             classical_concurrence(dist, 1.0, nondeg)
-        with pytest.raises(ValueError, match="omega0 must be 0"):
-            monte_carlo_classical_concurrence(dist, 1.0, nondeg, 10, 0)
+        for samples in (None, 10):
+            with pytest.raises(ValueError, match="omega0 must be 0"):
+                classical_series(dist, np.array([1.0]), nondeg, samples)
 
 
 class TestThermalLaw:
@@ -242,35 +249,34 @@ class TestThermalLaw:
 class TestMonteCarlo:
     def test_deterministic_for_fixed_seed(self):
         dist = ClassicalThermal(1.0)
-        a = monte_carlo_classical_concurrence(dist, 2.0, P, 5000, seed=42)
-        b = monte_carlo_classical_concurrence(dist, 2.0, P, 5000, seed=42)
-        assert a == b
-        assert all(type(x) is float for x in a)  # a scalar t gives two floats
+        t = np.linspace(0.0, 6.0, 7)
+        a = classical_series(dist, t, P, 5000, seed=42)
+        b = classical_series(dist, t, P, 5000, seed=42)
+        assert np.array_equal(a.concurrence, b.concurrence)
+        assert np.array_equal(a.std_error, b.std_error)
+        assert a.meta == b.meta == {"engine": "classical", "oscillator": dist.label,
+                                    "monte_carlo": {"samples": 5000, "seed": 42}}
 
     @pytest.mark.parametrize("dist", [GaussianDist(0.4, -0.2, 0.9, 1.3),
                                       ClassicalThermal(1.7)])
     def test_time_array_equals_per_point_calls(self, dist):
         t = np.linspace(0.0, 12.0, 25)
-        value, err = monte_carlo_classical_concurrence(dist, t, P, 3000, seed=5)
-        points = [monte_carlo_classical_concurrence(dist, float(x), P, 3000, seed=5)
-                  for x in t]
-        assert np.array_equal(value, [p[0] for p in points])
-        assert np.array_equal(err, [p[1] for p in points])
+        value, err = monte_carlo(dist, t, P, 3000, seed=5)
+        points = [monte_carlo(dist, [x], P, 3000, seed=5) for x in t]
+        assert np.array_equal(value, [p[0][0] for p in points])
+        assert np.array_equal(err, [p[1][0] for p in points])
 
     def test_thermal_ensemble_samples_its_equipartition_gaussian(self):
         t = np.linspace(0.0, 9.0, 15)
-        direct = monte_carlo_classical_concurrence(ClassicalThermal(2.5), t, P, 2000, seed=7)
-        via_widths = monte_carlo_classical_concurrence(
-            equipartition_gaussian(2.5, P), t, P, 2000, seed=7)
+        direct = monte_carlo(ClassicalThermal(2.5), t, P, 2000, seed=7)
+        via_widths = monte_carlo(equipartition_gaussian(2.5, P), t, P, 2000, seed=7)
         assert np.array_equal(direct[0], via_widths[0])
         assert np.array_equal(direct[1], via_widths[1])
 
     def test_point_distribution_is_exact(self):
-        value, err = monte_carlo_classical_concurrence(
-            DeltaDist(1.0, 2.0), 1.5, P, 100, seed=0)
-        assert (value, err) == (1.0, 0.0)
-        value, err = monte_carlo_classical_concurrence(
-            DeltaDist(1.0, 2.0), np.linspace(0.0, 5.0, 6), P, 100, seed=0)
+        value, err = monte_carlo(DeltaDist(1.0, 2.0), [1.5], P, 100, seed=0)
+        assert (value.tolist(), err.tolist()) == ([1.0], [0.0])
+        value, err = monte_carlo(DeltaDist(1.0, 2.0), np.linspace(0.0, 5.0, 6), P, 100, seed=0)
         assert value.shape == err.shape == (6,)
         np.testing.assert_array_equal(value, np.ones(6))
         np.testing.assert_array_equal(err, np.zeros(6))
@@ -278,23 +284,20 @@ class TestMonteCarlo:
     def test_matches_closed_form_within_errorbars(self):
         dist = ClassicalThermal(1.0)
         target = ClassicalThermal(1.0).concurrence(math.pi, P)
-        value, err = monte_carlo_classical_concurrence(
-            dist, math.pi, P, 100000, seed=3)
+        [value], [err] = monte_carlo(dist, [math.pi], P, 100000, seed=3)
         assert err > 0.0
         assert abs(value - target) <= 3.0 * err
 
     def test_error_shrinks_with_sample_size(self):
         dist = ClassicalThermal(1.0)
-        _, err_small = monte_carlo_classical_concurrence(dist, 2.0, P, 200,
-                                                         seed=1)
-        _, err_big = monte_carlo_classical_concurrence(dist, 2.0, P, 80000,
-                                                       seed=1)
+        _, [err_small] = monte_carlo(dist, [2.0], P, 200, seed=1)
+        _, [err_big] = monte_carlo(dist, [2.0], P, 80000, seed=1)
         assert err_big < err_small / 5.0
 
     def test_rejects_degenerate_sample_counts(self):
-        with pytest.raises(ValueError):
-            monte_carlo_classical_concurrence(DeltaDist(0.0, 0.0), 1.0, P, 1,
-                                              seed=0)
+        for samples in (1, 2.0, True):
+            with pytest.raises(ValueError, match="samples must be an integer >= 2"):
+                classical_series(DeltaDist(0.0, 0.0), np.array([1.0]), P, samples)
 
 
 class TestMonteCarloKernel:
@@ -311,10 +314,12 @@ class TestMonteCarloKernel:
         2.3, np.append([0.0, 1e-3, 1e-2, 0.1], np.linspace(0.5, 30.0, 8)).reshape(3, 4),
     ], ids=["scalar", "2d"])
     def test_matches_the_long_double_estimator(self, t, dist, lambda_, n_samples):
-        p = ModelParams(omega=1.0, lambda_=lambda_)
-        value, err = monte_carlo_classical_concurrence(dist, t, p, n_samples, seed=9)
-        ref_value, ref_err = monte_carlo_long_double(dist, t, p, n_samples, 9)
-        assert np.shape(value) == np.shape(err) == np.shape(t)
+        # the engine takes a 1-d grid: the scalar is one point, the table is
+        # read row by row
+        p, times = ModelParams(omega=1.0, lambda_=lambda_), np.ravel(t)
+        value, err = monte_carlo(dist, times, p, n_samples, seed=9)
+        ref_value, ref_err = monte_carlo_long_double(dist, times, p, n_samples, 9)
+        assert value.shape == err.shape == times.shape
         np.testing.assert_allclose(value, ref_value, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(err, ref_err, rtol=1e-9,
                                    atol=math.sqrt(n_samples) * np.finfo(float).eps)
@@ -324,7 +329,7 @@ class TestMonteCarloKernel:
         t = np.linspace(0.0, 3.0, 6)
         tracemalloc.start()
         try:
-            monte_carlo_classical_concurrence(ClassicalThermal(1.0), t, P, samples, seed=1)
+            monte_carlo(ClassicalThermal(1.0), t, P, samples, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -1,6 +1,7 @@
 """Parameter containers, the collective basis and state validation."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,9 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import QubitDensity, bell_state, poisson_column
-from tc2q.classical import ClassicalThermal, GaussianDist
+from tc2q.analytic import analytic_series
+from tc2q.classical import ClassicalThermal, DeltaDist, GaussianDist, classical_series
 from tc2q.model import (
     BELL_KINDS,
+    COHERENCE_KINDS,
     JM_FROM_EG,
     Coherent,
     ExplicitDensity,
@@ -22,12 +25,16 @@ from tc2q.model import (
     _scaled_laguerre,
     at_limit,
     bell_vector,
+    check_dim,
     clamp_unit,
     cos_sin_of_halves,
     f_phase,
     spec_label,
     squared,
 )
+from tc2q.oracle import oracle_concurrence_series, wootters_concurrence
+
+P = ModelParams(omega=1.0, lambda_=0.1)
 
 
 class TestModelParams:
@@ -57,6 +64,29 @@ class TestModelParams:
         p = ModelParams(omega=1.0, lambda_=0.1)
         with pytest.raises(AttributeError):
             p.omega = 2.0
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: clamp_unit(math.nan), "non-finite concurrence"),
+    (lambda: check_dim(1), "dim must be an integer >= 2, got 1"),
+    (lambda: Coherent(complex(math.inf, 0.0)), "alpha0 must be finite"),
+    (lambda: ExplicitDensity(np.ones((2, 3)) / 2.0), r"must be square, got shape \(2, 3\)"),
+    (lambda: wootters_concurrence(np.eye(3) / 3.0), r"expected a 4x4 .* got shape \(3, 3\)"),
+    (lambda: DeltaDist(math.nan, 0.0), "q0, p0 must be finite"),
+    (lambda: GaussianDist(0.0, math.inf, 1.0, 1.0), "p_bar must be finite"),
+    # each route's series takes a non-empty 1-d grid, checked before it runs
+    (lambda: analytic_series("psi_plus", Thermal(1.0), 2.0, P), "t must be a non-empty 1-d"),
+    (lambda: analytic_series("bell", Thermal(1.0), [2.0], P), "qubit_init must be one of"),
+    (lambda: classical_series(ClassicalThermal(1.0), np.ones((2, 2)), P, 10),
+     "t must be a non-empty 1-d"),
+    (lambda: oracle_concurrence_series("psi_plus", Thermal(1.0), [], P),
+     "t must be a non-empty 1-d"),
+], ids=["clamp-nan", "dim-1", "coherent-inf", "density-2x3", "wootters-3x3", "delta-nan",
+        "gaussian-inf", "analytic-scalar-t", "analytic-bell-kind", "classical-2d-t",
+        "oracle-empty-t"])
+def test_invalid_values_raise(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 class TestClampUnit:
@@ -382,6 +412,12 @@ class TestBellStates:
         with pytest.raises(ValueError):
             bell_vector("ghz")
 
+    def test_coherence_kinds_are_the_m_plus_minus_one_pair(self):
+        # the two kinds that live on |1,1> and |1,-1> carry I(t)
+        for kind in BELL_KINDS:
+            on_pair = np.allclose(np.abs(JM_FROM_EG @ bell_vector(kind))[[0, 3]], 0.5 ** 0.5)
+            assert on_pair == (kind in COHERENCE_KINDS)
+
 
 class TestOscillatorSpecs:
     def test_thermal_rejects_negative_occupation(self):
@@ -452,6 +488,19 @@ class TestOscillatorSpecs:
         # about half the population sits above level |alpha|^2
         with pytest.raises(TruncationError, match="tail population"):
             Coherent(alpha).fock_columns(max(2, math.ceil(abs(alpha) ** 2)))
+
+    @pytest.mark.parametrize("spec", [Fock(2000), Coherent(0.0)], ids=["fock", "vacuum"])
+    def test_a_number_state_column_is_built_alone(self, spec):
+        # a 2100 x 2100 identity is 35 MB; the column is 16.8 kB
+        tracemalloc.start()
+        try:
+            weights, cols = spec.fock_columns(2100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        np.testing.assert_array_equal(weights, [1.0])
+        np.testing.assert_array_equal(cols, np.eye(2100)[:, [getattr(spec, "n_index", 0)]])
 
     def test_closed_form_broadcasts_over_time_and_coupling(self):
         wt = np.linspace(0.0, 2.0 * math.pi, 7)[:, None]

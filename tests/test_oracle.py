@@ -6,9 +6,15 @@ known concurrence values for standard two-qubit families, and convergence
 under truncation refinement.
 """
 
+import json
 import math
+import os
 import re
+import shutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -951,6 +957,13 @@ class TestTruncationRule:
         # the benchmark's oracle jobs keep their dims
         assert choose_dim(Thermal(5.0), P) == 198 and choose_dim(Thermal(4.0), P) == 171
 
+    @pytest.mark.parametrize("mean_n", [0.0, 1.0, 3.393954738050063, 18.0])
+    def test_tail_level_is_the_least_dim_the_columns_accept(self, mean_n):
+        # at 3.393954738050063 the logarithms give 107, one level short
+        spec = Thermal(mean_n)
+        assert self.accepts(spec, spec.tail_level)
+        assert not self.accepts(spec, spec.tail_level - 1)
+
     @pytest.mark.parametrize("mean_n, dim", [(18.0, 512), (20.0, 567)])
     def test_large_thermal_default_dim_matches_the_closed_form(self, mean_n, dim):
         params = ModelParams(omega=1.0, lambda_=0.2)
@@ -1096,3 +1109,69 @@ class TestConvergence:
                                                params, dim=61)
             gaps.append(float(np.abs(series.concurrence - target).max()))
         assert gaps[0] > gaps[1] > gaps[2]
+
+
+#: faults injected into a copy of oracle.py: (anchor, its replacement)
+FAULTS = {
+    "none": None,
+    "coupling-1e-7": ("band = params.lambda_ * np.sqrt(",
+                      "band = params.lambda_ * (1.0 + 1e-7) * np.sqrt("),
+    "omega-1e-6": ("params.omega * n) for q in range(4)]",
+                   "params.omega * (1.0 + 1e-6) * n) for q in range(4)]"),
+    "unconjugated-coherence": ("rho[chunk, b, a] += value.conj()",
+                               "rho[chunk, b, a] += value"),
+    "time-reversed": ("np.multiply.outer(times[chunk], half_energies",
+                      "np.multiply.outer(-times[chunk], half_energies"),
+    "sign-of-i-flipped": ('sign = -1.0 if qubit_init == "psi_plus" else 1.0',
+                          'sign = 1.0 if qubit_init == "psi_plus" else -1.0'),
+    "off-x-zeroed-always": ('if diagnostics.pop("x_state"):',
+                            'if diagnostics.pop("x_state") or True:'),
+}
+
+#: the preparations of the matrix; only Coherent's I is complex, and three of
+#: the faults leave a real I as it is
+FAULT_SPECS = (Thermal(5.0), Coherent(1.0 + 0.5j), Fock(3))
+
+_FAULT_RUN = f"""
+import json, math, sys
+import numpy as np
+from tc2q import oracle
+from tc2q.model import Coherent, Fock, ModelParams, Thermal
+t = np.linspace(0.0, 4.0 * math.pi, 101)
+runs = [oracle.oracle_concurrence_series("psi_plus", spec, t, ModelParams(1.0, 0.1))
+        for spec in ({", ".join(map(repr, FAULT_SPECS))},)]
+json.dump({{"module": oracle.__file__,
+           "series": [[s.concurrence.tolist(), s.u.tolist(), s.v.tolist()] for s in runs]}},
+          sys.stdout)
+"""
+
+
+class TestFaultMatrix:
+    """Each fault in the oracle fails the two-route gate for at least one
+    preparation, and the unedited oracle passes it for all.  The faults are
+    text edits of a copy of the package, run in a fresh interpreter."""
+
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_the_two_route_gate_catches_the_fault(self, tmp_path, fault):
+        package = tmp_path / "tc2q"
+        shutil.copytree(Path(oracle.__file__).parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        if FAULTS[fault] is not None:
+            anchor, replacement = FAULTS[fault]
+            source = (package / "oracle.py").read_text()
+            # a refactor that moves an anchor must not retire its fault silently
+            assert source.count(anchor) == 1, f"anchor {anchor!r} is not in oracle.py once"
+            (package / "oracle.py").write_text(source.replace(anchor, replacement))
+        done = subprocess.run([sys.executable, "-c", _FAULT_RUN], capture_output=True,
+                              text=True, check=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(tmp_path)})
+        result = json.loads(done.stdout)
+        assert Path(result["module"]).parent == package
+        t = np.linspace(0.0, 4.0 * math.pi, 101)
+        tolerance = two_route_tolerance(1.0, t)
+        gaps = []  # the larger of the gaps in C and in I, per preparation
+        for spec, (conc, u, v) in zip(FAULT_SPECS, result["series"]):
+            i_t = coherence_integral(spec, t, P)
+            gaps.append(max(np.abs(np.array(conc) - np.abs(i_t)).max(),
+                            np.abs(np.array(u) + 1j * np.array(v) - i_t).max()))
+        assert (max(gaps) > tolerance) == (fault != "none"), gaps

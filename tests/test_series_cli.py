@@ -177,6 +177,12 @@ class TestFileRoundTrips:
         written = [path] + ([tmp_path / "out.csv.meta.json"] if fmt == "csv" else [])
         assert [p.stat().st_mode & 0o777 for p in written] == [0o644] * len(written)
 
+    def test_failed_temp_write_removes_its_file(self, tmp_path):
+        # a lone surrogate has no UTF-8 encoding, so the write itself fails
+        with pytest.raises(UnicodeEncodeError):
+            series._write_temp(str(tmp_path / "x.csv"), "t\ud800")
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_series(make_series(), str(tmp_path / "x.xml"), "xml")
@@ -639,8 +645,9 @@ class TestCliErrors:
                                                         monkeypatch, command, overrides):
         for module, name in ((oracle, "eigenblocks"),
                              (oracle, "oracle_concurrence_series"),
+                             (analytic, "analytic_series"),
                              (analytic, "coherence_integral"),
-                             (classical, "monte_carlo_classical_concurrence")):
+                             (classical, "classical_series")):
             monkeypatch.setattr(module, name, self.refuse_engine)
         fmt = "json" if command in ("validate", "spectrum") else "csv"
         cfg_path, _ = write_config(
@@ -915,11 +922,18 @@ class TestCliErrors:
                  "time_grid": {"t_start": 0.0, "t_end": 6.0, "n_points": 7},
                  "monte_carlo": {"samples": 1000}},
          "the sampled phase a q0 + b p0 is not finite"),
+        # mean_n / (1 + mean_n) rounds to 1, so no dim drops the thermal tail
+        ("run", {"engine": "oracle", "oscillator": {"kind": "thermal", "mean_n": 1e17}},
+         "no Fock truncation fits beta = 0.1: thermal mean_n=1e+17 leaves tail population 1"),
+        ("validate", {"engine": "validate",
+                      "oscillator": {"kind": "thermal", "mean_n": 1e17}},
+         "no Fock truncation fits beta = 0.1: thermal mean_n=1e+17 leaves tail population 1"),
     ], ids=["oracle-omega-1e308", "classical-omega-1e-320", "oracle-lambda-1e308",
             "validate-omega-1e308", "spectrum-omega-1e308", "spectrum-lambda-1e308",
             "oracle-t-1e308", "validate-t-minus-1e308", "classical-mc-lambda-1e308",
             "classical-mc-omega-1e-300", "classical-mc-delta-q-1e200",
-            "classical-mc-q-bar-1e300"])
+            "classical-mc-q-bar-1e300", "oracle-thermal-mean-n-1e17",
+            "validate-thermal-mean-n-1e17"])
     def test_finite_extremes_are_config_errors(self, tmp_path, capsys, command, overrides,
                                                message):
         # finite parameters whose products with the grid or the truncation
@@ -1000,6 +1014,28 @@ class TestCliErrors:
             assert cli.main([command, "--config", cfg_path]) == 0
         assert caught == [] and capsys.readouterr().err == ""
         assert json.loads(out.read_text())["columns"][column] == expected
+
+    @pytest.mark.parametrize("command, overrides, flags, message", [
+        ("run", {}, ["--seed", "-1"], "--seed must be >= 0, got -1"),
+        ("run", {"engine": "oracle"}, ["--dim", "1"], "--dim must be >= 2, got 1"),
+        ("run", "[1, 2]", [], "config root must be a JSON object"),
+        ("validate", {"engine": "validate", "validate": {"tolerance": 0}}, [],
+         "validate.tolerance must be positive, got 0.0"),
+        ("sweep-beta", {**SWEEP, "oscillator": None, "oscillators": []}, [],
+         "config.oscillators must be a non-empty list"),
+    ], ids=["seed-negative", "dim-1", "root-array", "tolerance-0", "oscillators-empty"])
+    def test_invalid_inputs_are_config_errors(self, tmp_path, capsys, command, overrides,
+                                              flags, message):
+        out = tmp_path / "out.json"
+        cfg_path, _ = write_config(tmp_path, output={"path": str(out), "format": "json"},
+                                   **({} if isinstance(overrides, str) else overrides))
+        if isinstance(overrides, str):  # a config that is not an object
+            Path(cfg_path).write_text(overrides)
+        assert cli.main([command, "--config", cfg_path, *flags]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": message, "exit_code": 2}
+        assert not out.exists()
 
     def test_sections_the_job_never_reads_are_config_errors(self, tmp_path, capsys):
         sections = {"monte_carlo": {"samples": 10}, "oracle": {"dim": 40},
