@@ -49,14 +49,15 @@ slice, from u = tan(Et/2) by
 :func:`tc2q.model.cos_sin_of_halves`.  The frame and the Bell vectors are
 real, so for a real psi0 (thermal and number states) every C_k and G_ab^kl
 is real and is read with real products; a complex psi0 (coherent) keeps a
-complex one.  The stack of reduced states is rotated back to the eg
-ordering as (F^T rho) F, each factor one 2-D product over the whole stack,
-and then goes through :func:`wootters_concurrence`.
-A Bell state with a Fock column on rows of one parity is an eigenstate of
-the parity (-1)^n sz1 sz2, so where H commutes with it every reduced state
-is an X state: at omega0 > 0 the parity blocks leave its off-X entries
-exactly 0, and at omega0 = 0 their round-off is set to 0 where eigenblocks
-matched each populated chain to its mirror.  X states take the closed
+complex one.  Both frames are a pair rotation P of the middle two labels
+of a product basis: eg at omega0 > 0, and at omega0 = 0 the xx basis
+|++>, |+->, |-+>, |-->, as jm is P after H (x) H.  The stack of reduced
+states is rotated back by P alone, as (P^T rho) P, each factor one 2-D
+product over the whole stack; H (x) H is local, so C is the same in either
+basis.  At omega0 = 0 a Bell state populates the m = +-1 labels or one
+m = 0 label, never both, so every reduced state is an exact X state in xx,
+whatever the preparation; at omega0 > 0 so is a Bell state with a Fock
+column on rows of one parity (-1)^n sz1 sz2.  X states take the closed
 form, the rest LAPACK's spin-flip eigenvalues.  Agreement with
 :mod:`tc2q.analytic` is therefore a genuine two-route test.
 
@@ -66,7 +67,6 @@ with q running over the four states of the qubit frame.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 
@@ -110,7 +110,8 @@ _OPERATOR_ROUNDOFF = 1e-12
 _S = math.sqrt(0.5)
 
 #: the qubit frame away from omega0 = 0: rows |ee>, (|eg>+|ge>)/sqrt(2),
-#: (|eg>-|ge>)/sqrt(2), |gg> in eg components
+#: (|eg>-|ge>)/sqrt(2), |gg> in eg components.  At omega0 = 0 the same pair
+#: rotation takes the xx basis to jm
 _EXCHANGE_FROM_EG = np.array([
     [1.0, 0.0, 0.0, 0.0],
     [0.0, _S, _S, 0.0],
@@ -133,7 +134,7 @@ _SIGMA_YY = np.array([
     [-1.0, 0.0, 0.0, 0.0],
 ])  # sigma_y (x) sigma_y is real in the eg ordering
 
-#: the entries of a 4x4 matrix in the eg ordering off its diagonal and
+#: the entries of a 4x4 matrix in a product basis off its diagonal and
 #: anti-diagonal, all of them 0 in an X state
 _OFF_X = np.array([
     [False, True, True, False],
@@ -275,7 +276,8 @@ def spectrum(params: ModelParams, dim: int) -> np.ndarray:
 
 
 def wootters_concurrence(rho):
-    """Wootters concurrence of a two-qubit density matrix in the eg ordering.
+    """Wootters concurrence of a two-qubit density matrix in a product basis:
+    the eg ordering or a local rotation of it, such as the xx basis.
 
     ``rho`` is one 4x4 matrix, giving a float, or a stack of shape
     (..., 4, 4), giving an array of shape (...).  Each matrix takes one of
@@ -393,8 +395,7 @@ def _forms(qubit_init: str, spec: OscillatorSpec, params: ModelParams, dim: int)
     """For bell (x) F at ``dim``: the constant populations, the energies whose
     phases are read, the forms of the module docstring as (a, b, (left,
     right, G)), with slices of those phases, a == b a population and a = b =
-    None the leakage, and the eigensolver's diagnostics, with ``x_state``
-    true where the parity proves every reduced state an X state.
+    None the leakage, and the eigensolver's diagnostics.
 
     The t = 0 state is checked on its factors: the Bell vector is a fixed
     unit vector, so the oscillator weights must be >= 0 and sum to 1 and its
@@ -423,20 +424,7 @@ def _forms(qubit_init: str, spec: OscillatorSpec, params: ModelParams, dim: int)
     amplitude = _qubit_frame(params) @ bell_vector(qubit_init)
     blocks, residual = eigenblocks(
         params, dim, np.kron(amplitude ** 2, (np.abs(columns) ** 2) @ weights))
-    # every Bell state is an eigenstate of the parity (-1)^n sz1 sz2, and so
-    # is bell (x) c for a Fock column c on rows of one parity.  At omega0 = 0
-    # the parity swaps the m = +1 and m = -1 chains of the jm frame as
-    # h <-> S h S and maps each m = 0 index to itself, so it commutes with H
-    # on the populated blocks if each chain shares its energies array with
-    # its mirror (which eigenblocks matched entry by entry) and each m = 0
-    # block is 1 x 1.  Then every reduced state is an X state, and the
-    # round-off off its X is dropped before the Wootters step
-    one_parity = not (nonzero[0::2].any(axis=0) & nonzero[1::2].any(axis=0)).any()
-    shared = collections.Counter(id(energies) for _, energies, _ in blocks)
-    commutes = all(shared[id(energies)] == 2 if index[0] // dim in (0, 3) else index.size == 1
-                   for index, energies, _ in blocks)
-    diagnostics = {"blocks": [index.size for index, _, _ in blocks], "eigen_residual": residual,
-                   "x_state": params.omega0 == 0.0 and one_parity and commutes}
+    diagnostics = {"blocks": [index.size for index, _, _ in blocks], "eigen_residual": residual}
     # the 1 x 1 blocks below the top two Fock rows read no leakage, so those
     # of one label are read as one block, whose eigenvectors are I
     lone = [index.size == 1 and index[0] % dim < dim - 2 for index, _, _ in blocks]
@@ -532,10 +520,11 @@ def _forms(qubit_init: str, spec: OscillatorSpec, params: ModelParams, dim: int)
 def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
                     params: ModelParams, dim: int | None):
     """dim (by default :func:`choose_dim`), the reduced qubit states on the
-    time grid, shaped (T, 4, 4), the leakage (the population of the top two
-    Fock levels) at each time, and the diagnostics of :func:`_forms`, through
-    which the states are read; leakage beyond 1e-6 raises
-    :class:`TruncationError`.
+    time grid, shaped (T, 4, 4), in the frame's product basis (xx at
+    omega0 = 0, eg otherwise; module docstring), the leakage (the population
+    of the top two Fock levels) at each time, and the diagnostics of
+    :func:`_forms`, through which the states are read; leakage beyond 1e-6
+    raises :class:`TruncationError`.
     """
     if dim is None:
         dim = choose_dim(spec, params)
@@ -563,11 +552,11 @@ def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
                 rho[chunk, a, b] += value
                 rho[chunk, b, a] += value.conj()
     leak = np.maximum(leak, 0.0)  # a population, which the forms may round below zero
-    # back to eg as (F^T rho) F, each factor one 2-D product over the whole
-    # stack, with the round-off of the diagonal forms made Hermitian
-    frame = _qubit_frame(params)
-    rho = (frame.T @ rho.transpose(1, 0, 2).reshape(4, -1)).reshape(4, -1, 4)
-    rho = (rho.transpose(1, 0, 2).reshape(-1, 4) @ frame).reshape(-1, 4, 4)
+    # back to the product basis as (P^T rho) P, each factor one 2-D product
+    # over the whole stack, with the round-off of the diagonal forms made
+    # Hermitian; P mixes only the middle labels, so the zeros stay exact
+    rho = (_EXCHANGE_FROM_EG.T @ rho.transpose(1, 0, 2).reshape(4, -1)).reshape(4, -1, 4)
+    rho = (rho.transpose(1, 0, 2).reshape(-1, 4) @ _EXCHANGE_FROM_EG).reshape(-1, 4, 4)
     rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
     over = np.flatnonzero(leak > LEAK_ERROR)
     if over.size:
@@ -598,16 +587,14 @@ def oracle_concurrence_series(qubit_init: str, spec: OscillatorSpec,
         raise ValueError(f"qubit_init must be one of {BELL_KINDS}, got {qubit_init!r}")
     times = _series._finite_1d("t", times)
     dim, rho, leak, diagnostics = _reduced_states(qubit_init, spec, times, params, dim)
-    # proved X states: their off-X entries are round-off, and without it the
-    # Wootters step takes the closed form
-    if diagnostics.pop("x_state"):
-        rho[:, _OFF_X] = 0.0
     u = v = None
     if qubit_init in COHERENCE_KINDS:
-        # I(t) is twice the (1,1)-(1,-1) coherence in the jm ordering, read
-        # with the two rows of the frame alone (bit for bit the full rotation)
+        # I(t) is twice the (1,1)-(1,-1) coherence in the jm ordering: the
+        # |++>, |--> entry of the xx states as it is, or in eg read with the
+        # two rows of the frame alone (bit for bit the full rotation)
         sign = -1.0 if qubit_init == "psi_plus" else 1.0
-        i_t = sign * 2.0 * (JM_FROM_EG[:1] @ rho @ JM_FROM_EG[3:].T)[:, 0, 0]
+        i_t = sign * 2.0 * (rho[:, 0, 3] if params.omega0 == 0.0 else
+                            (JM_FROM_EG[:1] @ rho @ JM_FROM_EG[3:].T)[:, 0, 0])
         u, v = i_t.real, i_t.imag
     return _series.ConcurrenceSeries(
         engine="oracle",

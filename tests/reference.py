@@ -12,7 +12,8 @@ eigensolver, the free classical trajectory and its complex correlator, and
 the Monte Carlo estimate in long double with the leave-one-out moduli formed
 directly.
 It also holds the validated two-qubit density container, the single-time
-oracle state and the two-route tolerance that only the tests use.
+oracle state, the rotation of the oracle's states to eg and the two-route
+tolerance that only the tests use.
 The module has no ``test_`` prefix, so pytest imports it from the test
 files and does not collect it.
 """
@@ -88,11 +89,22 @@ class QubitDensity:
         return np.array(self.matrix, dtype=dtype, copy=copy)
 
 
+def eg_states(rho, params: ModelParams) -> np.ndarray:
+    """``rho``, a stack of the oracle's reduced states in its frame's product
+    basis, in the eg ordering: at omega0 = 0 that basis is xx, which
+    H (x) H takes to eg; otherwise it is eg already."""
+    if params.omega0 != 0.0:
+        return rho
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    both = np.kron(hadamard, hadamard)
+    return both @ rho @ both
+
+
 def oracle_reduced_density(qubit_init: str, spec: OscillatorSpec, t: float,
                            params: ModelParams, dim: int | None = None) -> QubitDensity:
-    """Reduced qubit state at a single time, straight through the full model."""
+    """Reduced qubit state at a single time, in eg, straight through the full model."""
     _, rho, _, _ = _reduced_states(qubit_init, spec, np.array([float(t)]), params, dim)
-    return QubitDensity(rho[0])
+    return QubitDensity(eg_states(rho, params)[0])
 
 
 def bell_state(kind: str) -> QubitDensity:
@@ -316,7 +328,7 @@ def union_find_labels(size: int, rows, cols) -> np.ndarray:
 
 def x_state_concurrence(rho) -> np.ndarray:
     """Concurrence of two-qubit X states (only the diagonal and the
-    anti-diagonal nonzero, eg ordering), shaped (..., 4, 4):
+    anti-diagonal nonzero, in a product basis), shaped (..., 4, 4):
     2 max(0, |rho_14| - sqrt(rho_22 rho_33), |rho_23| - sqrt(rho_11 rho_44)),
     with no eigensolver (Yu & Eberly, Quantum Inf. Comput. 7, 459 (2007))."""
     rho = np.asarray(rho)

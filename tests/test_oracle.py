@@ -29,6 +29,7 @@ from reference import (
     dense_hamiltonian,
     dense_reduced_states,
     displaced_number_state,
+    eg_states,
     oracle_reduced_density,
     partial_trace_oscillator,
     two_route_tolerance,
@@ -68,6 +69,15 @@ def oscillator_density(spec, dim):
     """The truncated oscillator density matrix sum_k w_k |c_k><c_k|."""
     w, c = spec.fock_columns(dim)
     return (c * w) @ c.conj().T
+
+
+def complex_density(size, seed):
+    """A full-rank ExplicitDensity on ``size`` Fock levels with complex
+    coherences, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    density = a @ a.conj().T
+    return ExplicitDensity(density / np.trace(density).real)
 
 
 class ComplexColumns:
@@ -228,7 +238,7 @@ class TestBlockedOracle:
         rho, leak = dense_reduced_states(kind, spec, t, params, dim)
         # C alone cannot see a population moved from one label to another
         _, states, _, _ = oracle._reduced_states(kind, spec, t, params, dim)
-        np.testing.assert_allclose(states, rho, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(eg_states(states, params), rho, rtol=0, atol=1e-12)
         np.testing.assert_allclose(series.concurrence, wootters_concurrence(rho),
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(series.leakage, leak, rtol=0, atol=1e-12)
@@ -281,18 +291,7 @@ class TestBlockedOracle:
                                    rtol=0, atol=1e-11)
 
     def test_a_broken_mirror_is_diagonalised_on_its_own(self, monkeypatch):
-        # scale the band between levels 5 and 6 of the m = -1 chain (label 3
-        # of the jm frame), both ways: H stays Hermitian but its two chains
-        # are no longer mirror images
-        dim, entries = 80, oracle._hamiltonian_entries
-
-        def broken(params, dim):
-            rows, cols, vals = entries(params, dim)
-            pair = [3 * dim + 5, 3 * dim + 6]
-            bond = np.isin(rows, pair) & np.isin(cols, pair) & (rows != cols)
-            assert bond.sum() == 2
-            return rows, cols, np.where(bond, 1.5 * vals, vals)
-
+        dim, broken = 80, broken_mirror(oracle._hamiltonian_entries)
         rows, cols, vals = broken(P, dim)
         h = np.zeros((4 * dim, 4 * dim))
         np.add.at(h, (rows, cols), vals)
@@ -306,7 +305,7 @@ class TestBlockedOracle:
         assert shapes == [(dim, dim)] * 2
         assert diagnostics["eigen_residual"] < 1e-10
         rho, leak_ref = dense_reduced_states("psi_plus", Thermal(1.0), t, P, dim)
-        np.testing.assert_allclose(states, rho, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(eg_states(states, P), rho, rtol=0, atol=1e-12)
         np.testing.assert_allclose(leak, leak_ref, rtol=0, atol=1e-12)
         # the broken chain has its own levels, which a copy of the other's would miss
         levels = spectrum(P, dim)
@@ -366,50 +365,70 @@ class TestBlockedOracle:
             # the triplet fills both parity blocks of 3 dim / 2
             assert kind == "psi_minus" or max(map(max, widths)) == 120 == max(blocks)
 
-    @pytest.mark.parametrize("spec", [Thermal(2.0), Fock(3)], ids=["thermal", "fock"])
-    @pytest.mark.parametrize("omega0", [0.0, 0.3])
+    @pytest.mark.parametrize("omega0, spec", [
+        (0.0, Thermal(2.0)), (0.0, Fock(3)), (0.3, Thermal(2.0)), (0.3, Fock(3)),
+        (0.0, Coherent(1.0 + 0.5j)), (0.0, complex_density(6, 3))],
+        ids=["0.0-thermal", "0.0-fock", "0.3-thermal", "0.3-fock",
+             "0.0-coherent", "0.0-complex-mixture"])
     @pytest.mark.parametrize("kind", BELL_KINDS)
     def test_reduced_states_are_x_states(self, spec, omega0, kind):
-        # thermal and number states commute with the parity (-1)^n sz1 sz2,
-        # and every Bell state is a parity eigenstate, so the reduced state
-        # keeps only its diagonal and anti-diagonal
+        # every Bell state is an eigenstate of the parity (-1)^n sz1 sz2.
+        # At omega0 = 0 it populates the m = +-1 labels or one m = 0 label,
+        # never both, so whatever the preparation its reduced states in xx
+        # have no entry off the diagonal and the anti-diagonal.  At omega0 > 0
+        # thermal and number states commute with the parity, and so the
+        # reduced states in eg keep only those entries
         params = ModelParams(omega=1.0, lambda_=0.1, omega0=omega0)
         t = np.linspace(0.0, 12.0, 41)
         series = oracle_concurrence_series(kind, spec, t, params)
         _, rho, _, _ = oracle._reduced_states(kind, spec, t, params, series.meta["dim"])
         off_x = np.ones((4, 4), dtype=bool)
         off_x[range(4), range(4)] = off_x[range(4), range(3, -1, -1)] = False
-        assert np.abs(rho[:, off_x]).max() <= 1e-15
+        assert not rho[:, off_x].any()
         np.testing.assert_allclose(series.concurrence, x_state_concurrence(rho),
                                    rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("omega0", [0.0, 0.3])
     def test_parity_definite_states_need_no_lapack_for_c(self, monkeypatch, omega0):
-        # thermal and number states are proved X states, at omega0 = 0 by
-        # the matched mirror chains, and take the closed form; a coherent
+        # at omega0 = 0 every reduced state is an X state in xx and takes the
+        # closed form, whatever the preparation, with the C that LAPACK's
+        # spin-flip route gives on the dense reference's states in eg.  At
+        # omega0 > 0 so do thermal and number states, in eg, and a coherent
         # state is no X state and takes the spin-flip route
         params = ModelParams(omega=1.0, lambda_=0.1, omega0=omega0)
         t = np.linspace(0.0, 12.0, 41)
+        specs = [Thermal(2.0), Fock(3)]
+        if omega0 == 0.0:
+            specs += [Coherent(1.0 + 0.5j), complex_density(6, 3)]
         calls = spy_on_svd(monkeypatch)
-        for spec in (Thermal(2.0), Fock(3)):
-            for kind in ("psi_plus", "phi_plus"):
-                oracle_concurrence_series(kind, spec, t, params)
+        runs = [(kind, spec, oracle_concurrence_series(kind, spec, t, params))
+                for spec in specs for kind in BELL_KINDS]
         assert calls == []
-        oracle_concurrence_series("psi_plus", Coherent(1.5), t, params)
+        if omega0 == 0.0:
+            for kind, spec, series in runs:
+                rho, _ = dense_reduced_states(kind, spec, t, params, series.meta["dim"])
+                np.testing.assert_allclose(series.concurrence, wootters_concurrence(rho),
+                                           rtol=0, atol=1e-12, err_msg=f"{kind} {spec.label}")
+        else:
+            oracle_concurrence_series("psi_plus", Coherent(1.0 + 0.5j), t, params)
         assert calls
 
     def test_a_broken_mirror_keeps_the_spin_flip_route(self, monkeypatch):
-        # the same broken H as above: the parity no longer commutes with
-        # it, so nothing is zeroed and C is that of the states as computed
+        # the same broken H as above: the parity no longer commutes with it
+        # and the states in eg are no X states, but in xx they still are, and
+        # their closed form gives the C of LAPACK's spin-flip route in eg
         dim, t = 80, np.linspace(0.0, 6.0, 13)
         monkeypatch.setattr(oracle, "_hamiltonian_entries",
                             broken_mirror(oracle._hamiltonian_entries))
         _, rho, _, _ = oracle._reduced_states("psi_plus", Thermal(1.0), t, P, dim)
-        assert np.abs(rho[:, oracle._OFF_X]).max() > 1e-7
+        eg = eg_states(rho, P)
+        assert np.abs(eg[:, oracle._OFF_X]).max() > 1e-7
         calls = spy_on_svd(monkeypatch)
         series = oracle_concurrence_series("psi_plus", Thermal(1.0), t, P, dim=dim)
+        assert calls == []
+        np.testing.assert_allclose(series.concurrence, wootters_concurrence(eg),
+                                   rtol=0, atol=1e-12)
         assert calls
-        np.testing.assert_array_equal(series.concurrence, wootters_concurrence(rho))
 
     @settings(max_examples=25, deadline=None)
     @given(scenario=scenarios(omega0=st.floats(0.05, 1.0)))
@@ -663,11 +682,7 @@ class TestBlockedOracle:
         # 3 dim / 2 read through complex forms, the case peak_bytes counts
         dim, t = 100, np.linspace(0.0, 5.0, 300)
         split = ModelParams(omega=1.0, lambda_=0.1, omega0=0.3)
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(60, 60)) + 1j * rng.normal(size=(60, 60))
-        density = a @ a.conj().T
-        spec = ExplicitDensity(density / np.trace(density).real)
-        series, peak = self.traced_peak("psi_plus", spec, t, split, dim=dim)
+        series, peak = self.traced_peak("psi_plus", complex_density(60, 5), t, split, dim=dim)
         assert series.meta["blocks"] == [150, 150]
         assert 0.8 * peak_bytes(dim) <= peak <= peak_bytes(dim)
 
@@ -1124,8 +1139,6 @@ FAULTS = {
                       "np.multiply.outer(-times[chunk], half_energies"),
     "sign-of-i-flipped": ('sign = -1.0 if qubit_init == "psi_plus" else 1.0',
                           'sign = 1.0 if qubit_init == "psi_plus" else -1.0'),
-    "off-x-zeroed-always": ('if diagnostics.pop("x_state"):',
-                            'if diagnostics.pop("x_state") or True:'),
 }
 
 #: the preparations of the matrix; only Coherent's I is complex, and three of
