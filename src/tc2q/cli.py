@@ -10,12 +10,13 @@ Four subcommands, all driven by a JSON config (schema version 1):
 Every job runs through ``main``: config, job check (``_JOBS``), output path,
 the command's handler (parse and compute), one write, one line, exit code.
 
-Exit codes: 0 success, 2 configuration error (the output path is checked
-first), 3 numerical or validation failure (a numpy overflow included) or a
-failed write; errors go to stderr as one JSON line.  Unknown config keys,
-and sections the job does not read, are rejected rather than ignored, and
-every artifact echoes the config it was produced from, so a result file is
-enough to re-run the job bit-identically.
+Exit codes: 0 success, 2 configuration or command-line error (the output
+path is checked first), 3 numerical or validation failure (a numpy overflow
+included) or a failed write; errors go to stderr as one JSON line.  Unknown
+config keys, and sections the job does not read, are rejected rather than
+ignored.  Only ``--out`` and ``--dim`` override the config, and an artifact
+echoes the config and records an oracle's dim (``meta.dim``; ``dim`` in a
+report), so the echo plus that dim re-run the job bit-identically.
 """
 
 from __future__ import annotations
@@ -105,20 +106,18 @@ _KINDS = {
     "classical_thermal": ("classical", classical.ClassicalThermal, {"k_T": _get_number}),
 }
 
-# Every job, as (command, config.engine): the command-line overrides it reads
-# (--seed only with a monte_carlo section), its config sections besides
+# Every job, as (command, config.engine): its config sections besides
 # version, engine and output, and the formats it writes, the default first;
-# any other pair, override, section or format is an error.
+# any other pair, section or format, or --dim without an oracle section, is an error.
 _SCENARIO = ("qubit_init", "params", "oscillator", "time_grid")
 _TABLE = ("csv", "json")
 _JOBS = {
-    ("run", "analytic"): ((), _SCENARIO, _TABLE),
-    ("run", "oracle"): (("dim",), (*_SCENARIO, "oracle"), _TABLE),
-    ("run", "classical"): (("seed",), (*_SCENARIO, "monte_carlo"), _TABLE),
-    ("validate", "validate"): (("dim",), (*_SCENARIO, "oracle", "validate"), ("json",)),
-    ("sweep-beta", "analytic"): ((), ("params", "oscillator", "oscillators", "beta_grid"),
-                                 _TABLE),
-    ("spectrum", "oracle"): (("dim",), ("params", "oracle"), ("json", "csv")),
+    ("run", "analytic"): (_SCENARIO, _TABLE),
+    ("run", "oracle"): ((*_SCENARIO, "oracle"), _TABLE),
+    ("run", "classical"): ((*_SCENARIO, "monte_carlo"), _TABLE),
+    ("validate", "validate"): ((*_SCENARIO, "oracle", "validate"), ("json",)),
+    ("sweep-beta", "analytic"): (("params", "oscillator", "oscillators", "beta_grid"), _TABLE),
+    ("spectrum", "oracle"): (("params", "oracle"), ("json", "csv")),
 }
 
 
@@ -208,15 +207,14 @@ def _parse_grid(cfg: dict, name: str, start: str, stop: str) -> np.ndarray:
 
 
 def _parse_job(cfg: dict, args) -> str:
-    """config.engine, checked with --dim/--seed and the sections against ``_JOBS``."""
+    """config.engine, checked with --dim and the sections against ``_JOBS``."""
     command, engine = args.command, cfg.get("engine")
     if not isinstance(engine, str) or (command, engine) not in _JOBS:
         engines = tuple(name for job, name in _JOBS if job == command)
         raise ConfigError(f"{command} needs config.engine in {engines}, got {engine!r}")
-    flags, sections, _ = _JOBS[command, engine]
-    for flag in ("dim", "seed"):
-        if getattr(args, flag) is not None and flag not in flags:
-            raise ConfigError(f"--{flag} does not apply to {command} with engine={engine}")
+    sections, _ = _JOBS[command, engine]
+    if args.dim is not None and "oracle" not in sections:
+        raise ConfigError(f"--dim does not apply to {command} with engine={engine}")
     _check_keys(cfg, {"version", "engine", "output", *sections}, f"config of {command}")
     return engine
 
@@ -271,11 +269,11 @@ def _resolve_dim(cfg: dict, args, params: ModelParams, spec=None, times=None) ->
 
 
 def _resolve_output(cfg: dict, args, engine: str):
-    """Output path and format: --format, else output.format, else the path's
-    .csv or .json suffix, else the job's default format (``_JOBS``)."""
-    formats = _JOBS[args.command, engine][2]
+    """Output path (--out, else output.path) and format: output.format, else
+    the path's .csv or .json suffix, else the job's default format (``_JOBS``)."""
+    formats = _JOBS[args.command, engine][1]
     obj = _section(cfg, "output", {"path", "format"})
-    path = args.out or obj.get("path")
+    path = obj.get("path") if args.out is None else args.out
     if path is None:
         raise ConfigError("no output path: set config.output.path or pass --out")
     if not isinstance(path, str):
@@ -287,12 +285,12 @@ def _resolve_output(cfg: dict, args, engine: str):
     if not (os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
         raise ConfigError(f"output directory {parent!r} does not exist or is not writable")
     suffix = os.path.splitext(path)[1].lower()
-    fmt = (args.format or obj.get("format")
-           or {".csv": "csv", ".json": "json"}.get(suffix, formats[0]))
+    fmt = obj.get("format") or {".csv": "csv", ".json": "json"}.get(suffix, formats[0])
     if fmt not in _TABLE:
         raise ConfigError(f"output format must be 'csv' or 'json', got {fmt!r}")
     if fmt not in formats:
-        raise ConfigError(f"{args.command} writes a JSON report; use --format json")
+        raise ConfigError(f"{args.command} writes only a JSON report; give a .json "
+                          "output path or output.format json")
     return path, fmt
 
 
@@ -304,23 +302,19 @@ def _cmd_run(cfg: dict, args, engine: str, path: str):
         series = oracle.oracle_concurrence_series(
             qubit_init, spec, times, params, dim=_resolve_dim(cfg, args, params, spec, times))
     else:
-        series = _classical_series(cfg, args, spec, times, params)
+        series = _classical_series(cfg, spec, times, params)
     return (series.engine, series.columns(),
             {**series.meta, "artifact_version": __version__}, None,
             f"wrote {times.size} rows to {path} (engine={engine})", True)
 
 
-def _classical_series(cfg: dict, args, dist, times: np.ndarray, params: ModelParams):
+def _classical_series(cfg: dict, dist, times: np.ndarray, params: ModelParams):
     samples, seed = None, 0
     if cfg.get("monte_carlo") is not None:
         mc = _section(cfg, "monte_carlo", {"samples", "seed"}, required=True)
         samples = _get_int(mc, "samples", "monte_carlo", minimum=2)
         seed = _get_int(mc, "seed", "monte_carlo", required=False, default=0, minimum=0)
         _check_fits(classical.mc_peak_bytes(samples), f"monte_carlo.samples = {samples}")
-    if args.seed is not None:
-        if samples is None:
-            raise ConfigError("--seed requires a monte_carlo section in the config")
-        seed = args.seed
     try:
         return classical.classical_series(dist, times, params, samples, seed)
     except OverflowError as exc:  # a sampled phase past the float range
@@ -411,8 +405,16 @@ def _cmd_spectrum(cfg: dict, args, engine: str, path: str):
             f"{_SPECTRUM_TOL:g}: {status} ({path})", passed)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser (and its subparsers') with a usage error, say an
+    unknown flag, raised as a config error; --version and -h still exit 0."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tc2q",
         description="Entanglement dynamics of two qubits in a degenerate cavity.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -425,10 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", default=None, help="output path (overrides config)")
-        p.add_argument("--format", default=None, choices=("csv", "json"),
-                       help="output format (overrides config)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="Monte Carlo seed, overrides monte_carlo.seed (classical run)")
         p.add_argument("--dim", type=int, default=None,
                        help="Fock-space dimension, overrides oracle.dim and the default "
                             "(oracle run, validate, spectrum)")
@@ -446,11 +444,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         cfg = load_config(args.config)
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         if args.dim is not None and args.dim < 2:
             raise ConfigError(f"--dim must be >= 2, got {args.dim}")
         engine = _parse_job(cfg, args)

@@ -1,8 +1,9 @@
 """The exit-code contract under single-field mutations of the README's run
-config: every job exits 0, 2 or 3; an error exit prints exactly one JSON
-line carrying its code and leaves no file behind; a ``validate`` or
-``spectrum`` FAIL prints nothing on stderr; no temporary ``.tmp-*.part``
-file survives; and every call finishes in time.
+config, and under single changes to the command line: every job exits 0, 2
+or 3; an error exit prints exactly one JSON line carrying its code and
+leaves no file behind; a ``validate`` or ``spectrum`` FAIL prints nothing on
+stderr; no temporary ``.tmp-*.part`` file survives; and every call finishes
+in time.
 
 Each draw takes one job of ``cli._JOBS``, builds its config from the
 README's (the sections the job reads, a classical preparation for the
@@ -10,9 +11,13 @@ classical engine), and changes one field: sets it to a value of its own
 kind, to a value of another type or to an extreme, deletes it, or adds a
 section.  The engine runs through every name in ``cli._JOBS`` and the
 preparation through every kind in ``cli._KINDS``, with ``fock.n`` up to its
-bound of 10000 and lambda up to 10.  Jobs that read ``--dim`` get
+bound of 10000 and lambda up to 10.  Jobs with an ``oracle`` section get
 ``--dim 48``, so a draw that reaches the oracle stays small: a state the
 truncation cannot hold fails fast on its tail or leakage check (exit 3).
+A command-line draw runs a job's unmutated config with one argument
+dropped, added or changed: no ``--config``, an unknown or removed flag, a
+``--dim`` that is not an integer, too small, or on a job with no ``oracle``
+section, or another ``--out``.
 """
 
 import contextlib
@@ -90,7 +95,7 @@ def base_config(command: str, engine: str) -> dict:
     if command == "validate":
         cfg["output"] = {"path": "report.json"}
     cfg["beta_grid"] = {"start": 0.0, "stop": 0.5, "n_points": 50}
-    sections = {"version", "engine", "output", *cli._JOBS[command, engine][1]}
+    sections = {"version", "engine", "output", *cli._JOBS[command, engine][0]}
     return {key: value for key, value in cfg.items() if key in sections}
 
 
@@ -113,18 +118,55 @@ def mutated_jobs(draw):
     return command, cfg
 
 
-def run_job(command: str, cfg: dict):
-    """Exit code, stderr lines, files left and seconds of one in-process call."""
+def job_argv(command: str, cfg: dict) -> list:
+    """The command line of a job: ``--dim 48`` where its sections include oracle."""
+    argv = [command, "--config", "cfg.json"]
+    engine = cfg.get("engine")
+    if isinstance(engine, str) and "oracle" in cli._JOBS.get((command, engine), ((),))[0]:
+        argv += ["--dim", str(DIM)]
+    return argv
+
+
+# what a command-line draw adds (unknown, removed or incomplete flags), and
+# the values it gives --dim and --out
+FLAGS = st.sampled_from([["--seed", "7"], ["--seed", "-1"], ["--format", "csv"],
+                         ["--format", "json"], ["--bogus"], ["extra"], ["--dim"],
+                         ["--out"], ["--config", "missing.json"]])
+DIMS = st.sampled_from(["abc", "", "1.5", "1e3", "-3", "0", "1", "2", "12", "48", "60"])
+OUTS = st.sampled_from(["out.json", "out.csv", "out", "", ".", "missing/out.csv"])
+
+
+@st.composite
+def mutated_argvs(draw):
+    """(command, config, argv): a job's base config with one change to its argv."""
+    command, engine = draw(st.sampled_from(sorted(cli._JOBS)))
+    cfg = base_config(command, engine)
+    argv = job_argv(command, cfg)
+    change = draw(st.sampled_from(["drop", "add", "dim", "out"]))
+    if change == "drop":  # the command, --config or its path, or --dim
+        index = draw(st.integers(0, len(argv) - 1))
+        argv = argv[:index] + argv[index + 1:]
+    elif change == "add":  # anywhere, the command's position included
+        index = draw(st.integers(0, len(argv)))
+        argv = argv[:index] + draw(FLAGS) + argv[index:]
+    elif change == "dim":  # also on a job with no oracle section
+        argv = argv[:3] + ["--dim", draw(DIMS)]
+    else:
+        argv = argv + ["--out", draw(OUTS)]
+    return command, cfg, argv
+
+
+def run_job(command: str, cfg: dict, argv: list | None = None):
+    """Exit code, stderr lines, files left and seconds of one in-process call
+    (``job_argv`` unless ``argv`` is given)."""
     with tempfile.TemporaryDirectory() as tmp:
         here = os.getcwd()
         os.chdir(tmp)
         try:
             with open("cfg.json", "w") as handle:
                 json.dump(cfg, handle)
-            argv = [command, "--config", "cfg.json"]
-            engine = cfg.get("engine")
-            if isinstance(engine, str) and "dim" in cli._JOBS.get((command, engine), ((),))[0]:
-                argv += ["--dim", str(DIM)]
+            if argv is None:
+                argv = job_argv(command, cfg)
             err = io.StringIO()
             start = time.perf_counter()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -137,24 +179,37 @@ def run_job(command: str, cfg: dict):
     return code, err.getvalue().splitlines(), files, elapsed
 
 
+def check_contract(command: str, code: int, lines: list, files: list, elapsed: float):
+    """The exit-code contract of one call (``run_job``'s results)."""
+    assert code in (0, 2, 3)
+    assert elapsed < TIME_LIMIT
+    assert not [name for name in files if os.path.basename(name).startswith(".tmp-")]
+    if lines:
+        # an error: one JSON line with the exit code, and no artifact
+        assert code in (2, 3) and len(lines) == 1
+        assert json.loads(lines[0])["exit_code"] == code
+        assert files == ["cfg.json"]
+    else:
+        # success, or a validate or spectrum FAIL: the artifact is written
+        assert code == 0 or command in ("validate", "spectrum")
+        assert len(files) in (2, 3) and "cfg.json" in files
+
+
 class TestExitCodeContract:
     @settings(max_examples=600, deadline=None)
     @given(job=mutated_jobs())
     def test_every_single_field_mutation_keeps_the_contract(self, job):
         command, cfg = job
-        code, lines, files, elapsed = run_job(command, cfg)
-        assert code in (0, 2, 3)
-        assert elapsed < TIME_LIMIT
-        assert not [name for name in files if os.path.basename(name).startswith(".tmp-")]
-        if lines:
-            # an error: one JSON line with the exit code, and no artifact
-            assert code in (2, 3) and len(lines) == 1
-            assert json.loads(lines[0])["exit_code"] == code
-            assert files == ["cfg.json"]
-        else:
-            # success, or a validate or spectrum FAIL: the artifact is written
-            assert code == 0 or command in ("validate", "spectrum")
-            assert len(files) in (2, 3) and "cfg.json" in files
+        check_contract(command, *run_job(command, cfg))
+
+    @settings(max_examples=200, deadline=None)
+    @given(job=mutated_argvs())
+    def test_every_command_line_change_keeps_the_contract(self, job):
+        command, cfg, argv = job
+        code, lines, files, elapsed = run_job(command, cfg, argv)
+        check_contract(command, code, lines, files, elapsed)
+        if any(flag in argv for flag in ("--seed", "--format", "--bogus", "extra")):
+            assert code == 2  # no job reads these
 
     def test_the_unmutated_configs_run(self):
         # every base config exits 0, so each mutation is what changes a job

@@ -276,33 +276,35 @@ class TestCliRun:
         assert series.concurrence[0] == 1.0
         assert series.std_error is None
 
-    def test_classical_monte_carlo_seed_override(self, tmp_path):
-        out_a, out_b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        common = dict(
-            engine="classical",
-            oscillator={"kind": "classical_thermal", "k_T": 1.0},
-            time_grid={"t_start": 0.0, "t_end": 3.0, "n_points": 4})
-        cfg_a, _ = write_config(tmp_path, name="a.json",
-                                monte_carlo={"samples": 400, "seed": 3},
-                                output={"path": out_a, "format": "csv"},
-                                **common)
-        cfg_b, _ = write_config(tmp_path, name="b.json",
-                                monte_carlo={"samples": 400, "seed": 42},
-                                output={"path": out_b, "format": "csv"},
-                                **common)
-        assert cli.main(["run", "--config", cfg_a, "--seed", "42"]) == 0
-        assert cli.main(["run", "--config", cfg_b]) == 0
-        a = Path(out_a).read_text().splitlines()
-        b = Path(out_b).read_text().splitlines()
-        assert a[0] == "t,omega_t,C,std_error"
-        assert a[1:] == b[1:]  # same samples, therefore identical numbers
+    @pytest.mark.parametrize("overrides, flags", [
+        ({"engine": "classical", "oscillator": {"kind": "classical_thermal", "k_T": 1.0},
+          "monte_carlo": {"samples": 400, "seed": 42}}, []),
+        ({"engine": "oracle"}, ["--dim", "40"]),
+    ], ids=["monte-carlo", "oracle-dim"])
+    def test_the_echo_and_dim_re_run_the_job(self, tmp_path, overrides, flags):
+        # the echo is the config the run used: re-run from it, with the dim
+        # the artifact records, it writes the same bytes
+        out = tmp_path / "out.json"
+        cfg_path, _ = write_config(
+            tmp_path, time_grid={"t_start": 0.0, "t_end": 3.0, "n_points": 4},
+            output={"path": "unused.csv"}, **overrides)
+        assert cli.main(["run", "--config", cfg_path, "--out", str(out), *flags]) == 0
+        first = out.read_bytes()
+        meta = json.loads(first)["meta"]
+        (tmp_path / "echo.json").write_text(json.dumps(meta["config"]))
+        dim = ["--dim", str(meta["dim"])] if "dim" in meta else []
+        assert cli.main(["run", "--config", str(tmp_path / "echo.json"),
+                         "--out", str(out), *dim]) == 0
+        assert out.read_bytes() == first
 
     def test_format_follows_the_path_suffix(self, tmp_path):
         out = str(tmp_path / "out.json")
         cfg_path, _ = write_config(tmp_path, output={"path": out})
         assert cli.main(["run", "--config", cfg_path]) == 0
         assert read_series(out).t.size == 20
-        assert cli.main(["run", "--config", cfg_path, "--format", "csv"]) == 0
+        # output.format, where given, wins over the suffix
+        cfg_path, _ = write_config(tmp_path, output={"path": out, "format": "csv"})
+        assert cli.main(["run", "--config", cfg_path]) == 0
         assert Path(out).read_text().startswith("t,omega_t,C")
 
     def test_module_entry_point(self, tmp_path):
@@ -344,14 +346,17 @@ class TestCliValidate:
         assert cli.main(["validate", "--config", cfg_path]) == 3
         assert json.loads(Path(out).read_text())["passed"] is False
 
-    def test_csv_report_is_a_config_error(self, tmp_path):
-        cfg_path, _ = write_config(tmp_path, engine="validate")
-        assert cli.main(["validate", "--config", cfg_path,
-                         "--format", "csv"]) == 2
-        out = str(tmp_path / "v.csv")  # a .csv suffix asks for CSV too
-        cfg_path, _ = write_config(tmp_path, engine="validate", output={"path": out})
-        assert cli.main(["validate", "--config", cfg_path]) == 2
-        assert not os.path.exists(out)
+    def test_csv_report_is_a_config_error(self, tmp_path, capsys):
+        # output.format csv asks for CSV, and so does a .csv suffix without it
+        for output in ({"path": "v.json", "format": "csv"}, {"path": "v.csv"}):
+            out = tmp_path / output["path"]
+            cfg_path, _ = write_config(tmp_path, engine="validate",
+                                       output={**output, "path": str(out)})
+            assert cli.main(["validate", "--config", cfg_path]) == 2
+            assert json.loads(capsys.readouterr().err)["error"] == (
+                "validate writes only a JSON report; give a .json output path or "
+                "output.format json")
+            assert not out.exists()
 
     @pytest.mark.parametrize("qubit_init, code", [
         ("psi_plus", 3), ("phi_plus", 3), ("psi_minus", 0)])
@@ -553,12 +558,6 @@ class TestCliErrors:
             oscillator={"kind": "thermal", "mean_n": 1.0})
         assert cli.main(["run", "--config", cfg_path]) == 2
 
-    def test_seed_without_monte_carlo_section(self, tmp_path):
-        cfg_path, _ = write_config(
-            tmp_path, engine="classical",
-            oscillator={"kind": "delta", "q0": 1.0, "p0": 0.0})
-        assert cli.main(["run", "--config", cfg_path, "--seed", "5"]) == 2
-
     @pytest.mark.parametrize("alpha0", [[True, "2"], ["1", "2"], [None, 1]],
                              ids=["bool-and-string", "numeric-strings", "null"])
     def test_amplitude_pair_must_hold_numbers(self, tmp_path, capsys, alpha0):
@@ -603,6 +602,41 @@ class TestCliErrors:
         os.remove(cfg["output"]["path"])
         assert cli.main([command, "--config", cfg_path, flag, "30"]) == 2
         assert not os.path.exists(cfg["output"]["path"])
+
+    @pytest.mark.parametrize("argv, named", [
+        (["run"], "--config"),
+        (["run", "--config"], "--config"),
+        (["run", "--config", "CFG", "--seed", "7"], "--seed 7"),
+        (["run", "--config", "CFG", "--format", "csv"], "--format csv"),
+        (["run", "--config", "CFG", "--dim", "abc"], "--dim"),
+        (["run", "--config", "CFG", "--out", ""], "output path ''"),
+        (["--config", "CFG"], "argument command"),
+        (["bogus", "--config", "CFG"], "bogus"),
+        ([], "command"),
+    ], ids=["no-config", "config-without-path", "seed", "format", "dim-abc", "out-empty",
+            "no-command", "unknown-command", "empty"])
+    def test_command_line_errors_are_config_errors(self, tmp_path, capsys, argv, named):
+        # argparse's usage lines and SystemExit would break the one-JSON-line
+        # contract; an empty --out names no file rather than falling back to
+        # output.path
+        cfg_path, cfg = write_config(
+            tmp_path, engine="classical", monte_carlo={"samples": 50},
+            oscillator={"kind": "classical_thermal", "k_T": 1.0})
+        assert cli.main([cfg_path if arg == "CFG" else arg for arg in argv]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["exit_code"] == 2 and named in err["error"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("argv", [["--version"], ["-h"], ["run", "-h"]])
+    def test_version_and_help_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out and captured.err == ""
 
     @staticmethod
     def refuse_allocation(*args, **kwargs):
@@ -1016,14 +1050,13 @@ class TestCliErrors:
         assert json.loads(out.read_text())["columns"][column] == expected
 
     @pytest.mark.parametrize("command, overrides, flags, message", [
-        ("run", {}, ["--seed", "-1"], "--seed must be >= 0, got -1"),
         ("run", {"engine": "oracle"}, ["--dim", "1"], "--dim must be >= 2, got 1"),
         ("run", "[1, 2]", [], "config root must be a JSON object"),
         ("validate", {"engine": "validate", "validate": {"tolerance": 0}}, [],
          "validate.tolerance must be positive, got 0.0"),
         ("sweep-beta", {**SWEEP, "oscillator": None, "oscillators": []}, [],
          "config.oscillators must be a non-empty list"),
-    ], ids=["seed-negative", "dim-1", "root-array", "tolerance-0", "oscillators-empty"])
+    ], ids=["dim-1", "root-array", "tolerance-0", "oscillators-empty"])
     def test_invalid_inputs_are_config_errors(self, tmp_path, capsys, command, overrides,
                                               flags, message):
         out = tmp_path / "out.json"
