@@ -17,6 +17,10 @@ Conventions
   basis |e,e>, |e,g>, |g,e>, |g,g>.  :data:`JM_FROM_EG` maps its components
   onto the eigenbasis of sx1 + sx2 with eigenvalue 2m, ordered
   |1,1>, |1,0>, |0,0>, |1,-1>.
+* :data:`PAIR_ROTATION` (P) is defined here once.  JM_FROM_EG is P after
+  H (x) H, and the oracle's two qubit frames (jm at omega0 = 0, P itself
+  otherwise) and its rotation of the reduced states back to a product basis
+  all use this P.
 """
 
 from __future__ import annotations
@@ -110,8 +114,11 @@ def clamp_unit(value):
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 _S = 1.0 / math.sqrt(2.0)
 
-# rows |1,1>, |1,0>, |0,0>, |1,-1> in terms of |++>, |+->, |-+>, |-->
-_JM_FROM_XX = np.array([
+#: the pair rotation P, real and symmetric, which mixes the middle two
+#: labels of a product basis: from eg it gives the exchange basis |ee>,
+#: (|eg>+|ge>)/sqrt(2), (|eg>-|ge>)/sqrt(2), |gg>, and from the xx basis
+#: |++>, |+->, |-+>, |--> it gives jm, |1,1>, |1,0>, |0,0>, |1,-1>
+PAIR_ROTATION = np.array([
     [1.0, 0.0, 0.0, 0.0],
     [0.0, _S, _S, 0.0],
     [0.0, _S, -_S, 0.0],
@@ -121,7 +128,7 @@ _JM_FROM_XX = np.array([
 #: real orthogonal map from eg components to jm components; built as a
 #: product (per qubit, eg -> +- is the Hadamard) rather than typed out, since
 #: its round-off entries reach the last bits of I(t)
-JM_FROM_EG = _JM_FROM_XX @ np.kron(_HADAMARD, _HADAMARD)
+JM_FROM_EG = PAIR_ROTATION @ np.kron(_HADAMARD, _HADAMARD)
 
 
 # --- Bell states ------------------------------------------------------------

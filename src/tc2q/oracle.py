@@ -49,10 +49,11 @@ slice, from u = tan(Et/2) by
 :func:`tc2q.model.cos_sin_of_halves`.  The frame and the Bell vectors are
 real, so for a real psi0 (thermal and number states) every C_k and G_ab^kl
 is real and is read with real products; a complex psi0 (coherent) keeps a
-complex one.  Both frames are a pair rotation P of the middle two labels
-of a product basis: eg at omega0 > 0, and at omega0 = 0 the xx basis
-|++>, |+->, |-+>, |-->, as jm is P after H (x) H.  The stack of reduced
-states is rotated back by P alone, as (P^T rho) P, each factor one 2-D
+complex one.  Both frames are the one pair rotation P of the middle two
+labels of a product basis, :data:`tc2q.model.PAIR_ROTATION`: P itself on
+eg at omega0 > 0, and at omega0 = 0 P after H (x) H, on the xx basis
+|++>, |+->, |-+>, |-->, which is jm.  The stack of reduced states is
+rotated back by that same P alone, as (P^T rho) P, each factor one 2-D
 product over the whole stack; H (x) H is local, so C is the same in either
 basis.  At omega0 = 0 a Bell state populates the m = +-1 labels or one
 m = 0 label, never both, so every reduced state is an exact X state in xx,
@@ -79,6 +80,7 @@ from .model import (
     JM_FROM_EG,
     ModelParams,
     OscillatorSpec,
+    PAIR_ROTATION,
     TruncationError,
     bell_vector,
     check_dim,
@@ -107,41 +109,20 @@ _POPULATION_FLOOR = 1e-20
 #: entries of a rotated 4x4 qubit operator below this are round-off of zeros
 _OPERATOR_ROUNDOFF = 1e-12
 
-_S = math.sqrt(0.5)
-
-#: the qubit frame away from omega0 = 0: rows |ee>, (|eg>+|ge>)/sqrt(2),
-#: (|eg>-|ge>)/sqrt(2), |gg> in eg components.  At omega0 = 0 the same pair
-#: rotation takes the xx basis to jm
-_EXCHANGE_FROM_EG = np.array([
-    [1.0, 0.0, 0.0, 0.0],
-    [0.0, _S, _S, 0.0],
-    [0.0, _S, -_S, 0.0],
-    [0.0, 0.0, 0.0, 1.0],
-])
+# the Pauli matrices in the eg ordering, sigma_z |e> = +|e>
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
+_SIGMA_Z = np.diag([1.0, -1.0])
+_EYE = np.eye(2)
 
 # sx1 + sx2 and sz1 + sz2 in the eg ordering
-_SX_SUM = np.array([
-    [0.0, 1.0, 1.0, 0.0],
-    [1.0, 0.0, 0.0, 1.0],
-    [1.0, 0.0, 0.0, 1.0],
-    [0.0, 1.0, 1.0, 0.0],
-])
-_SZ_SUM = np.diag([2.0, 0.0, 0.0, -2.0])
-_SIGMA_YY = np.array([
-    [0.0, 0.0, 0.0, -1.0],
-    [0.0, 0.0, 1.0, 0.0],
-    [0.0, 1.0, 0.0, 0.0],
-    [-1.0, 0.0, 0.0, 0.0],
-])  # sigma_y (x) sigma_y is real in the eg ordering
+_SX_SUM = np.kron(_SIGMA_X, _EYE) + np.kron(_EYE, _SIGMA_X)
+_SZ_SUM = np.kron(_SIGMA_Z, _EYE) + np.kron(_EYE, _SIGMA_Z)
+_SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y).real  # sigma_y (x) sigma_y is real
 
 #: the entries of a 4x4 matrix in a product basis off its diagonal and
-#: anti-diagonal, all of them 0 in an X state
-_OFF_X = np.array([
-    [False, True, True, False],
-    [True, False, False, True],
-    [True, False, False, True],
-    [False, True, True, False],
-])
+#: anti-diagonal, all of them 0 in an X state: those that flip one qubit
+_OFF_X = _SX_SUM != 0.0
 
 
 def choose_dim(spec: OscillatorSpec, params: ModelParams) -> int:
@@ -163,8 +144,8 @@ def choose_dim(spec: OscillatorSpec, params: ModelParams) -> int:
 
 def _qubit_frame(params: ModelParams) -> np.ndarray:
     """The real orthogonal 4x4 map from eg components to the frame H is
-    blocked in: jm at omega0 = 0, the exchange basis otherwise."""
-    return JM_FROM_EG if params.omega0 == 0.0 else _EXCHANGE_FROM_EG
+    blocked in: jm at omega0 = 0, the exchange basis P otherwise."""
+    return JM_FROM_EG if params.omega0 == 0.0 else PAIR_ROTATION
 
 
 def _hamiltonian_entries(params: ModelParams, dim: int):
@@ -555,8 +536,8 @@ def _reduced_states(qubit_init: str, spec: OscillatorSpec, times: np.ndarray,
     # back to the product basis as (P^T rho) P, each factor one 2-D product
     # over the whole stack, with the round-off of the diagonal forms made
     # Hermitian; P mixes only the middle labels, so the zeros stay exact
-    rho = (_EXCHANGE_FROM_EG.T @ rho.transpose(1, 0, 2).reshape(4, -1)).reshape(4, -1, 4)
-    rho = (rho.transpose(1, 0, 2).reshape(-1, 4) @ _EXCHANGE_FROM_EG).reshape(-1, 4, 4)
+    rho = (PAIR_ROTATION.T @ rho.transpose(1, 0, 2).reshape(4, -1)).reshape(4, -1, 4)
+    rho = (rho.transpose(1, 0, 2).reshape(-1, 4) @ PAIR_ROTATION).reshape(-1, 4, 4)
     rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
     over = np.flatnonzero(leak > LEAK_ERROR)
     if over.size:

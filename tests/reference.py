@@ -6,8 +6,9 @@ coherent states, the Fourier transform of the P function, an exact
 rational-arithmetic binomial sum, a matrix-exponential displacement, the
 Poisson amplitudes of a coherent state through scipy's log-gamma, the
 partial trace of a composite density matrix, the dense Hamiltonian with a
-per-time propagation in its eigenbasis, the connected components of a graph
-by a Python union-find, the concurrence of an X state without an
+per-time propagation in its eigenbasis, the resonant Tavis-Cummings closed
+form that H approaches in the rotating-wave limit, the connected components
+of a graph by a Python union-find, the concurrence of an X state without an
 eigensolver, the free classical trajectory and its complex correlator, and
 the Monte Carlo estimate in long double with the leave-one-out moduli formed
 directly.
@@ -305,6 +306,61 @@ def dense_reduced_states(qubit_init: str, spec: OscillatorSpec, times, params: M
         rho[idx] = (rho_q + rho_q.conj().T) / 2.0
         leak[idx] = np.einsum("ank,k->", np.abs(psi_t[:, -2:, :]) ** 2, weights)
     return rho, leak
+
+
+# --- the rotating-wave limit ------------------------------------------------------
+
+def _tavis_cummings_manifold(level: int, start: str, times, params: ModelParams):
+    """Amplitudes of |ee, N-2>, |T0, N-1>, |gg, N> at ``times``, N = ``level``,
+    from |ee, N-2> (``start`` "ee") or from |gg, N> (``start`` "gg").
+
+    The coupling is Omega (|T0><B| + |B><T0|), with the bright state
+    |B> = (a |ee> + b |gg>) / Omega; the dark state
+    |D> = (b |ee> - a |gg>) / Omega does not move, and the three share the
+    bare energy omega (N - 1)."""
+    a = params.lambda_ * math.sqrt(2.0 * max(level - 1, 0))
+    b = params.lambda_ * math.sqrt(2.0 * level)
+    rabi = math.hypot(a, b)
+    phase = np.exp(-1j * params.omega * (level - 1) * times)
+    if rabi == 0.0:  # N = 0: |gg, 0> alone, an eigenstate
+        return phase * np.array([[0.0], [0.0], [1.0]])
+    cos, sin = np.cos(rabi * times), np.sin(rabi * times)
+    x, y = (a, b) if start == "ee" else (b, a)
+    near = (y * y + x * x * cos) / rabi ** 2
+    middle = -1j * x * sin / rabi
+    far = x * y * (cos - 1.0) / rabi ** 2
+    return phase * np.array([near, middle, far] if start == "ee" else [far, middle, near])
+
+
+def tavis_cummings_phi_plus_fock(n_index: int, times, params: ModelParams) -> np.ndarray:
+    """Reduced qubit states (T, 4, 4), in eg, of phi_plus (x) |n> under the
+    resonant Tavis-Cummings Hamiltonian, the rotating-wave limit of H at
+    omega0 = omega (Tavis & Cummings, Phys. Rev. 170, 379 (1968)):
+
+        H_RWA = omega adag a + (omega/2)(sz1 + sz2) + lambda sum_i (a s+_i + adag s-_i).
+
+    H_RWA conserves N = adag a plus the number of excited qubits.  In
+    manifold N the triplet states |ee, N-2>, |T0, N-1> and |gg, N>, with
+    T0 = (|eg> + |ge>)/sqrt(2), couple through a = lambda sqrt(2(N-1)) and
+    b = lambda sqrt(2N); the eigenvalues are 0 and +-Omega,
+    Omega = lambda sqrt(2(2N-1)), and the singlet is dark.  |ee, n> lies in
+    N = n + 2 and |gg, n> in N = n, so the state is a closed form in each.
+    The counter-rotating terms the RWA drops move the states by O(lambda/omega)
+    over one period 2 pi/Omega (Bloch & Siegert, Phys. Rev. 57, 522 (1940)).
+    """
+    if params.omega0 != params.omega:
+        raise ValueError(f"the Tavis-Cummings closed form needs omega0 = omega, "
+                         f"got {params.omega0} and {params.omega}")
+    times = np.asarray(times, dtype=float)
+    psi = np.zeros((times.size, 4, n_index + 3), dtype=complex)
+    half = 1.0 / math.sqrt(2.0)
+    for level, start in ((n_index + 2, "ee"), (n_index, "gg")):
+        ee, triplet, gg = half * _tavis_cummings_manifold(level, start, times, params)
+        for label, amplitude, fock in ((0, ee, level - 2), (1, half * triplet, level - 1),
+                                       (2, half * triplet, level - 1), (3, gg, level)):
+            if fock >= 0:
+                psi[:, label, fock] += amplitude
+    return psi @ psi.conj().swapaxes(-1, -2)
 
 
 def union_find_labels(size: int, rows, cols) -> np.ndarray:

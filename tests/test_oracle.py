@@ -32,11 +32,12 @@ from reference import (
     eg_states,
     oracle_reduced_density,
     partial_trace_oscillator,
+    tavis_cummings_phi_plus_fock,
     two_route_tolerance,
     union_find_labels,
     x_state_concurrence,
 )
-from tc2q import oracle
+from tc2q import model, oracle
 from tc2q.analytic import coherence_integral, predicted_spectrum
 from tc2q.model import (
     BELL_KINDS,
@@ -694,6 +695,97 @@ class TestBlockedOracle:
         for spec in (Thermal(1.0), Coherent(1.0 + 0.5j), Fock(3)):
             _, peak = self.traced_peak("phi_plus", spec, t, params, dim=dim)
             assert peak <= peak_bytes(dim), spec.label
+
+
+class LoggedMatrix(np.ndarray):
+    """A view of a matrix that logs, for each matrix product it is a factor
+    of, its side and the shape of the other factor; its transpose shares
+    the log."""
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", [])
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            left, right = inputs
+            self.log.append(("left", np.shape(right)) if left is self
+                            else ("right", np.shape(left)))
+        plain = [x.view(np.ndarray) if isinstance(x, LoggedMatrix) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+class TestPairRotation:
+    """One pair rotation P, defined in model, is the oracle's frame at
+    omega0 > 0, gives its jm frame at omega0 = 0 after H (x) H, and rotates
+    the reduced states back at both."""
+
+    def test_jm_is_the_pair_rotation_after_hadamards(self):
+        s = 1.0 / math.sqrt(2.0)
+        typed = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, s, s, 0.0],
+                          [0.0, s, -s, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        assert model.PAIR_ROTATION.tobytes() == typed.tobytes()
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        assert (model.PAIR_ROTATION @ np.kron(hadamard, hadamard)).tobytes() == \
+            JM_FROM_EG.tobytes()
+
+    @pytest.mark.parametrize("omega0", [0.0, 0.25])
+    def test_both_frames_and_the_rotation_back_use_it(self, monkeypatch, omega0):
+        params = ModelParams(omega=1.0, lambda_=0.2, omega0=omega0)
+        assert _qubit_frame(params) is (JM_FROM_EG if omega0 == 0.0 else model.PAIR_ROTATION)
+        t = np.linspace(0.0, 4.0 * math.pi, 9)
+        spec = Coherent(1.0 + 0.5j)
+        _, expected, _, _ = oracle._reduced_states("psi_plus", spec, t, params, 40)
+        logged = model.PAIR_ROTATION.view(LoggedMatrix)
+        monkeypatch.setattr(oracle, "PAIR_ROTATION", logged)
+        _, rho, _, _ = oracle._reduced_states("psi_plus", spec, t, params, 40)
+        # the stack goes back as (P^T rho) P, one product on each side
+        assert {("left", (4, 4 * t.size)), ("right", (4 * t.size, 4))} <= set(logged.log)
+        # and at omega0 > 0 P is the frame of H's operators and of the Bell vector
+        assert ({("left", (4, 4)), ("left", (4,))} <= set(logged.log)) == (omega0 > 0.0)
+        assert rho.tobytes() == expected.tobytes()
+
+    def test_the_qubit_operators_are_the_typed_tables(self):
+        # built from the Pauli matrices, entry for entry the tables they replace
+        typed = {
+            "_SX_SUM": np.array([[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0],
+                                 [1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]]),
+            "_SZ_SUM": np.diag([2.0, 0.0, 0.0, -2.0]),
+            "_SIGMA_YY": np.array([[0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0],
+                                   [0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]),
+            "_OFF_X": np.array([[False, True, True, False], [True, False, False, True],
+                                [True, False, False, True], [False, True, True, False]]),
+        }
+        for name, table in typed.items():
+            built = getattr(oracle, name)
+            assert built.dtype == table.dtype and built.tobytes() == table.tobytes(), name
+
+
+class TestRotatingWaveLimit:
+    """H's factors against the literature at omega0 > 0: at resonance the
+    oracle approaches the Tavis-Cummings closed form as lambda/omega -> 0."""
+
+    BETAS = (0.04, 0.02, 0.01, 0.005)
+
+    @pytest.mark.parametrize("omega", [1.0, 1.3])
+    @pytest.mark.parametrize("n_index", [0, 2])
+    def test_gap_to_the_closed_form_falls_linearly_in_the_coupling(self, n_index, omega):
+        # max |C_oracle - C_RWA| over one period 2 pi/Omega of the manifold
+        # N = n + 2.  The counter-rotating terms and their Bloch-Siegert shift
+        # put it at O(lambda/omega): at omega = 1 it is 0.022, 0.011, 0.0054
+        # and 0.0027 for n = 0, and 0.070, 0.035, 0.018 and 0.0087 for n = 2.
+        # A wrong factor in H leaves the oracle off resonance or at another
+        # Rabi frequency, where the gap does not fall with the coupling
+        gaps = []
+        for beta in self.BETAS:
+            params = ModelParams(omega=omega, lambda_=beta * omega, omega0=omega)
+            rabi = params.lambda_ * math.sqrt(2.0 * (2 * n_index + 3))
+            t = np.linspace(0.0, 2.0 * math.pi / rabi, 2001)
+            series = oracle_concurrence_series("phi_plus", Fock(n_index), t, params)
+            closed = x_state_concurrence(tavis_cummings_phi_plus_fock(n_index, t, params))
+            gaps.append(np.abs(series.concurrence - closed).max())
+        halving = np.array(gaps[1:]) / gaps[:-1]
+        assert ((0.4 < halving) & (halving < 0.6)).all(), gaps
+        assert (np.array(gaps) < 2.5 * np.array(self.BETAS)).all(), gaps
 
 
 class TestHamiltonian:
