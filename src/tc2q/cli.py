@@ -14,9 +14,9 @@ Exit codes: 0 success, 2 configuration or command-line error (the output
 path is checked first), 3 numerical or validation failure (a numpy overflow
 included) or a failed write; errors go to stderr as one JSON line.  Unknown
 config keys, and sections the job does not read, are rejected rather than
-ignored.  Only ``--out`` and ``--dim`` override the config, and an artifact
-echoes the config and records an oracle's dim (``meta.dim``; ``dim`` in a
-report), so the echo plus that dim re-run the job bit-identically.
+ignored.  ``--config`` is the only flag, and an artifact echoes the config,
+so the echo alone re-runs the job bit-identically; an oracle's dim
+(``meta.dim``; ``dim`` in a report) is recorded as provenance.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def _get_number(obj: dict, key: str, context: str, required: bool = True,
     if not _is_number(value) or (integer and not isinstance(value, int)):
         kind = "an integer" if integer else "a number"
         raise ConfigError(f"{context}.{key} must be {kind}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # NaN, inf or an int past the float range
         raise ConfigError(f"{context}.{key} must be finite, got {value}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{context}.{key} must be >= {minimum}, got {value}")
@@ -91,6 +91,8 @@ def _get_amplitude(obj: dict, key: str, context: str) -> complex:
     parts = raw if isinstance(raw, list) and len(raw) == 2 else [raw]
     if not all(_is_number(part) for part in parts):
         raise ConfigError(f"{context}.{key} must be a number or [re, im], got {raw!r}")
+    if not all(abs(part) <= sys.float_info.max for part in parts):
+        raise ConfigError(f"{context}.{key} must be finite, got {raw!r}")
     return complex(*parts)
 
 
@@ -108,7 +110,7 @@ _KINDS = {
 
 # Every job, as (command, config.engine): its config sections besides
 # version, engine and output, and the formats it writes, the default first;
-# any other pair, section or format, or --dim without an oracle section, is an error.
+# any other pair, section or format is an error.
 _SCENARIO = ("qubit_init", "params", "oscillator", "time_grid")
 _TABLE = ("csv", "json")
 _JOBS = {
@@ -116,7 +118,7 @@ _JOBS = {
     ("run", "oracle"): ((*_SCENARIO, "oracle"), _TABLE),
     ("run", "classical"): ((*_SCENARIO, "monte_carlo"), _TABLE),
     ("validate", "validate"): ((*_SCENARIO, "oracle", "validate"), ("json",)),
-    ("sweep-beta", "analytic"): (("params", "oscillator", "oscillators", "beta_grid"), _TABLE),
+    ("sweep-beta", "analytic"): (("params", "oscillators", "beta_grid"), _TABLE),
     ("spectrum", "oracle"): (("params", "oracle"), ("json", "csv")),
 }
 
@@ -127,7 +129,7 @@ def load_config(path: str) -> dict:
             cfg = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8 or an int of over 4300 digits
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -206,15 +208,13 @@ def _parse_grid(cfg: dict, name: str, start: str, stop: str) -> np.ndarray:
     return np.linspace(first, last, n_points)
 
 
-def _parse_job(cfg: dict, args) -> str:
-    """config.engine, checked with --dim and the sections against ``_JOBS``."""
-    command, engine = args.command, cfg.get("engine")
+def _parse_job(cfg: dict, command: str) -> str:
+    """config.engine, checked with the sections against ``_JOBS``."""
+    engine = cfg.get("engine")
     if not isinstance(engine, str) or (command, engine) not in _JOBS:
         engines = tuple(name for job, name in _JOBS if job == command)
         raise ConfigError(f"{command} needs config.engine in {engines}, got {engine!r}")
     sections, _ = _JOBS[command, engine]
-    if args.dim is not None and "oracle" not in sections:
-        raise ConfigError(f"--dim does not apply to {command} with engine={engine}")
     _check_keys(cfg, {"version", "engine", "output", *sections}, f"config of {command}")
     return engine
 
@@ -234,9 +234,9 @@ def _check_scales(params: ModelParams, times: np.ndarray | None, dim: int | None
                               f"lambda = {params.lambda_!r}")
 
 
-def _parse_scenario(cfg: dict, args, engine: str):
+def _parse_scenario(cfg: dict, command: str, engine: str):
     """The scenario ``run`` and ``validate`` share, with its scales checked."""
-    params = _parse_params(cfg, args.command, engine)
+    params = _parse_params(cfg, command, engine)
     kind = cfg.get("qubit_init")
     if kind not in BELL_KINDS:
         raise ConfigError(f"config.qubit_init must be one of {BELL_KINDS}, got {kind!r}")
@@ -250,13 +250,11 @@ def _parse_scenario(cfg: dict, args, engine: str):
     return params, kind, spec, times
 
 
-def _resolve_dim(cfg: dict, args, params: ModelParams, spec=None, times=None) -> int:
-    """The Fock truncation: --dim, else oracle.dim, else oracle.choose_dim for
-    ``spec`` (the spectrum's fixed default without one), checked with ``times``."""
+def _resolve_dim(cfg: dict, params: ModelParams, spec=None, times=None) -> int:
+    """The Fock truncation: oracle.dim, else oracle.choose_dim for ``spec``
+    (the spectrum's fixed default without one), checked with ``times``."""
     obj = _section(cfg, "oracle", {"dim"})
     dim = _get_int(obj, "dim", "oracle", required=False, minimum=2)
-    if args.dim is not None:
-        dim = args.dim
     if dim is None:
         try:
             dim = _SPECTRUM_DIM if spec is None else oracle.choose_dim(spec, params)
@@ -268,14 +266,14 @@ def _resolve_dim(cfg: dict, args, params: ModelParams, spec=None, times=None) ->
     return dim
 
 
-def _resolve_output(cfg: dict, args, engine: str):
-    """Output path (--out, else output.path) and format: output.format, else
-    the path's .csv or .json suffix, else the job's default format (``_JOBS``)."""
-    formats = _JOBS[args.command, engine][1]
+def _resolve_output(cfg: dict, command: str, engine: str):
+    """Output path (output.path) and format: output.format, else the path's
+    .csv or .json suffix, else the job's default format (``_JOBS``)."""
+    formats = _JOBS[command, engine][1]
     obj = _section(cfg, "output", {"path", "format"})
-    path = obj.get("path") if args.out is None else args.out
+    path = obj.get("path")
     if path is None:
-        raise ConfigError("no output path: set config.output.path or pass --out")
+        raise ConfigError("no output path: set config.output.path")
     if not isinstance(path, str):
         raise ConfigError(f"output.path must be a string, got {path!r}")
     # the atomic write needs the parent directory for its temp file
@@ -285,22 +283,22 @@ def _resolve_output(cfg: dict, args, engine: str):
     if not (os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
         raise ConfigError(f"output directory {parent!r} does not exist or is not writable")
     suffix = os.path.splitext(path)[1].lower()
-    fmt = obj.get("format") or {".csv": "csv", ".json": "json"}.get(suffix, formats[0])
+    fmt = obj.get("format", {".csv": "csv", ".json": "json"}.get(suffix, formats[0]))
     if fmt not in _TABLE:
         raise ConfigError(f"output format must be 'csv' or 'json', got {fmt!r}")
     if fmt not in formats:
-        raise ConfigError(f"{args.command} writes only a JSON report; give a .json "
+        raise ConfigError(f"{command} writes only a JSON report; give a .json "
                           "output path or output.format json")
     return path, fmt
 
 
-def _cmd_run(cfg: dict, args, engine: str, path: str):
-    params, qubit_init, spec, times = _parse_scenario(cfg, args, engine)
+def _cmd_run(cfg: dict, command: str, engine: str, path: str):
+    params, qubit_init, spec, times = _parse_scenario(cfg, command, engine)
     if engine == "analytic":
         series = analytic.analytic_series(qubit_init, spec, times, params)
     elif engine == "oracle":
         series = oracle.oracle_concurrence_series(
-            qubit_init, spec, times, params, dim=_resolve_dim(cfg, args, params, spec, times))
+            qubit_init, spec, times, params, dim=_resolve_dim(cfg, params, spec, times))
     else:
         series = _classical_series(cfg, spec, times, params)
     return (series.engine, series.columns(),
@@ -310,8 +308,8 @@ def _cmd_run(cfg: dict, args, engine: str, path: str):
 
 def _classical_series(cfg: dict, dist, times: np.ndarray, params: ModelParams):
     samples, seed = None, 0
-    if cfg.get("monte_carlo") is not None:
-        mc = _section(cfg, "monte_carlo", {"samples", "seed"}, required=True)
+    if "monte_carlo" in cfg:
+        mc = _section(cfg, "monte_carlo", {"samples", "seed"})
         samples = _get_int(mc, "samples", "monte_carlo", minimum=2)
         seed = _get_int(mc, "seed", "monte_carlo", required=False, default=0, minimum=0)
         _check_fits(classical.mc_peak_bytes(samples), f"monte_carlo.samples = {samples}")
@@ -321,13 +319,13 @@ def _classical_series(cfg: dict, dist, times: np.ndarray, params: ModelParams):
         raise ConfigError(str(exc)) from exc
 
 
-def _cmd_validate(cfg: dict, args, engine: str, path: str):
-    params, qubit_init, spec, times = _parse_scenario(cfg, args, engine)
+def _cmd_validate(cfg: dict, command: str, engine: str, path: str):
+    params, qubit_init, spec, times = _parse_scenario(cfg, command, engine)
     tolerance = _get_number(_section(cfg, "validate", {"tolerance"}), "tolerance",
                             "validate", required=False, default=1e-6)
     if tolerance <= 0:
         raise ConfigError(f"validate.tolerance must be positive, got {tolerance}")
-    dim = _resolve_dim(cfg, args, params, spec, times)
+    dim = _resolve_dim(cfg, params, spec, times)
     analytic_series = analytic.analytic_series(qubit_init, spec, times, params)
     oracle_series = oracle.oracle_concurrence_series(qubit_init, spec, times,
                                                      params, dim=dim)
@@ -335,10 +333,11 @@ def _cmd_validate(cfg: dict, args, engine: str, path: str):
     max_diff = float(diff.max())
     # I = u + iv carries the phase that C = |I| cannot show; the stationary
     # Bell kinds have no I column
-    coherence_diff = None
+    coherence_diff, coherence = None, ""
     if analytic_series.u is not None:
         coherence_diff = float(np.hypot(analytic_series.u - oracle_series.u,
                                         analytic_series.v - oracle_series.v).max())
+        coherence = f", max |I_analytic - I_oracle| = {coherence_diff:.6g}"
     passed = bool(max_diff <= tolerance
                   and (coherence_diff is None or coherence_diff <= tolerance))
     status = "PASS" if passed else "FAIL"
@@ -351,23 +350,19 @@ def _cmd_validate(cfg: dict, args, engine: str, path: str):
             {"tolerance": tolerance, "max_abs_diff": max_diff,
              "max_abs_diff_coherence": coherence_diff, "passed": passed,
              "n_points": int(times.size), "dim": dim},
-            f"max |C_analytic - C_oracle| = {max_diff:.6g}, max |I_analytic - I_oracle| "
-            f"= {coherence_diff} vs tolerance {tolerance:g}: {status} ({path})", passed)
+            f"max |C_analytic - C_oracle| = {max_diff:.6g}{coherence} vs tolerance "
+            f"{tolerance:g}: {status} ({path})", passed)
 
 
-def _cmd_sweep(cfg: dict, args, engine: str, path: str):
+def _cmd_sweep(cfg: dict, command: str, engine: str, path: str):
     # optional: beta comes from the grid, but params given are checked
     if "params" in cfg:
-        _parse_params(cfg, args.command, engine)
+        _parse_params(cfg, command, engine)
     betas = _parse_grid(cfg, "beta_grid", "start", "stop")
     if not 0.0 <= betas[0] < betas[-1] <= 0.5:
         raise ConfigError(f"beta_grid must lie within [0, 0.5], "
                           f"got [{betas[0]}, {betas[-1]}]")
     raw_specs = cfg.get("oscillators")
-    if raw_specs is not None and "oscillator" in cfg:
-        raise ConfigError("give config.oscillator or config.oscillators, not both")
-    if raw_specs is None:
-        raw_specs = [cfg.get("oscillator")]
     if not isinstance(raw_specs, list) or not raw_specs:
         raise ConfigError("config.oscillators must be a non-empty list")
     specs = [_parse_preparation(entry, f"oscillators[{i}]", "quantum")
@@ -386,9 +381,9 @@ def _cmd_sweep(cfg: dict, args, engine: str, path: str):
             f"wrote {len(labels)} rows to {path} ({len(specs)} oscillator spec(s))", True)
 
 
-def _cmd_spectrum(cfg: dict, args, engine: str, path: str):
-    params = _parse_params(cfg, args.command, engine)
-    dim = _resolve_dim(cfg, args, params)
+def _cmd_spectrum(cfg: dict, command: str, engine: str, path: str):
+    params = _parse_params(cfg, command, engine)
+    dim = _resolve_dim(cfg, params)
     computed = oracle.spectrum(params, dim)
     predicted = analytic.predicted_spectrum(params, dim)
     abs_diff = np.abs(computed - predicted)
@@ -426,10 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
             ("spectrum", _cmd_spectrum, "check oracle eigenvalues against closed form")):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", required=True, help="path to a JSON config")
-        p.add_argument("--out", default=None, help="output path (overrides config)")
-        p.add_argument("--dim", type=int, default=None,
-                       help="Fock-space dimension, overrides oracle.dim and the default "
-                            "(oracle run, validate, spectrum)")
         p.set_defaults(handler=handler)
     return parser
 
@@ -447,15 +438,13 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         cfg = load_config(args.config)
-        if args.dim is not None and args.dim < 2:
-            raise ConfigError(f"--dim must be >= 2, got {args.dim}")
-        engine = _parse_job(cfg, args)
-        path, fmt = _resolve_output(cfg, args, engine)
+        engine = _parse_job(cfg, args.command)
+        path, fmt = _resolve_output(cfg, args.command, engine)
         with warnings.catch_warnings():
             # numpy reports an overflow as a warning: a numerical failure here
             warnings.simplefilter("error", RuntimeWarning)
             kind, columns, meta, summary, message, passed = args.handler(
-                cfg, args, engine, path)
+                cfg, args.command, engine, path)
         write_table(path, fmt, kind, columns, {"config": cfg, **meta}, summary)
     except ConfigError as exc:
         print(json.dumps({"error": str(exc), "exit_code": 2}), file=sys.stderr)

@@ -12,12 +12,11 @@ kind, to a value of another type or to an extreme, deletes it, or adds a
 section.  The engine runs through every name in ``cli._JOBS`` and the
 preparation through every kind in ``cli._KINDS``, with ``fock.n`` up to its
 bound of 10000 and lambda up to 10.  Jobs with an ``oracle`` section get
-``--dim 48``, so a draw that reaches the oracle stays small: a state the
-truncation cannot hold fails fast on its tail or leakage check (exit 3).
-A command-line draw runs a job's unmutated config with one argument
-dropped, added or changed: no ``--config``, an unknown or removed flag, a
-``--dim`` that is not an integer, too small, or on a job with no ``oracle``
-section, or another ``--out``.
+``oracle.dim`` 48 in their config, so a draw that reaches the oracle stays
+small: a state the truncation cannot hold fails fast on its tail or leakage
+check (exit 3).  A command-line draw runs a job's unmutated config with one
+argument dropped or added: no ``--config``, or an unknown or removed flag
+(``--dim`` and ``--out`` included, since the config is the whole job).
 """
 
 import contextlib
@@ -46,7 +45,8 @@ DELETE = object()
 
 # a value of the wrong type, or a number at an extreme, for any field
 JUNK = st.sampled_from([None, True, "", "x", [], {}, [1.0, 0.5], 0, -1, 2, 0.5, -0.5,
-                        5e-324, 1e154, 1e308, -1e308, 10 ** 30, math.nan, math.inf])
+                        5e-324, 1e154, 1e308, -1e308, 10 ** 30, 10 ** 400, math.nan,
+                        math.inf])
 FLOAT = st.floats(-20.0, 20.0)
 POSITIVE = st.one_of(st.floats(1e-3, 10.0), st.sampled_from([1e100, 1e200]))
 OSCILLATORS = st.one_of(
@@ -69,6 +69,7 @@ OWN_KIND = {
     ("params", "omega0"): st.floats(0.0, 1.0),
     ("oscillator",): OSCILLATORS,
     ("oscillator", "kind"): st.sampled_from(sorted(cli._KINDS)),
+    ("oscillators",): st.lists(OSCILLATORS, min_size=1, max_size=3),
     ("time_grid", "t_start"): FLOAT,
     ("time_grid", "t_end"): st.floats(-20.0, 60.0),
     ("time_grid", "n_points"): st.integers(2, 3000),
@@ -94,7 +95,9 @@ def base_config(command: str, engine: str) -> dict:
         cfg["oscillator"] = {"kind": "classical_thermal", "k_T": 1.0}
     if command == "validate":
         cfg["output"] = {"path": "report.json"}
+    cfg["oscillators"] = [cfg["oscillator"]]
     cfg["beta_grid"] = {"start": 0.0, "stop": 0.5, "n_points": 50}
+    cfg["oracle"] = {"dim": DIM}
     sections = {"version", "engine", "output", *cli._JOBS[command, engine][0]}
     return {key: value for key, value in cfg.items() if key in sections}
 
@@ -118,47 +121,30 @@ def mutated_jobs(draw):
     return command, cfg
 
 
-def job_argv(command: str, cfg: dict) -> list:
-    """The command line of a job: ``--dim 48`` where its sections include oracle."""
-    argv = [command, "--config", "cfg.json"]
-    engine = cfg.get("engine")
-    if isinstance(engine, str) and "oracle" in cli._JOBS.get((command, engine), ((),))[0]:
-        argv += ["--dim", str(DIM)]
-    return argv
-
-
-# what a command-line draw adds (unknown, removed or incomplete flags), and
-# the values it gives --dim and --out
+# what a command-line draw adds: unknown, removed or incomplete flags
 FLAGS = st.sampled_from([["--seed", "7"], ["--seed", "-1"], ["--format", "csv"],
                          ["--format", "json"], ["--bogus"], ["extra"], ["--dim"],
-                         ["--out"], ["--config", "missing.json"]])
-DIMS = st.sampled_from(["abc", "", "1.5", "1e3", "-3", "0", "1", "2", "12", "48", "60"])
-OUTS = st.sampled_from(["out.json", "out.csv", "out", "", ".", "missing/out.csv"])
+                         ["--dim", "48"], ["--out"], ["--out", "out.csv"],
+                         ["--config", "missing.json"]])
 
 
 @st.composite
 def mutated_argvs(draw):
     """(command, config, argv): a job's base config with one change to its argv."""
     command, engine = draw(st.sampled_from(sorted(cli._JOBS)))
-    cfg = base_config(command, engine)
-    argv = job_argv(command, cfg)
-    change = draw(st.sampled_from(["drop", "add", "dim", "out"]))
-    if change == "drop":  # the command, --config or its path, or --dim
+    argv = [command, "--config", "cfg.json"]
+    if draw(st.booleans()):  # drop the command, --config or its path
         index = draw(st.integers(0, len(argv) - 1))
         argv = argv[:index] + argv[index + 1:]
-    elif change == "add":  # anywhere, the command's position included
+    else:  # add anywhere, the command's position included
         index = draw(st.integers(0, len(argv)))
         argv = argv[:index] + draw(FLAGS) + argv[index:]
-    elif change == "dim":  # also on a job with no oracle section
-        argv = argv[:3] + ["--dim", draw(DIMS)]
-    else:
-        argv = argv + ["--out", draw(OUTS)]
-    return command, cfg, argv
+    return command, base_config(command, engine), argv
 
 
 def run_job(command: str, cfg: dict, argv: list | None = None):
     """Exit code, stderr lines, files left and seconds of one in-process call
-    (``job_argv`` unless ``argv`` is given)."""
+    (``command --config cfg.json`` unless ``argv`` is given)."""
     with tempfile.TemporaryDirectory() as tmp:
         here = os.getcwd()
         os.chdir(tmp)
@@ -166,7 +152,7 @@ def run_job(command: str, cfg: dict, argv: list | None = None):
             with open("cfg.json", "w") as handle:
                 json.dump(cfg, handle)
             if argv is None:
-                argv = job_argv(command, cfg)
+                argv = [command, "--config", "cfg.json"]
             err = io.StringIO()
             start = time.perf_counter()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -208,7 +194,8 @@ class TestExitCodeContract:
         command, cfg, argv = job
         code, lines, files, elapsed = run_job(command, cfg, argv)
         check_contract(command, code, lines, files, elapsed)
-        if any(flag in argv for flag in ("--seed", "--format", "--bogus", "extra")):
+        if any(flag in argv for flag in ("--seed", "--format", "--bogus", "extra", "--dim",
+                                         "--out")):
             assert code == 2  # no job reads these
 
     def test_the_unmutated_configs_run(self):

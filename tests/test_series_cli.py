@@ -229,13 +229,13 @@ class TestCliRun:
         np.testing.assert_array_equal(series.concurrence, 1.0)
         assert series.u is None
 
-    def test_oracle_engine_respects_dim_override(self, tmp_path):
+    def test_oracle_engine_reads_oracle_dim(self, tmp_path):
         out = str(tmp_path / "o.json")
         cfg_path, _ = write_config(
-            tmp_path, engine="oracle",
+            tmp_path, engine="oracle", oracle={"dim": 85},
             time_grid={"t_start": 0.0, "t_end": 3.0, "n_points": 4},
             output={"path": out, "format": "json"})
-        assert cli.main(["run", "--config", cfg_path, "--dim", "85"]) == 0
+        assert cli.main(["run", "--config", cfg_path]) == 0
         payload = json.loads(Path(out).read_text())
         assert payload["meta"]["dim"] == 85
         assert payload["meta"]["config"]["engine"] == "oracle"
@@ -247,10 +247,10 @@ class TestCliRun:
         out = str(tmp_path / "o.json")
         params = {"omega": 1.0, "lambda": 0.1, "omega0": 0.3}
         cfg_path, _ = write_config(
-            tmp_path, engine="oracle", params=params,
+            tmp_path, engine="oracle", params=params, oracle={"dim": 40},
             time_grid={"t_start": 0.0, "t_end": 3.0, "n_points": 4},
             output={"path": out, "format": "json"})
-        assert cli.main(["run", "--config", cfg_path, "--dim", "40"]) == 0
+        assert cli.main(["run", "--config", cfg_path]) == 0
         payload = json.loads(Path(out).read_text())
         assert payload["meta"]["params"]["omega0"] == 0.3
         direct = oracle.oracle_concurrence_series(
@@ -276,25 +276,32 @@ class TestCliRun:
         assert series.concurrence[0] == 1.0
         assert series.std_error is None
 
-    @pytest.mark.parametrize("overrides, flags", [
-        ({"engine": "classical", "oscillator": {"kind": "classical_thermal", "k_T": 1.0},
-          "monte_carlo": {"samples": 400, "seed": 42}}, []),
-        ({"engine": "oracle"}, ["--dim", "40"]),
-    ], ids=["monte-carlo", "oracle-dim"])
-    def test_the_echo_and_dim_re_run_the_job(self, tmp_path, overrides, flags):
-        # the echo is the config the run used: re-run from it, with the dim
-        # the artifact records, it writes the same bytes
+    NO_SCENARIO = {"qubit_init": None, "oscillator": None, "time_grid": None}
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("run", {}),
+        ("run", {"engine": "classical", "oscillator": {"kind": "classical_thermal", "k_T": 1.0},
+                 "monte_carlo": {"samples": 400, "seed": 42}}),
+        ("run", {"engine": "oracle", "oracle": {"dim": 40}}),
+        ("run", {"engine": "oracle"}),
+        ("validate", {"engine": "validate"}),
+        ("sweep-beta", {**NO_SCENARIO, "oscillators": [{"kind": "fock", "n": 1}],
+                        "beta_grid": {"start": 0.0, "stop": 0.2, "n_points": 3}}),
+        ("spectrum", {**NO_SCENARIO, "engine": "oracle", "oracle": {"dim": 12}}),
+    ], ids=["analytic", "monte-carlo", "oracle-dim", "oracle-rule", "validate", "sweep-beta",
+            "spectrum"])
+    def test_the_echo_and_dim_re_run_the_job(self, tmp_path, command, overrides):
+        # the echo is the config the run used: re-run from it alone, with no
+        # flag, it writes the same bytes; a rule-chosen dim is a function of it
         out = tmp_path / "out.json"
         cfg_path, _ = write_config(
-            tmp_path, time_grid={"t_start": 0.0, "t_end": 3.0, "n_points": 4},
-            output={"path": "unused.csv"}, **overrides)
-        assert cli.main(["run", "--config", cfg_path, "--out", str(out), *flags]) == 0
+            tmp_path, output={"path": str(out)},
+            **{"time_grid": {"t_start": 0.0, "t_end": 3.0, "n_points": 4}, **overrides})
+        assert cli.main([command, "--config", cfg_path]) == 0
         first = out.read_bytes()
-        meta = json.loads(first)["meta"]
-        (tmp_path / "echo.json").write_text(json.dumps(meta["config"]))
-        dim = ["--dim", str(meta["dim"])] if "dim" in meta else []
-        assert cli.main(["run", "--config", str(tmp_path / "echo.json"),
-                         "--out", str(out), *dim]) == 0
+        (tmp_path / "echo.json").write_text(json.dumps(json.loads(first)["meta"]["config"]))
+        out.unlink()
+        assert cli.main([command, "--config", str(tmp_path / "echo.json")]) == 0
         assert out.read_bytes() == first
 
     def test_format_follows_the_path_suffix(self, tmp_path):
@@ -377,6 +384,10 @@ class TestCliValidate:
         assert diff > 1e-6 if code else diff is None
 
 
+#: the sweep's one oscillator, in place of write_config's ``oscillator``
+ONE_OSCILLATOR = {"oscillator": None, "oscillators": [{"kind": "thermal", "mean_n": 1.0}]}
+
+
 class TestCliSweep:
     def test_rows_and_node_value(self, tmp_path):
         out = str(tmp_path / "sweep.csv")
@@ -397,33 +408,42 @@ class TestCliSweep:
         value = abs(Fock(1).coherence(math.pi, 0.125))
         assert value == 0.0
 
-    def test_single_oscillator_key_is_accepted(self, tmp_path):
-        out = str(tmp_path / "sweep.csv")
-        cfg_path, cfg = write_config(
+    def test_singular_oscillator_key_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        coherent = {"kind": "coherent", "alpha0": 0.0}
+        cfg_path, _ = write_config(
             tmp_path, engine="analytic", qubit_init=None, params=None,
-            time_grid=None,
-            oscillator={"kind": "coherent", "alpha0": 0.0},
+            time_grid=None, oscillator=coherent,
             beta_grid={"start": 0.05, "stop": 0.3, "n_points": 6},
-            output={"path": out, "format": "csv"})
-        assert cli.main(["sweep-beta", "--config", cfg_path]) == 0
-        assert len(Path(out).read_text().strip().splitlines()) == 7
-        with open(cfg_path, "w") as handle:  # but not both forms at once
-            json.dump({**cfg, "oscillators": [{"kind": "fock", "n": 1}]}, handle)
+            output={"path": str(out), "format": "csv"})
         assert cli.main(["sweep-beta", "--config", cfg_path]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "unknown key(s) ['oscillator']" in json.loads(lines[0])["error"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+        # a one-element list is that sweep
+        cfg_path, _ = write_config(
+            tmp_path, engine="analytic", qubit_init=None, params=None,
+            time_grid=None, oscillator=None, oscillators=[coherent],
+            beta_grid={"start": 0.05, "stop": 0.3, "n_points": 6},
+            output={"path": str(out), "format": "csv"})
+        assert cli.main(["sweep-beta", "--config", cfg_path]) == 0
+        assert len(out.read_text().strip().splitlines()) == 7
 
     def test_requires_analytic_engine(self, tmp_path):
         cfg_path, _ = write_config(
             tmp_path, engine="oracle", qubit_init=None, params=None,
-            time_grid=None,
+            time_grid=None, **ONE_OSCILLATOR,
             beta_grid={"start": 0.0, "stop": 0.2, "n_points": 3})
         assert cli.main(["sweep-beta", "--config", cfg_path]) == 2
 
-    def test_rejects_out_of_range_grid(self, tmp_path):
+    def test_rejects_out_of_range_grid(self, tmp_path, capsys):
         cfg_path, _ = write_config(
             tmp_path, engine="analytic", qubit_init=None, params=None,
-            time_grid=None,
+            time_grid=None, **ONE_OSCILLATOR,
             beta_grid={"start": 0.0, "stop": 0.7, "n_points": 3})
         assert cli.main(["sweep-beta", "--config", cfg_path]) == 2
+        assert "beta_grid must lie within" in json.loads(capsys.readouterr().err)["error"]
 
     @pytest.mark.parametrize("params", [
         "nonsense",
@@ -432,7 +452,7 @@ class TestCliSweep:
     def test_params_are_checked(self, tmp_path, params):
         out = str(tmp_path / "sweep.csv")
         cfg_path, _ = write_config(
-            tmp_path, engine="analytic", qubit_init=None, time_grid=None,
+            tmp_path, engine="analytic", qubit_init=None, time_grid=None, **ONE_OSCILLATOR,
             params=params, beta_grid={"start": 0.0, "stop": 0.2, "n_points": 3},
             output={"path": out, "format": "csv"})
         assert cli.main(["sweep-beta", "--config", cfg_path]) == 2
@@ -456,9 +476,9 @@ class TestCliSpectrum:
         out = str(tmp_path / "spec.csv")
         cfg_path, _ = write_config(
             tmp_path, engine="oracle", qubit_init=None, oscillator=None,
-            time_grid=None,
+            time_grid=None, oracle={"dim": 30},
             output={"path": out, "format": "csv"})
-        assert cli.main(["spectrum", "--config", cfg_path, "--dim", "30"]) == 0
+        assert cli.main(["spectrum", "--config", cfg_path]) == 0
         lines = Path(out).read_text().strip().splitlines()
         assert lines[0] == "index,computed,predicted,abs_diff"
         assert len(lines) == 121
@@ -477,7 +497,7 @@ class TestCliSpectrum:
         cfg_path, _ = write_config(
             tmp_path, engine="oracle", qubit_init=None, oscillator=None,
             time_grid=None, oracle={"dim": 40, "dimm": 50})
-        assert cli.main(["spectrum", "--config", cfg_path, "--dim", "30"]) == 2
+        assert cli.main(["spectrum", "--config", cfg_path]) == 2
         assert "dimm" in json.loads(capsys.readouterr().err)["error"]
 
 
@@ -501,11 +521,11 @@ class TestEnvelope:
             "validate"])
     def test_every_command_writes_one_envelope(self, tmp_path, command, overrides,
                                                formats):
-        # no output section, so both formats echo the same config
-        cfg_path, _ = write_config(tmp_path, output=None, **overrides)
         for fmt in formats:
-            assert cli.main([command, "--config", cfg_path,
-                             "--out", str(tmp_path / f"out.{fmt}")]) == 0
+            cfg_path, _ = write_config(tmp_path, name=f"cfg.{fmt}.json",
+                                       output={"path": str(tmp_path / f"out.{fmt}")},
+                                       **overrides)
+            assert cli.main([command, "--config", cfg_path]) == 0
         payload = json.loads((tmp_path / "out.json").read_text())
         assert list(payload)[:2] == ["artifact_version", "engine"]
         assert list(payload)[-2:] == ["meta", "columns"]
@@ -513,6 +533,8 @@ class TestEnvelope:
         if "csv" in formats:
             columns = payload.pop("columns")
             sidecar = json.loads((tmp_path / "out.csv.meta.json").read_text())
+            # the two configs differ only in output.path
+            payload["meta"]["config"]["output"]["path"] = str(tmp_path / "out.csv")
             assert list(sidecar.items()) == list(payload.items())
             header = (tmp_path / "out.csv").read_text().splitlines()[0]
             assert header.split(",") == list(columns)
@@ -542,6 +564,18 @@ class TestCliErrors:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert cli.main(["run", "--config", str(path)]) == 2
+
+    def test_integer_past_the_readers_digit_limit_is_a_config_error(self, tmp_path, capsys):
+        # Python's JSON reader refuses an integer literal of over 4300 digits
+        # with a ValueError that is not a JSONDecodeError
+        cfg_path, cfg = write_config(tmp_path)
+        long = json.dumps(cfg).replace('"omega": 1.0', '"omega": 1' + "0" * 5000)
+        Path(cfg_path).write_text(long)
+        assert cli.main(["run", "--config", cfg_path]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "is not valid JSON" in json.loads(lines[0])["error"]
+        assert not os.path.exists(cfg["output"]["path"])
 
     def test_classical_engine_rejects_stationary_bell_kinds(self, tmp_path):
         cfg_path, _ = write_config(
@@ -579,29 +613,40 @@ class TestCliErrors:
             outs.append(json.loads(Path(out).read_text())["meta"]["oscillator"])
         assert outs == ["coherent(alpha0=1-0.5j)", "coherent(alpha0=1+0j)"]
 
-    SWEEP = {"qubit_init": None, "time_grid": None,
+    SWEEP = {"qubit_init": None, "time_grid": None, **ONE_OSCILLATOR,
              "beta_grid": {"start": 0.0, "stop": 0.2, "n_points": 3}}
 
-    @pytest.mark.parametrize("command, overrides, flag", [
-        ("run", {}, "--seed"),
-        ("run", {"engine": "oracle"}, "--seed"),
+    @pytest.mark.parametrize("flag", ["--seed", "--format", "--dim", "--out"])
+    @pytest.mark.parametrize("command, overrides", [
+        ("run", {}),
+        ("run", {"engine": "oracle"}),
         ("run", {"engine": "classical", "monte_carlo": {"samples": 10},
-                 "oscillator": {"kind": "delta", "q0": 0.0, "p0": 1.0}}, "--dim"),
-        ("validate", {"engine": "validate"}, "--seed"),
-        ("sweep-beta", SWEEP, "--dim"),
-        ("sweep-beta", SWEEP, "--seed"),
+                 "oscillator": {"kind": "delta", "q0": 0.0, "p0": 1.0}}),
+        ("validate", {"engine": "validate"}),
+        ("sweep-beta", SWEEP),
         ("spectrum", {"engine": "oracle", "qubit_init": None, "oscillator": None,
-                      "time_grid": None}, "--seed"),
-    ])
-    def test_overrides_apply_only_to_their_jobs(self, tmp_path, command, overrides, flag):
+                      "time_grid": None}),
+    ], ids=["run-analytic", "run-oracle", "run-classical", "validate", "sweep-beta",
+            "spectrum"])
+    def test_no_flag_but_config_sets_a_job_input(self, tmp_path, capsys, command,
+                                                 overrides, flag):
+        # the config is the whole job: any flag but --config is an unknown
+        # argument on every command, and the job writes nothing
         fmt = "json" if command in ("validate", "spectrum") else "csv"
         cfg_path, cfg = write_config(
             tmp_path, output={"path": str(tmp_path / f"out.{fmt}"), "format": fmt},
             **overrides)
         assert cli.main([command, "--config", cfg_path]) == 0
-        os.remove(cfg["output"]["path"])
+        for name in os.listdir(tmp_path):
+            if name != "cfg.json":
+                os.remove(tmp_path / name)
+        capsys.readouterr()
         assert cli.main([command, "--config", cfg_path, flag, "30"]) == 2
-        assert not os.path.exists(cfg["output"]["path"])
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": f"unrecognized arguments: {flag} 30",
+                                        "exit_code": 2}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize("argv, named", [
         (["run"], "--config"),
@@ -609,7 +654,7 @@ class TestCliErrors:
         (["run", "--config", "CFG", "--seed", "7"], "--seed 7"),
         (["run", "--config", "CFG", "--format", "csv"], "--format csv"),
         (["run", "--config", "CFG", "--dim", "abc"], "--dim"),
-        (["run", "--config", "CFG", "--out", ""], "output path ''"),
+        (["run", "--config", "CFG", "--out", ""], "--out"),
         (["--config", "CFG"], "argument command"),
         (["bogus", "--config", "CFG"], "bogus"),
         ([], "command"),
@@ -617,8 +662,7 @@ class TestCliErrors:
             "no-command", "unknown-command", "empty"])
     def test_command_line_errors_are_config_errors(self, tmp_path, capsys, argv, named):
         # argparse's usage lines and SystemExit would break the one-JSON-line
-        # contract; an empty --out names no file rather than falling back to
-        # output.path
+        # contract
         cfg_path, cfg = write_config(
             tmp_path, engine="classical", monte_carlo={"samples": 50},
             oscillator={"kind": "classical_thermal", "k_T": 1.0})
@@ -653,8 +697,8 @@ class TestCliErrors:
         monkeypatch.setattr(oracle, "eigenblocks", self.refuse_allocation)
         out = str(tmp_path / "out.json")
         cfg_path, _ = write_config(tmp_path, output={"path": out, "format": "json"},
-                                   **overrides)
-        assert cli.main([command, "--config", cfg_path, "--dim", "1000000"]) == 2
+                                   oracle={"dim": 1000000}, **overrides)
+        assert cli.main([command, "--config", cfg_path]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         err = json.loads(lines[0])
@@ -728,15 +772,18 @@ class TestCliErrors:
             tracemalloc.stop()
         assert peak <= counted[0]
 
-    @pytest.mark.parametrize("command, overrides", [("run", {}), ("sweep-beta", SWEEP)],
-                             ids=["run-analytic", "sweep-beta"])
+    HUGE_FOCK = {"kind": "fock", "n": 10 ** 30}
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("run", {"oscillator": HUGE_FOCK}),
+        ("sweep-beta", {**SWEEP, "oscillators": [HUGE_FOCK]}),
+    ], ids=["run-analytic", "sweep-beta"])
     def test_huge_fock_level_exits_two_in_time(self, tmp_path, command, overrides):
         # the closed form of |n> is a recurrence of n steps, which at 10^30
         # would never return
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
             os.path.dirname(os.path.dirname(tc2q.__file__)), os.environ.get("PYTHONPATH")])))
-        cfg_path, _ = write_config(tmp_path, oscillator={"kind": "fock", "n": 10 ** 30},
-                                   **overrides)
+        cfg_path, _ = write_config(tmp_path, **overrides)
         done = subprocess.run([sys.executable, "-m", "tc2q.cli", command, "--config", cfg_path],
                               capture_output=True, text=True, env=env, timeout=60)
         assert done.returncode == 2
@@ -749,8 +796,8 @@ class TestCliErrors:
 
     @pytest.mark.parametrize("level, code", [(10_000, 0), (10_001, 2)])
     def test_fock_level_bound(self, tmp_path, level, code):
-        cfg_path, cfg = write_config(tmp_path, oscillator={"kind": "fock", "n": level},
-                                     **self.SWEEP)
+        cfg_path, cfg = write_config(
+            tmp_path, **{**self.SWEEP, "oscillators": [{"kind": "fock", "n": level}]})
         assert cli.main(["sweep-beta", "--config", cfg_path]) == code
         assert os.path.exists(cfg["output"]["path"]) == (code == 0)
 
@@ -891,8 +938,12 @@ class TestCliErrors:
         ("run", {"time_grid": {"t_start": 0.0, "t_end": "1e999", "n_points": 5}}),
         ("sweep-beta", {**SWEEP, "beta_grid": {"start": 0.0, "stop": math.nan,
                                                "n_points": 3}}),
+        # integer literals past the float range, which float() cannot convert
+        ("run", {"params": {"omega": 10 ** 400, "lambda": 0.1}}),
+        ("run", {"oscillator": {"kind": "thermal", "mean_n": 10 ** 400}}),
+        ("run", {"oscillator": {"kind": "coherent", "alpha0": [1.0, -10 ** 400]}}),
     ], ids=["tolerance-Infinity", "tolerance-NaN", "t_end-Infinity", "t_end-1e999",
-            "stop-NaN"])
+            "stop-NaN", "omega-10**400", "mean_n-10**400", "alpha0-10**400"])
     def test_non_finite_numbers_are_config_errors(self, tmp_path, capsys, command,
                                                   overrides):
         out = tmp_path / "out.json"
@@ -1049,26 +1100,51 @@ class TestCliErrors:
         assert caught == [] and capsys.readouterr().err == ""
         assert json.loads(out.read_text())["columns"][column] == expected
 
-    @pytest.mark.parametrize("command, overrides, flags, message", [
-        ("run", {"engine": "oracle"}, ["--dim", "1"], "--dim must be >= 2, got 1"),
-        ("run", "[1, 2]", [], "config root must be a JSON object"),
-        ("validate", {"engine": "validate", "validate": {"tolerance": 0}}, [],
+    @pytest.mark.parametrize("command, overrides, message", [
+        ("run", {"engine": "oracle", "oracle": {"dim": 1}}, "oracle.dim must be >= 2, got 1"),
+        ("run", "[1, 2]", "config root must be a JSON object"),
+        ("validate", {"engine": "validate", "validate": {"tolerance": 0}},
          "validate.tolerance must be positive, got 0.0"),
-        ("sweep-beta", {**SWEEP, "oscillator": None, "oscillators": []}, [],
+        ("sweep-beta", {**SWEEP, "oscillators": []},
          "config.oscillators must be a non-empty list"),
-    ], ids=["dim-1", "root-array", "tolerance-0", "oscillators-empty"])
-    def test_invalid_inputs_are_config_errors(self, tmp_path, capsys, command, overrides,
-                                              flags, message):
-        out = tmp_path / "out.json"
-        cfg_path, _ = write_config(tmp_path, output={"path": str(out), "format": "json"},
+        ("sweep-beta", {**SWEEP, "oscillators": None,
+                        "oscillator": {"kind": "thermal", "mean_n": 1.0}},
+         "unknown key(s) ['oscillator'] in config of sweep-beta; allowed: "
+         "['beta_grid', 'engine', 'oscillators', 'output', 'params', 'version']"),
+    ], ids=["dim-1", "root-array", "tolerance-0", "oscillators-empty", "sweep-oscillator"])
+    def test_invalid_inputs_are_config_errors(self, tmp_path, capsys, monkeypatch, command,
+                                              overrides, message):
+        monkeypatch.chdir(tmp_path)
+        cfg_path, _ = write_config(tmp_path, output={"path": "out.json", "format": "json"},
                                    **({} if isinstance(overrides, str) else overrides))
         if isinstance(overrides, str):  # a config that is not an object
             Path(cfg_path).write_text(overrides)
-        assert cli.main([command, "--config", cfg_path, *flags]) == 2
+        assert cli.main([command, "--config", cfg_path]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0]) == {"error": message, "exit_code": 2}
-        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("change, message", [
+        *(({"output": {"path": "out.json", "format": value}},
+           f"output format must be 'csv' or 'json', got {value!r}")
+          for value in (False, "", None, 0, [])),
+        ({"engine": "classical", "oscillator": {"kind": "classical_thermal", "k_T": 1.0},
+          "monte_carlo": None},
+         "config.monte_carlo must be an object with keys ['samples', 'seed']"),
+    ], ids=["format-false", "format-empty", "format-null", "format-0", "format-list",
+            "monte-carlo-null"])
+    def test_a_present_key_is_read_even_when_falsy(self, tmp_path, capsys, monkeypatch,
+                                                   change, message):
+        # a null or empty value is an error, not the default an absent key gives
+        monkeypatch.chdir(tmp_path)
+        cfg_path, cfg = write_config(tmp_path, output={"path": "out.json"})
+        Path(cfg_path).write_text(json.dumps({**cfg, **change}))
+        assert cli.main(["run", "--config", cfg_path]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": message, "exit_code": 2}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_sections_the_job_never_reads_are_config_errors(self, tmp_path, capsys):
         sections = {"monte_carlo": {"samples": 10}, "oracle": {"dim": 40},
@@ -1079,15 +1155,11 @@ class TestCliErrors:
         error = json.loads(capsys.readouterr().err)["error"]
         assert all(f"'{name}'" in error for name in sections)
 
-    def test_dim_override_on_analytic_engine(self, tmp_path):
-        cfg_path, _ = write_config(tmp_path)
-        assert cli.main(["run", "--config", cfg_path, "--dim", "50"]) == 2
-
     def test_truncation_failure_exits_three(self, tmp_path, capsys):
         cfg_path, _ = write_config(
-            tmp_path, engine="oracle",
+            tmp_path, engine="oracle", oracle={"dim": 10},
             oscillator={"kind": "coherent", "alpha0": 2.0})
-        assert cli.main(["run", "--config", cfg_path, "--dim", "10"]) == 3
+        assert cli.main(["run", "--config", cfg_path]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["exit_code"] == 3
 
@@ -1126,7 +1198,7 @@ class TestJobPipeline:
     GRID = {"t_start": 0.0, "t_end": 3.0, "n_points": 6}
     NO_SCENARIO = {"qubit_init": None, "oscillator": None, "time_grid": None}
     VALIDATE_LINE = ("max |C_analytic - C_oracle| = {max_abs_diff:.6g}, "
-                     "max |I_analytic - I_oracle| = {max_abs_diff_coherence} "
+                     "max |I_analytic - I_oracle| = {max_abs_diff_coherence:.6g} "
                      "vs tolerance {tolerance:g}: ")
 
     # the numbers in the validate and spectrum lines are round-off, so they
@@ -1146,6 +1218,11 @@ class TestJobPipeline:
         ("validate", {"engine": "validate", "validate": {"tolerance": 1e-18},
                       "output": {"path": "report"}}, 3,
          VALIDATE_LINE + "FAIL (report)"),
+        # a stationary Bell kind has no I to compare, so the line has no I clause
+        ("validate", {"engine": "validate", "qubit_init": "psi_minus",
+                      "output": {"path": "report.json"}}, 0,
+         "max |C_analytic - C_oracle| = {max_abs_diff:.6g} vs tolerance {tolerance:g}: "
+         "PASS (report.json)"),
         ("sweep-beta", {**NO_SCENARIO, "oscillators": [{"kind": "fock", "n": 1},
                                                        {"kind": "thermal", "mean_n": 2.0}],
                         "beta_grid": {"start": 0.0, "stop": 0.2, "n_points": 3},
@@ -1156,7 +1233,7 @@ class TestJobPipeline:
          "lowest 8 levels: max |E - E_pred| = {max_abs_diff_checked:.6g} vs 1e-08: "
          "PASS (spectrum)"),
     ], ids=["run-analytic", "run-oracle", "run-classical", "validate-pass", "validate-fail",
-            "sweep-beta", "spectrum"])
+            "validate-stationary", "sweep-beta", "spectrum"])
     def test_every_job_prints_its_one_line(self, tmp_path, capsys, monkeypatch, command,
                                            overrides, code, line):
         monkeypatch.chdir(tmp_path)
@@ -1186,18 +1263,17 @@ class TestJobPipeline:
 
     # a separate interpreter, since pytest's filterwarnings = error would
     # turn the warning into an exception before the CLI could print it
-    @pytest.mark.parametrize("command, overrides, flags", [
-        ("run", {"engine": "oracle"}, ["--dim", "60"]),
-        ("spectrum", {**NO_SCENARIO, "engine": "oracle"}, ["--dim", "60"]),
+    @pytest.mark.parametrize("command, overrides", [
+        ("run", {"engine": "oracle", "oracle": {"dim": 60}}),
+        ("spectrum", {**NO_SCENARIO, "engine": "oracle", "oracle": {"dim": 60}}),
     ], ids=["run-oracle", "spectrum"])
-    def test_overflow_inside_an_engine_exits_three(self, tmp_path, command, overrides,
-                                                   flags):
+    def test_overflow_inside_an_engine_exits_three(self, tmp_path, command, overrides):
         # lambda = 1e200 passes every scale check, but the oracle's residual
         # norm and the spectrum's beta^2 overflow
         cfg_path, _ = write_config(tmp_path, params={"omega": 1.0, "lambda": 1e200},
                                    output={"path": "out.json"},
                                    **{"time_grid": self.GRID, **overrides})
-        done = run_cli(tmp_path, command, "--config", cfg_path, *flags)
+        done = run_cli(tmp_path, command, "--config", cfg_path)
         assert done.returncode == 3
         assert done.stdout == ""
         lines = done.stderr.splitlines()

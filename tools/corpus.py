@@ -8,7 +8,7 @@ with its own ``src/`` first on ``PYTHONPATH``, as in-process ``cli.main``
 calls, one directory per call.  The corpus is the table in
 :func:`corpus`: every ``run`` engine, ``validate``, ``sweep-beta`` and
 ``spectrum``, each Bell kind and preparation the job reads, CSV and JSON,
-the oracle at omega0 = 0 and 0.25 with and without ``--dim`` and ``--out``,
+the oracle at omega0 = 0 and 0.25 with and without ``oracle.dim``,
 classical closed forms and Monte Carlo runs at several seeds, and the
 command-line and config errors of the CLI's exit-code contract.
 ``--match`` keeps the calls whose name the regex finds.
@@ -49,11 +49,13 @@ CLASSICAL = {"delta": {"kind": "delta", "q0": 0.5, "p0": -0.3},
 GRID = {"t_start": 0.0, "t_end": 4.0 * math.pi, "n_points": 201}
 SUFFIX = {"csv": "out.csv", "json": "out.json"}
 
-#: changes to the command line of the README's oracle run, as the CLI fuzz
-#: test draws them: flags no job reads, --dim values and --out paths
+#: additions to the command line of the README's oracle run, as the CLI fuzz
+#: test draws them: flags no job reads, --dim and --out among them
 FLAGS = (["--seed", "7"], ["--seed", "-1"], ["--format", "csv"], ["--format", "json"],
-         ["--bogus"], ["extra"], ["--dim"], ["--out"], ["--config", "missing.json"])
-DIMS = ("abc", "", "1.5", "1e3", "-3", "0", "1", "2", "12", "48", "60")
+         ["--bogus"], ["extra"], ["--dim"], ["--out"], ["--config", "missing.json"],
+         ["--dim", "60"], ["--out", "other.csv"])
+#: oracle.dim and output.path values of that run's config
+DIMS = ("abc", "", 1.5, 1e3, -3, 0, 1, 2, 12, 48, 60)
 OUTS = ("out.json", "out.csv", "out", "", ".", "missing/out.csv")
 
 
@@ -82,13 +84,13 @@ def corpus():
         for omega0 in (0.0, 0.25):
             yield (f"run-oracle-w{omega0:g}-{kind}-{prep}-{fmt}", RUN,
                    scenario("oracle", kind, osc, fmt, omega0))
-    for omega0, (label, extra, sections) in itertools.product((0.0, 0.25), (
-            ("dim-flag", ["--dim", "60"], {}),
-            ("dim-config", [], {"oracle": {"dim": 60}}),
-            ("out-flag", ["--out", "other.json"], {}),
-            ("dim-and-out", ["--dim", "70", "--out", "other.csv"], {"oracle": {"dim": 60}}))):
-        yield (f"run-oracle-w{omega0:g}-{label}", call("run", *extra),
-               scenario("oracle", "psi_plus", QUANTUM["coherent"], "csv", omega0, **sections))
+    for omega0, (label, sections) in itertools.product((0.0, 0.25), (
+            ("dim", {"oracle": {"dim": 60}}),
+            ("out", {"output": {"path": "other.json"}}),
+            ("dim-and-out", {"oracle": {"dim": 70}, "output": {"path": "other.csv"}}))):
+        yield (f"run-oracle-w{omega0:g}-{label}", RUN,
+               {**scenario("oracle", "psi_plus", QUANTUM["coherent"], "csv", omega0),
+                **sections})
     for kind, (prep, osc) in itertools.product(KINDS, QUANTUM.items()):
         yield f"validate-{kind}-{prep}", VALIDATE, scenario("validate", kind, osc, "json")
     yield "validate-failing-tolerance", VALIDATE, scenario(
@@ -98,19 +100,17 @@ def corpus():
         sections = {} if seed is None else {"monte_carlo": {"samples": 1000, "seed": seed}}
         yield (f"run-classical-{kind}-{ens}-{'closed' if seed is None else f'seed{seed}'}-{fmt}",
                RUN, scenario("classical", kind, dist, fmt, **sections))
-    for fmt, many in itertools.product(formats, (False, True)):
-        cfg = {"version": 1, "engine": "analytic", "params": {"omega": 1.0, "lambda": 0.1},
-               "beta_grid": {"start": 0.0, "stop": 0.5, "n_points": 101},
-               "output": {"path": SUFFIX[fmt]}}
-        if many:
-            cfg["oscillators"] = list(QUANTUM.values())
-        else:
-            cfg["oscillator"] = QUANTUM["thermal"]
-        yield f"sweep-beta-{'list' if many else 'one'}-{fmt}", call("sweep-beta"), cfg
-    for fmt, extra in itertools.product(formats, ([], ["--dim", "30"])):
-        yield (f"spectrum-{fmt}{'-dim' if extra else ''}", call("spectrum", *extra),
-               {"version": 1, "engine": "oracle", "params": {"omega": 1.0, "lambda": 0.2},
+    for fmt, (label, oscillators) in itertools.product(formats, (
+            ("one", [QUANTUM["thermal"]]), ("list", list(QUANTUM.values())))):
+        yield (f"sweep-beta-{label}-{fmt}", call("sweep-beta"),
+               {"version": 1, "engine": "analytic", "params": {"omega": 1.0, "lambda": 0.1},
+                "oscillators": oscillators,
+                "beta_grid": {"start": 0.0, "stop": 0.5, "n_points": 101},
                 "output": {"path": SUFFIX[fmt]}})
+    for fmt, oracle in itertools.product(formats, ({}, {"oracle": {"dim": 30}})):
+        yield (f"spectrum-{fmt}{'-dim' if oracle else ''}", call("spectrum"),
+               {"version": 1, "engine": "oracle", "params": {"omega": 1.0, "lambda": 0.2},
+                "output": {"path": SUFFIX[fmt]}, **oracle})
     yield from errors()
 
 
@@ -120,10 +120,10 @@ def errors():
     for n, flag in enumerate(FLAGS):
         yield f"argv-flag-{n}", call("run", *flag), base
     for n, dim in enumerate(DIMS):
-        yield f"argv-dim-{n}", call("run", "--dim", dim), base
+        yield f"config-dim-{n}", RUN, {**base, "oracle": {"dim": dim}}
     for n, out in enumerate(OUTS):
-        yield f"argv-out-{n}", call("run", "--out", out), base
-    yield "argv-dim-on-analytic", call("run", "--dim", "48"), {**base, "engine": "analytic"}
+        yield f"config-out-{n}", RUN, {**base, "output": {"path": out}}
+    yield "config-dim-on-analytic", RUN, {**base, "engine": "analytic", "oracle": {"dim": 48}}
     yield "argv-no-config", ["run"], base
     yield "argv-version", ["--version"], base
     for name, change in (("unknown-key", {"colour": 1}),
@@ -132,12 +132,17 @@ def errors():
                          ("fock-level", {"oscillator": {"kind": "fock", "n": 10001}}),
                          ("thermal-tail", {"oscillator": {"kind": "thermal", "mean_n": 1e17}}),
                          ("phase", {"time_grid": {**GRID, "t_end": 1e308}}),
+                         ("huge-int", {"params": {"omega": 10 ** 400, "lambda": 0.2}}),
+                         ("format-false", {"output": {"path": "out.csv", "format": False}}),
+                         ("monte-carlo-null", {"engine": "classical",
+                                               "oscillator": CLASSICAL["delta"],
+                                               "monte_carlo": None}),
                          ("split-analytic", {"engine": "analytic",
                                              "params": {"omega": 1.0, "lambda": 0.2,
                                                         "omega0": 0.25}})):
         yield f"error-config-{name}", RUN, {**base, **change}
-    yield ("error-overflow", call("run", "--dim", "60"),
-           {**base, "params": {"omega": 1.0, "lambda": 1e200}})
+    yield ("error-overflow", RUN,
+           {**base, "params": {"omega": 1.0, "lambda": 1e200}, "oracle": {"dim": 60}})
 
 
 def run_side(out: str, match: str) -> None:
