@@ -189,8 +189,10 @@ def _check_fits(nbytes: int, what: str) -> None:
     physical memory."""
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if nbytes > physical:
-        raise ConfigError(f"{what} needs {nbytes:.3g} bytes of arrays, more than the "
-                          f"{physical:.3g} bytes of physical memory")
+        # imported on this error only: Decimal formats any int, float() fails past 1.8e308
+        from decimal import Decimal
+        raise ConfigError(f"{what} needs {Decimal(nbytes):.3g} bytes of arrays, more than "
+                          f"the {Decimal(physical):.3g} bytes of physical memory")
 
 
 def _parse_grid(cfg: dict, name: str, start: str, stop: str) -> np.ndarray:

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 import tc2q
+from reference import two_route_tolerance
 from tc2q import analytic, classical, cli, oracle, series
 from tc2q.analytic import coherence_integral
-from tc2q.model import Fock, ModelParams, Thermal
+from tc2q.model import COHERENCE_KINDS, Fock, ModelParams, Thermal
 from tc2q.series import ConcurrenceSeries, read_series, write_table
 
 P = ModelParams(omega=1.0, lambda_=0.1)
@@ -265,6 +266,28 @@ class TestCliRun:
         first = Path(out).read_bytes()
         assert cli.main(["run", "--config", cfg_path]) == 0
         assert Path(out).read_bytes() == first
+
+    def test_monte_carlo_bytes_do_not_depend_on_the_blas_threads(self, tmp_path, monkeypatch):
+        # the estimator's sums stay out of BLAS, which splits a long one by
+        # its thread count: one seeded job in two fresh interpreters, on one
+        # BLAS thread and on two, writes the same bits.  JSON holds every
+        # bit, where a CSV's 12 digits hide a last-bit change of std_error
+        artifacts = []
+        for threads in ("1", "2"):
+            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                monkeypatch.setenv(name, threads)
+            cwd = tmp_path / f"threads-{threads}"
+            cwd.mkdir()
+            write_config(cwd, engine="classical",
+                         oscillator={"kind": "gaussian", "q_bar": 0.5, "p_bar": -0.3,
+                                     "delta_q": 1.0, "delta_p": 1.0},
+                         time_grid={"t_start": 0.0, "t_end": 12.5, "n_points": 101},
+                         monte_carlo={"samples": 20000, "seed": 7},
+                         output={"path": "mc.json"})
+            done = run_cli(cwd, "run", "--config", "cfg.json")
+            assert (done.returncode, done.stderr) == (0, "")
+            artifacts.append((cwd / "mc.json").read_bytes())
+        assert artifacts[0] == artifacts[1]
 
     def test_classical_closed_form_run(self, tmp_path):
         cfg_path, cfg = write_config(
@@ -654,12 +677,14 @@ class TestCliErrors:
         (["run", "--config", "CFG", "--seed", "7"], "--seed 7"),
         (["run", "--config", "CFG", "--format", "csv"], "--format csv"),
         (["run", "--config", "CFG", "--dim", "abc"], "--dim"),
+        (["run", "--config", "CFG", "--dim", "60"], "--dim 60"),
         (["run", "--config", "CFG", "--out", ""], "--out"),
+        (["run", "--config", "CFG", "--out", "x.csv"], "--out x.csv"),
         (["--config", "CFG"], "argument command"),
         (["bogus", "--config", "CFG"], "bogus"),
         ([], "command"),
-    ], ids=["no-config", "config-without-path", "seed", "format", "dim-abc", "out-empty",
-            "no-command", "unknown-command", "empty"])
+    ], ids=["no-config", "config-without-path", "seed", "format", "dim-abc", "dim-60",
+            "out-empty", "out-path", "no-command", "unknown-command", "empty"])
     def test_command_line_errors_are_config_errors(self, tmp_path, capsys, argv, named):
         # argparse's usage lines and SystemExit would break the one-JSON-line
         # contract
@@ -1000,13 +1025,13 @@ class TestCliErrors:
                                 "delta_q": 1e200, "delta_p": 1.0},
                  "time_grid": {"t_start": 0.0, "t_end": 6.0, "n_points": 7},
                  "monte_carlo": {"samples": 1000}},
-         "the sampled phase a q0 + b p0 is not finite"),
+         "the sampled phase a q0 + b p0 is not finite at t = 1:"),
         ("run", {"engine": "classical", "params": {"omega": 1.0, "lambda": 1e307},
                  "oscillator": {"kind": "gaussian", "q_bar": 1e300, "p_bar": 0.0,
                                 "delta_q": 1.0, "delta_p": 1.0},
                  "time_grid": {"t_start": 0.0, "t_end": 6.0, "n_points": 7},
                  "monte_carlo": {"samples": 1000}},
-         "the sampled phase a q0 + b p0 is not finite"),
+         "the sampled phase a q0 + b p0 is not finite at t = 1:"),
         # mean_n / (1 + mean_n) rounds to 1, so no dim drops the thermal tail
         ("run", {"engine": "oracle", "oscillator": {"kind": "thermal", "mean_n": 1e17}},
          "no Fock truncation fits beta = 0.1: thermal mean_n=1e+17 leaves tail population 1"),
@@ -1083,11 +1108,45 @@ class TestCliErrors:
                  "time_grid": {"t_start": 0.0, "t_end": 3.0, "n_points": 4},
                  "monte_carlo": {"samples": 10}},
          "C", [1.0, 1.0, 1.0, 1.0]),
+        # at mean_n = 0 the thermal exponent's -64 beta^2 mean_n s^2 is -inf * 0
+        ("run", {"params": {"omega": 1.0, "lambda": 1e200},
+                 "oscillator": {"kind": "thermal", "mean_n": 0},
+                 "time_grid": {"t_start": 0.0, "t_end": 3.0, "n_points": 4}},
+         "C", [1.0, 0.0, 0.0, 0.0]),
+        # the coherent phase 8 beta overflows, with and without a displacement
+        ("run", {"params": {"omega": 1.0, "lambda": 1.7e308},
+                 "oscillator": {"kind": "coherent", "alpha0": [1, 0.5]},
+                 "time_grid": {"t_start": 0.0, "t_end": 3.0, "n_points": 4}},
+         "C", [1.0, 0.0, 0.0, 0.0]),
+        ("run", {"params": {"omega": 1.0, "lambda": 1.7e308},
+                 "oscillator": {"kind": "coherent", "alpha0": 0},
+                 "time_grid": {"t_start": 0.0, "t_end": 3.0, "n_points": 4}},
+         "C", [1.0, 0.0, 0.0, 0.0]),
+        # the Gaussian's 8 beta sqrt(2 omega) overflows; then its width's
+        # square does, and at lambda = 0 the exponent is (0 * 1e200)^2 = 0
+        ("run", {"engine": "classical", "params": {"omega": 1.0, "lambda": 1e308},
+                 "oscillator": {"kind": "gaussian", "q_bar": 0, "p_bar": 0,
+                                "delta_q": 1, "delta_p": 1},
+                 "time_grid": {"t_start": 0.0, "t_end": 3.0, "n_points": 4}},
+         "C", [1.0, 0.0, 0.0, 0.0]),
+        ("run", {"engine": "classical", "params": {"omega": 1.0, "lambda": 0.1},
+                 "oscillator": {"kind": "gaussian", "q_bar": 0, "p_bar": 0,
+                                "delta_q": 1e200, "delta_p": 1},
+                 "time_grid": {"t_start": 0.0, "t_end": 3.0, "n_points": 4}},
+         "C", [1.0, 0.0, 0.0, 0.0]),
+        ("run", {"engine": "classical", "params": {"omega": 1.0, "lambda": 0},
+                 "oscillator": {"kind": "gaussian", "q_bar": 0, "p_bar": 0,
+                                "delta_q": 1e200, "delta_p": 1},
+                 "time_grid": {"t_start": 0.0, "t_end": 3.0, "n_points": 4}},
+         "C", [1.0, 1.0, 1.0, 1.0]),
     ], ids=["sweep-thermal-mean-n-1e308", "classical-gaussian-lambda-1e200",
             "classical-thermal-lambda-1e200", "analytic-lambda-1e200",
             "analytic-thermal-mean-n-1e308", "analytic-fock-2-lambda-1e200",
             "analytic-fock-0-lambda-1e200", "analytic-fock-2-lambda-1e100",
-            "analytic-fock-400-lambda-1e10", "classical-mc-delta-lambda-1e308"])
+            "analytic-fock-400-lambda-1e10", "classical-mc-delta-lambda-1e308",
+            "analytic-thermal-mean-n-0-lambda-1e200", "analytic-coherent-lambda-1.7e308",
+            "analytic-coherent-0-lambda-1.7e308", "classical-gaussian-lambda-1e308",
+            "classical-gaussian-delta-q-1e200", "classical-gaussian-delta-q-1e200-lambda-0"])
     def test_exponents_that_overflow_give_their_limit(self, tmp_path, capsys, command,
                                                       overrides, column, expected):
         # exp(-inf) = 0 is the right value, so the job writes it, with no warning
@@ -1111,10 +1170,25 @@ class TestCliErrors:
                         "oscillator": {"kind": "thermal", "mean_n": 1.0}},
          "unknown key(s) ['oscillator'] in config of sweep-beta; allowed: "
          "['beta_grid', 'engine', 'oscillators', 'output', 'params', 'version']"),
-    ], ids=["dim-1", "root-array", "tolerance-0", "oscillators-empty", "sweep-oscillator"])
+        # byte counts past the float range, on a machine of 8 GiB
+        ("spectrum", {"engine": "oracle", "qubit_init": None, "oscillator": None,
+                      "time_grid": None, "oracle": {"dim": 10 ** 200}},
+         f"dim = {10 ** 200} needs 6.58e+402 bytes of arrays, more than the 8.59e+9 "
+         "bytes of physical memory"),
+        ("run", {"engine": "classical", "oscillator": {"kind": "classical_thermal", "k_T": 1.0},
+                 "monte_carlo": {"samples": 10 ** 307}},
+         f"monte_carlo.samples = {10 ** 307} needs 3.20e+308 bytes of arrays, more than "
+         "the 8.59e+9 bytes of physical memory"),
+        ("run", {"time_grid": {"t_start": 0.0, "t_end": 1.0, "n_points": 10 ** 306}},
+         f"time_grid.n_points = {10 ** 306} needs 1.02e+309 bytes of arrays, more than "
+         "the 8.59e+9 bytes of physical memory"),
+    ], ids=["dim-1", "root-array", "tolerance-0", "oscillators-empty", "sweep-oscillator",
+            "dim-10**200", "samples-10**307", "n_points-10**306"])
     def test_invalid_inputs_are_config_errors(self, tmp_path, capsys, monkeypatch, command,
                                               overrides, message):
         monkeypatch.chdir(tmp_path)
+        pages = {"SC_PHYS_PAGES": 2 ** 21, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
         cfg_path, _ = write_config(tmp_path, output={"path": "out.json", "format": "json"},
                                    **({} if isinstance(overrides, str) else overrides))
         if isinstance(overrides, str):  # a config that is not an object
@@ -1192,6 +1266,42 @@ class TestCliErrors:
         assert not os.path.exists(cfg["output"]["path"])
 
 
+def passing_validate(kind: str, oscillator: dict, t_end: float, n_points: int):
+    """A row of ``test_every_job_prints_its_one_line``: validate ``kind`` on
+    ``oscillator`` over [0, t_end] at the two-route tolerance, which passes."""
+    coherence = (", max |I_analytic - I_oracle| = {max_abs_diff_coherence:.6g}"
+                 if kind in COHERENCE_KINDS else "")
+    return ("validate", {"engine": "validate", "qubit_init": kind, "oscillator": oscillator,
+                         "time_grid": {"t_start": 0.0, "t_end": t_end, "n_points": n_points},
+                         "validate": {"tolerance": two_route_tolerance(1.0, t_end)},
+                         "output": {"path": "report.json"}}, 0,
+            "max |C_analytic - C_oracle| = {max_abs_diff:.6g}" + coherence
+            + " vs tolerance {tolerance:g}: PASS (report.json)")
+
+
+THERMAL = {"kind": "thermal", "mean_n": 1.0}
+COHERENT = {"kind": "coherent", "alpha0": [1.0, 0.5]}
+
+#: validate jobs that pass at the two-route gate, by id: a thermal state,
+#: read through real forms, on every Bell kind (psi_minus and phi_minus
+#: only through the conserved populations); a coherent state, read through
+#: complex forms, on both parities; a number state; a grid to t = 20000,
+#: where the oracle's phases E t reach 10^6 radians; and the benchmark's
+#: Thermal(5) series, at dim 198
+PASSING_VALIDATES = {
+    **{f"validate-thermal-{kind}": passing_validate(kind, THERMAL, 12.5, 101)
+       for kind in ("psi_plus", "psi_minus", "phi_plus", "phi_minus")},
+    **{f"validate-coherent-{kind}": passing_validate(kind, COHERENT, 12.5, 101)
+       for kind in ("psi_plus", "psi_minus", "phi_plus")},
+    "validate-fock-psi_plus": passing_validate("psi_plus", {"kind": "fock", "n": 3}, 12.5, 101),
+    "validate-thermal-to-t-20000": passing_validate("psi_plus", THERMAL, 20000.0, 1001),
+    "validate-coherent-to-t-20000": passing_validate("psi_plus", COHERENT, 20000.0, 1001),
+    **{f"validate-thermal-5-{kind}": passing_validate(
+        kind, {"kind": "thermal", "mean_n": 5.0}, 4.0 * math.pi, 400)
+       for kind in ("psi_plus", "phi_plus")},
+}
+
+
 class TestJobPipeline:
     """``cli.main`` is the one place that writes, prints and sets the exit code."""
 
@@ -1232,8 +1342,19 @@ class TestJobPipeline:
                       "output": {"path": "spectrum"}}, 0,
          "lowest 8 levels: max |E - E_pred| = {max_abs_diff_checked:.6g} vs 1e-08: "
          "PASS (spectrum)"),
+        # away from omega0 = 0 no parity block mirrors the other: real forms
+        # for a thermal state, complex ones reaching both blocks for a
+        # coherent state, and a number state's products across two labels
+        *(("run", {"engine": "oracle", "params": {"omega": 1.0, "lambda": 0.1, "omega0": 0.25},
+                   "oscillator": oscillator,
+                   "time_grid": {"t_start": 0.0, "t_end": 12.5, "n_points": 101},
+                   "output": {"path": "split.csv"}}, 0,
+           "wrote 101 rows to split.csv (engine=oracle)")
+          for oscillator in (THERMAL, COHERENT, {"kind": "fock", "n": 3})),
+        *PASSING_VALIDATES.values(),
     ], ids=["run-analytic", "run-oracle", "run-classical", "validate-pass", "validate-fail",
-            "validate-stationary", "sweep-beta", "spectrum"])
+            "validate-stationary", "sweep-beta", "spectrum", "run-oracle-split-thermal",
+            "run-oracle-split-coherent", "run-oracle-split-fock", *PASSING_VALIDATES])
     def test_every_job_prints_its_one_line(self, tmp_path, capsys, monkeypatch, command,
                                            overrides, code, line):
         monkeypatch.chdir(tmp_path)
@@ -1244,6 +1365,10 @@ class TestJobPipeline:
         out = cfg["output"]["path"]
         summary = json.loads(Path(out).read_text()) if "{" in line else {}
         assert captured.out == line.format(**summary) + "\n"
+        # no oracle series flags leakage at the dim its rule chose
+        sidecar = Path(out + ".meta.json")
+        meta = json.loads((sidecar if sidecar.exists() else Path(out)).read_text())["meta"]
+        assert meta.get("leakage_flagged") is not True
 
     def test_output_is_checked_before_the_other_sections(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path, output=None,

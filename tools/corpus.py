@@ -9,8 +9,10 @@ calls, one directory per call.  The corpus is the table in
 :func:`corpus`: every ``run`` engine, ``validate``, ``sweep-beta`` and
 ``spectrum``, each Bell kind and preparation the job reads, CSV and JSON,
 the oracle at omega0 = 0 and 0.25 with and without ``oracle.dim``,
-classical closed forms and Monte Carlo runs at several seeds, and the
-command-line and config errors of the CLI's exit-code contract.
+``validate`` to t = 20000 (oracle phases E t near 10^6 radians) and on the
+benchmark's Thermal(5) series at dim 198, classical closed forms and Monte
+Carlo runs at several seeds, and the command-line and config errors of the
+CLI's exit-code contract.
 ``--match`` keeps the calls whose name the regex finds.
 
 The script prints one line: that every file, stdout, stderr and exit code
@@ -95,6 +97,15 @@ def corpus():
         yield f"validate-{kind}-{prep}", VALIDATE, scenario("validate", kind, osc, "json")
     yield "validate-failing-tolerance", VALIDATE, scenario(
         "validate", "psi_plus", QUANTUM["coherent"], "json", validate={"tolerance": 1e-300})
+    weak = {"omega": 1.0, "lambda": 0.1, "omega0": 0.0}
+    for prep in ("thermal", "coherent"):
+        yield f"validate-long-psi_plus-{prep}", VALIDATE, {
+            **scenario("validate", "psi_plus", QUANTUM[prep], "json"), "params": weak,
+            "time_grid": {"t_start": 0.0, "t_end": 20000.0, "n_points": 1001}}
+    for kind in ("psi_plus", "phi_plus"):
+        yield f"validate-bench-{kind}-thermal-5", VALIDATE, {
+            **scenario("validate", kind, {"kind": "thermal", "mean_n": 5.0}, "json"),
+            "params": weak, "time_grid": {**GRID, "n_points": 400}}
     for kind, (ens, dist), seed, fmt in itertools.product(
             ("psi_plus", "phi_plus"), CLASSICAL.items(), (None, 0, 7), formats):
         sections = {} if seed is None else {"monte_carlo": {"samples": 1000, "seed": seed}}
@@ -139,7 +150,13 @@ def errors():
                                                "monte_carlo": None}),
                          ("split-analytic", {"engine": "analytic",
                                              "params": {"omega": 1.0, "lambda": 0.2,
-                                                        "omega0": 0.25}})):
+                                                        "omega0": 0.25}}),
+                         # array byte counts past the float range
+                         ("memory-dim", {"oracle": {"dim": 10 ** 200}}),
+                         ("memory-grid", {"time_grid": {**GRID, "n_points": 10 ** 306}}),
+                         ("memory-samples", {"engine": "classical",
+                                             "oscillator": CLASSICAL["delta"],
+                                             "monte_carlo": {"samples": 10 ** 307}})):
         yield f"error-config-{name}", RUN, {**base, **change}
     yield ("error-overflow", RUN,
            {**base, "params": {"omega": 1.0, "lambda": 1e200}, "oracle": {"dim": 60}})
