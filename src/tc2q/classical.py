@@ -101,34 +101,23 @@ class GaussianDist:
         q0 = rng.normal(self.q_bar, self.delta_q / math.sqrt(2.0), n_samples)
         p0 = rng.normal(self.p_bar, self.delta_p / math.sqrt(2.0), n_samples)
         # finite scales, then (|a| max|q0| + |b| max|p0|) / 2 bound the half phases
-        scales = _phase_scales(params)
-        for name, scale in scales.items():
+        for name, scale in _phase_scales(params).items():
             if not math.isfinite(scale):
                 raise OverflowError(f"{name} is not finite for omega = {params.omega!r}, "
                                     f"lambda = {params.lambda_!r}")
         q_max, p_max = float(np.abs(q0).max()), float(np.abs(p0).max())
-        # a and b of :func:`_phase_coefficients` at every t, each with the bits
-        # of a one-point grid: float_power squares with libm's pow, as a
-        # float's ** 2 does, where np.square differs in about 1 entry in 1,000
-        scale_a, scale_b = scales.values()
-        wt = params.omega * times
-        a = scale_a * np.float_power(np.sin(wt / 2.0), 2.0)
-        b = -scale_b * np.sin(wt)
-        with np.errstate(over="ignore"):
-            bound = np.abs(a) / 2.0 * q_max + np.abs(b) / 2.0 * p_max
-        unbounded = np.flatnonzero(~np.isfinite(bound))
-        if unbounded.size:
-            raise OverflowError(f"the sampled phase a q0 + b p0 is not finite at t = "
-                                f"{times[unbounded[0]]:g}: max |q0| = {q_max!r}, "
-                                f"max |p0| = {p_max!r}")
         value = np.empty(times.shape)
         std_error = np.empty(times.shape)
         cos, sin = np.empty(n_samples), np.empty(n_samples)
-        for i in range(times.size):
+        for i, t in enumerate(times):
+            a, b = _phase_coefficients(float(t), params)
+            if not math.isfinite(abs(float(a)) / 2.0 * q_max + abs(float(b)) / 2.0 * p_max):
+                raise OverflowError(f"the sampled phase a q0 + b p0 is not finite at t = "
+                                    f"{t:g}: max |q0| = {q_max!r}, max |p0| = {p_max!r}")
             # u = tan(phi/2), phi = a q0 + b p0: halving a and b is exact, so
             # phi/2 carries the bits of phi
-            np.multiply(a[i] / 2.0, q0, out=cos)
-            np.multiply(b[i] / 2.0, p0, out=sin)
+            np.multiply(a / 2.0, q0, out=cos)
+            np.multiply(b / 2.0, p0, out=sin)
             np.add(cos, sin, out=cos)
             cos_sin_of_halves(cos, sin)
             # the total T of the correlators -1/2 exp(i phi)
@@ -166,19 +155,23 @@ class ClassicalThermal:
         return f"classical_thermal(k_T={self.k_T:g})"
 
     def concurrence(self, t, params: ModelParams):
-        """The Gaussian form at the equipartition widths, whose sin^4 and
-        sin^2 cos^2 exponents recombine into C(t) = exp(-64 beta^2
-        sin^2(wt/2) k_T / omega)."""
-        return self._gaussian(params).concurrence(t, params)
+        """C(t) = exp(-64 beta^2 sin^2(wt/2) k_T / omega).
+
+        Equipartition widths make the sin^4 and sin^2 cos^2 exponents of the
+        Gaussian form recombine into a single sin^2.  Where the exponent
+        overflows, C is at its limit (:func:`~tc2q.model.at_limit`).
+        """
+        s = np.sin(params.omega * np.asarray(t, dtype=float) / 2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = np.exp(-64.0 * squared(params.beta) * s * s * self.k_T / params.omega)
+        return clamp_unit(at_limit(s, value, value))
 
     def monte_carlo(self, times, params, n_samples, seed) -> tuple:
-        return self._gaussian(params).monte_carlo(times, params, n_samples, seed)
-
-    def _gaussian(self, params: ModelParams) -> GaussianDist:
-        """The Boltzmann weight exp(-(p^2 + omega^2 q^2) / (2 k_T)): the centred
-        Gaussian with equipartition widths (sqrt(2 k_T)/omega, sqrt(2 k_T))."""
+        # the Boltzmann weight exp(-(p^2 + omega^2 q^2) / (2 k_T)) is the
+        # centred Gaussian with equipartition widths (sqrt(2 k_T)/omega, sqrt(2 k_T))
         width = math.sqrt(2.0 * self.k_T)
-        return GaussianDist(0.0, 0.0, width / params.omega, width)
+        return GaussianDist(0.0, 0.0, width / params.omega, width).monte_carlo(
+            times, params, n_samples, seed)
 
 
 def minimum_uncertainty_widths(params: ModelParams) -> tuple:

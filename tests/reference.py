@@ -9,9 +9,8 @@ partial trace of a composite density matrix, the dense Hamiltonian with a
 per-time propagation in its eigenbasis, the resonant Tavis-Cummings closed
 form that H approaches in the rotating-wave limit, the connected components
 of a graph by a Python union-find, the concurrence of an X state without an
-eigensolver, the free classical trajectory and its complex correlator, the
-classical thermal closed form as its single exponent, and the Monte Carlo
-estimate in long double with the leave-one-out moduli formed
+eigensolver, the free classical trajectory and its complex correlator, and
+the Monte Carlo estimate in long double with the leave-one-out moduli formed
 directly.
 It also holds the validated two-qubit density container, the single-time
 oracle state, the rotation of the oracle's states to eg and the two-route
@@ -459,14 +458,6 @@ def s_plus_correlator(q0: float, p0: float, t, params: ModelParams):
     a, b = _phase_coefficients(t, params)
     out = -0.5 * np.exp(1j * (a * q0 + b * p0))
     return complex(out) if np.asarray(out).ndim == 0 else out
-
-
-def classical_thermal_concurrence(k_T: float, t, params: ModelParams):
-    """C(t) = exp(-64 beta^2 sin^2(wt/2) k_T / omega) of the classical thermal
-    ensemble: the Gaussian form's sin^4 and sin^2 cos^2 exponents at the
-    equipartition widths, recombined into one sin^2."""
-    s = np.sin(params.omega * np.asarray(t, dtype=float) / 2.0)
-    return np.exp(-64.0 * params.beta ** 2 * s * s * k_T / params.omega)
 
 
 def monte_carlo_long_double(dist, times, params: ModelParams, n_samples: int, seed: int):

@@ -13,19 +13,12 @@ import warnings
 import numpy as np
 import pytest
 
-from reference import (
-    classical_thermal_concurrence,
-    classical_trajectory,
-    monte_carlo_long_double,
-    s_plus_correlator,
-)
-from tc2q import classical
+from reference import classical_trajectory, monte_carlo_long_double, s_plus_correlator
 from tc2q.analytic import coherence_integral
 from tc2q.classical import (
     ClassicalThermal,
     DeltaDist,
     GaussianDist,
-    _phase_coefficients,
     classical_concurrence,
     classical_series,
     mc_peak_bytes,
@@ -90,7 +83,7 @@ class TestDistributions:
         gaussian = GaussianDist(0.0, 0.0, math.sqrt(6.0) / 2.0, math.sqrt(6.0))
         t = np.linspace(0.0, 9.0, 15)
         np.testing.assert_allclose(ClassicalThermal(3.0).concurrence(t, p),
-                                   classical_thermal_concurrence(3.0, t, p), atol=1e-14)
+                                   gaussian.concurrence(t, p), atol=1e-14)
         direct = monte_carlo(ClassicalThermal(3.0), t, p, 500, seed=2)
         via_widths = monte_carlo(gaussian, t, p, 500, seed=2)
         assert np.array_equal(direct[0], via_widths[0])
@@ -193,10 +186,9 @@ class TestClosedFormAverages:
         b = -4.0 * p.beta * math.sqrt(2.0 / p.omega) * np.sin(wt)
         np.testing.assert_array_equal(GaussianDist(0.4, -0.2, 0.8, 1.7).concurrence(t, p),
                                       np.exp(-(a ** 2 * 0.8 ** 2 + b ** 2 * 1.7 ** 2) / 4.0))
-        # the thermal ensemble is that form at its equipartition widths
-        dq, dp = math.sqrt(2.0 * 2.5) / p.omega, math.sqrt(2.0 * 2.5)
+        s = np.sin(p.omega * t / 2.0)
         np.testing.assert_array_equal(ClassicalThermal(2.5).concurrence(t, p),
-                                      np.exp(-(a ** 2 * dq ** 2 + b ** 2 * dp ** 2) / 4.0))
+                                      np.exp(-64.0 * p.beta ** 2 * s * s * 2.5 / p.omega))
 
     def test_a_wide_gaussian_squares_its_product_where_its_square_overflows(self):
         # a width past 1.3e154 squares to inf, and 0 times inf has no value:
@@ -331,27 +323,6 @@ class TestMonteCarloKernel:
         np.testing.assert_allclose(value, ref_value, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(err, ref_err, rtol=1e-9,
                                    atol=math.sqrt(n_samples) * np.finfo(float).eps)
-
-    def test_half_phases_take_the_one_point_coefficients(self, monkeypatch):
-        # the grid's a and b have the bits of one-point calls, whose sin^2 is
-        # a float's ** 2, libm's pow: np.square differs in the last bit at
-        # about 1 point in 1,000
-        halves = []
-        kernel = classical.cos_sin_of_halves
-
-        def spy(half, sin):
-            halves.append(half.copy())
-            return kernel(half, sin)
-
-        monkeypatch.setattr(classical, "cos_sin_of_halves", spy)
-        p, t = ModelParams(omega=1.3, lambda_=0.7), np.linspace(-40.0, 1000.0, 10001)
-        monte_carlo(GaussianDist(0.4, -0.2, 0.9, 1.3), t, p, 20, seed=4)
-        rng = np.random.default_rng(4)
-        q0 = rng.normal(0.4, 0.9 / math.sqrt(2.0), 20)
-        p0 = rng.normal(-0.2, 1.3 / math.sqrt(2.0), 20)
-        for x, half in zip(t, halves, strict=True):
-            a, b = _phase_coefficients(float(x), p)
-            assert np.array_equal(half, a / 2.0 * q0 + b / 2.0 * p0), x
 
     def test_peak_bytes_counts_the_draws_and_two_buffers(self):
         samples = 100_000

@@ -1139,6 +1139,17 @@ class TestCliErrors:
                                 "delta_q": 1e200, "delta_p": 1},
                  "time_grid": {"t_start": 0.0, "t_end": 3.0, "n_points": 4}},
          "C", [1.0, 1.0, 1.0, 1.0]),
+        # the equipartition width sqrt(2 k_T)/omega (first) and the scale
+        # sqrt(2/omega) (second) pass the float range, where the thermal
+        # exponent 64 beta^2 s^2 k_T/omega is 0
+        ("run", {"engine": "classical", "params": {"omega": 1e-250, "lambda": 1e-250},
+                 "oscillator": {"kind": "classical_thermal", "k_T": 1e200},
+                 "time_grid": {"t_start": 0.0, "t_end": 3.0, "n_points": 4}},
+         "C", [1.0, 1.0, 1.0, 1.0]),
+        ("run", {"engine": "classical", "params": {"omega": 1e-308, "lambda": 1e-308},
+                 "oscillator": {"kind": "classical_thermal", "k_T": 1.0},
+                 "time_grid": {"t_start": 0.0, "t_end": 3.0, "n_points": 4}},
+         "C", [1.0, 1.0, 1.0, 1.0]),
     ], ids=["sweep-thermal-mean-n-1e308", "classical-gaussian-lambda-1e200",
             "classical-thermal-lambda-1e200", "analytic-lambda-1e200",
             "analytic-thermal-mean-n-1e308", "analytic-fock-2-lambda-1e200",
@@ -1146,7 +1157,8 @@ class TestCliErrors:
             "analytic-fock-400-lambda-1e10", "classical-mc-delta-lambda-1e308",
             "analytic-thermal-mean-n-0-lambda-1e200", "analytic-coherent-lambda-1.7e308",
             "analytic-coherent-0-lambda-1.7e308", "classical-gaussian-lambda-1e308",
-            "classical-gaussian-delta-q-1e200", "classical-gaussian-delta-q-1e200-lambda-0"])
+            "classical-gaussian-delta-q-1e200", "classical-gaussian-delta-q-1e200-lambda-0",
+            "classical-thermal-k-T-1e200-omega-1e-250", "classical-thermal-omega-1e-308"])
     def test_exponents_that_overflow_give_their_limit(self, tmp_path, capsys, command,
                                                       overrides, column, expected):
         # exp(-inf) = 0 is the right value, so the job writes it, with no warning
