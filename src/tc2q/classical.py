@@ -170,8 +170,11 @@ class ClassicalThermal:
         # the Boltzmann weight exp(-(p^2 + omega^2 q^2) / (2 k_T)) is the
         # centred Gaussian with equipartition widths (sqrt(2 k_T)/omega, sqrt(2 k_T))
         width = math.sqrt(2.0 * self.k_T)
-        return GaussianDist(0.0, 0.0, width / params.omega, width).monte_carlo(
-            times, params, n_samples, seed)
+        width_q = width / params.omega
+        if not math.isfinite(width_q):
+            raise OverflowError(f"the equipartition width sqrt(2 k_T)/omega is not finite "
+                                f"for k_T = {self.k_T!r}, omega = {params.omega!r}")
+        return GaussianDist(0.0, 0.0, width_q, width).monte_carlo(times, params, n_samples, seed)
 
 
 def minimum_uncertainty_widths(params: ModelParams) -> tuple:
@@ -187,9 +190,15 @@ def _spread(coefficient, width):
 
 
 def _phase_scales(params: ModelParams) -> dict:
-    """The bounds on |a| and |b| of :func:`_phase_coefficients`, by name."""
-    return {"8 beta sqrt(2 omega)": 8.0 * params.beta * math.sqrt(2.0 * params.omega),
-            "4 beta sqrt(2/omega)": 4.0 * params.beta * math.sqrt(2.0 / params.omega)}
+    """The bounds on |a| and |b| of :func:`_phase_coefficients`, by name.
+
+    Taken as sqrt(2) times beta sqrt(omega) and beta/sqrt(omega), each scale
+    is finite wherever its value is; 2 omega overflows past omega = 9e307 and
+    2/omega below omega = 1.1e-308.
+    """
+    root = math.sqrt(params.omega)
+    return {"8 beta sqrt(2 omega)": 8.0 * math.sqrt(2.0) * (params.beta * root),
+            "4 beta sqrt(2/omega)": 4.0 * math.sqrt(2.0) * (params.beta / root)}
 
 
 def _phase_coefficients(t, params: ModelParams):

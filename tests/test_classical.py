@@ -19,6 +19,7 @@ from tc2q.classical import (
     ClassicalThermal,
     DeltaDist,
     GaussianDist,
+    _phase_scales,
     classical_concurrence,
     classical_series,
     mc_peak_bytes,
@@ -181,9 +182,9 @@ class TestClosedFormAverages:
         # gives where it is finite, as for the quantum closed forms
         p = ModelParams(omega=1.5, lambda_=0.45)
         t = np.linspace(0.0, 12.0, 45)
-        wt = p.omega * t
-        a = 8.0 * p.beta * math.sqrt(2.0 * p.omega) * np.sin(wt / 2.0) ** 2
-        b = -4.0 * p.beta * math.sqrt(2.0 / p.omega) * np.sin(wt)
+        wt, root = p.omega * t, math.sqrt(p.omega)
+        a = 8.0 * math.sqrt(2.0) * (p.beta * root) * np.sin(wt / 2.0) ** 2
+        b = -4.0 * math.sqrt(2.0) * (p.beta / root) * np.sin(wt)
         np.testing.assert_array_equal(GaussianDist(0.4, -0.2, 0.8, 1.7).concurrence(t, p),
                                       np.exp(-(a ** 2 * 0.8 ** 2 + b ** 2 * 1.7 ** 2) / 4.0))
         s = np.sin(p.omega * t / 2.0)
@@ -206,6 +207,16 @@ class TestClosedFormAverages:
         a = 8.0 * p.beta * math.sqrt(2.0 * p.omega) * np.sin(t / 2.0) ** 2
         np.testing.assert_allclose(c, np.exp(-(a * 1e300) ** 2 / 4.0), rtol=1e-13, atol=0)
         assert 0.0 < c.min() < 0.1
+
+    @pytest.mark.parametrize("omega", [1e-308, 1e308])
+    def test_the_phase_scales_are_finite_where_their_values_are(self, omega):
+        # 2/omega overflows at the first omega and 2 omega at the second; the
+        # scales, at beta = 1, do not
+        scales = _phase_scales(ModelParams(omega=omega, lambda_=omega))
+        half_log = 0.5 * (math.log(2.0) + math.log(omega))
+        assert list(scales.values()) == [
+            pytest.approx(8.0 * math.exp(half_log), rel=1e-12, abs=0),
+            pytest.approx(4.0 * math.exp(math.log(2.0) - half_log), rel=1e-12, abs=0)]
 
     @pytest.mark.parametrize("dist", [
         DeltaDist(0.5, -1.0), GaussianDist(0.0, 0.0, 1.0, 1.0), ClassicalThermal(1.0),

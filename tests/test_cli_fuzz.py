@@ -1,8 +1,9 @@
 """The exit-code contract under single-field mutations of the README's run
 config, and under single changes to the command line: every job exits 0, 2
-or 3; an error exit prints exactly one JSON line carrying its code and
-leaves no file behind; a ``validate`` or ``spectrum`` FAIL prints nothing on
-stderr; no temporary ``.tmp-*.part`` file survives; and every call finishes
+or 3; an error exit keeps the contract of the CLI error tables
+(``test_series_cli.check_error``: one JSON line carrying its code, nothing
+on stdout, no warning, no file left); a ``validate`` or ``spectrum`` FAIL
+prints nothing on stderr; no temporary ``.tmp-*.part`` file survives; and every call finishes
 in time.
 
 Each draw takes one job of ``cli._JOBS``, builds its config from the
@@ -19,9 +20,7 @@ argument dropped or added: no ``--config``, or an unknown or removed flag
 (``--dim`` and ``--out`` included, since the config is the whole job).
 """
 
-import contextlib
 import copy
-import io
 import json
 import math
 import os
@@ -34,6 +33,7 @@ from hypothesis import strategies as st
 from tc2q import cli
 from tc2q.model import BELL_KINDS
 from test_readme import fenced_blocks
+from test_series_cli import call_cli, check_error
 
 README_CONFIG = json.loads(fenced_blocks("json")[0])
 ENGINES = sorted({engine for _, engine in cli._JOBS})
@@ -143,42 +143,29 @@ def mutated_argvs(draw):
 
 
 def run_job(command: str, cfg: dict, argv: list | None = None):
-    """Exit code, stderr lines, files left and seconds of one in-process call
-    (``command --config cfg.json`` unless ``argv`` is given)."""
+    """The ``CliCall`` and seconds of one in-process call (``command --config
+    cfg.json`` unless ``argv`` is given)."""
     with tempfile.TemporaryDirectory() as tmp:
-        here = os.getcwd()
-        os.chdir(tmp)
-        try:
-            with open("cfg.json", "w") as handle:
-                json.dump(cfg, handle)
-            if argv is None:
-                argv = [command, "--config", "cfg.json"]
-            err = io.StringIO()
-            start = time.perf_counter()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(argv)
-            elapsed = time.perf_counter() - start
-            files = sorted(os.path.relpath(os.path.join(root, name), tmp)
-                           for root, _, names in os.walk(tmp) for name in names)
-        finally:
-            os.chdir(here)
-    return code, err.getvalue().splitlines(), files, elapsed
+        with open(os.path.join(tmp, "cfg.json"), "w") as handle:
+            json.dump(cfg, handle)
+        start = time.perf_counter()
+        call = call_cli(tmp, [command, "--config", "cfg.json"] if argv is None else argv)
+        return call, time.perf_counter() - start
 
 
-def check_contract(command: str, code: int, lines: list, files: list, elapsed: float):
+def check_contract(command: str, call, elapsed: float):
     """The exit-code contract of one call (``run_job``'s results)."""
-    assert code in (0, 2, 3)
+    assert call.code in (0, 2, 3)
     assert elapsed < TIME_LIMIT
-    assert not [name for name in files if os.path.basename(name).startswith(".tmp-")]
-    if lines:
-        # an error: one JSON line with the exit code, and no artifact
-        assert code in (2, 3) and len(lines) == 1
-        assert json.loads(lines[0])["exit_code"] == code
-        assert files == ["cfg.json"]
+    assert not [name for name in call.files if os.path.basename(name).startswith(".tmp-")]
+    if call.stderr:
+        # an error: the contract of the CLI error tables
+        assert call.code in (2, 3)
+        check_error(call, call.code)
     else:
         # success, or a validate or spectrum FAIL: the artifact is written
-        assert code == 0 or command in ("validate", "spectrum")
-        assert len(files) in (2, 3) and "cfg.json" in files
+        assert call.code == 0 or command in ("validate", "spectrum")
+        assert len(call.files) in (2, 3) and "cfg.json" in call.files
 
 
 class TestExitCodeContract:
@@ -192,15 +179,15 @@ class TestExitCodeContract:
     @given(job=mutated_argvs())
     def test_every_command_line_change_keeps_the_contract(self, job):
         command, cfg, argv = job
-        code, lines, files, elapsed = run_job(command, cfg, argv)
-        check_contract(command, code, lines, files, elapsed)
+        call, elapsed = run_job(command, cfg, argv)
+        check_contract(command, call, elapsed)
         if any(flag in argv for flag in ("--seed", "--format", "--bogus", "extra", "--dim",
                                          "--out")):
-            assert code == 2  # no job reads these
+            assert call.code == 2  # no job reads these
 
     def test_the_unmutated_configs_run(self):
         # every base config exits 0, so each mutation is what changes a job
         for command, engine in sorted(cli._JOBS):
-            code, lines, files, _ = run_job(command, base_config(command, engine))
-            assert (code, lines) == (0, []), (command, engine, lines)
-            assert set(files) <= {"cfg.json", "out.csv", "out.csv.meta.json", "report.json"}
+            call, _ = run_job(command, base_config(command, engine))
+            assert (call.code, call.stderr) == (0, ""), (command, engine, call.stderr)
+            assert set(call.files) <= {"cfg.json", "out.csv", "out.csv.meta.json", "report.json"}

@@ -126,7 +126,8 @@ def corpus():
 
 
 def errors():
-    """The command-line and config errors, and one numerical failure."""
+    """The command-line and config errors, one numerical failure, and classical
+    jobs at the ends of the float range."""
     base = scenario("oracle", "psi_plus", QUANTUM["thermal"], "csv")
     for n, flag in enumerate(FLAGS):
         yield f"argv-flag-{n}", call("run", *flag), base
@@ -160,6 +161,16 @@ def errors():
         yield f"error-config-{name}", RUN, {**base, **change}
     yield ("error-overflow", RUN,
            {**base, "params": {"omega": 1.0, "lambda": 1e200}, "oracle": {"dim": 60}})
+    # classical jobs at the ends of the float range: a phase scale sqrt(2/omega)
+    # past it, though every phase is tiny, and an equipartition width past it
+    tiny = {**base, "engine": "classical", "oscillator": CLASSICAL["gaussian"],
+            "params": {"omega": 1e-308, "lambda": 1e-308, "omega0": 0.0}}
+    yield "edge-gaussian-omega-1e-308-closed", RUN, tiny
+    yield "edge-gaussian-omega-1e-308-seed0", RUN, {**tiny, "monte_carlo": {"samples": 1000}}
+    yield "error-config-thermal-width", RUN, {
+        **base, "engine": "classical", "oscillator": {"kind": "classical_thermal", "k_T": 1e200},
+        "params": {"omega": 1e-250, "lambda": 1e-250, "omega0": 0.0},
+        "monte_carlo": {"samples": 1000}}
 
 
 def run_side(out: str, match: str) -> None:
