@@ -1,10 +1,10 @@
 """The exit-code contract under single-field mutations of the README's run
 config, and under single changes to the command line: every job exits 0, 2
-or 3; an error exit keeps the contract of the CLI error tables
-(``test_series_cli.check_error``: one JSON line carrying its code, nothing
-on stdout, no warning, no file left); a ``validate`` or ``spectrum`` FAIL
-prints nothing on stderr; no temporary ``.tmp-*.part`` file survives; and every call finishes
-in time.
+or 3 without a warning; an error exit keeps the contract of the CLI error
+tables (``test_series_cli.check_error``: one JSON line carrying its code,
+nothing on stdout, no warning, no file left); a ``validate`` or
+``spectrum`` FAIL prints nothing on stderr; no temporary ``.tmp-*.part``
+file survives; and every call finishes in time.
 
 Each draw takes one job of ``cli._JOBS``, builds its config from the
 README's (the sections the job reads, a classical preparation for the
@@ -149,13 +149,14 @@ def run_job(command: str, cfg: dict, argv: list | None = None):
         with open(os.path.join(tmp, "cfg.json"), "w") as handle:
             json.dump(cfg, handle)
         start = time.perf_counter()
-        call = call_cli(tmp, [command, "--config", "cfg.json"] if argv is None else argv)
+        call = call_cli(tmp, *([command, "--config", "cfg.json"] if argv is None else argv))
         return call, time.perf_counter() - start
 
 
 def check_contract(command: str, call, elapsed: float):
     """The exit-code contract of one call (``run_job``'s results)."""
     assert call.code in (0, 2, 3)
+    assert call.warnings == []
     assert elapsed < TIME_LIMIT
     assert not [name for name in call.files if os.path.basename(name).startswith(".tmp-")]
     if call.stderr:
@@ -189,5 +190,6 @@ class TestExitCodeContract:
         # every base config exits 0, so each mutation is what changes a job
         for command, engine in sorted(cli._JOBS):
             call, _ = run_job(command, base_config(command, engine))
-            assert (call.code, call.stderr) == (0, ""), (command, engine, call.stderr)
+            assert (call.code, call.stderr, call.warnings) == (0, "", []), (command, engine,
+                                                                           call.stderr)
             assert set(call.files) <= {"cfg.json", "out.csv", "out.csv.meta.json", "report.json"}

@@ -236,13 +236,14 @@ def fresh_python(argv: list, **kwargs) -> subprocess.CompletedProcess:
                           text=True, **kwargs)
 
 
-def run_cli(cwd, *argv: str) -> CliCall:
-    """``python -m tc2q.cli argv`` in ``cwd``; a warning there is a stderr line."""
-    done = fresh_python(["-m", "tc2q.cli", *argv], cwd=cwd, timeout=120)
+def run_cli(cwd, *argv: str, timeout: float = 120) -> CliCall:
+    """``python -m tc2q.cli argv`` in ``cwd``, within ``timeout`` seconds; a
+    warning there is a stderr line."""
+    done = fresh_python(["-m", "tc2q.cli", *argv], cwd=cwd, timeout=timeout)
     return CliCall(done.returncode, done.stdout, done.stderr, [], files_in(cwd))
 
 
-def call_cli(cwd, argv: list) -> CliCall:
+def call_cli(cwd, *argv: str) -> CliCall:
     """``cli.main(argv)`` in the directory ``cwd``, every warning recorded."""
     stdout, stderr = io.StringIO(), io.StringIO()
     here = os.getcwd()
@@ -251,7 +252,7 @@ def call_cli(cwd, argv: list) -> CliCall:
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             warnings.simplefilter("always")
-            code = cli.main(argv)
+            code = cli.main(list(argv))
     finally:
         os.chdir(here)
     return CliCall(code, stdout.getvalue(), stderr.getvalue(), caught, files_in(cwd))
@@ -278,9 +279,12 @@ def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
     return fresh_python(["-c", code, *args], check=True)
 
 
-def cli_args(command: str, *extra: str) -> list:
-    """The command line of a job that reads ``cfg.json``."""
-    return [command, "--config", "cfg.json", *extra]
+#: write_config's overrides of a job that reads no scenario, of a sweep-beta
+#: and of a spectrum job
+NO_SCENARIO = {"qubit_init": None, "oscillator": None, "time_grid": None}
+SWEEP = {**NO_SCENARIO, "oscillators": [{"kind": "thermal", "mean_n": 1.0}],
+         "beta_grid": {"start": 0.0, "stop": 0.2, "n_points": 3}}
+SPECTRUM = {**NO_SCENARIO, "engine": "oracle"}
 
 
 class TestCliRun:
@@ -376,8 +380,6 @@ class TestCliRun:
         assert series.concurrence[0] == 1.0
         assert series.std_error is None
 
-    NO_SCENARIO = {"qubit_init": None, "oscillator": None, "time_grid": None}
-
     @pytest.mark.parametrize("command, overrides", [
         ("run", {}),
         ("run", {"engine": "classical", "oscillator": {"kind": "classical_thermal", "k_T": 1.0},
@@ -387,7 +389,7 @@ class TestCliRun:
         ("validate", {"engine": "validate"}),
         ("sweep-beta", {**NO_SCENARIO, "oscillators": [{"kind": "fock", "n": 1}],
                         "beta_grid": {"start": 0.0, "stop": 0.2, "n_points": 3}}),
-        ("spectrum", {**NO_SCENARIO, "engine": "oracle", "oracle": {"dim": 12}}),
+        ("spectrum", {**SPECTRUM, "oracle": {"dim": 12}}),
     ], ids=["analytic", "monte-carlo", "oracle-dim", "oracle-rule", "validate", "sweep-beta",
             "spectrum"])
     def test_the_echo_and_dim_re_run_the_job(self, tmp_path, command, overrides):
@@ -469,13 +471,6 @@ class TestCliValidate:
         assert diff > 1e-6 if code else diff is None
 
 
-#: write_config's overrides of a sweep-beta and of a spectrum job
-SWEEP = {"qubit_init": None, "time_grid": None, "oscillator": None,
-         "oscillators": [{"kind": "thermal", "mean_n": 1.0}],
-         "beta_grid": {"start": 0.0, "stop": 0.2, "n_points": 3}}
-SPECTRUM = {"engine": "oracle", "qubit_init": None, "oscillator": None, "time_grid": None}
-
-
 class TestCliSweep:
     def test_rows_and_node_value(self, tmp_path):
         out = str(tmp_path / "sweep.csv")
@@ -534,7 +529,6 @@ class TestCliSpectrum:
 
 class TestEnvelope:
     SCENARIO = {"time_grid": {"t_start": 0.0, "t_end": 3.0, "n_points": 6}}
-    NO_SCENARIO = {"qubit_init": None, "oscillator": None, "time_grid": None}
 
     @pytest.mark.parametrize("command, overrides, formats", [
         ("run", SCENARIO, ("csv", "json")),
@@ -545,7 +539,7 @@ class TestEnvelope:
         ("sweep-beta", {**NO_SCENARIO, "oscillators": [{"kind": "fock", "n": 1}],
                         "beta_grid": {"start": 0.0, "stop": 0.2, "n_points": 3}},
          ("csv", "json")),
-        ("spectrum", {**NO_SCENARIO, "engine": "oracle", "oracle": {"dim": 12}},
+        ("spectrum", {**SPECTRUM, "oracle": {"dim": 12}},
          ("csv", "json")),
         ("validate", {**SCENARIO, "engine": "validate"}, ("json",)),
     ], ids=["run-analytic", "run-oracle", "run-classical", "sweep-beta", "spectrum",
@@ -571,17 +565,15 @@ class TestEnvelope:
             assert header.split(",") == list(columns)
 
 
-RUN, VALIDATE = cli_args("run"), cli_args("validate")
-SWEEP_BETA, SPECTRUM_JOB = cli_args("sweep-beta"), cli_args("spectrum")
-#: write_config's overrides of each job, by id
+#: the command and write_config's overrides of each job, by id
 JOB_KINDS = {
-    "run-analytic": (RUN, {}),
-    "run-oracle": (RUN, {"engine": "oracle"}),
-    "run-classical": (RUN, {"engine": "classical", "monte_carlo": {"samples": 10},
-                            "oscillator": {"kind": "delta", "q0": 0.0, "p0": 1.0}}),
-    "validate": (VALIDATE, {"engine": "validate"}),
-    "sweep-beta": (SWEEP_BETA, SWEEP),
-    "spectrum": (SPECTRUM_JOB, SPECTRUM),
+    "run-analytic": ("run", {}),
+    "run-oracle": ("run", {"engine": "oracle"}),
+    "run-classical": ("run", {"engine": "classical", "monte_carlo": {"samples": 10},
+                              "oscillator": {"kind": "delta", "q0": 0.0, "p0": 1.0}}),
+    "validate": ("validate", {"engine": "validate"}),
+    "sweep-beta": ("sweep-beta", SWEEP),
+    "spectrum": ("spectrum", SPECTRUM),
 }
 JOBS = {job: JOB_KINDS[job] for job in ("run-analytic", "sweep-beta", "validate", "spectrum")}
 CLASSICAL_THERMAL = {"engine": "classical", "monte_carlo": {"samples": 50},
@@ -601,17 +593,18 @@ OVERFLOWING_LITERAL = json.dumps(job_config(
 NULL_MONTE_CARLO = json.dumps({**job_config("out.json", **CLASSICAL_THERMAL),
                                "monte_carlo": None})
 
-#: every config and command-line error, by id: (argv, write_config's
-#: overrides or the config file's text, the error message).  The output is
-#: out.json in the working directory unless a row says otherwise, and the
-#: machine has 8 GiB of physical memory
+#: every config and command-line error, by id: (the command, run as
+#: ``command --config cfg.json``, or the whole command line as a list;
+#: write_config's overrides or the config file's text; the error message).
+#: The output is out.json in the working directory unless a row says
+#: otherwise, and the machine has 8 GiB of physical memory
 CONFIG_ERRORS = {
     # the command line: argparse's usage lines and SystemExit would break
     # the one-JSON-line contract
     "no-config": (["run"], CLASSICAL_THERMAL, "the following arguments are required: --config"),
     "config-without-path": (["run", "--config"], CLASSICAL_THERMAL,
                             "argument --config: expected one argument"),
-    **{f"flag-{name}": (cli_args("run", *flag), CLASSICAL_THERMAL,
+    **{f"flag-{name}": (["run", "--config", "cfg.json", *flag], CLASSICAL_THERMAL,
                         f"unrecognized arguments: {' '.join(flag)}")
        for name, flag in (("seed", ["--seed", "7"]), ("format", ["--format", "csv"]),
                           ("dim-abc", ["--dim", "abc"]), ("dim-60", ["--dim", "60"]),
@@ -624,244 +617,246 @@ CONFIG_ERRORS = {
                            "the following arguments are required: command"),
     # the config is the whole job: any flag but --config is an unknown
     # argument on every job
-    **{f"{flag[2:]}-on-{job}": (argv + [flag, "30"], overrides,
+    **{f"{flag[2:]}-on-{job}": ([command, "--config", "cfg.json", flag, "30"], overrides,
                                 f"unrecognized arguments: {flag} 30")
        for flag in ("--seed", "--format", "--dim", "--out")
-       for job, (argv, overrides) in JOB_KINDS.items()},
+       for job, (command, overrides) in JOB_KINDS.items()},
     # the config file, its schema version and the job
     "missing-config": (["run", "--config", "nope.json"], {},
                        "cannot read config nope.json: [Errno 2] No such file or directory: "
                        "'nope.json'"),
-    "malformed-json": (RUN, MALFORMED, "config cfg.json is not valid JSON: Expecting property "
+    "malformed-json": ("run", MALFORMED, "config cfg.json is not valid JSON: Expecting property "
                        "name enclosed in double quotes: line 1 column 2 (char 1)"),
     # Python's JSON reader refuses an integer literal of over 4300 digits
     # with a ValueError that is not a JSONDecodeError
-    "integer-past-the-digit-limit": (RUN, LONG_INTEGER, re.compile(
+    "integer-past-the-digit-limit": ("run", LONG_INTEGER, re.compile(
         r"config cfg\.json is not valid JSON: .*4300 digits.*")),
-    "root-array": (RUN, NOT_AN_OBJECT, "config root must be a JSON object"),
-    "version-2": (RUN, {"version": 2}, "config version must be 1, got 2"),
-    **{f"engine-{name}": (RUN, {"engine": engine}, "run needs config.engine in ('analytic', "
+    "root-array": ("run", NOT_AN_OBJECT, "config root must be a JSON object"),
+    "version-2": ("run", {"version": 2}, "config version must be 1, got 2"),
+    **{f"engine-{name}": ("run", {"engine": engine}, "run needs config.engine in ('analytic', "
                           f"'oracle', 'classical'), got {engine!r}")
        for name, engine in (("bogus", "bogus"), ("list", ["oracle"]), ("missing", None),
                             ("validate", "validate"))},
-    "sweep-engine-oracle": (SWEEP_BETA, {**SWEEP, "engine": "oracle"},
+    "sweep-engine-oracle": ("sweep-beta", {**SWEEP, "engine": "oracle"},
                             "sweep-beta needs config.engine in ('analytic',), got 'oracle'"),
-    "unknown-key": (RUN, {"typo_key": 1},
+    "unknown-key": ("run", {"typo_key": 1},
                     f"unknown key(s) ['typo_key'] in config of run; {ALLOWED_IN_RUN}"),
-    "sections-the-job-never-reads": (RUN, {
+    "sections-the-job-never-reads": ("run", {
         "monte_carlo": {"samples": 10}, "oracle": {"dim": 40}, "validate": {"tolerance": 1e-6},
         "beta_grid": {"start": 0.0, "stop": 0.2, "n_points": 3}},
         "unknown key(s) ['beta_grid', 'monte_carlo', 'oracle', 'validate'] in config of run; "
         + ALLOWED_IN_RUN),
-    "sweep-oscillator": (SWEEP_BETA, {**SWEEP, "oscillators": None,
-                                      "oscillator": {"kind": "thermal", "mean_n": 1.0}},
+    "sweep-oscillator": ("sweep-beta", {**SWEEP, "oscillators": None,
+                                        "oscillator": {"kind": "thermal", "mean_n": 1.0}},
                          "unknown key(s) ['oscillator'] in config of sweep-beta; allowed: "
                          "['beta_grid', 'engine', 'oscillators', 'output', 'params', "
                          "'version']"),
     # the output, checked before the other sections: a config with two
     # faults, one of them in the output, reports the output
-    "no-output-path": (RUN, {"output": None}, "no output path: set config.output.path"),
-    "no-output-path-and-bad-omega": (RUN, {"output": None,
-                                           "params": {"omega": "fast", "lambda": 0.1}},
+    "no-output-path": ("run", {"output": None}, "no output path: set config.output.path"),
+    "no-output-path-and-bad-omega": ("run", {"output": None,
+                                             "params": {"omega": "fast", "lambda": 0.1}},
                                      "no output path: set config.output.path"),
-    "missing-output-dir-and-dim-1": (SPECTRUM_JOB, {**SPECTRUM, "oracle": {"dim": 1},
-                                                    "output": {"path": "missing/s.json"}},
+    "missing-output-dir-and-dim-1": ("spectrum", {**SPECTRUM, "oracle": {"dim": 1},
+                                                  "output": {"path": "missing/s.json"}},
                                      "output directory 'missing' does not exist or is not "
                                      "writable"),
-    **{f"validate-csv-{name}": (VALIDATE, {"engine": "validate", "output": output},
+    **{f"validate-csv-{name}": ("validate", {"engine": "validate", "output": output},
                                 "validate writes only a JSON report; give a .json output "
                                 "path or output.format json")
        for name, output in (("format", {"path": "v.json", "format": "csv"}),
                             ("suffix", {"path": "v.csv"}))},
     # a present key is read even when falsy: a null or empty value is an
     # error, not the default an absent key gives
-    **{f"format-{name}": (RUN, {"output": {"path": "out.json", "format": value}},
+    **{f"format-{name}": ("run", {"output": {"path": "out.json", "format": value}},
                           f"output format must be 'csv' or 'json', got {value!r}")
        for name, value in (("false", False), ("empty", ""), ("null", None), ("0", 0),
                            ("list", []))},
-    "monte-carlo-null": (RUN, NULL_MONTE_CARLO,
+    "monte-carlo-null": ("run", NULL_MONTE_CARLO,
                          "config.monte_carlo must be an object with keys ['samples', 'seed']"),
     # the scenario and the other sections
-    "classical-psi-minus": (RUN, {"engine": "classical", "qubit_init": "psi_minus",
-                                  "oscillator": {"kind": "delta", "q0": 0.0, "p0": 0.0}},
+    "classical-psi-minus": ("run", {"engine": "classical", "qubit_init": "psi_minus",
+                                    "oscillator": {"kind": "delta", "q0": 0.0, "p0": 0.0}},
                             "the classical engine models the (|eg>+|ge>)/sqrt(2) correlator; "
                             "qubit_init must be psi_plus or phi_plus"),
-    "analytic-delta": (RUN, {"oscillator": {"kind": "delta", "q0": 0.0, "p0": 0.0}},
+    "analytic-delta": ("run", {"oscillator": {"kind": "delta", "q0": 0.0, "p0": 0.0}},
                        "oscillator.kind must be one of ('thermal', 'coherent', 'fock') for "
                        "this engine, got 'delta'"),
-    "classical-thermal": (RUN, {"engine": "classical",
-                                "oscillator": {"kind": "thermal", "mean_n": 1.0}},
+    "classical-thermal": ("run", {"engine": "classical",
+                                  "oscillator": {"kind": "thermal", "mean_n": 1.0}},
                           "oscillator.kind must be one of ('delta', 'gaussian', "
                           "'classical_thermal') for this engine, got 'thermal'"),
-    **{f"alpha0-{name}": (RUN, {"oscillator": {"kind": "coherent", "alpha0": alpha0}},
+    **{f"alpha0-{name}": ("run", {"oscillator": {"kind": "coherent", "alpha0": alpha0}},
                           f"oscillator.alpha0 must be a number or [re, im], got {alpha0!r}")
        for name, alpha0 in (("bool-and-string", [True, "2"]), ("numeric-strings", ["1", "2"]),
                             ("null", [None, 1]))},
-    "params-not-an-object": (SWEEP_BETA, {**SWEEP, "params": "nonsense"},
+    "params-not-an-object": ("sweep-beta", {**SWEEP, "params": "nonsense"},
                              "config.params must be an object with keys ['lambda', 'omega', "
                              "'omega0']"),
-    "params-unknown-key": (SWEEP_BETA, {**SWEEP, "params": {"omega": -1, "bogus": 3}},
+    "params-unknown-key": ("sweep-beta", {**SWEEP, "params": {"omega": -1, "bogus": 3}},
                            "unknown key(s) ['bogus'] in params; allowed: ['lambda', 'omega', "
                            "'omega0']"),
-    "spectrum-oracle-unknown-key": (SPECTRUM_JOB, {**SPECTRUM, "oracle": {"dim": 40, "dimm": 50}},
+    "spectrum-oracle-unknown-key": ("spectrum", {**SPECTRUM, "oracle": {"dim": 40, "dimm": 50}},
                                     "unknown key(s) ['dimm'] in oracle; allowed: ['dim']"),
-    "dim-1": (RUN, {"engine": "oracle", "oracle": {"dim": 1}}, "oracle.dim must be >= 2, got 1"),
-    "tolerance-0": (VALIDATE, {"engine": "validate", "validate": {"tolerance": 0}},
+    "dim-1": ("run", {"engine": "oracle", "oracle": {"dim": 1}}, "oracle.dim must be >= 2, got 1"),
+    "tolerance-0": ("validate", {"engine": "validate", "validate": {"tolerance": 0}},
                     "validate.tolerance must be positive, got 0.0"),
-    "oscillators-empty": (SWEEP_BETA, {**SWEEP, "oscillators": []},
+    "oscillators-empty": ("sweep-beta", {**SWEEP, "oscillators": []},
                           "config.oscillators must be a non-empty list"),
-    "fock-level-10001": (SWEEP_BETA, {**SWEEP, "oscillators": [{"kind": "fock", "n": 10_001}]},
+    "fock-level-10001": ("sweep-beta", {**SWEEP, "oscillators": [{"kind": "fock", "n": 10_001}]},
                          "oscillators[0].n must be <= 10000, got 10001"),
-    "t-end-before-t-start": (RUN, {"time_grid": {"t_start": 2.0, "t_end": 1.0, "n_points": 5}},
+    "t-end-before-t-start": ("run", {"time_grid": {"t_start": 2.0, "t_end": 1.0, "n_points": 5}},
                              "time_grid.t_end (1.0) must exceed t_start (2.0)"),
-    "one-point-grid": (RUN, {"time_grid": {"t_start": 0.0, "t_end": 1.0, "n_points": 1}},
+    "one-point-grid": ("run", {"time_grid": {"t_start": 0.0, "t_end": 1.0, "n_points": 1}},
                        "time_grid.n_points must be >= 2, got 1"),
-    "beta-grid-past-one-half": (SWEEP_BETA, {**SWEEP, "beta_grid": {"start": 0.0, "stop": 0.7,
-                                                                    "n_points": 3}},
+    "beta-grid-past-one-half": ("sweep-beta", {**SWEEP, "beta_grid": {"start": 0.0, "stop": 0.7,
+                                                                      "n_points": 3}},
                                 "beta_grid must lie within [0, 0.5], got [0.0, 0.7]"),
     # a number must be finite: json.load reads NaN, Infinity and the
     # overflowing literal 1e999 as floats, and integer literals past the
     # float range are ints that float() cannot convert
-    "tolerance-Infinity": (VALIDATE, {"engine": "validate", "validate": {"tolerance": math.inf}},
+    "tolerance-Infinity": ("validate", {"engine": "validate",
+                                        "validate": {"tolerance": math.inf}},
                            "validate.tolerance must be finite, got inf"),
-    "tolerance-NaN": (VALIDATE, {"engine": "validate", "validate": {"tolerance": math.nan}},
+    "tolerance-NaN": ("validate", {"engine": "validate", "validate": {"tolerance": math.nan}},
                       "validate.tolerance must be finite, got nan"),
-    "t_end-Infinity": (RUN, {"time_grid": {"t_start": 0.0, "t_end": math.inf, "n_points": 5}},
+    "t_end-Infinity": ("run", {"time_grid": {"t_start": 0.0, "t_end": math.inf, "n_points": 5}},
                        "time_grid.t_end must be finite, got inf"),
-    "t_end-1e999": (RUN, OVERFLOWING_LITERAL, "time_grid.t_end must be finite, got inf"),
-    "stop-NaN": (SWEEP_BETA, {**SWEEP, "beta_grid": {"start": 0.0, "stop": math.nan,
-                                                     "n_points": 3}},
+    "t_end-1e999": ("run", OVERFLOWING_LITERAL, "time_grid.t_end must be finite, got inf"),
+    "stop-NaN": ("sweep-beta", {**SWEEP, "beta_grid": {"start": 0.0, "stop": math.nan,
+                                                       "n_points": 3}},
                  "beta_grid.stop must be finite, got nan"),
-    "omega-10**400": (RUN, {"params": {"omega": 10 ** 400, "lambda": 0.1}},
+    "omega-10**400": ("run", {"params": {"omega": 10 ** 400, "lambda": 0.1}},
                       f"params.omega must be finite, got {10 ** 400}"),
-    "mean_n-10**400": (RUN, {"oscillator": {"kind": "thermal", "mean_n": 10 ** 400}},
+    "mean_n-10**400": ("run", {"oscillator": {"kind": "thermal", "mean_n": 10 ** 400}},
                        f"oscillator.mean_n must be finite, got {10 ** 400}"),
-    "alpha0-10**400": (RUN, {"oscillator": {"kind": "coherent", "alpha0": [1.0, -10 ** 400]}},
+    "alpha0-10**400": ("run", {"oscillator": {"kind": "coherent", "alpha0": [1.0, -10 ** 400]}},
                        f"oscillator.alpha0 must be finite, got {[1.0, -10 ** 400]!r}"),
     # finite parameters whose products with the grid or the truncation
     # overflow are refused before any engine runs
-    "oracle-omega-1e308": (RUN, {"engine": "oracle", "params": {"omega": 1e308, "lambda": 0.1}},
+    "oracle-omega-1e308": ("run", {"engine": "oracle", "params": {"omega": 1e308, "lambda": 0.1}},
                            "omega * t is not finite for omega = 1e+308, lambda = 0.1"),
-    "classical-omega-1e-320": (RUN, {"engine": "classical",
-                                     "params": {"omega": 1e-320, "lambda": 0.1},
-                                     "oscillator": {"kind": "classical_thermal", "k_T": 1.0}},
+    "classical-omega-1e-320": ("run", {"engine": "classical",
+                                       "params": {"omega": 1e-320, "lambda": 0.1},
+                                       "oscillator": {"kind": "classical_thermal", "k_T": 1.0}},
                                "invalid params: beta = lambda/omega must be finite, "
                                "got 0.1/1e-320"),
-    "oracle-lambda-1e308": (RUN, {"engine": "oracle", "params": {"omega": 1.0, "lambda": 1e308}},
+    "oracle-lambda-1e308": ("run", {"engine": "oracle", "params": {"omega": 1.0, "lambda": 1e308}},
                             "no Fock truncation fits beta = 1e+308: cannot convert float "
                             "infinity to integer"),
-    "validate-omega-1e308": (VALIDATE, {"engine": "validate",
-                                        "params": {"omega": 1e308, "lambda": 0.1}},
+    "validate-omega-1e308": ("validate", {"engine": "validate",
+                                          "params": {"omega": 1e308, "lambda": 0.1}},
                              "omega * t is not finite for omega = 1e+308, lambda = 0.1"),
-    "spectrum-omega-1e308": (SPECTRUM_JOB, {**SPECTRUM, "params": {"omega": 1e308, "lambda": 0.1}},
+    "spectrum-omega-1e308": ("spectrum", {**SPECTRUM, "params": {"omega": 1e308, "lambda": 0.1}},
                              "omega * dim is not finite for omega = 1e+308, lambda = 0.1"),
-    "spectrum-lambda-1e308": (SPECTRUM_JOB, {**SPECTRUM,
-                                             "params": {"omega": 1.0, "lambda": 1e308}},
+    "spectrum-lambda-1e308": ("spectrum", {**SPECTRUM,
+                                           "params": {"omega": 1.0, "lambda": 1e308}},
                               "lambda * sqrt(dim) is not finite for omega = 1.0, lambda = 1e+308"),
     # omega t and omega dim are finite, but the oracle's phases E t are not
-    "oracle-t-1e308": (RUN, {"engine": "oracle",
-                             "time_grid": {"t_start": 0.0, "t_end": 1e308, "n_points": 20}},
+    "oracle-t-1e308": ("run", {"engine": "oracle",
+                               "time_grid": {"t_start": 0.0, "t_end": 1e308, "n_points": 20}},
                        "omega * dim * t is not finite for omega = 1.0, lambda = 0.1"),
-    "validate-t-minus-1e308": (VALIDATE, {"engine": "validate", "time_grid": {
+    "validate-t-minus-1e308": ("validate", {"engine": "validate", "time_grid": {
         "t_start": -1e308, "t_end": 1.0, "n_points": 20}},
         "omega * dim * t is not finite for omega = 1.0, lambda = 0.1"),
     # mean_n / (1 + mean_n) rounds to 1, so no dim drops the thermal tail
-    "oracle-thermal-mean-n-1e17": (RUN, {"engine": "oracle",
-                                         "oscillator": {"kind": "thermal", "mean_n": 1e17}},
+    "oracle-thermal-mean-n-1e17": ("run", {"engine": "oracle",
+                                           "oscillator": {"kind": "thermal", "mean_n": 1e17}},
                                    "no Fock truncation fits beta = 0.1: thermal mean_n=1e+17 "
                                    "leaves tail population 1 at every dim"),
-    "validate-thermal-mean-n-1e17": (VALIDATE, {"engine": "validate",
-                                                "oscillator": {"kind": "thermal",
-                                                               "mean_n": 1e17}},
+    "validate-thermal-mean-n-1e17": ("validate", {"engine": "validate",
+                                                  "oscillator": {"kind": "thermal",
+                                                                 "mean_n": 1e17}},
                                      "no Fock truncation fits beta = 0.1: thermal "
                                      "mean_n=1e+17 leaves tail population 1 at every dim"),
     # the closed form has a limit there, but the estimator's phases do not;
     # each is checked without a warning, before it is evaluated
-    "classical-mc-lambda-1e308": (RUN, {"engine": "classical", "oscillator": GAUSSIAN,
-                                        "params": {"omega": 1.0, "lambda": 1e308},
-                                        "time_grid": SHORT_GRID,
-                                        "monte_carlo": {"samples": 1000}},
+    "classical-mc-lambda-1e308": ("run", {"engine": "classical", "oscillator": GAUSSIAN,
+                                          "params": {"omega": 1.0, "lambda": 1e308},
+                                          "time_grid": SHORT_GRID,
+                                          "monte_carlo": {"samples": 1000}},
                                   "8 beta sqrt(2 omega) is not finite for omega = 1.0, "
                                   "lambda = 1e+308"),
-    "classical-mc-omega-1e-300": (RUN, {**CLASSICAL_THERMAL, "time_grid": SHORT_GRID,
-                                        "params": {"omega": 1e-300, "lambda": 1e-10},
-                                        "monte_carlo": {"samples": 1000}},
+    "classical-mc-omega-1e-300": ("run", {**CLASSICAL_THERMAL, "time_grid": SHORT_GRID,
+                                          "params": {"omega": 1e-300, "lambda": 1e-10},
+                                          "monte_carlo": {"samples": 1000}},
                                   "4 beta sqrt(2/omega) is not finite for omega = 1e-300, "
                                   "lambda = 1e-10"),
     # the equipartition width sqrt(2 k_T)/omega is past the float range
-    "classical-mc-k-T-1e200-omega-1e-250": (RUN, {
+    "classical-mc-k-T-1e200-omega-1e-250": ("run", {
         **CLASSICAL_THERMAL, "oscillator": {"kind": "classical_thermal", "k_T": 1e200},
         "params": {"omega": 1e-250, "lambda": 1e-250}, "time_grid": SHORT_GRID,
         "monte_carlo": {"samples": 1000}},
         "the equipartition width sqrt(2 k_T)/omega is not finite for k_T = 1e+200, "
         "omega = 1e-250"),
     # the coefficients are finite, but their products with the draws are not
-    "classical-mc-delta-q-1e200": (RUN, {"engine": "classical",
-                                         "oscillator": {**GAUSSIAN, "delta_q": 1e200},
-                                         "params": {"omega": 1.0, "lambda": 1e200},
-                                         "time_grid": SHORT_GRID,
-                                         "monte_carlo": {"samples": 1000}},
+    "classical-mc-delta-q-1e200": ("run", {"engine": "classical",
+                                           "oscillator": {**GAUSSIAN, "delta_q": 1e200},
+                                           "params": {"omega": 1.0, "lambda": 1e200},
+                                           "time_grid": SHORT_GRID,
+                                           "monte_carlo": {"samples": 1000}},
                                    re.compile(r"the sampled phase a q0 \+ b p0 is not finite "
                                               r"at t = 1: max \|q0\| = \S+, max \|p0\| = \S+")),
-    "classical-mc-q-bar-1e300": (RUN, {"engine": "classical",
-                                       "oscillator": {**GAUSSIAN, "q_bar": 1e300},
-                                       "params": {"omega": 1.0, "lambda": 1e307},
-                                       "time_grid": SHORT_GRID,
-                                       "monte_carlo": {"samples": 1000}},
+    "classical-mc-q-bar-1e300": ("run", {"engine": "classical",
+                                         "oscillator": {**GAUSSIAN, "q_bar": 1e300},
+                                         "params": {"omega": 1.0, "lambda": 1e307},
+                                         "time_grid": SHORT_GRID,
+                                         "monte_carlo": {"samples": 1000}},
                                  re.compile(r"the sampled phase a q0 \+ b p0 is not finite "
                                             r"at t = 1: max \|q0\| = 1e\+300, max \|p0\| = \S+")),
     # byte counts past the float range
-    "dim-10**200": (SPECTRUM_JOB, {**SPECTRUM, "oracle": {"dim": 10 ** 200}},
+    "dim-10**200": ("spectrum", {**SPECTRUM, "oracle": {"dim": 10 ** 200}},
                     f"dim = {10 ** 200} needs 6.58e+402 bytes of arrays, more than the "
                     "8.59e+9 bytes of physical memory"),
-    "samples-10**307": (RUN, {**CLASSICAL_THERMAL, "monte_carlo": {"samples": 10 ** 307}},
+    "samples-10**307": ("run", {**CLASSICAL_THERMAL, "monte_carlo": {"samples": 10 ** 307}},
                         f"monte_carlo.samples = {10 ** 307} needs 3.20e+308 bytes of arrays, "
                         "more than the 8.59e+9 bytes of physical memory"),
-    "n_points-10**306": (RUN, {"time_grid": {"t_start": 0.0, "t_end": 1.0,
-                                             "n_points": 10 ** 306}},
+    "n_points-10**306": ("run", {"time_grid": {"t_start": 0.0, "t_end": 1.0,
+                                               "n_points": 10 ** 306}},
                          f"time_grid.n_points = {10 ** 306} needs 1.02e+309 bytes of arrays, "
                          "more than the 8.59e+9 bytes of physical memory"),
 }
 
 #: jobs that must fail before any engine, writer or large allocation, by id:
-#: (argv, write_config's overrides, the error message).  The output is
+#: (the command, write_config's overrides, the error message).  The output is
 #: out.json, or out.csv for a table, in the working directory unless a row
 #: says otherwise, and the machine has one byte less physical memory than a
 #: 5000-sample Monte Carlo estimate needs (classical.mc_peak_bytes)
 BEFORE_ANY_ENGINE = {
-    **{f"oversized-dim-{job}": (argv, {**overrides, "oracle": {"dim": 10 ** 6}},
+    **{f"oversized-dim-{job}": (command, {**overrides, "oracle": {"dim": 10 ** 6}},
                                 "dim = 1000000 needs 6.58e+14 bytes of arrays, more than the "
                                 "1.21e+6 bytes of physical memory")
-       for job, (argv, overrides) in (("run", JOB_KINDS["run-oracle"]),
-                                      ("validate", JOB_KINDS["validate"]),
-                                      ("spectrum", JOB_KINDS["spectrum"]))},
-    **{f"oversized-{name}": (argv, overrides, f"{name}.n_points = {10 ** 15} needs 1.02e+18 "
+       for job, (command, overrides) in (("run", JOB_KINDS["run-oracle"]),
+                                         ("validate", JOB_KINDS["validate"]),
+                                         ("spectrum", JOB_KINDS["spectrum"]))},
+    **{f"oversized-{name}": (command, overrides, f"{name}.n_points = {10 ** 15} needs 1.02e+18 "
                              "bytes of arrays, more than the 1.21e+6 bytes of physical memory")
-       for name, (argv, overrides) in (
-           ("time_grid", (RUN, {"time_grid": {"t_start": 0.0, "t_end": 1.0,
-                                              "n_points": 10 ** 15}})),
-           ("beta_grid", (SWEEP_BETA, {**SWEEP, "beta_grid": {"start": 0.0, "stop": 0.2,
-                                                              "n_points": 10 ** 15}})))},
-    **{f"oversized-monte-carlo-{name}": (RUN, {"engine": "classical", "oscillator": oscillator,
-                                                "monte_carlo": {"samples": 10 ** 13}},
-                                          "monte_carlo.samples = 10000000000000 needs "
-                                          "3.20e+14 bytes of arrays, more than the 1.21e+6 "
-                                          "bytes of physical memory")
+       for name, (command, overrides) in (
+           ("time_grid", ("run", {"time_grid": {"t_start": 0.0, "t_end": 1.0,
+                                                "n_points": 10 ** 15}})),
+           ("beta_grid", ("sweep-beta", {**SWEEP, "beta_grid": {"start": 0.0, "stop": 0.2,
+                                                                "n_points": 10 ** 15}})))},
+    **{f"oversized-monte-carlo-{name}": ("run", {"engine": "classical", "oscillator": oscillator,
+                                                  "monte_carlo": {"samples": 10 ** 13}},
+                                            "monte_carlo.samples = 10000000000000 needs "
+                                            "3.20e+14 bytes of arrays, more than the 1.21e+6 "
+                                            "bytes of physical memory")
        for name, oscillator in (("gaussian", GAUSSIAN),
                                 ("classical_thermal", {"kind": "classical_thermal", "k_T": 1.0}))},
     # the memory guard is the engine's memory model, to the byte
-    "monte-carlo-one-byte-short": (RUN, {**CLASSICAL_THERMAL, "monte_carlo": {"samples": 5000}},
+    "monte-carlo-one-byte-short": ("run", {**CLASSICAL_THERMAL, "monte_carlo": {"samples": 5000}},
                                    "monte_carlo.samples = 5000 needs 1.21e+6 bytes of arrays, "
                                    "more than the 1.21e+6 bytes of physical memory"),
     # every job but an oracle run evaluates a closed form, at omega0 = 0 only
-    **{f"omega0-{job}": (argv, {**overrides, "params": {"omega": 1.0, "lambda": 0.1,
-                                                        "omega0": 0.3}},
+    **{f"omega0-{job}": (command, {**overrides, "params": {"omega": 1.0, "lambda": 0.1,
+                                                           "omega0": 0.3}},
                          "invalid params: omega0 must be 0 for the closed forms, got 0.3; "
                          "only the oracle engine models omega0 > 0")
-       for job, (argv, overrides) in {**JOBS, "run-classical": (RUN, CLASSICAL_THERMAL)}.items()},
+       for job, (command, overrides) in {**JOBS,
+                                         "run-classical": ("run", CLASSICAL_THERMAL)}.items()},
     # an output path that names no file, or whose directory is missing
-    **{f"output-{name}-{job}": (argv, {**overrides, "output": {"path": path}}, message)
-       for job, (argv, overrides) in JOBS.items()
+    **{f"output-{name}-{job}": (command, {**overrides, "output": {"path": path}}, message)
+       for job, (command, overrides) in JOBS.items()
        for name, path, message in (
            ("empty", "", "output path '' does not name a file"),
            ("dot", ".", "output path '.' does not name a file"),
@@ -879,13 +874,13 @@ def full_disk(path, text):
     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
 
 
-#: jobs that fail inside, by id: (argv, write_config's overrides, the fault
-#: put in as (object, attribute, replacement) or None, the error message)
+#: jobs that fail inside, by id: (the command, write_config's overrides, the
+#: fault put in as (object, attribute, replacement) or None, the error message)
 FAILED_JOBS = {
-    "truncation": (RUN, {"engine": "oracle", "oracle": {"dim": 10},
-                         "oscillator": {"kind": "coherent", "alpha0": 2.0}}, None,
+    "truncation": ("run", {"engine": "oracle", "oracle": {"dim": 10},
+                           "oscillator": {"kind": "coherent", "alpha0": 2.0}}, None,
                    "coherent |alpha0|=2 leaves tail population 8.132e-03 > 1e-12 at dim=10"),
-    "allocation": (RUN, {"engine": "oracle"}, (oracle, "eigenblocks", out_of_memory),
+    "allocation": ("run", {"engine": "oracle"}, (oracle, "eigenblocks", out_of_memory),
                    "cannot allocate the dim=80 Hamiltonian blocks"),
     **{f"full-disk-{job}": (JOBS[job][0], {**JOBS[job][1], "output": {"path": f"out.{fmt}"}},
                             (series, "_write_temp", full_disk),
@@ -894,11 +889,11 @@ FAILED_JOBS = {
                         ("spectrum", "json"))},
     # lambda = 1e200 passes every scale check, but the oracle's residual
     # norm and the spectrum's beta^2 overflow: numpy's warning, raised
-    **{f"overflow-{job}": (argv, {**overrides, "params": {"omega": 1.0, "lambda": 1e200},
-                                  "oracle": {"dim": 60}}, None,
+    **{f"overflow-{job}": (command, {**overrides, "params": {"omega": 1.0, "lambda": 1e200},
+                                     "oracle": {"dim": 60}}, None,
                            re.compile(r"overflow encountered in \w+"))
-       for job, (argv, overrides) in (("run-oracle", JOB_KINDS["run-oracle"]),
-                                      ("spectrum", JOB_KINDS["spectrum"]))},
+       for job, (command, overrides) in (("run-oracle", JOB_KINDS["run-oracle"]),
+                                         ("spectrum", JOB_KINDS["spectrum"]))},
 }
 
 
@@ -915,9 +910,9 @@ class TestCliErrors:
             outs.append(json.loads(Path(out).read_text())["meta"]["oscillator"])
         assert outs == ["coherent(alpha0=1-0.5j)", "coherent(alpha0=1+0j)"]
 
-    @pytest.mark.parametrize("argv, config, message", list(CONFIG_ERRORS.values()),
+    @pytest.mark.parametrize("command, config, message", list(CONFIG_ERRORS.values()),
                              ids=list(CONFIG_ERRORS))
-    def test_invalid_inputs_are_config_errors(self, tmp_path, monkeypatch, argv, config,
+    def test_invalid_inputs_are_config_errors(self, tmp_path, monkeypatch, command, config,
                                               message):
         pages = {"SC_PHYS_PAGES": 2 ** 21, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
@@ -925,15 +920,17 @@ class TestCliErrors:
             (tmp_path / "cfg.json").write_text(config)
         else:
             write_config(tmp_path, **{"output": {"path": "out.json"}, **config})
-        check_error(call_cli(tmp_path, argv), 2, message)
+        argv = [command, "--config", "cfg.json"] if isinstance(command, str) else command
+        check_error(call_cli(tmp_path, *argv), 2, message)
 
     @staticmethod
     def refuse(*args, **kwargs):
         raise AssertionError("a job that must fail first reached an engine or the writer")
 
-    @pytest.mark.parametrize("argv, overrides, message", list(BEFORE_ANY_ENGINE.values()),
+    @pytest.mark.parametrize("command, overrides, message", list(BEFORE_ANY_ENGINE.values()),
                              ids=list(BEFORE_ANY_ENGINE))
-    def test_exits_two_before_any_engine(self, tmp_path, monkeypatch, argv, overrides, message):
+    def test_exits_two_before_any_engine(self, tmp_path, monkeypatch, command, overrides,
+                                         message):
         linspace = np.linspace
 
         def small_linspace(start, stop, num, **kwargs):
@@ -948,16 +945,16 @@ class TestCliErrors:
         pages = {"SC_PHYS_PAGES": classical.mc_peak_bytes(5000) - 1, "SC_PAGE_SIZE": 1}
         monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
         write_config(tmp_path, **{"output": {"path": "out.json"}, **overrides})
-        check_error(call_cli(tmp_path, argv), 2, message)
+        check_error(call_cli(tmp_path, command, "--config", "cfg.json"), 2, message)
 
-    @pytest.mark.parametrize("argv, overrides, fault, message", list(FAILED_JOBS.values()),
+    @pytest.mark.parametrize("command, overrides, fault, message", list(FAILED_JOBS.values()),
                              ids=list(FAILED_JOBS))
-    def test_a_failure_inside_a_job_exits_three(self, tmp_path, monkeypatch, argv, overrides,
-                                                fault, message):
+    def test_a_failure_inside_a_job_exits_three(self, tmp_path, monkeypatch, command,
+                                                overrides, fault, message):
         if fault:
             monkeypatch.setattr(*fault)
         write_config(tmp_path, **{"output": {"path": "out.json"}, **overrides})
-        check_error(call_cli(tmp_path, argv), 3, message)
+        check_error(call_cli(tmp_path, command, "--config", "cfg.json"), 3, message)
 
     @pytest.mark.parametrize("argv", [["--version"], ["-h"], ["run", "-h"]])
     def test_version_and_help_exit_zero(self, capsys, argv):
@@ -984,15 +981,16 @@ class TestCliErrors:
 
     HUGE_FOCK = {"kind": "fock", "n": 10 ** 30}
 
-    @pytest.mark.parametrize("argv, overrides, field", [
-        (RUN, {"oscillator": HUGE_FOCK}, "oscillator"),
-        (SWEEP_BETA, {**SWEEP, "oscillators": [HUGE_FOCK]}, "oscillators[0]"),
+    @pytest.mark.parametrize("command, overrides, field", [
+        ("run", {"oscillator": HUGE_FOCK}, "oscillator"),
+        ("sweep-beta", {**SWEEP, "oscillators": [HUGE_FOCK]}, "oscillators[0]"),
     ], ids=["run-analytic", "sweep-beta"])
-    def test_huge_fock_level_exits_two_in_time(self, tmp_path, argv, overrides, field):
+    def test_huge_fock_level_exits_two_in_time(self, tmp_path, command, overrides, field):
         # the closed form of |n> is a recurrence of n steps, which at 10^30
         # would never return
         write_config(tmp_path, **overrides)
-        check_error(run_cli(tmp_path, *argv), 2, f"{field}.n must be <= 10000, got {10 ** 30}")
+        check_error(run_cli(tmp_path, command, "--config", "cfg.json", timeout=60), 2,
+                    f"{field}.n must be <= 10000, got {10 ** 30}")
 
     def test_the_highest_fock_level_runs(self, tmp_path):
         # one level more is the fock-level-10001 config error
@@ -1208,7 +1206,6 @@ class TestJobPipeline:
     """``cli.main`` is the one place that writes, prints and sets the exit code."""
 
     GRID = {"t_start": 0.0, "t_end": 3.0, "n_points": 6}
-    NO_SCENARIO = {"qubit_init": None, "oscillator": None, "time_grid": None}
     VALIDATE_LINE = ("max |C_analytic - C_oracle| = {max_abs_diff:.6g}, "
                      "max |I_analytic - I_oracle| = {max_abs_diff_coherence:.6g} "
                      "vs tolerance {tolerance:g}: ")
@@ -1240,7 +1237,7 @@ class TestJobPipeline:
                         "beta_grid": {"start": 0.0, "stop": 0.2, "n_points": 3},
                         "output": {"path": "sweep.csv"}}, 0,
          "wrote 6 rows to sweep.csv (2 oscillator spec(s))"),
-        ("spectrum", {**NO_SCENARIO, "engine": "oracle", "oracle": {"dim": 12},
+        ("spectrum", {**SPECTRUM, "oracle": {"dim": 12},
                       "output": {"path": "spectrum"}}, 0,
          "lowest 8 levels: max |E - E_pred| = {max_abs_diff_checked:.6g} vs 1e-08: "
          "PASS (spectrum)"),
