@@ -8,12 +8,16 @@ jm basis at omega0 = 0, where sx1 + sx2 (so m) is conserved, and otherwise
 the exchange basis |ee>, (|eg>+|ge>)/sqrt(2), (|eg>-|ge>)/sqrt(2), |gg>,
 in which the parity (-1)^n sz1 sz2 is diagonal.  Neither symmetry is
 imposed: the blocks are found as the connected components of the sparsity
-graph, and only those the initial state populates are diagonalised, each by
-a dense eigh unless it is 1 x 1.  Mirror pairs are found from the entries
-too: at omega0 = 0 the m = +1 and m = -1 chains are h and S h S with
-S = diag((-1)^n), the parity of the Rabi family, so only the first is
-diagonalised and the second takes its energies and S V.  The phases of the
-pair are then equal, and each distinct one is taken once.
+graph, and only those the initial state populates are diagonalised.  A
+1 x 1 block needs no eigensolver.  A tridiagonal one (each m chain at
+omega0 = 0) goes to LAPACK's dstedc, the divide and conquer of Gu &
+Eisenstat (SIAM J. Matrix Anal. Appl. 16, 172 (1995)), in the OpenBLAS
+numpy loads, which gives the bits of a dense eigh; any other block takes a
+dense eigh.  Mirror pairs are found from the entries too: at omega0 = 0
+the m = +1 and m = -1 chains are h and S h S with S = diag((-1)^n), the
+parity of the Rabi family, so only the first is diagonalised and the
+second takes its energies and S V.  The phases of the pair are then
+equal, and each distinct one is taken once.
 
 The initial state bell (x) F is split into weighted pure columns.  With
 V_k the real eigenvectors of block k, E_k its energies and C_k = V_k^T psi0,
@@ -68,6 +72,7 @@ with q running over the four states of the qubit frame.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 
@@ -189,6 +194,54 @@ def _component_labels(size: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarr
     return np.unique(root, return_inverse=True)[1]
 
 
+def _bind_dstedc():
+    """LAPACKE's dstedc in numpy's own LAPACK, or None where it is not found
+    there (MKL or Accelerate builds, or Windows, where a lookup by handle does
+    not search a library's dependencies).  numpy's wheels bundle an ILP64
+    OpenBLAS that exports it, and the handle of numpy's linalg extension
+    reaches it."""
+    try:
+        routine = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_LAPACKE_dstedc64_
+    except (AttributeError, OSError):
+        return None
+    # (layout, compz, n, d, e, z, ldz) -> info, with 64-bit integers
+    routine.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p,
+                        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
+    routine.restype = ctypes.c_int64
+    return routine
+
+
+_DSTEDC = _bind_dstedc()
+
+_COLUMN_MAJOR = 102  # LAPACKE's LAPACK_COL_MAJOR
+
+
+def _eigh(h: np.ndarray, tridiagonal: bool):
+    """Energies and C-ordered eigenvectors of the dense block ``h``.
+
+    A ``tridiagonal`` h goes to dstedc on copies of its diagonal and first
+    off-diagonal, where :func:`_bind_dstedc` found it.  np.linalg.eigh
+    (dsyevd) reduces h to tridiagonal form, calls the same routine and
+    applies the reduction back, which on a tridiagonal h changes nothing, so
+    within dsyevd's unscaled range (largest entry between about 1e-146 and
+    1e146) both give the same bits, dstedc in a fraction of the time on
+    large blocks.  Every other h goes to np.linalg.eigh.  A LAPACK failure
+    raises ``np.linalg.LinAlgError``, as eigh does.
+    """
+    if not tridiagonal or _DSTEDC is None:
+        return np.linalg.eigh(h)
+    # contiguous float64 copies, which dstedc overwrites
+    energies = np.array(h.diagonal(), dtype=np.float64)
+    off = np.array(h.diagonal(-1), dtype=np.float64)
+    size = energies.size
+    vectors = np.empty((size, size))  # column-major, so it holds V^T
+    info = _DSTEDC(_COLUMN_MAJOR, b"I", size, energies.ctypes.data, off.ctypes.data,
+                   vectors.ctypes.data, size)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dstedc failed with info = {info}")
+    return energies, np.ascontiguousarray(vectors.T)
+
+
 def eigenblocks(params: ModelParams, dim: int, population: np.ndarray | None = None):
     """Diagonalise H on the truncated space block by block, in the qubit frame.
 
@@ -197,10 +250,12 @@ def eigenblocks(params: ModelParams, dim: int, population: np.ndarray | None = N
     index, in the qubit frame; with it, only the blocks holding more than
     ``_POPULATION_FLOOR`` of it are diagonalised, without it all are.  A
     1 x 1 block needs no eigensolver: its energy is its entry and its
-    eigenvector 1.  A block whose entries mirror those of a block already
-    diagonalised, h = S h_0 S with S = diag((-1)^n) on the same Fock rows
-    (the m = +1 and m = -1 chains at omega0 = 0), takes the same energies
-    array and the eigenvectors S V_0.
+    eigenvector 1.  Any other is written out dense and goes to
+    :func:`_eigh`, as tridiagonal if each of its entries lies on its
+    diagonal or next to it.  A block whose entries mirror those of a block
+    already diagonalised, h = S h_0 S with S = diag((-1)^n) on the same
+    Fock rows (the m = +1 and m = -1 chains at omega0 = 0), takes the same
+    energies array and the eigenvectors S V_0.
     Returns the list of (composite indices, energies, real eigenvectors) of
     those blocks, in the order of their lowest index, and the largest
     Frobenius residual ||H_B V_B - V_B E_B|| over them.
@@ -242,7 +297,8 @@ def eigenblocks(params: ModelParams, dim: int, population: np.ndarray | None = N
         else:
             h = np.zeros((index.size, index.size))
             np.add.at(h, local, values)
-            energies, vectors = np.linalg.eigh(h)
+            tridiagonal = np.abs(local[0] - local[1]).max() <= 1
+            energies, vectors = _eigh(h, tridiagonal)
             error = float(np.linalg.norm(h @ vectors - vectors * energies))
             solved.setdefault(fock, (*local, values, energies, vectors, error))
         residual = max(residual, error)

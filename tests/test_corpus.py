@@ -68,3 +68,9 @@ def test_each_differing_field_is_named_with_its_gap(tmp_path):
     (sides[1] / "job" / "extra.csv").unlink()
     assert corpus.compare(*sides) == (2, [
         "job: stdout 5e-16", "job/out.csv: C 0.1", "job/out.json: C 0.25, meta.note"])
+    # an exit code is reported as both codes, not as their difference
+    for side, code in zip(sides, (3, 2)):
+        (side / "calls.json").write_text(json.dumps(
+            {"calls": {"job": {"exit": code, "stdout": "", "stderr": ""}}}))
+    assert corpus.compare(*sides) == (2, [
+        "job: exit 3 -> 2", "job/out.csv: C 0.1", "job/out.json: C 0.25, meta.note"])

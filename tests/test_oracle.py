@@ -106,17 +106,16 @@ class NegatedColumns:
 
 
 def spy_on_eigh(monkeypatch):
-    """The shapes of the single (2-d) matrices passed to np.linalg.eigh from
-    now on; the Wootters stacks are left out."""
+    """The shapes of the blocks passed to the oracle's one eigensolver entry,
+    ``oracle._eigh``, from now on, whichever LAPACK routine it takes."""
     shapes = []
-    eigh = np.linalg.eigh
+    eigh = oracle._eigh
 
-    def spy(a, *args, **kwargs):
-        if np.ndim(a) == 2:
-            shapes.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
+    def spy(h, tridiagonal):
+        shapes.append(np.shape(h))
+        return eigh(h, tridiagonal)
 
-    monkeypatch.setattr(np.linalg, "eigh", spy)
+    monkeypatch.setattr(oracle, "_eigh", spy)
     return shapes
 
 
@@ -714,6 +713,51 @@ class LoggedMatrix(np.ndarray):
         return getattr(ufunc, method)(*plain, **kwargs)
 
 
+class TestTridiagonalRoute:
+    """At omega0 = 0 every block the oracle diagonalises is an m chain, which
+    is tridiagonal and goes to LAPACK's dstedc where numpy's LAPACK exports
+    it.  np.linalg.eigh reaches the same routine after a reduction that
+    leaves a tridiagonal matrix as it is, so both give the same bits."""
+
+    def test_numpys_openblas_exports_the_routine(self):
+        # a renamed symbol must fail here, not fall back to the dense eigh unseen
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
+        assert oracle._DSTEDC is not None or lapack != "scipy-openblas", lapack
+
+    @pytest.mark.parametrize("dim", [2, 3, 25, 26, 60, 198])
+    def test_a_chain_takes_the_bits_of_a_dense_eigh(self, dim):
+        # sizes either side of LAPACK's SMLSIZ = 25, below which dstedc hands
+        # a problem to dsteqr
+        rows, cols, vals = oracle._hamiltonian_entries(P, dim)
+        h = np.zeros((4 * dim, 4 * dim))
+        np.add.at(h, (rows, cols), vals)
+        index = next(index for index, _, _ in eigenblocks(P, dim)[0] if index.size > 1)
+        chain = h[np.ix_(index, index)]
+        energies, vectors = oracle._eigh(chain, tridiagonal=True)
+        expected = np.linalg.eigh(chain)
+        assert chain.shape == (dim, dim) and vectors.flags.c_contiguous
+        assert energies.tobytes() == expected[0].tobytes()
+        assert vectors.tobytes() == expected[1].tobytes()
+
+    @pytest.mark.parametrize("spec", [Thermal(5.0), Coherent(1.0 + 0.5j), Fock(3)],
+                             ids=["thermal", "coherent", "fock"])
+    def test_the_series_keeps_its_bits_without_the_routine(self, monkeypatch, spec):
+        t = np.linspace(0.0, 4.0 * math.pi, 101)
+        runs = []
+        for routine in (oracle._DSTEDC, None):
+            monkeypatch.setattr(oracle, "_DSTEDC", routine)
+            runs.append(oracle_concurrence_series("psi_plus", spec, t, P))
+        for field in ("concurrence", "u", "v", "leakage"):
+            bits = [getattr(run, field).tobytes() for run in runs]
+            assert bits[0] == bits[1], field
+        assert runs[0].meta == runs[1].meta
+
+    def test_a_lapack_failure_raises_as_eigh_would(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_DSTEDC", lambda *args: -4)
+        with pytest.raises(np.linalg.LinAlgError, match="info = -4"):
+            oracle._eigh(np.eye(3), tridiagonal=True)
+
+
 class TestPairRotation:
     """One pair rotation P, defined in model, is the oracle's frame at
     omega0 > 0, gives its jm frame at omega0 = 0 after H (x) H, and rotates
@@ -1231,6 +1275,12 @@ FAULTS = {
                       "np.multiply.outer(-times[chunk], half_energies"),
     "sign-of-i-flipped": ('sign = -1.0 if qubit_init == "psi_plus" else 1.0',
                           'sign = 1.0 if qubit_init == "psi_plus" else -1.0'),
+    # the tridiagonal route: V^T for V, and h's strided off-diagonal passed
+    # as it is, so dstedc reads h's second row as the off-diagonal
+    "dstedc-vectors-transposed": ("np.ascontiguousarray(vectors.T)",
+                                  "np.ascontiguousarray(vectors)"),
+    "dstedc-off-diagonal-uncopied": ("off = np.array(h.diagonal(-1), dtype=np.float64)",
+                                     "off = h.diagonal(-1)"),
 }
 
 #: the preparations of the matrix; only Coherent's I is complex, and three of

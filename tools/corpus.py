@@ -273,6 +273,9 @@ def compare(base: str, head: str):
             found.append(f"{name}: ran on one side only")
             continue
         fields = diff(calls[0][name], calls[1][name])
+        if "exit" in fields:  # codes, not quantities: named both, not their gap
+            del fields["exit"]
+            fields[f"exit {calls[0][name]['exit']} -> {calls[1][name]['exit']}"] = None
         if fields:
             found.append(f"{name}: {_describe(fields)}")
         names = [sorted(set(os.listdir(os.path.join(side, name))) - {"cfg.json"})
